@@ -8,6 +8,12 @@ all-of-R-at-once schedule is what makes the saturation bounds hold: a
 context-acyclic system finishes within max-level + 1 generating
 iterations (the last one vacuous), never more than its context count.
 
+Evaluation is semi-naive over one append-only, incrementally indexed
+store: each rule group joins only through the quads added since the
+group last ran, so an iteration's work follows what it adds rather than
+the size of the whole graph.  The schedule and the output are those of
+re-running every rule over the whole graph.
+
 Constraints (empty-head rules) are checked after every iteration's
 closure; the first violation stops the run with an inconsistent status.
 Non-context-acyclic systems are refused unless a budget (iteration or
@@ -16,7 +22,6 @@ quad cap) or the force flag makes the possible divergence explicit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,15 +33,13 @@ from .contextgraph import (
 )
 from .engine import (
     QuadSystem,
-    SkolemRule,
     Violation,
     check_constraints,
     derive,
-    instantiate_head,
     skolemize_all,
 )
 from .semantics import SIMPLE, LocalSemantics, lclosure_quadgraph
-from .terms import Constant, QuadGraph
+from .terms import Constant, QuadGraph, QuadStore
 
 COMPLETE = "complete"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -68,7 +71,6 @@ class ChaseConfig:
     max_quads: Optional[int] = None
     force_unrestricted: bool = False
     record_log: bool = False
-    jobs: int = 1
 
     def has_budget(self) -> bool:
         return self.max_iterations is not None or self.max_quads is not None
@@ -96,16 +98,10 @@ class ChaseResult:
         return self.status == COMPLETE
 
 
-def _derive(rules: list[SkolemRule], qg: QuadGraph,
-            skip: set[tuple[str, int]], jobs: int) -> set:
-    if jobs <= 1 or len(rules) <= 1:
-        return derive(rules, qg, skip)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(lambda r: derive([r], qg, skip), rules)
-        out: set = set()
-        for part in parts:
-            out |= part
-        return out
+def _since(store: QuadStore, mark: int) -> Optional[list]:
+    """The delta of a rule set last evaluated when the store held
+    ``mark`` quads; None (everything) before its first evaluation."""
+    return store.log[mark:] if mark else None
 
 
 def run_chase(system: QuadSystem,
@@ -122,18 +118,19 @@ def run_chase(system: QuadSystem,
         levels = compute_levels(graph)
 
     non_gen, gen, constraints = skolemize_all(system.rules)
-    ground_heads = [((r.rule_id, r.head_index), instantiate_head(r.head, {}))
-                    for r in non_gen + gen if r.head.is_ground()]
-    fired: set[tuple[str, int]] = set()
-
-    current = lclosure_quadgraph(system.quads, cfg.semantics)
+    store = QuadStore(lclosure_quadgraph(system.quads, cfg.semantics))
     log: list[IterationRecord] = []
     gen_count = 0
 
-    violations = check_constraints(constraints, current)
+    violations = check_constraints(constraints, store)
     if violations:
-        return ChaseResult(current, INCONSISTENT, tuple(log), 0, violations)
+        return ChaseResult(store.freeze(), INCONSISTENT, tuple(log), 0,
+                           violations)
 
+    # Store sizes when each rule group and the constraints last saw the
+    # store: the next evaluation only joins through what came after.
+    non_gen_mark = gen_mark = 0
+    checked_mark = len(store)
     status = COMPLETE
     index = 0
     while True:
@@ -141,44 +138,47 @@ def run_chase(system: QuadSystem,
             status = BUDGET_EXHAUSTED
             break
         index += 1
-        derived = _derive(non_gen, current, fired, cfg.jobs)
-        new = derived - current.quads
+        before = len(store)
+        derived = derive(non_gen, store, _since(store, non_gen_mark))
+        non_gen_mark = before
+        new = derived - store.quads
         kind = NON_GENERATING
         if not new:
             kind = GENERATING
             gen_count += 1
-            derived = _derive(gen, current, fired, cfg.jobs)
-            new = derived - current.quads
+            derived = derive(gen, store, _since(store, gen_mark))
+            gen_mark = before
+            new = derived - store.quads
             if not new:
                 log.append(IterationRecord(
-                    index, kind, 0, len(current),
+                    index, kind, 0, before,
                     {} if cfg.record_log else None))
                 status = COMPLETE
                 break
-        touched = {q.ctx for q in new}
-        updated = lclosure_quadgraph(current.union(new), cfg.semantics,
-                                     touched=touched)
-        added = updated.quads - current.quads
-        current = updated
-        for key, quad in ground_heads:
-            if key not in fired and quad in current.quads:
-                fired.add(key)
+        for q in new:
+            store.add(q)
+        if cfg.semantics.rules:
+            _close_contexts(store, {q.ctx for q in new}, cfg.semantics)
+        added = store.log[before:]
         per_ctx: Optional[dict[Constant, int]] = None
         if cfg.record_log:
             per_ctx = {}
             for q in added:
                 per_ctx[q.ctx] = per_ctx.get(q.ctx, 0) + 1
         log.append(IterationRecord(index, kind, len(added),
-                                   len(current), per_ctx))
-        violations = check_constraints(constraints, current)
+                                   len(store), per_ctx))
+        violations = check_constraints(constraints, store,
+                                       store.log[checked_mark:])
+        checked_mark = len(store)
         if violations:
             status = INCONSISTENT
             break
-        if cfg.max_quads is not None and len(current) > cfg.max_quads:
+        if cfg.max_quads is not None and len(store) > cfg.max_quads:
             status = BUDGET_EXHAUSTED
             break
 
-    result = ChaseResult(current, status, tuple(log), gen_count, violations)
+    result = ChaseResult(store.freeze(), status, tuple(log), gen_count,
+                         violations)
     if status == COMPLETE and levels is not None:
         bound = levels.max_level + 1
         n_contexts = len(system.contexts()) or 1
@@ -188,6 +188,14 @@ def run_chase(system: QuadSystem,
                 "bound is min(max level + 1 = %d, contexts = %d)"
                 % (gen_count, bound, n_contexts))
     return result
+
+
+def _close_contexts(store: QuadStore, touched: set[Constant],
+                    sem: LocalSemantics) -> None:
+    """Add the local closure of each touched context to the store."""
+    part = QuadGraph(q for ctx in touched for q in store.candidates(ctx))
+    for q in lclosure_quadgraph(part, sem):
+        store.add(q)
 
 
 def entailment_closure_check(result: ChaseResult,

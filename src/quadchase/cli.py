@@ -153,7 +153,6 @@ def cmd_chase(args: argparse.Namespace) -> int:
         max_quads=args.max_quads,
         force_unrestricted=args.force_unrestricted,
         record_log=args.stats is not None,
-        jobs=args.jobs,
     )
     started = time.monotonic()
     result = run_chase(system, cfg)
@@ -199,7 +198,6 @@ def _write_chase_manifest(args: argparse.Namespace, system: QuadSystem,
         "max_iterations": args.max_iterations,
         "max_quads": args.max_quads,
         "force_unrestricted": args.force_unrestricted,
-        "jobs": args.jobs,
         "elapsed_seconds": round(elapsed, 6),
         "status": result.status,
         "quads": len(result.quads),
@@ -358,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-unrestricted", action="store_true",
                    help="chase a non-context-acyclic system without budget")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="intra-iteration rule matching workers")
     p.set_defaults(func=cmd_chase)
 
     p = sub.add_parser("query", help="answer a query over a chase file")

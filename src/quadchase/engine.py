@@ -20,6 +20,7 @@ from .terms import (
     Quad,
     QuadGraph,
     QuadPattern,
+    QuadStore,
     Substitution,
     Term,
     Variable,
@@ -256,7 +257,28 @@ def _resolve(t: Term, binding: Substitution) -> Optional[Constant]:
     return binding.get(t)
 
 
-def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
+def _extend(pat: QuadPattern, quad: Quad, bound: Substitution,
+            no_skolem: frozenset[Variable] = frozenset()
+            ) -> Optional[Substitution]:
+    """``bound`` extended to map the triple of ``pat`` onto ``quad``'s, or
+    None when they clash."""
+    new = dict(bound)
+    for t, v in ((pat.s, quad.s), (pat.p, quad.p), (pat.o, quad.o)):
+        if isinstance(t, Variable):
+            seen = new.get(t)
+            if seen is None:
+                if t in no_skolem and v.is_skolem():
+                    return None
+                new[t] = v
+            elif seen is not v:
+                return None
+        elif t is not v:
+            return None
+    return new
+
+
+def match_patterns(qg: Union[QuadGraph, QuadStore],
+                   patterns: Iterable[QuadPattern],
                    binding: Optional[Substitution] = None,
                    no_skolem: frozenset[Variable] = frozenset()
                    ) -> Iterator[Substitution]:
@@ -293,23 +315,54 @@ def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
                                   _resolve(pat.s, bound),
                                   _resolve(pat.p, bound),
                                   _resolve(pat.o, bound)):
-            new = dict(bound)
-            ok = True
-            for t, v in zip((pat.s, pat.p, pat.o), quad.triple):
-                if isinstance(t, Variable):
-                    seen = new.get(t)
-                    if seen is None:
-                        if t in no_skolem and v.is_skolem():
-                            ok = False
-                            break
-                        new[t] = v
-                    elif seen != v:
-                        ok = False
-                        break
-            if ok:
+            new = _extend(pat, quad, bound, no_skolem)
+            if new is not None:
                 yield from step(rest, new)
 
     return step(remaining, base)
+
+
+class _Delta:
+    """Quads added since a rule set was last evaluated, bucketed by
+    context, with their (ctx, s, p, o) tuples for membership tests."""
+
+    __slots__ = ("by_ctx", "keys")
+
+    def __init__(self, quads: Iterable[Quad]) -> None:
+        self.by_ctx: dict[Constant, list[Quad]] = {}
+        self.keys: set[tuple] = set()
+        for q in quads:
+            self.by_ctx.setdefault(q.ctx, []).append(q)
+            self.keys.add((q.ctx, q.s, q.p, q.o))
+
+    def holds(self, pat: QuadPattern, mu: Substitution) -> bool:
+        """Whether ``pat`` grounded by ``mu`` is a delta quad."""
+        return (pat.ctx, mu.get(pat.s, pat.s), mu.get(pat.p, pat.p),
+                mu.get(pat.o, pat.o)) in self.keys
+
+
+def _groundings(body: tuple[QuadPattern, ...],
+                qg: Union[QuadGraph, QuadStore],
+                delta: Optional[_Delta]) -> Iterator[Substitution]:
+    """Body groundings into ``qg``; with a delta, only those that map
+    some atom to a delta quad, each once.
+
+    Atom ``i`` is unified with each delta quad in turn and the rest of
+    the body is joined over ``qg``.  A grounding that also maps an
+    earlier atom into the delta was already yielded for that atom.
+    """
+    if delta is None:
+        yield from match_patterns(qg, body)
+        return
+    for i, atom in enumerate(body):
+        rest = body[:i] + body[i + 1:]
+        for quad in delta.by_ctx.get(atom.ctx, ()):
+            mu = _extend(atom, quad, {})
+            if mu is None:
+                continue
+            for full in match_patterns(qg, rest, mu):
+                if not any(delta.holds(a, full) for a in body[:i]):
+                    yield full
 
 
 def instantiate_head(atom: SkolemAtom, binding: Substitution) -> Quad:
@@ -343,25 +396,29 @@ def apply_ruleset(rules: Iterable[SkolemRule], qg: QuadGraph) -> QuadGraph:
     return QuadGraph(derive(rules, qg))
 
 
-def derive(rules: Iterable[SkolemRule], qg: QuadGraph,
-           skip: Optional[set[tuple[str, int]]] = None) -> set[Quad]:
+def derive(rules: Iterable[SkolemRule], qg: Union[QuadGraph, QuadStore],
+           delta: Optional[Iterable[Quad]] = None) -> set[Quad]:
     """Set-level rule application.
 
-    ``skip`` marks (rule id, head index) pairs of ground-head rules whose
-    output is already materialized; skipping them cannot change the
-    fixpoint, only the work done.
+    Without ``delta``, the head instances of every body grounding into
+    ``qg``.  With ``delta`` (quads of ``qg``, typically those added since
+    the rules were last applied), only those of groundings that use at
+    least one delta quad: semi-naive evaluation, which misses nothing new
+    when every other grounding's head is already in ``qg``.  A delta run
+    also skips a rule whose ground head is already in ``qg``.
     """
+    fresh = None if delta is None else _Delta(delta)
     out: set[Quad] = set()
     for rule in rules:
-        if skip is not None and (rule.rule_id, rule.head_index) in skip:
-            continue
         if rule.head.is_ground():
-            # single possible output; one body match decides it
-            for _ in match_patterns(qg, rule.body):
-                out.add(instantiate_head(rule.head, {}))
-                break
+            head = instantiate_head(rule.head, {})
+            if fresh is None or head not in qg:
+                # single possible output; one body match decides it
+                for _ in _groundings(rule.body, qg, fresh):
+                    out.add(head)
+                    break
             continue
-        for mu in match_patterns(qg, rule.body):
+        for mu in _groundings(rule.body, qg, fresh):
             out.add(instantiate_head(rule.head, mu))
     return out
 
@@ -380,12 +437,19 @@ class Violation:
 
 
 def check_constraints(constraints: Iterable[BridgeRule],
-                      qg: QuadGraph) -> list[Violation]:
-    """Every grounding of an empty-head rule body is a violation."""
+                      qg: Union[QuadGraph, QuadStore],
+                      delta: Optional[Iterable[Quad]] = None
+                      ) -> list[Violation]:
+    """Every grounding of an empty-head rule body is a violation.
+
+    With ``delta``, only groundings that use a delta quad are checked:
+    all of them when ``qg`` without the delta violated nothing.
+    """
+    fresh = None if delta is None else _Delta(delta)
     found: list[Violation] = []
     for rule in constraints:
         if not rule.is_constraint:
             raise RuleError("rule %s is not a constraint" % rule.rule_id)
-        for mu in match_patterns(qg, rule.body):
+        for mu in _groundings(rule.body, qg, fresh):
             found.append(Violation.from_mapping(rule.rule_id, mu))
     return found

@@ -18,7 +18,7 @@ closing distinct contexts concurrently must equal the sequential result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .terms import Constant, Quad, QuadGraph, Term, Variable
 from . import vocab
@@ -164,19 +164,12 @@ def lclosure_graph(triples: Iterable[Triple],
     return frozenset(current)
 
 
-def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics,
-                       touched: Optional[set[Constant]] = None) -> QuadGraph:
-    """Per-context closure of a quad-graph; contexts never mix.
-
-    ``touched`` optionally restricts the work to contexts that may have
-    changed; by idempotence the result equals closing everything.
-    """
+def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
+    """Per-context closure of a quad-graph; contexts never mix."""
     if not sem.rules:
         return qg
     out: set[Quad] = set(qg.quads)
     for ctx in qg.contexts():
-        if touched is not None and ctx not in touched:
-            continue
         before = qg.graph_of(ctx)
         closed = lclosure_graph(before, sem)
         if len(closed) != len(before):

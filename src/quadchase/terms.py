@@ -1,11 +1,13 @@
 """Core term and quad model: interned RDF constants, variables, quads,
-quad-graphs with matching indexes, and substitutions.
+quad-graphs with matching indexes, the chase's append-only quad store,
+and substitutions.
 
 Every constant has a canonical serialization (N-Quads term syntax with
 lowercase hex escapes) and two constants are equal exactly when their
 canonical serializations are byte-equal.  Construction goes through the
 factory functions ``iri``, ``blank``, ``literal`` and ``skolem_constant``,
-which intern instances so equal terms are the identical object.
+which intern instances so equal terms are the identical object; constants
+therefore compare and hash by identity.
 
 Skolem blank nodes are labelled nulls whose identity is a deterministic
 function of (rule id, function index, argument vector); their labels use
@@ -15,7 +17,7 @@ the reserved ``sk_`` prefix and are recognised on re-parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 IRI = "iri"
 BLANK = "blank"
@@ -83,23 +85,19 @@ def _escape_iri(text: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constant:
     """An RDF constant: IRI, blank node, skolem blank node, or literal.
 
     ``lexical`` holds the IRI string, the blank node label (without the
-    ``_:`` sigil), or the literal's lexical form.  Skolem blanks carry the
-    bookkeeping triple (rule id, function index, 64-bit argument hash);
-    the argument hash is derived from the argument vector, never free.
+    ``_:`` sigil), or the literal's lexical form.  Equality is identity:
+    build constants only through the interning factories below.
     """
 
     kind: str
     lexical: str
     datatype: Optional[str] = None
     lang: Optional[str] = None
-    rule_id: Optional[str] = None
-    fn_index: Optional[int] = None
-    arg_hash: Optional[int] = None
 
     @property
     def canonical(self) -> str:
@@ -208,8 +206,7 @@ def skolem_constant(rule_id: str, fn_index: int,
     elif seen != ident:
         raise SkolemCollisionError(
             "skolem label collision on %s: %r vs %r" % (label, seen, ident))
-    return _intern(Constant(SKOLEM, label, rule_id=rule_id,
-                            fn_index=fn_index, arg_hash=digest))
+    return _intern(Constant(SKOLEM, label))
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,52 @@ def apply_substitution(pattern: Union[Quad, QuadPattern],
     return QuadPattern(pattern.ctx, s, p, o)
 
 
-class QuadGraph:
+class _QuadIndex:
+    """Candidate lookup shared by ``QuadGraph`` and ``QuadStore``.
+
+    Both keep a bucket of quads per context and per (context, term) for
+    some of the slots s, p and o.  A lookup walks the smallest bucket
+    among the slots it binds.
+    """
+
+    __slots__ = ()
+
+    def _indexes(self) -> tuple:
+        """The (ctx), (ctx,s), (ctx,p) and (ctx,o) bucket maps; None for
+        a map this container does not keep."""
+        raise NotImplementedError
+
+    def _bucket(self, ctx: Constant, s: Optional[Constant],
+                p: Optional[Constant], o: Optional[Constant]
+                ) -> Sequence[Quad]:
+        by_ctx, by_s, by_p, by_o = self._indexes()
+        if s is not None and p is not None and o is not None:
+            q = Quad(ctx, s, p, o)
+            return (q,) if q in self else ()
+        pool = by_ctx.get(ctx, ())
+        for term, index in ((s, by_s), (p, by_p), (o, by_o)):
+            if term is not None and index is not None:
+                bucket = index.get((ctx, term), ())
+                if len(bucket) < len(pool):
+                    pool = bucket
+        return pool
+
+    def candidates(self, ctx: Constant, s: Optional[Constant] = None,
+                   p: Optional[Constant] = None,
+                   o: Optional[Constant] = None) -> list[Quad]:
+        """Quads of context ``ctx`` matching the given ground slots."""
+        return [q for q in self._bucket(ctx, s, p, o)
+                if (s is None or q.s is s) and (p is None or q.p is p)
+                and (o is None or q.o is o)]
+
+    def candidate_count(self, ctx: Constant, s: Optional[Constant] = None,
+                        p: Optional[Constant] = None,
+                        o: Optional[Constant] = None) -> int:
+        """Cheap upper estimate of matching quads (index bucket size)."""
+        return len(self._bucket(ctx, s, p, o))
+
+
+class QuadGraph(_QuadIndex):
     """An immutable set of quads with matching indexes.
 
     Indexes (by context, by context+predicate, by context+subject) are
@@ -382,44 +424,66 @@ class QuadGraph:
         self._by_ctx_p = by_ctx_p
         self._by_ctx_s = by_ctx_s
 
-    def candidates(self, ctx: Constant, s: Optional[Constant] = None,
-                   p: Optional[Constant] = None,
-                   o: Optional[Constant] = None) -> list[Quad]:
-        """Quads of context ``ctx`` matching the given ground slots."""
+    def _indexes(self) -> tuple:
         self._ensure_indexes()
-        if s is not None and p is not None and o is not None:
-            q = Quad(ctx, s, p, o)
-            return [q] if q in self._quads else []
-        pool: list[Quad]
-        if p is not None:
-            pool = self._by_ctx_p.get((ctx, p), [])
-        elif s is not None:
-            pool = self._by_ctx_s.get((ctx, s), [])
-        else:
-            pool = self._by_ctx.get(ctx, [])
-        out = []
-        for q in pool:
-            if s is not None and q.s is not s and q.s != s:
-                continue
-            if p is not None and q.p != p:
-                continue
-            if o is not None and q.o != o:
-                continue
-            out.append(q)
-        return out
+        return self._by_ctx, self._by_ctx_s, self._by_ctx_p, None
 
-    def candidate_count(self, ctx: Constant, s: Optional[Constant] = None,
-                        p: Optional[Constant] = None,
-                        o: Optional[Constant] = None) -> int:
-        """Cheap upper estimate of matching quads (index bucket size)."""
-        self._ensure_indexes()
-        if s is not None and p is not None and o is not None:
-            return 1 if Quad(ctx, s, p, o) in self._quads else 0
-        if p is not None:
-            return len(self._by_ctx_p.get((ctx, p), ()))
-        if s is not None:
-            return len(self._by_ctx_s.get((ctx, s), ()))
-        return len(self._by_ctx.get(ctx, ()))
+
+class QuadStore(_QuadIndex):
+    """A mutable, append-only set of quads, indexed as it grows.
+
+    ``log`` lists the quads in insertion order, so ``log[mark:]`` is what
+    was added since the store held ``mark`` quads.  ``add`` extends the
+    (ctx), (ctx,s), (ctx,p) and (ctx,o) buckets, so lookups never wait for
+    an index rebuild.
+    """
+
+    __slots__ = ("quads", "log", "_by_ctx", "_by_ctx_s", "_by_ctx_p",
+                 "_by_ctx_o")
+
+    def __init__(self, quads: Iterable[Quad] = ()) -> None:
+        self.quads: set[Quad] = set()
+        self.log: list[Quad] = []
+        self._by_ctx: dict[Constant, list[Quad]] = {}
+        self._by_ctx_s: dict[tuple, list[Quad]] = {}
+        self._by_ctx_p: dict[tuple, list[Quad]] = {}
+        self._by_ctx_o: dict[tuple, list[Quad]] = {}
+        for q in quads:
+            self.add(q)
+
+    def __len__(self) -> int:
+        return len(self.log)
+
+    def __contains__(self, q: object) -> bool:
+        return q in self.quads
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "QuadStore(%d quads)" % len(self.log)
+
+    def add(self, q: Quad) -> bool:
+        """Insert ``q``; False when it was already present."""
+        if q in self.quads:
+            return False
+        self.quads.add(q)
+        self.log.append(q)
+        ctx = q.ctx
+        self._by_ctx.setdefault(ctx, []).append(q)
+        self._by_ctx_s.setdefault((ctx, q.s), []).append(q)
+        self._by_ctx_p.setdefault((ctx, q.p), []).append(q)
+        self._by_ctx_o.setdefault((ctx, q.o), []).append(q)
+        return True
+
+    def freeze(self) -> QuadGraph:
+        """The stored quads as a QuadGraph.  Empties the store first, so
+        its set and indexes are not resident beside the graph."""
+        log, self.log = self.log, []
+        for table in (self.quads, self._by_ctx, self._by_ctx_s,
+                      self._by_ctx_p, self._by_ctx_o):
+            table.clear()
+        return QuadGraph(log)
+
+    def _indexes(self) -> tuple:
+        return self._by_ctx, self._by_ctx_s, self._by_ctx_p, self._by_ctx_o
 
 
 def quad_graph_size(qg: QuadGraph) -> int:

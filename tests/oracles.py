@@ -14,8 +14,24 @@ import itertools
 import random
 from typing import Iterable
 
+from quadchase.chase import (
+    BUDGET_EXHAUSTED,
+    COMPLETE,
+    GENERATING,
+    INCONSISTENT,
+    NON_GENERATING,
+    ChaseConfig,
+    ChaseResult,
+    IterationRecord,
+)
 from quadchase.contextgraph import build_dependency_graph, is_context_acyclic
-from quadchase.engine import BridgeRule, QuadSystem
+from quadchase.engine import (
+    BridgeRule,
+    QuadSystem,
+    check_constraints,
+    derive,
+    skolemize_all,
+)
 from quadchase.semantics import LocalSemantics, SIMPLE, lclosure_quadgraph
 from quadchase.syntax import QueryDocument
 from quadchase.terms import (
@@ -90,6 +106,55 @@ def naive_multihead_chase(system: QuadSystem, sem: LocalSemantics = SIMPLE,
         current |= new
         current = set(lclosure_quadgraph(QuadGraph(current), sem).quads)
     return QuadGraph(current), False
+
+
+def naive_chase(system: QuadSystem, cfg: ChaseConfig) -> ChaseResult:
+    """Reference for ``run_chase``: the same schedule, budgets, log and
+    constraint checks, but every iteration re-derives every rule over
+    the whole graph, closes it afresh and checks every constraint."""
+    non_gen, gen, constraints = skolemize_all(system.rules)
+    current = lclosure_quadgraph(system.quads, cfg.semantics)
+    log: list[IterationRecord] = []
+    gen_count = 0
+    violations = check_constraints(constraints, current)
+    if violations:
+        return ChaseResult(current, INCONSISTENT, (), 0, violations)
+    status = COMPLETE
+    index = 0
+    while True:
+        if cfg.max_iterations is not None and index >= cfg.max_iterations:
+            status = BUDGET_EXHAUSTED
+            break
+        index += 1
+        new = derive(non_gen, current) - current.quads
+        kind = NON_GENERATING
+        if not new:
+            kind = GENERATING
+            gen_count += 1
+            new = derive(gen, current) - current.quads
+            if not new:
+                log.append(IterationRecord(
+                    index, kind, 0, len(current),
+                    {} if cfg.record_log else None))
+                break
+        updated = lclosure_quadgraph(current.union(new), cfg.semantics)
+        added = updated.quads - current.quads
+        current = updated
+        per_ctx = None
+        if cfg.record_log:
+            per_ctx = {}
+            for q in added:
+                per_ctx[q.ctx] = per_ctx.get(q.ctx, 0) + 1
+        log.append(IterationRecord(index, kind, len(added), len(current),
+                                   per_ctx))
+        violations = check_constraints(constraints, current)
+        if violations:
+            status = INCONSISTENT
+            break
+        if cfg.max_quads is not None and len(current) > cfg.max_quads:
+            status = BUDGET_EXHAUSTED
+            break
+    return ChaseResult(current, status, tuple(log), gen_count, violations)
 
 
 def exhaustive_entails(qg: QuadGraph,
@@ -264,6 +329,43 @@ def random_acyclic_system(rng: random.Random, max_contexts: int = 4,
                            random_constant(rng, allow_blank=False)))
         rules = tuple(random_rule(rng, "r%d" % i, contexts)
                       for i in range(rng.randrange(max_rules + 1)))
+        system = QuadSystem(QuadGraph(quads), rules)
+        if is_context_acyclic(build_dependency_graph(system)).acyclic:
+            return system
+
+
+def random_firing_system(rng: random.Random, n_contexts: int = 4,
+                         max_rules: int = 5,
+                         max_quads: int = 10) -> QuadSystem:
+    """Rejection-sample a context-acyclic quad-system over a small
+    vocabulary whose rules mostly hold variables and write into the same
+    or a later context, so that they fire over several iterations (the
+    criterion-7 systems rarely fire at all)."""
+    vocab = [iri("n%d" % i) for i in range(4)]
+    body_vars = [Variable("v%d" % i) for i in range(3)]
+    head_vars = body_vars + [Variable("w0")]
+    contexts = [iri("ctx%d" % i) for i in range(n_contexts)]
+
+    def terms(variables: list[Variable], p_var: float) -> list:
+        return [rng.choice(variables) if rng.random() < p_var
+                else rng.choice(vocab) for _ in range(3)]
+
+    def rule(rule_id: str) -> BridgeRule:
+        low = rng.randrange(n_contexts)
+        body = tuple(QuadPattern(contexts[rng.randrange(low + 1)],
+                                 *terms(body_vars, 0.9))
+                     for _ in range(rng.randrange(1, 3)))
+        head = tuple(QuadPattern(contexts[rng.randrange(low, n_contexts)],
+                                 *terms(head_vars, 0.7))
+                     for _ in range(rng.randrange(1, 3)))
+        return BridgeRule(rule_id, body, head)
+
+    while True:
+        quads = {Quad(contexts[rng.randrange(2)], rng.choice(vocab),
+                      rng.choice(vocab[:2]), rng.choice(vocab))
+                 for _ in range(rng.randrange(1, max_quads + 1))}
+        rules = tuple(rule("r%d" % i)
+                      for i in range(rng.randrange(1, max_rules + 1)))
         system = QuadSystem(QuadGraph(quads), rules)
         if is_context_acyclic(build_dependency_graph(system)).acyclic:
             return system

@@ -16,15 +16,22 @@ from quadchase.chase import (
     saturation_report,
 )
 from quadchase.contextgraph import build_dependency_graph, compute_levels
-from quadchase.engine import QuadSystem, skolemize_all
+from quadchase import engine
+from quadchase.engine import BridgeRule, QuadSystem
 from quadchase.reductions.cfg import CFG, CFG_CLASS, CFG_CONTEXT, CFG_SEED, \
     encode_cfg_pair, symbol_iri
-from quadchase.semantics import lclosure_quadgraph, rdfs_core
+from quadchase.reductions.horn import HornClause, encode_horn
+from quadchase.semantics import SIMPLE, lclosure_quadgraph, rdfs_core
 from quadchase.syntax import parse_rules, serialize_nquads
 from quadchase.terms import Quad, QuadGraph, iri, skolem_constant
 from quadchase.vocab import RDF_TYPE
 
-from oracles import random_acyclic_system
+from oracles import (
+    naive_chase,
+    random_acyclic_system,
+    random_firing_system,
+    random_rule,
+)
 
 
 def test_cfg_first_step_fixture():
@@ -161,13 +168,6 @@ def test_determinism_in_process(example1_system, fig3_system):
         assert a == b
 
 
-def test_jobs_parallel_matching_matches_sequential(fig3_system):
-    seq = run_chase(fig3_system, ChaseConfig(jobs=1))
-    par = run_chase(fig3_system, ChaseConfig(jobs=4))
-    assert seq.quads == par.quads
-    assert seq.status == par.status
-
-
 def test_entailment_closure_check(fig3_system):
     result = run_chase(fig3_system)
     assert entailment_closure_check(result, fig3_system)
@@ -180,27 +180,6 @@ def test_entailment_closure_check(fig3_system):
     assert entailment_closure_check(empty, QuadSystem(QuadGraph(), ()))
 
 
-def _replay_log(system, cfg):
-    """Independent re-derivation of the iteration schedule."""
-    non_gen, gen, _ = skolemize_all(system.rules)
-    current = lclosure_quadgraph(system.quads, cfg.semantics)
-    log = []
-    while True:
-        from quadchase.engine import derive
-        new = derive(non_gen, current) - current.quads
-        kind = NON_GENERATING
-        if not new:
-            kind = GENERATING
-            new = derive(gen, current) - current.quads
-            if not new:
-                log.append((kind, 0, len(current)))
-                return log, current
-        updated = lclosure_quadgraph(current.union(new), cfg.semantics)
-        log.append((kind, len(updated.quads - current.quads),
-                    len(updated)))
-        current = updated
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_schedule_conformance_and_monotone_growth(seed):
@@ -209,10 +188,9 @@ def test_schedule_conformance_and_monotone_growth(seed):
     cfg = ChaseConfig(record_log=True)
     result = run_chase(system, cfg)
     assert result.complete
-    replay, final = _replay_log(system, cfg)
-    assert final == result.quads
-    assert [(r.kind, r.new_quads, r.cumulative)
-            for r in result.iteration_log] == replay
+    reference = naive_chase(system, cfg)
+    assert reference.quads == result.quads
+    assert reference.iteration_log == result.iteration_log
     sizes = [r.cumulative for r in result.iteration_log]
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
     # every non-final iteration is productive; only the closing
@@ -257,3 +235,86 @@ def test_record_log_off_keeps_aggregate_log(fig3_system):
     levels = compute_levels(build_dependency_graph(fig3_system))
     with pytest.raises(ValueError):
         saturation_report(result, levels)
+
+
+def _assert_same_as_naive(system, cfg):
+    fast = run_chase(system, cfg)
+    slow = naive_chase(system, cfg)
+    assert fast.quads == slow.quads
+    assert fast.status == slow.status
+    assert fast.generating_iterations == slow.generating_iterations
+    assert fast.iteration_log == slow.iteration_log
+    assert set(fast.violations) == set(slow.violations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans())
+def test_semi_naive_chase_matches_naive_oracle(seed, firing, rdfs,
+                                               record_log, with_constraint):
+    """Random systems, optionally with a constraint, chased semi-naively
+    and by the naive reference: the criterion-7 systems, and systems
+    whose rules fire over several iterations.  A constraint is a random
+    body or, so that it can fire after iteration 0, a rule's head."""
+    rng = random.Random(seed)
+    if firing:
+        system = random_firing_system(rng)
+    else:
+        system = random_acyclic_system(rng, max_contexts=4, max_rules=4,
+                                       max_quads=12)
+    if with_constraint:
+        contexts = sorted(system.contexts(), key=lambda c: c.canonical)
+        body = random_rule(rng, "chk", contexts).body
+        if system.rules and rng.random() < 0.5:
+            body = rng.choice(system.rules).head
+        system = QuadSystem(system.quads,
+                            system.rules + (BridgeRule("chk", body, ()),))
+    cfg = ChaseConfig(semantics=rdfs_core(rng.random() < 0.5) if rdfs
+                      else SIMPLE, max_iterations=30, max_quads=300,
+                      record_log=record_log)
+    _assert_same_as_naive(system, cfg)
+
+
+@pytest.mark.parametrize("semantics", [SIMPLE, rdfs_core(True),
+                                       rdfs_core(False)])
+@pytest.mark.parametrize("budget", [dict(max_iterations=25),
+                                    dict(max_quads=60)])
+def test_semi_naive_chase_matches_naive_oracle_on_fixtures(
+        example1_system, fig3_system, semantics, budget):
+    for system in (example1_system, fig3_system):
+        _assert_same_as_naive(system, ChaseConfig(
+            semantics=semantics, record_log=True, **budget))
+
+
+def _horn_chain(k):
+    """``t t -> p0``, ``p0 t -> p1``, ..., ending in ``f``, plus 20
+    distractor clauses that never fire (``q0`` is never derived)."""
+    heads = ["p%d" % i for i in range(k - 1)] + ["f"]
+    clauses = [HornClause("t", "t", heads[0])]
+    clauses += [HornClause(heads[i], "t", heads[i + 1])
+                for i in range(k - 1)]
+    clauses += [HornClause("q%d" % j, "t", "q%d" % (j + 1))
+                for j in range(20)]
+    return clauses
+
+
+def test_horn_chain_head_instances_grow_linearly(monkeypatch):
+    """Doubling a Horn chain at most about doubles the head instances:
+    each iteration joins only through the quad the last one added."""
+    calls = 0
+    instantiate = engine.instantiate_head
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return instantiate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "instantiate_head", counted)
+    counts = []
+    for k in (32, 64):
+        calls = 0
+        system, _ = encode_horn(_horn_chain(k))
+        result = run_chase(system)
+        assert result.complete and len(result.iteration_log) == k + 1
+        counts.append(calls)
+    assert counts[1] <= 2.2 * counts[0], counts

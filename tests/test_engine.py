@@ -12,6 +12,7 @@ from quadchase.engine import (
     apply_rule,
     apply_ruleset,
     check_constraints,
+    derive,
     rule_size,
     skolemize,
     skolemize_all,
@@ -21,6 +22,7 @@ from quadchase.terms import (
     Quad,
     QuadGraph,
     QuadPattern,
+    QuadStore,
     Variable,
     blank,
     iri,
@@ -205,3 +207,49 @@ def test_normalization_soundness_vs_multihead_oracle(seed):
     oracle_quads, finished = naive_multihead_chase(system)
     assert finished
     assert result.quads == oracle_quads
+
+
+def _dense_patterns(rng, contexts, n):
+    """``n`` patterns over three IRIs, mostly variables, so that bodies
+    of up to three atoms often ground into a small random graph."""
+    vocab = [iri("n%d" % i) for i in range(3)]
+    variables = [Variable("v%d" % i) for i in range(3)]
+    return tuple(QuadPattern(rng.choice(contexts), *(
+        rng.choice(variables) if rng.random() < 0.7 else rng.choice(vocab)
+        for _ in range(3))) for _ in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_delta_evaluation_covers_exactly_the_groundings_through_the_delta(
+        seed):
+    """Split a random graph into old quads and a delta.  Semi-naive
+    derivation finds every quad that only the delta makes derivable, and
+    a delta constraint check reports each violation that uses a delta
+    quad exactly once."""
+    rng = random.Random(seed)
+    contexts = [iri("ctx0"), iri("ctx1")]
+    vocab = [iri("n%d" % i) for i in range(3)]
+    quads = sorted({Quad(rng.choice(contexts), rng.choice(vocab),
+                         rng.choice(vocab), rng.choice(vocab))
+                    for _ in range(rng.randrange(16))}, key=Quad.sort_key)
+    rng.shuffle(quads)
+    cut = rng.randrange(len(quads) + 1)
+    old, full, delta = QuadGraph(quads[:cut]), QuadGraph(quads), \
+        quads[cut:]
+    store = QuadStore(quads)
+    for i in range(3):
+        rule = BridgeRule("r%d" % i,
+                          _dense_patterns(rng, contexts, rng.randrange(1, 4)),
+                          _dense_patterns(rng, contexts, 1))
+        for sk in skolemize(rule):
+            semi = derive([sk], store, delta)
+            assert semi <= derive([sk], full)
+            assert derive([sk], full) - derive([sk], old) - full.quads \
+                <= semi
+    constraints = [BridgeRule("k%d" % i, _dense_patterns(
+        rng, contexts, rng.randrange(1, 4)), ()) for i in range(3)]
+    found = check_constraints(constraints, store, delta)
+    assert len(found) == len(set(found))
+    assert set(found) == set(check_constraints(constraints, full)) \
+        - set(check_constraints(constraints, old))

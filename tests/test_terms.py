@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from quadchase.terms import (
     Quad,
     QuadGraph,
     QuadPattern,
+    QuadStore,
     SkolemCollisionError,
     TermError,
     Variable,
@@ -18,7 +20,7 @@ from quadchase.terms import (
     skolem_constant,
 )
 
-from oracles import random_quadgraph
+from oracles import random_constant, random_quadgraph
 
 
 def test_interning_returns_identical_handles():
@@ -85,7 +87,7 @@ def test_skolem_constant_distinguishes_rules_and_indices():
 def test_skolem_roundtrips_through_blank_factory():
     sk = skolem_constant("r1", 0, [iri("a")])
     again = blank(sk.lexical)
-    assert again == sk or again.canonical == sk.canonical
+    assert again is sk
     assert again.is_skolem()
 
 
@@ -172,3 +174,33 @@ def test_candidates_respect_indexes():
     assert g.candidates(c, s=iri("s1"), p=iri("p1"), o=iri("o")) \
         == [Quad(c, iri("s1"), iri("p1"), iri("o"))]
     assert g.candidates(iri("other")) == []
+
+
+@given(st.integers(0, 2 ** 32))
+def test_candidates_equal_a_filter_for_every_bound_slot_combination(seed):
+    rng = random.Random(seed)
+    g = random_quadgraph(rng, max_quads=20, n_contexts=2)
+    store = QuadStore(g)
+    probes = [Quad(iri("ctx%d" % rng.randrange(2)), random_constant(rng),
+                   random_constant(rng), random_constant(rng))]
+    probes += rng.sample(sorted(g, key=Quad.sort_key), min(3, len(g)))
+    for probe in probes:
+        for mask in itertools.product((False, True), repeat=3):
+            s, p, o = (t if bound else None
+                       for t, bound in zip(probe.triple, mask))
+            expected = sorted(
+                (q for q in g if q.ctx is probe.ctx
+                 and s in (None, q.s) and p in (None, q.p)
+                 and o in (None, q.o)), key=Quad.sort_key)
+            for index in (g, store):
+                got = index.candidates(probe.ctx, s, p, o)
+                assert sorted(got, key=Quad.sort_key) == expected
+                count = index.candidate_count(probe.ctx, s, p, o)
+                assert count >= len(got)
+                # the lookup walks the smallest bucket of the bound slots
+                for i in range(3):
+                    if mask[i]:
+                        single = [None, None, None]
+                        single[i] = probe.triple[i]
+                        assert count <= index.candidate_count(probe.ctx,
+                                                              *single)
