@@ -24,7 +24,9 @@ Query files (``.ccq``)::
     ask { c1(?x, <beat>, <Italy>) }
     select ?x where { c1(?x, <beat>, <Italy>), c2(?x, <beat>, <Italy>) }
 
-Parsers are pure functions and safe to call concurrently.
+Parsers are not pure: every constant they read is interned into the
+process-wide table in ``terms``.  They are safe to call concurrently
+because interning is atomic.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .terms import (
     Term,
     Variable,
     blank,
+    interned,
     iri,
     literal,
 )
@@ -75,6 +78,8 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
 
 
 def _unescape(text: str, line: int, col: int) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -161,8 +166,15 @@ def _decode(data: Union[bytes, str]) -> str:
 
 def _scan_nquads_term(s: str, i: int, line: int,
                       bnode_prefix: Optional[str]) -> tuple[Constant, int]:
+    # A term whose source text is an interned canonical is that constant
+    # (see ``terms.interned``); only a miss is decoded and built.
     ch = s[i]
     if ch == "<":
+        # An unterminated IRI slices to "", which is never interned.
+        j = s.find(">", i + 1) + 1
+        known = interned(s[i:j])
+        if known is not None:
+            return known, j
         value, j = _scan_iriref(s, i, line)
         return iri(value), j
     if ch == "_" and s[i:i + 2] == "_:":
@@ -170,8 +182,8 @@ def _scan_nquads_term(s: str, i: int, line: int,
         if not label:
             raise ParseError("empty blank node label", line, i + 1)
         if bnode_prefix and not label.startswith(SKOLEM_LABEL_PREFIX):
-            label = bnode_prefix + label
-        return blank(label), j
+            return blank(bnode_prefix + label), j
+        return interned(s[i:j]) or blank(label), j
     if ch == '"':
         lex, j = _scan_string(s, i, line)
         if s[j:j + 2] == "^^":

@@ -7,7 +7,8 @@ lowercase hex escapes) and two constants are equal exactly when their
 canonical serializations are byte-equal.  Construction goes through the
 factory functions ``iri``, ``blank``, ``literal`` and ``skolem_constant``,
 which intern instances so equal terms are the identical object; constants
-therefore compare and hash by identity.
+therefore compare and hash by identity.  Interning is atomic, so threads
+interning the same term concurrently get the same object.
 
 Skolem blank nodes are labelled nulls whose identity is a deterministic
 function of (rule id, function index, argument vector); their labels use
@@ -152,12 +153,24 @@ _SKOLEM_ARGS: dict[str, tuple] = {}
 
 
 def _intern(c: Constant) -> Constant:
-    key = c.canonical
-    found = _INTERN.get(key)
-    if found is not None:
-        return found
-    _INTERN[key] = c
-    return c
+    # One setdefault, not a get and a later store: a thread switch
+    # between the two could mint two unequal constants for one canonical.
+    return _INTERN.setdefault(c.canonical, c)
+
+
+def interned(text: str) -> Optional[Constant]:
+    """The interned constant whose canonical serialization is exactly
+    ``text``, or None if there is none yet.
+
+    A parser may try a term's source text here before decoding it.  Every
+    escape in a canonical key is a valid one (lowercase ``\\uXXXX`` in an
+    IRI), so decoding the text of a hit gives back that constant's
+    lexical form: a hit is exactly the constant that decoding the text
+    and calling the factory would give.  A miss (a term not seen yet, or
+    a non-canonical spelling such as ``\\u003E``) says nothing, and the
+    caller decodes the text as usual.
+    """
+    return _INTERN.get(text)
 
 
 def iri(value: str) -> Constant:
@@ -200,10 +213,8 @@ def skolem_constant(rule_id: str, fn_index: int,
     digest = fnv1a_64(b"\x1f".join(s.encode("utf-8") for s in arg_canon))
     label = "%s%s_%d_%016x" % (SKOLEM_LABEL_PREFIX, rule_id, fn_index, digest)
     ident = (rule_id, fn_index, arg_canon)
-    seen = _SKOLEM_ARGS.get(label)
-    if seen is None:
-        _SKOLEM_ARGS[label] = ident
-    elif seen != ident:
+    seen = _SKOLEM_ARGS.setdefault(label, ident)
+    if seen != ident:
         raise SkolemCollisionError(
             "skolem label collision on %s: %r vs %r" % (label, seen, ident))
     return _intern(Constant(SKOLEM, label))

@@ -1,8 +1,12 @@
+import collections
+import itertools
 import random
+import uuid
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from quadchase import syntax
 from quadchase.syntax import (
     ParseError,
     StrictModeError,
@@ -143,6 +147,165 @@ def test_round_trip_seeded_corpus():
     for _ in range(300):
         g = random_quadgraph(rng, max_quads=50, n_contexts=4)
         assert parse_nquads(serialize_nquads(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# Terms resolved by their source text in the intern table
+# ---------------------------------------------------------------------------
+#
+# ``parse_nquads`` looks each IRI and blank token up by its exact source
+# text before decoding it.  Every test below runs cold (labels no parse or
+# factory has seen) and warm (the terms interned first): the result must
+# be the same either way.
+
+_RUN = uuid.uuid4().hex[:12]
+_FRESH = itertools.count()
+
+
+def _fresh(stem: str) -> str:
+    return "%s%s_%d" % (stem, _RUN, next(_FRESH))
+
+
+_SHORT_ESCAPES = {"\t": r"\t", "\b": r"\b", "\n": r"\n", "\r": r"\r",
+                  "\f": r"\f", '"': r"\"", "'": r"\'", "\\": r"\\"}
+
+
+@st.composite
+def _spelled_iri(draw):
+    """An IRI lexical form and one of its many legal source spellings."""
+    chars = draw(st.lists(st.one_of(
+        st.sampled_from(sorted(_SHORT_ESCAPES) + list('<>{}|^` aZ')),
+        st.characters(blacklist_categories=("Cs",))), min_size=1,
+        max_size=8))
+    out = []
+    for ch in chars:
+        ways = ["\\u%04X" % ord(ch), "\\U%08x" % ord(ch)]
+        if ord(ch) > 0xFFFF:
+            ways = ways[1:]
+        else:
+            ways.append("\\u%04x" % ord(ch))
+        if ch in _SHORT_ESCAPES:
+            ways.append(_SHORT_ESCAPES[ch])
+        if ch not in ">\\\n":
+            ways.append(ch)
+        out.append(draw(st.sampled_from(ways)))
+    return "".join(chars), "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spelled_iri(), st.booleans())
+@example((">", r"\u003E"), False)
+@example((">", r"\u003E"), True)
+@example((">", r"\U0000003e"), False)
+@example((">", r"\U0000003e"), True)
+@example(("A", r"\u0041"), False)
+@example(("A", r"\u0041"), True)
+def test_any_iri_spelling_parses_to_the_factory_constant(spelled, warm):
+    """A non-canonical spelling and the canonical one give one object."""
+    lexical, source = spelled
+    stem = _fresh("urn:any:") + "/"
+    if warm:
+        iri(stem + lexical)
+    (q,) = list(parse_nquads("<%s%s> <p> <o> <g> ." % (stem, source)))
+    assert q.s is iri(stem + lexical)
+    (again,) = list(parse_nquads("%s <p> <o> <g> ." % q.s.canonical))
+    assert again.s is q.s
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_bnode_prefix_renames_interned_labels(warm):
+    label = _fresh("x")
+    sk_label = _fresh("sk_r1_0_")
+    if warm:
+        blank(label)
+        blank(sk_label)
+        blank("d0_" + label)
+    doc = "_:%s <p> _:%s <g> ." % (label, sk_label)
+    (q,) = list(parse_nquads(doc, bnode_prefix="d0_"))
+    assert q.s is blank("d0_" + label)
+    assert q.s is not blank(label)
+    assert q.o is blank(sk_label) and q.o.is_skolem()
+    (plain,) = list(parse_nquads(doc))
+    assert plain.s is blank(label)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_strict_rejects_interned_generalized_terms(warm):
+    lex, bnode, g = _fresh("lit"), _fresh("b"), _fresh("g")
+    if warm:
+        literal(lex)
+        blank(bnode)
+        iri(g)
+    with pytest.raises(StrictModeError):
+        parse_nquads('"%s" <p> <o> <%s> .' % (lex, g), strict=True)
+    with pytest.raises(StrictModeError):
+        parse_nquads("<s> _:%s <o> <%s> ." % (bnode, g), strict=True)
+    assert len(parse_nquads("<s> _:%s <o> <%s> ." % (bnode, g))) == 1
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("bad, col, message", [
+    ("<%s> <> <o> <g> .", 5, "empty IRI"),
+    (r"<%s> <a\u00zz> <o> <g> .", 6, "bad IRI escape: "),
+    ("<%s> <p> <o <g .", 9, "unterminated IRI"),
+])
+def test_bad_iri_errors_keep_their_position(warm, bad, col, message):
+    subject = _fresh("s")
+    if warm:
+        iri(subject)
+    doc = "<%s> <p> <o> <g> .\n%s" % (subject, bad % subject)
+    with pytest.raises(ParseError) as err:
+        parse_nquads(doc)
+    # the columns are those of a one-character subject, as at "<s> "
+    assert (err.value.line, err.value.col) == (2, col + len(subject) - 1)
+    assert err.value.message.startswith(message)
+
+
+def test_interned_terms_are_not_decoded_again(monkeypatch):
+    """A cold parse decodes and builds each distinct IRI or blank term
+    once, not once per occurrence; re-parsing a serialized ~1,000-quad
+    graph whose terms are all interned decodes and builds none.  (Literals
+    are decoded on every occurrence, so the graph holds none.)"""
+    stem = _fresh("urn:guard:")
+    iris = ["<%s/%s%d>" % (stem, kind, i)
+            for kind, n in (("s", 200), ("p", 5), ("o", 50), ("g", 3))
+            for i in range(n)]
+    iris.append("<%s/with\\u0020space>" % stem)
+    blanks = ["_:%s" % _fresh("b") for _ in range(40)]
+    blanks += ["_:%s" % _fresh("sk_guard_0_") for _ in range(10)]
+    subjects, preds = iris[:200], iris[200:205]
+    objects = iris[205:255] + iris[-1:] + blanks
+    contexts = iris[255:258]
+    lines = ["%s %s %s %s ." % (s, p, objects[(i * 7 + j) % len(objects)],
+                                contexts[(i + j) % 3])
+             for i, s in enumerate(subjects) for j, p in enumerate(preds)]
+    doc = "\n".join(lines)
+    used = set(" ".join(lines).split()) - {"."}
+    n_iris = sum(1 for t in used if t.startswith("<"))
+    n_blanks = len(used) - n_iris
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(syntax, name, wrapper)
+
+    counted("_unescape", syntax._unescape)
+    counted("iri", syntax.iri)
+    counted("blank", syntax.blank)
+
+    g = parse_nquads(doc)
+    assert len(g) == 1000
+    assert 0 < calls["_unescape"] <= n_iris
+    assert 0 < calls["iri"] <= n_iris
+    assert 0 < calls["blank"] <= n_blanks
+
+    calls.clear()
+    again = parse_nquads(serialize_nquads(g))
+    assert again == g
+    assert calls == {}
 
 
 # ---------------------------------------------------------------------------

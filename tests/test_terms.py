@@ -1,9 +1,13 @@
 import itertools
 import random
+import sys
+import threading
+import uuid
 
 import pytest
 from hypothesis import given, strategies as st
 
+from quadchase import terms
 from quadchase.terms import (
     Quad,
     QuadGraph,
@@ -14,6 +18,7 @@ from quadchase.terms import (
     Variable,
     apply_substitution,
     blank,
+    interned,
     iri,
     literal,
     quad_graph_size,
@@ -95,6 +100,63 @@ def test_skolem_collision_error_type_exists():
     # Collisions are astronomically unlikely; just pin the contract that
     # the registry raises rather than merging.
     assert issubclass(SkolemCollisionError, RuntimeError)
+
+
+def test_skolem_label_collision_raises(monkeypatch):
+    monkeypatch.setattr(terms, "fnv1a_64", lambda data: 0)
+    rule_id = "collide" + uuid.uuid4().hex
+    first = skolem_constant(rule_id, 0, [iri("a")])
+    assert skolem_constant(rule_id, 0, [iri("a")]) is first
+    with pytest.raises(SkolemCollisionError):
+        skolem_constant(rule_id, 0, [iri("b")])
+
+
+def test_interned_finds_exactly_the_canonical_text():
+    stem = "urn:interned:" + uuid.uuid4().hex
+    assert interned("<%s>" % stem) is None
+    c = iri(stem + ">")
+    assert interned("<%s\\u003e>" % stem) is c
+    assert interned("<%s\\u003E>" % stem) is None
+    assert interned(blank("b1").canonical) is blank("b1")
+    assert interned(literal("x", lang="en").canonical) \
+        is literal("x", lang="en")
+
+
+def test_concurrent_interning_mints_one_constant_per_canonical():
+    """Four threads intern the same fresh terms while the interpreter
+    switches threads as often as it can; every canonical must still map
+    to a single object."""
+    run = uuid.uuid4().hex
+    barrier = threading.Barrier(4, timeout=30)
+    results = [None] * 4
+
+    def work(slot):
+        row = []
+        for batch in range(100):
+            # start each batch together, so the threads contend for the
+            # same fresh canonicals instead of one running ahead
+            barrier.wait()
+            for i in range(batch * 20, batch * 20 + 20):
+                c = iri("urn:race:%s:%d" % (run, i))
+                row += [c, blank("race%s_%d" % (run, i)),
+                        skolem_constant("race" + run, 0, [c])]
+        results[slot] = row
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert None not in results
+    for row in results[1:]:
+        assert all(a is b for a, b in zip(results[0], row))
+    assert all(interned(c.canonical) is c for c in results[0])
 
 
 def test_graph_of_projects_one_context():
