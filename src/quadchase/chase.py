@@ -10,9 +10,11 @@ iterations (the last one vacuous), never more than its context count.
 
 Evaluation is semi-naive over one append-only, incrementally indexed
 store: each rule group joins only through the quads added since the
-group last ran, so an iteration's work follows what it adds rather than
-the size of the whole graph.  The schedule and the output are those of
-re-running every rule over the whole graph.
+group last ran, and the local closure (its rules compiled per context
+onto the same join) only through the quads the iteration added, so an
+iteration's work follows what it adds rather than the size of the whole
+graph.  The schedule and the output are those of re-running every rule
+over the whole graph and re-closing it from scratch.
 
 Constraints (empty-head rules) are checked after every iteration's
 closure; the first violation stops the run with an inconsistent status.
@@ -38,7 +40,8 @@ from .engine import (
     derive,
     skolemize_all,
 )
-from .semantics import SIMPLE, LocalSemantics, lclosure_quadgraph
+from .semantics import (SIMPLE, LocalSemantics, close, lclosure_quadgraph,
+                        local_rules)
 from .terms import Constant, QuadGraph, QuadStore
 
 COMPLETE = "complete"
@@ -118,6 +121,7 @@ def run_chase(system: QuadSystem,
         levels = compute_levels(graph)
 
     non_gen, gen, constraints = skolemize_all(system.rules)
+    local = local_rules(cfg.semantics, system.contexts())
     store = QuadStore(lclosure_quadgraph(system.quads, cfg.semantics))
     log: list[IterationRecord] = []
     gen_count = 0
@@ -157,8 +161,7 @@ def run_chase(system: QuadSystem,
                 break
         for q in new:
             store.add(q)
-        if cfg.semantics.rules:
-            _close_contexts(store, {q.ctx for q in new}, cfg.semantics)
+        close(store, local, before)
         added = store.log[before:]
         per_ctx: Optional[dict[Constant, int]] = None
         if cfg.record_log:
@@ -188,14 +191,6 @@ def run_chase(system: QuadSystem,
                 "bound is min(max level + 1 = %d, contexts = %d)"
                 % (gen_count, bound, n_contexts))
     return result
-
-
-def _close_contexts(store: QuadStore, touched: set[Constant],
-                    sem: LocalSemantics) -> None:
-    """Add the local closure of each touched context to the store."""
-    part = QuadGraph(q for ctx in touched for q in store.candidates(ctx))
-    for q in lclosure_quadgraph(part, sem):
-        store.add(q)
 
 
 def entailment_closure_check(result: ChaseResult,

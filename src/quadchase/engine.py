@@ -324,16 +324,22 @@ def match_patterns(qg: Union[QuadGraph, QuadStore],
 
 class _Delta:
     """Quads added since a rule set was last evaluated, bucketed by
-    context, with their (ctx, s, p, o) tuples for membership tests."""
+    context and by (context, predicate), with their (ctx, s, p, o)
+    tuples for membership tests.  Each quad is bucketed once, as
+    ``_groundings`` compares bucket sizes with those of the graph."""
 
-    __slots__ = ("by_ctx", "keys")
+    __slots__ = ("by_ctx", "by_ctx_p", "keys")
 
     def __init__(self, quads: Iterable[Quad]) -> None:
         self.by_ctx: dict[Constant, list[Quad]] = {}
+        self.by_ctx_p: dict[tuple, list[Quad]] = {}
         self.keys: set[tuple] = set()
         for q in quads:
-            self.by_ctx.setdefault(q.ctx, []).append(q)
-            self.keys.add((q.ctx, q.s, q.p, q.o))
+            key = (q.ctx, q.s, q.p, q.o)
+            if key not in self.keys:
+                self.keys.add(key)
+                self.by_ctx.setdefault(q.ctx, []).append(q)
+                self.by_ctx_p.setdefault((q.ctx, q.p), []).append(q)
 
     def holds(self, pat: QuadPattern, mu: Substitution) -> bool:
         """Whether ``pat`` grounded by ``mu`` is a delta quad."""
@@ -347,22 +353,35 @@ def _groundings(body: tuple[QuadPattern, ...],
     """Body groundings into ``qg``; with a delta, only those that map
     some atom to a delta quad, each once.
 
-    Atom ``i`` is unified with each delta quad in turn and the rest of
-    the body is joined over ``qg``.  A grounding that also maps an
-    earlier atom into the delta was already yielded for that atom.
+    Atom ``i`` is unified with each delta quad of its context (and
+    predicate, when that is a constant) in turn, and the rest of the body
+    is joined over ``qg``.  A grounding that also maps an earlier atom
+    into the delta was already yielded for that atom; so once every quad
+    of ``qg`` an atom could match is a delta quad, later atoms yield
+    nothing new.
     """
     if delta is None:
         yield from match_patterns(qg, body)
         return
+    for atom in body:
+        if not qg.candidate_count(atom.ctx, _resolve(atom.s, {}),
+                                  _resolve(atom.p, {}),
+                                  _resolve(atom.o, {})):
+            return  # no grounding at all: the delta is part of qg
     for i, atom in enumerate(body):
         rest = body[:i] + body[i + 1:]
-        for quad in delta.by_ctx.get(atom.ctx, ()):
+        p = _resolve(atom.p, {})
+        fresh = (delta.by_ctx.get(atom.ctx, []) if p is None
+                 else delta.by_ctx_p.get((atom.ctx, p), []))
+        for quad in fresh:
             mu = _extend(atom, quad, {})
             if mu is None:
                 continue
             for full in match_patterns(qg, rest, mu):
                 if not any(delta.holds(a, full) for a in body[:i]):
                     yield full
+        if len(fresh) == qg.candidate_count(atom.ctx, None, p, None):
+            return
 
 
 def instantiate_head(atom: SkolemAtom, binding: Substitution) -> Quad:

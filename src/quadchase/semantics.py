@@ -11,8 +11,11 @@ Two are built in:
   rdfs:Resource).  Axiomatic triples are deliberately excluded to keep
   the closure finite.
 
-Closure is strictly per context: the lift never mixes contexts, so
-closing distinct contexts concurrently must equal the sequential result.
+Closure is strictly per context: each rule is compiled once per context
+into an ordinary engine rule whose body and head lie in that context, so
+the lift never mixes contexts.  The closure runs on the engine's
+semi-naive join (``close``), the same one that applies bridge rules:
+each round joins only through the quads the previous round added.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .terms import Constant, Quad, QuadGraph, Term, Variable
+from .engine import SkolemAtom, SkolemRule, derive
+from .terms import (Constant, Quad, QuadGraph, QuadPattern, QuadStore, Term,
+                    Variable, iri)
 from . import vocab
 
 Triple = tuple[Constant, Constant, Constant]
@@ -94,87 +99,45 @@ def get_semantics(name: str, resource_rule: bool = True) -> LocalSemantics:
                      % (name, ", ".join(SEMANTICS_NAMES)))
 
 
-def _match_triples(patterns: tuple[TriplePattern, ...],
-                   triples: set[Triple],
-                   by_p: dict[Constant, list[Triple]]):
-    """Yield substitutions grounding all patterns into the triple set."""
+def local_rules(sem: LocalSemantics,
+                contexts: Iterable[Constant]) -> list[SkolemRule]:
+    """The semantics' rules compiled for the engine: for each context,
+    one rule per local rule with its body and head in that context."""
+    return [SkolemRule(rule.name, 0,
+                       tuple(QuadPattern(ctx, *pat) for pat in rule.body),
+                       SkolemAtom(ctx, *rule.head))
+            for ctx in contexts for rule in sem.rules]
 
-    def step(i: int, bound: dict[Variable, Constant]):
-        if i == len(patterns):
-            yield bound
-            return
-        s, p, o = patterns[i]
-        sb = bound.get(s) if isinstance(s, Variable) else s
-        pb = bound.get(p) if isinstance(p, Variable) else p
-        ob = bound.get(o) if isinstance(o, Variable) else o
-        pool: Iterable[Triple]
-        if pb is not None:
-            pool = by_p.get(pb, ())
-        else:
-            pool = triples
-        for t in pool:
-            if sb is not None and t[0] != sb:
-                continue
-            if pb is not None and t[1] != pb:
-                continue
-            if ob is not None and t[2] != ob:
-                continue
-            new = dict(bound)
-            ok = True
-            for pat_t, val in zip((s, p, o), t):
-                if isinstance(pat_t, Variable):
-                    seen = new.get(pat_t)
-                    if seen is None:
-                        new[pat_t] = val
-                    elif seen != val:
-                        ok = False
-                        break
-            if ok:
-                yield from step(i + 1, new)
 
-    yield from step(0, {})
+def close(store: QuadStore, rules: list[SkolemRule], mark: int) -> None:
+    """Close the store under ``rules`` semi-naively, given that the head
+    of every grounding into its first ``mark`` quads is already in it:
+    each round joins only through the quads the last one added."""
+    while rules and mark < len(store):
+        delta = store.log[mark:]
+        mark = len(store)
+        for q in derive(rules, store, delta):
+            store.add(q)
+
+
+# The context a bare graph is closed in.
+_GRAPH = iri("urn:x-quadchase:graph")
 
 
 def lclosure_graph(triples: Iterable[Triple],
                    sem: LocalSemantics) -> frozenset[Triple]:
     """Least fixpoint of the semantics' rules over one graph."""
-    current: set[Triple] = set(triples)
-    if not sem.rules:
-        return frozenset(current)
-    by_p: dict[Constant, list[Triple]] = {}
-    for t in current:
-        by_p.setdefault(t[1], []).append(t)
-    changed = True
-    while changed:
-        changed = False
-        fresh: list[Triple] = []
-        for rule in sem.rules:
-            for mu in _match_triples(rule.body, current, by_p):
-                hs, hp, ho = rule.head
-                out = (mu[hs] if isinstance(hs, Variable) else hs,
-                       mu[hp] if isinstance(hp, Variable) else hp,
-                       mu[ho] if isinstance(ho, Variable) else ho)
-                if out not in current:
-                    fresh.append(out)
-        for t in fresh:
-            if t not in current:
-                current.add(t)
-                by_p.setdefault(t[1], []).append(t)
-                changed = True
-    return frozenset(current)
+    closed = lclosure_quadgraph(
+        QuadGraph(Quad(_GRAPH, s, p, o) for s, p, o in triples), sem)
+    return frozenset(q.triple for q in closed)
 
 
 def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
     """Per-context closure of a quad-graph; contexts never mix."""
     if not sem.rules:
         return qg
-    out: set[Quad] = set(qg.quads)
-    for ctx in qg.contexts():
-        before = qg.graph_of(ctx)
-        closed = lclosure_graph(before, sem)
-        if len(closed) != len(before):
-            for (s, p, o) in closed:
-                out.add(Quad(ctx, s, p, o))
-    if len(out) == len(qg):
+    store = QuadStore(qg)
+    close(store, local_rules(sem, qg.contexts()), 0)
+    if len(store) == len(qg):
         return qg
-    return QuadGraph(out)
+    return store.freeze()

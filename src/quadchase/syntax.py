@@ -75,6 +75,7 @@ class StrictModeError(ParseError):
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
+_HEX = frozenset("0123456789abcdefABCDEF")
 
 
 def _unescape(text: str, line: int, col: int) -> str:
@@ -94,16 +95,20 @@ def _unescape(text: str, line: int, col: int) -> str:
         if nxt in _ESCAPES:
             out.append(_ESCAPES[nxt])
             i += 2
-        elif nxt == "u":
-            if i + 6 > len(text):
-                raise ParseError("truncated \\u escape", line, col + i)
-            out.append(chr(int(text[i + 2:i + 6], 16)))
-            i += 6
-        elif nxt == "U":
-            if i + 10 > len(text):
-                raise ParseError("truncated \\U escape", line, col + i)
-            out.append(chr(int(text[i + 2:i + 10], 16)))
-            i += 10
+        elif nxt in "uU":
+            # exactly 4 or 8 hex digits (int() alone would also take
+            # signs, underscores and spaces) naming a character, not a
+            # surrogate, which no output could encode
+            width = 4 if nxt == "u" else 8
+            digits = text[i + 2:i + 2 + width]
+            code = (int(digits, 16) if len(digits) == width
+                    and _HEX.issuperset(digits) else -1)
+            if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise ParseError("bad \\%s escape %r: needs %d hex digits "
+                                 "naming a character" % (nxt, digits, width),
+                                 line, col + i)
+            out.append(chr(code))
+            i += 2 + width
         else:
             raise ParseError("unknown escape \\%s" % nxt, line, col + i)
     return "".join(out)
@@ -114,11 +119,7 @@ def _scan_iriref(s: str, i: int, line: int) -> tuple[str, int]:
     j = s.find(">", i + 1)
     if j < 0:
         raise ParseError("unterminated IRI", line, i + 1)
-    raw = s[i + 1:j]
-    try:
-        value = _unescape(raw, line, i + 2)
-    except ValueError as exc:
-        raise ParseError("bad IRI escape: %s" % exc, line, i + 2)
+    value = _unescape(s[i + 1:j], line, i + 2)
     if not value:
         raise ParseError("empty IRI", line, i + 1)
     return value, j + 1

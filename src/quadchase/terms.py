@@ -128,15 +128,33 @@ def _canonical(c: Constant) -> str:
     return lit
 
 
-@dataclass(frozen=True)
 class Variable:
-    """A pattern variable; never appears inside a ground Quad."""
+    """A pattern variable; never appears inside a ground Quad.
 
+    Variables are interned by name, like constants by canonical, so
+    ``Variable("x")`` is always the same object and variables compare
+    and hash by identity.
+    """
+
+    __slots__ = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise TermError("variable names must be nonempty")
+    def __new__(cls, name: str) -> "Variable":
+        var = _VARIABLES.get(name)
+        if var is None:
+            if not name:
+                raise TermError("variable names must be nonempty")
+            var = object.__new__(cls)
+            object.__setattr__(var, "name", name)
+            var = _VARIABLES.setdefault(name, var)
+        return var
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError("variables are immutable")
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled variables resolve to the interned one
+        return (Variable, (self.name,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "?" + self.name
@@ -146,6 +164,9 @@ Term = Union[Constant, Variable]
 
 # Interning: canonical serialization -> the unique Constant instance.
 _INTERN: dict[str, Constant] = {}
+
+# Variable name -> the unique Variable instance.
+_VARIABLES: dict[str, Variable] = {}
 
 # Skolem registry: label -> (rule_id, fn_index, argument canonicals).
 # Used to detect (improbable) FNV collisions instead of merging nulls.

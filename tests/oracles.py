@@ -32,7 +32,7 @@ from quadchase.engine import (
     derive,
     skolemize_all,
 )
-from quadchase.semantics import LocalSemantics, SIMPLE, lclosure_quadgraph
+from quadchase.semantics import LocalSemantics, SIMPLE
 from quadchase.syntax import QueryDocument
 from quadchase.terms import (
     Constant,
@@ -45,6 +45,13 @@ from quadchase.terms import (
     iri,
     literal,
     skolem_constant,
+)
+from quadchase.vocab import (
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_RANGE,
+    RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
 )
 
 
@@ -83,8 +90,7 @@ def naive_multihead_chase(system: QuadSystem, sem: LocalSemantics = SIMPLE,
     """Reference chase: apply every original rule with all heads at once,
     no normalization and no iteration scheduling.  Returns (quads,
     reached_fixpoint)."""
-    current: set[Quad] = set(
-        lclosure_quadgraph(QuadGraph(system.quads.quads), sem).quads)
+    current: set[Quad] = set(naive_quad_closure(system.quads, sem).quads)
     for _ in range(max_rounds):
         new: set[Quad] = set()
         for rule in system.rules:
@@ -104,7 +110,7 @@ def naive_multihead_chase(system: QuadSystem, sem: LocalSemantics = SIMPLE,
         if new <= current:
             return QuadGraph(current), True
         current |= new
-        current = set(lclosure_quadgraph(QuadGraph(current), sem).quads)
+        current = set(naive_quad_closure(QuadGraph(current), sem).quads)
     return QuadGraph(current), False
 
 
@@ -113,7 +119,7 @@ def naive_chase(system: QuadSystem, cfg: ChaseConfig) -> ChaseResult:
     constraint checks, but every iteration re-derives every rule over
     the whole graph, closes it afresh and checks every constraint."""
     non_gen, gen, constraints = skolemize_all(system.rules)
-    current = lclosure_quadgraph(system.quads, cfg.semantics)
+    current = naive_quad_closure(system.quads, cfg.semantics)
     log: list[IterationRecord] = []
     gen_count = 0
     violations = check_constraints(constraints, current)
@@ -137,7 +143,7 @@ def naive_chase(system: QuadSystem, cfg: ChaseConfig) -> ChaseResult:
                     index, kind, 0, len(current),
                     {} if cfg.record_log else None))
                 break
-        updated = lclosure_quadgraph(current.union(new), cfg.semantics)
+        updated = naive_quad_closure(current.union(new), cfg.semantics)
         added = updated.quads - current.quads
         current = updated
         per_ctx = None
@@ -232,6 +238,16 @@ def naive_local_closure(triples: Iterable[tuple],
         current |= added
 
 
+def naive_quad_closure(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
+    """Close every context of ``qg`` on its own with
+    ``naive_local_closure``."""
+    out: set[Quad] = set()
+    for ctx in qg.contexts():
+        triples = [q.triple for q in qg if q.ctx is ctx]
+        out.update(Quad(ctx, *t) for t in naive_local_closure(triples, sem))
+    return QuadGraph(out)
+
+
 def brute_force_levels(graph) -> dict:
     """Levels straight from the definition: reachability plus iterating
     level(c) = tgc(c) + max over TGCs reaching c."""
@@ -284,6 +300,20 @@ def random_quadgraph(rng: random.Random, max_quads: int = 12,
                        random_constant(rng),
                        random_constant(rng)))
     return QuadGraph(quads)
+
+
+def random_rdfs_quadgraph(rng: random.Random, max_quads: int = 15,
+                          n_contexts: int = 3) -> QuadGraph:
+    """A random quad-graph over four IRIs and the rdfs-core vocabulary,
+    on which every rdfs-core rule can fire (``random_quadgraph`` never
+    holds that vocabulary, so only its resource rule fires)."""
+    contexts = [iri("ctx%d" % i) for i in range(n_contexts)]
+    names = [iri("n%d" % i) for i in range(4)]
+    predicates = [RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF,
+                  RDFS_DOMAIN, RDFS_RANGE] + names[:2]
+    return QuadGraph(Quad(rng.choice(contexts), rng.choice(names),
+                          rng.choice(predicates), rng.choice(names))
+                     for _ in range(rng.randrange(max_quads + 1)))
 
 
 def _random_pattern_term(rng: random.Random,

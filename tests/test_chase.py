@@ -20,16 +20,17 @@ from quadchase import engine
 from quadchase.engine import BridgeRule, QuadSystem
 from quadchase.reductions.cfg import CFG, CFG_CLASS, CFG_CONTEXT, CFG_SEED, \
     encode_cfg_pair, symbol_iri
-from quadchase.reductions.horn import HornClause, encode_horn
+from quadchase.reductions.horn import CTX_TRUE, HornClause, encode_horn
 from quadchase.semantics import SIMPLE, lclosure_quadgraph, rdfs_core
 from quadchase.syntax import parse_rules, serialize_nquads
 from quadchase.terms import Quad, QuadGraph, iri, skolem_constant
-from quadchase.vocab import RDF_TYPE
+from quadchase.vocab import RDF_TYPE, RDFS_SUBCLASSOF
 
 from oracles import (
     naive_chase,
     random_acyclic_system,
     random_firing_system,
+    random_rdfs_quadgraph,
     random_rule,
 )
 
@@ -275,6 +276,21 @@ def test_semi_naive_chase_matches_naive_oracle(seed, firing, rdfs,
     _assert_same_as_naive(system, cfg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_semi_naive_rdfs_chase_matches_naive_oracle(seed, resource):
+    """Firing systems whose data also holds rdfs-core schema quads, so
+    that the rules carry them across contexts and every iteration's
+    closure has work to do."""
+    rng = random.Random(seed)
+    system = random_firing_system(rng)
+    schema = random_rdfs_quadgraph(rng, max_quads=10, n_contexts=2)
+    system = QuadSystem(system.quads.union(schema.quads), system.rules)
+    _assert_same_as_naive(system, ChaseConfig(
+        semantics=rdfs_core(resource), max_iterations=30, max_quads=300,
+        record_log=True))
+
+
 @pytest.mark.parametrize("semantics", [SIMPLE, rdfs_core(True),
                                        rdfs_core(False)])
 @pytest.mark.parametrize("budget", [dict(max_iterations=25),
@@ -298,23 +314,54 @@ def _horn_chain(k):
     return clauses
 
 
-def test_horn_chain_head_instances_grow_linearly(monkeypatch):
-    """Doubling a Horn chain at most about doubles the head instances:
-    each iteration joins only through the quad the last one added."""
-    calls = 0
+def _count_head_instances(monkeypatch) -> list:
+    """Patch ``engine.instantiate_head`` to count its calls in the one
+    cell of the returned list."""
+    calls = [0]
     instantiate = engine.instantiate_head
 
     def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return instantiate(*args, **kwargs)
 
     monkeypatch.setattr(engine, "instantiate_head", counted)
+    return calls
+
+
+def test_horn_chain_head_instances_grow_linearly(monkeypatch):
+    """Doubling a Horn chain at most about doubles the head instances:
+    each iteration joins only through the quad the last one added."""
+    calls = _count_head_instances(monkeypatch)
     counts = []
     for k in (32, 64):
-        calls = 0
+        calls[0] = 0
         system, _ = encode_horn(_horn_chain(k))
         result = run_chase(system)
         assert result.complete and len(result.iteration_log) == k + 1
-        counts.append(calls)
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_local_closure_head_instances_grow_linearly(monkeypatch):
+    """The same chain under rdfs-core, its truth context also holding k
+    entities typed under a four-class ``subClassOf`` chain.  Each
+    iteration closes only through the quads it added, so doubling k at
+    most about doubles the head instances; re-closing the context from
+    scratch every iteration would make them grow about 4x."""
+    calls = _count_head_instances(monkeypatch)
+    classes = [iri("C%d" % i) for i in range(4)]
+    counts = []
+    for k in (32, 64):
+        calls[0] = 0
+        system, _ = encode_horn(_horn_chain(k))
+        typed = [Quad(CTX_TRUE, a, RDFS_SUBCLASSOF, b)
+                 for a, b in zip(classes, classes[1:])]
+        typed += [Quad(CTX_TRUE, iri("e%d" % j), RDF_TYPE, classes[0])
+                  for j in range(k)]
+        system = QuadSystem(system.quads.union(typed), system.rules)
+        result = run_chase(system, ChaseConfig(semantics=rdfs_core(True)))
+        assert result.complete and len(result.iteration_log) == k + 1
+        assert Quad(CTX_TRUE, iri("e0"), RDF_TYPE, classes[-1]) \
+            in result.quads
+        counts.append(calls[0])
     assert counts[1] <= 2.2 * counts[0], counts

@@ -32,6 +32,15 @@ def test_validate_bad_input(capsys, tmp_path):
     assert "graph label" in err
 
 
+def test_bad_unicode_escape_names_its_position(capsys, tmp_path):
+    bad = tmp_path / "bad.nq"
+    bad.write_bytes(b'<s> <p> "a\\u00zz" <g> .\n')
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert err.startswith("error: line 1, col 11: bad \\u escape '00zz'")
+    assert "invalid literal" not in err
+
+
 def test_validate_unknown_extension(capsys, tmp_path):
     other = tmp_path / "file.txt"
     other.write_text("hi")

@@ -253,3 +253,19 @@ def test_delta_evaluation_covers_exactly_the_groundings_through_the_delta(
     assert len(found) == len(set(found))
     assert set(found) == set(check_constraints(constraints, full)) \
         - set(check_constraints(constraints, old))
+
+
+def test_delta_listing_a_quad_twice_misses_nothing():
+    """Once every quad an atom can match is a delta quad, later atoms are
+    not tried against the delta; a delta that lists a quad twice must not
+    pass for one that holds the other quad of that bucket too."""
+    p = iri("p")
+    old = Quad(C1, iri("a"), p, iri("b"))
+    new = Quad(C1, iri("b"), p, iri("d"))
+    rules = skolemize(BridgeRule(
+        "r", (QuadPattern(C1, X1, p, X2), QuadPattern(C1, X2, p, Y1)),
+        (QuadPattern(C1, X1, iri("q"), Y1),)))
+    store = QuadStore([old, new])
+    assert derive(rules, store, [new, new]) \
+        == {Quad(C1, iri("a"), iri("q"), iri("d"))}
+

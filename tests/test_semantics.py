@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from quadchase.semantics import (
     SIMPLE,
+    close,
     get_semantics,
     lclosure_graph,
     lclosure_quadgraph,
+    local_rules,
     rdfs_core,
 )
-from quadchase.terms import Quad, QuadGraph, iri
+from quadchase.terms import Quad, QuadGraph, QuadStore, iri
 from quadchase.vocab import (
     RDF_TYPE,
     RDFS_RESOURCE,
@@ -18,7 +20,11 @@ from quadchase.vocab import (
     RDFS_SUBPROPERTYOF,
 )
 
-from oracles import naive_local_closure, random_quadgraph
+from oracles import (
+    naive_local_closure,
+    random_quadgraph,
+    random_rdfs_quadgraph,
+)
 
 RDFS = rdfs_core(resource_rule=False)
 RDFS_FULL = rdfs_core(resource_rule=True)
@@ -145,3 +151,39 @@ def test_polynomial_output_bound(seed):
         constants = {t for tri in qg.graph_of(ctx) for t in tri}
         bound = (len(constants) + 2) ** 3
         assert len(closed.graph_of(ctx)) <= bound
+
+
+def test_local_rules_are_compiled_per_context():
+    rules = local_rules(RDFS_FULL, [iri("c1"), iri("c2")])
+    assert len(rules) == 2 * len(RDFS_FULL.rules)
+    for rule in rules:
+        assert not rule.is_generating
+        assert {atom.ctx for atom in rule.body} == {rule.head.ctx}
+    assert local_rules(SIMPLE, [iri("c1")]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+def test_incremental_close_matches_naive_closure(seed, resource, schema):
+    """Close a random multi-context part, add the rest of the graph, and
+    close again through only what was added: each context ends up as
+    the naive closure of its union.  ``schema`` draws the graphs over
+    the rdfs-core vocabulary, so that every rule fires."""
+    rng = random.Random(seed)
+    sem = rdfs_core(resource)
+    graph = random_rdfs_quadgraph if schema else random_quadgraph
+    base = graph(rng, max_quads=15)
+    extra = graph(rng, max_quads=15)
+    union = base.union(extra.quads)
+    rules = local_rules(sem, union.contexts())
+    store = QuadStore(base)
+    close(store, rules, 0)
+    mark = len(store)
+    for q in extra:
+        store.add(q)
+    close(store, rules, mark)
+    closed = store.freeze()
+    assert closed.contexts() == union.contexts()
+    for ctx in union.contexts():
+        assert closed.graph_of(ctx) == naive_local_closure(
+            union.graph_of(ctx), sem)

@@ -92,6 +92,42 @@ def test_escape_round_trip_in_literal():
     assert q.o == literal('a\nb"c\\dA')
 
 
+@pytest.mark.parametrize("escape", [
+    r"\u00zz", r"\u00_1", r"\u+0e9", r"\u 0e9", r"\u-0e9", r"\u0e",
+    r"\U0000_0e9", r"\U+00000e9", r"\U000e9", r"\U00110000", r"\ud800",
+    r"\U0000DFFF",
+])
+@pytest.mark.parametrize("template, col", [
+    ("<http://x/%s> <p> <o> <g> .", 11),
+    ('<s> <p> "a%s" <g> .', 11),
+    ('<s> <p> "x"^^<dt%s> <g> .', 17),
+])
+def test_malformed_unicode_escapes_are_parse_errors_at_the_escape(
+        escape, template, col):
+    """``\\u`` takes exactly 4 and ``\\U`` exactly 8 hex digits; a sign,
+    underscore or space that ``int()`` would accept is an error too, and
+    so is a surrogate, which serialization could not encode."""
+    with pytest.raises(ParseError) as err:
+        parse_nquads(template % escape)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert "escape" in err.value.message
+    assert str(err.value).count("line ") == 1
+
+
+def test_well_formed_unicode_escapes_decode():
+    g = parse_nquads(r'<http://x/\u00e9\U0001F600> <p> "\u00E9\U0010ffff" '
+                     r'<g> .')
+    (q,) = list(g)
+    assert q.s is iri("http://x/\u00e9\U0001f600")
+    assert q.o is literal("\u00e9\U0010ffff")
+
+
+def test_bad_escape_in_rules_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_rules("r: <c>(?x, <p\\u00_1>, ?y) -> <d>(?x, <p>, ?y) .")
+    assert (err.value.line, err.value.col) == (1, 14)
+
+
 def test_bnode_prefix_renames_but_not_skolems():
     g = parse_nquads(b"_:x <p> _:sk_r1_0_00ff <g> .", bnode_prefix="d0_")
     (q,) = list(g)
@@ -246,7 +282,7 @@ def test_strict_rejects_interned_generalized_terms(warm):
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("bad, col, message", [
     ("<%s> <> <o> <g> .", 5, "empty IRI"),
-    (r"<%s> <a\u00zz> <o> <g> .", 6, "bad IRI escape: "),
+    (r"<%s> <a\u00zz> <o> <g> .", 7, r"bad \u escape '00zz'"),
     ("<%s> <p> <o <g .", 9, "unterminated IRI"),
 ])
 def test_bad_iri_errors_keep_their_position(warm, bad, col, message):

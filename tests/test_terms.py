@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -34,6 +36,16 @@ def test_interning_returns_identical_handles():
     assert literal("x", datatype="dt") is literal("x", datatype="dt")
     assert literal("x") is not literal("y")
     assert iri("a") != blank("a")
+
+
+def test_variables_are_interned_and_compare_by_identity():
+    x = Variable("x")
+    assert Variable("x") is x and x.name == "x"
+    assert x != Variable("y")
+    assert copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    with pytest.raises(AttributeError):
+        x.name = "y"
 
 
 def test_canonical_serialization_drives_equality():
@@ -124,8 +136,8 @@ def test_interned_finds_exactly_the_canonical_text():
 
 def test_concurrent_interning_mints_one_constant_per_canonical():
     """Four threads intern the same fresh terms while the interpreter
-    switches threads as often as it can; every canonical must still map
-    to a single object."""
+    switches threads as often as it can; every canonical (and every
+    variable name) must still map to a single object."""
     run = uuid.uuid4().hex
     barrier = threading.Barrier(4, timeout=30)
     results = [None] * 4
@@ -139,7 +151,8 @@ def test_concurrent_interning_mints_one_constant_per_canonical():
             for i in range(batch * 20, batch * 20 + 20):
                 c = iri("urn:race:%s:%d" % (run, i))
                 row += [c, blank("race%s_%d" % (run, i)),
-                        skolem_constant("race" + run, 0, [c])]
+                        skolem_constant("race" + run, 0, [c]),
+                        Variable("race%s_%d" % (run, i))]
         results[slot] = row
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
@@ -156,7 +169,8 @@ def test_concurrent_interning_mints_one_constant_per_canonical():
     assert None not in results
     for row in results[1:]:
         assert all(a is b for a, b in zip(results[0], row))
-    assert all(interned(c.canonical) is c for c in results[0])
+    assert all(interned(c.canonical) is c for c in results[0]
+               if not isinstance(c, Variable))
 
 
 def test_graph_of_projects_one_context():
