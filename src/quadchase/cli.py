@@ -82,10 +82,20 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+def _parse_file(parse, path: str, **options):
+    """``parse`` applied to the bytes of ``path``; a parse error names
+    the file before its location."""
+    data = _read(path)
+    try:
+        return parse(data, **options)
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from exc
+
+
 def _load_system(data_path: str, rules_path: str,
                  strict: bool = False) -> QuadSystem:
-    quads = parse_nquads(_read(data_path), strict=strict)
-    doc = parse_rules(_read(rules_path))
+    quads = _parse_file(parse_nquads, data_path, strict=strict)
+    doc = _parse_file(parse_rules, rules_path)
     return QuadSystem(quads, doc.rules)
 
 
@@ -99,16 +109,15 @@ def _semantics_from_args(args: argparse.Namespace):
 
 def cmd_validate(args: argparse.Namespace) -> int:
     for path in args.files:
-        data = _read(path)
         if path.endswith((".nq", ".nquads")):
-            qg = parse_nquads(data, strict=args.strict)
+            qg = _parse_file(parse_nquads, path, strict=args.strict)
             print("%s: ok (%d quads)" % (path, len(qg)))
         elif path.endswith(".qrules"):
-            doc = parse_rules(data)
+            doc = _parse_file(parse_rules, path)
             print("%s: ok (%d rules, %d constraints)"
                   % (path, len(doc.bridge_rules()), len(doc.constraints())))
         elif path.endswith(".ccq"):
-            q = parse_query(data)
+            q = _parse_file(parse_query, path)
             print("%s: ok (%s, %d atoms)"
                   % (path, "boolean" if q.is_boolean
                      else "%d free vars" % len(q.free_vars), len(q.atoms)))
@@ -220,13 +229,13 @@ def _write_chase_manifest(args: argparse.Namespace, system: QuadSystem,
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    quads = parse_nquads(_read(args.dchase))
+    quads = _parse_file(parse_nquads, args.dchase)
     status = COMPLETE
     if args.chase_stats:
         with open(args.chase_stats, "r", encoding="utf-8") as fh:
             status = json.load(fh).get("status", COMPLETE)
     result = ChaseResult(quads, status, (), 0, [])
-    q = parse_query(_read(args.query))
+    q = _parse_file(parse_query, args.query)
     started = time.monotonic()
     if q.is_boolean:
         verdict = entails_boolean(result, q)

@@ -263,7 +263,8 @@ def _extend(pat: QuadPattern, quad: Quad, bound: Substitution,
     """``bound`` extended to map the triple of ``pat`` onto ``quad``'s, or
     None when they clash."""
     new = dict(bound)
-    for t, v in ((pat.s, quad.s), (pat.p, quad.p), (pat.o, quad.o)):
+    _, s, p, o = quad
+    for t, v in ((pat.s, s), (pat.p, p), (pat.o, o)):
         if isinstance(t, Variable):
             seen = new.get(t)
             if seen is None:
@@ -323,28 +324,29 @@ def match_patterns(qg: Union[QuadGraph, QuadStore],
 
 
 class _Delta:
-    """Quads added since a rule set was last evaluated, bucketed by
-    context and by (context, predicate), with their (ctx, s, p, o)
-    tuples for membership tests.  Each quad is bucketed once, as
-    ``_groundings`` compares bucket sizes with those of the graph."""
+    """Quads added since a rule set was last evaluated, as a set and
+    bucketed by context and by (context, predicate).  Each quad is
+    bucketed once, as ``_groundings`` compares bucket sizes with those of
+    the graph."""
 
-    __slots__ = ("by_ctx", "by_ctx_p", "keys")
+    __slots__ = ("by_ctx", "by_ctx_p", "quads")
 
     def __init__(self, quads: Iterable[Quad]) -> None:
         self.by_ctx: dict[Constant, list[Quad]] = {}
         self.by_ctx_p: dict[tuple, list[Quad]] = {}
-        self.keys: set[tuple] = set()
+        self.quads: set[Quad] = set()
         for q in quads:
-            key = (q.ctx, q.s, q.p, q.o)
-            if key not in self.keys:
-                self.keys.add(key)
-                self.by_ctx.setdefault(q.ctx, []).append(q)
-                self.by_ctx_p.setdefault((q.ctx, q.p), []).append(q)
+            if q not in self.quads:
+                self.quads.add(q)
+                ctx, _, p, _ = q
+                self.by_ctx.setdefault(ctx, []).append(q)
+                self.by_ctx_p.setdefault((ctx, p), []).append(q)
 
     def holds(self, pat: QuadPattern, mu: Substitution) -> bool:
-        """Whether ``pat`` grounded by ``mu`` is a delta quad."""
+        """Whether ``pat`` grounded by ``mu`` is a delta quad (a quad
+        equals its plain tuple)."""
         return (pat.ctx, mu.get(pat.s, pat.s), mu.get(pat.p, pat.p),
-                mu.get(pat.o, pat.o)) in self.keys
+                mu.get(pat.o, pat.o)) in self.quads
 
 
 def _groundings(body: tuple[QuadPattern, ...],

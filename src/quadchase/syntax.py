@@ -24,6 +24,18 @@ Query files (``.ccq``)::
     ask { c1(?x, <beat>, <Italy>) }
     select ?x where { c1(?x, <beat>, <Italy>), c2(?x, <beat>, <Italy>) }
 
+A quad file is read a line at a time.  A line holding one statement in
+the usual shape (four terms separated by blanks, then ``.`` and an
+optional comment) matches one compiled regex, and each captured term
+text is looked up in the intern table (``terms.interned``); when all
+four hit, the line is that quad.  Any other line goes to the character
+scanner ``_scan_nquads_line``: a term the table does not hold (new, or
+spelled non-canonically), a plain blank ``bnode_prefix`` renames, a
+generalized triple under strict mode, any other layout, and every
+error.  The scanner is the only place that decodes a term or raises a
+``ParseError``, and the regex delimits each term exactly as the scanner
+does, so a line reads the same on either path.
+
 Parsers are not pure: every constant they read is interned into the
 process-wide table in ``terms``.  They are safe to call concurrently
 because interning is atomic.
@@ -31,11 +43,15 @@ because interning is atomic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .engine import BridgeRule, RuleError
 from .terms import (
+    BLANK,
+    IRI,
+    LITERAL,
     Constant,
     Quad,
     QuadGraph,
@@ -201,6 +217,72 @@ def _scan_nquads_term(s: str, i: int, line: int,
     raise ParseError("expected an RDF term", line, i + 1)
 
 
+# One statement in its usual shape, as a whole line: four terms (IRI,
+# blank node or literal; the context an IRI) separated by blanks, then
+# '.', then an optional comment.  Each term is delimited exactly as
+# ``_scan_nquads_term`` delimits it: an IRI ends at the first '>', a
+# literal at the first unescaped '"', and a name (blank label, language
+# tag) at the end of its run of name characters.  A name that ends in
+# '.' is left to the scanner, which hands that dot to the punctuation,
+# and so is an empty IRI, which it rejects.
+_IRI_TOKEN = r"<[^>]+>"
+_NAME_TOKEN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"
+_TERM_TOKEN = (r'(%s|_:%s|"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^%s|@%s)?)'
+               % (_IRI_TOKEN, _NAME_TOKEN, _IRI_TOKEN, _NAME_TOKEN))
+_statement = re.compile(
+    r"[ \t\r]*%s[ \t\r]+%s[ \t\r]+%s[ \t\r]+(%s)[ \t\r]*\.[ \t\r]*(?:#.*)?"
+    % (_TERM_TOKEN, _TERM_TOKEN, _TERM_TOKEN, _IRI_TOKEN)).fullmatch
+
+_new_tuple = tuple.__new__
+
+
+def _scan_nquads_line(raw: str, lineno: int, strict: bool,
+                      bnode_prefix: Optional[str]) -> list[Quad]:
+    """The quads of one line, read a character at a time."""
+    quads: list[Quad] = []
+    i = 0
+    terms: list[Constant] = []
+    n = len(raw)
+    while i < n:
+        ch = raw[i]
+        if ch in " \t\r":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        if ch == ".":
+            if len(terms) == 3:
+                raise ParseError("line missing graph label (context)",
+                                 lineno, i + 1)
+            if len(terms) != 4:
+                raise ParseError(
+                    "expected 4 terms before '.', got %d" % len(terms),
+                    lineno, i + 1)
+            s, p, o, g = terms
+            if g.kind != "iri":
+                raise ParseError(
+                    "context (graph label) must be an IRI, got %s"
+                    % g.canonical, lineno, i + 1)
+            if strict:
+                if s.kind == "literal":
+                    raise StrictModeError(
+                        "strict mode: literal subject", lineno, 1)
+                if p.kind != "iri":
+                    raise StrictModeError(
+                        "strict mode: predicate must be an IRI", lineno, 1)
+            quads.append(Quad(g, s, p, o))
+            terms = []
+            i += 1
+            continue
+        if len(terms) >= 4:
+            raise ParseError("too many terms in statement", lineno, i + 1)
+        term, i = _scan_nquads_term(raw, i, lineno, bnode_prefix)
+        terms.append(term)
+    if terms:
+        raise ParseError("statement not terminated by '.'", lineno, n)
+    return quads
+
+
 def parse_nquads(data: Union[bytes, str], strict: bool = False,
                  bnode_prefix: Optional[str] = None) -> QuadGraph:
     """Parse N-Quads: one quad per statement, graph label required.
@@ -209,64 +291,33 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False,
     document-scoped blank labels apart for multi-file loads; skolem
     labels (reserved ``sk_`` prefix) are never renamed.  Strict mode
     rejects generalized triples: literal subjects or predicates and
-    blank-node predicates.
+    blank-node predicates.  The module docstring says how a line is
+    read.
     """
     text = _decode(data)
     quads: set[Quad] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        i = 0
-        terms: list[Constant] = []
-        n = len(raw)
-        while i < n:
-            ch = raw[i]
-            if ch in " \t\r":
-                i += 1
+        match = _statement(raw)
+        if match is not None:
+            s, p, o, g = map(interned, match.groups())
+            if (s is not None and p is not None and o is not None
+                    and g is not None
+                    and not (strict and (s.kind == LITERAL or p.kind != IRI))
+                    and not (bnode_prefix
+                             and BLANK in (s.kind, p.kind, o.kind))):
+                # interned constants with an IRI context: what Quad()
+                # checks holds already
+                quads.add(_new_tuple(Quad, (g, s, p, o)))
                 continue
-            if ch == "#":
-                break
-            if ch == ".":
-                if len(terms) == 3:
-                    raise ParseError("line missing graph label (context)",
-                                     lineno, i + 1)
-                if len(terms) != 4:
-                    raise ParseError(
-                        "expected 4 terms before '.', got %d" % len(terms),
-                        lineno, i + 1)
-                s, p, o, g = terms
-                if g.kind != "iri":
-                    raise ParseError(
-                        "context (graph label) must be an IRI, got %s"
-                        % g.canonical, lineno, i + 1)
-                if strict:
-                    if s.kind == "literal":
-                        raise StrictModeError(
-                            "strict mode: literal subject", lineno, 1)
-                    if p.kind != "iri":
-                        raise StrictModeError(
-                            "strict mode: predicate must be an IRI",
-                            lineno, 1)
-                quads.add(Quad(g, s, p, o))
-                terms = []
-                i += 1
-                continue
-            if len(terms) >= 4:
-                raise ParseError("too many terms in statement", lineno, i + 1)
-            term, i = _scan_nquads_term(raw, i, lineno, bnode_prefix)
-            terms.append(term)
-        if terms:
-            raise ParseError("statement not terminated by '.'", lineno, n)
+        quads.update(_scan_nquads_line(raw, lineno, strict, bnode_prefix))
     return QuadGraph(quads)
 
 
 def serialize_nquads(qg: QuadGraph) -> bytes:
     """Deterministic N-Quads: quads sorted by canonical (context,s,p,o)."""
-    lines = []
-    for q in qg.sorted_quads():
-        lines.append("%s %s %s %s ." % (q.s.canonical, q.p.canonical,
-                                        q.o.canonical, q.ctx.canonical))
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    keys = sorted(map(Quad.sort_key, qg))
+    return "".join("%s %s %s %s .\n" % (s, p, o, ctx)
+                   for ctx, s, p, o in keys).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

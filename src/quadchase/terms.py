@@ -17,7 +17,9 @@ the reserved ``sk_`` prefix and are recognised on re-parse.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 IRI = "iri"
@@ -53,37 +55,28 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+# The characters each escaper rewrites.  Most text holds none of them,
+# and ``sub`` then returns the text itself.
+_LITERAL_ESCAPED = re.compile(r'[\\"\x00-\x1f\x7f]')
+_IRI_ESCAPED = re.compile(r'[<>"{}|^`\\\x00-\x20]')
+_LITERAL_SHORT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+                  "\t": "\\t"}
+
+
+def _hex_escape(match: re.Match) -> str:
+    return "\\u%04x" % ord(match.group())
+
+
+def _literal_escape(match: re.Match) -> str:
+    return _LITERAL_SHORT.get(match.group()) or _hex_escape(match)
+
+
 def _escape_literal(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-_IRI_UNSAFE = set('<>"{}|^`\\')
+    return _LITERAL_ESCAPED.sub(_literal_escape, text)
 
 
 def _escape_iri(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _IRI_UNSAFE or ord(ch) <= 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _IRI_ESCAPED.sub(_hex_escape, text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +103,11 @@ class Constant:
 
     def is_skolem(self) -> bool:
         return self.kind == SKOLEM
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled constants resolve to the interned one
+        return (_interned_constant,
+                (self.kind, self.lexical, self.datatype, self.lang))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Constant({self.canonical})"
@@ -179,19 +177,24 @@ def _intern(c: Constant) -> Constant:
     return _INTERN.setdefault(c.canonical, c)
 
 
-def interned(text: str) -> Optional[Constant]:
-    """The interned constant whose canonical serialization is exactly
-    ``text``, or None if there is none yet.
+def _interned_constant(kind: str, lexical: str, datatype: Optional[str],
+                       lang: Optional[str]) -> Constant:
+    return _intern(Constant(kind, lexical, datatype, lang))
 
-    A parser may try a term's source text here before decoding it.  Every
-    escape in a canonical key is a valid one (lowercase ``\\uXXXX`` in an
-    IRI), so decoding the text of a hit gives back that constant's
-    lexical form: a hit is exactly the constant that decoding the text
-    and calling the factory would give.  A miss (a term not seen yet, or
-    a non-canonical spelling such as ``\\u003E``) says nothing, and the
-    caller decodes the text as usual.
-    """
-    return _INTERN.get(text)
+
+# ``interned(text)`` is the interned constant whose canonical
+# serialization is exactly ``text``, or None if there is none yet.  It is
+# the table's own ``get``, so a lookup is one C call.
+#
+# A parser may try a term's source text here before decoding it.  Every
+# escape in a canonical key is a valid one (lowercase ``\uXXXX`` in an
+# IRI; ``\\``, ``\"``, ``\n``, ``\r``, ``\t`` and lowercase ``\uXXXX``
+# in a literal), so decoding the text of a hit, read as one term, gives
+# back that constant's fields: a hit is exactly the constant that decoding
+# the text and calling the factory would give.  A miss (a term not seen
+# yet, or a non-canonical spelling such as ``\u003E``) says nothing, and
+# the caller decodes the text as usual.
+interned = _INTERN.get
 
 
 def iri(value: str) -> Constant:
@@ -241,35 +244,48 @@ def skolem_constant(rule_id: str, fn_index: int,
     return _intern(Constant(SKOLEM, label))
 
 
-@dataclass(frozen=True)
-class Quad:
+class Quad(tuple):
     """A ground quad c:(s,p,o).  The context is always an IRI; subject,
-    predicate and object may be any constant (generalized triples)."""
+    predicate and object may be any constant (generalized triples).
 
-    ctx: Constant
-    s: Constant
-    p: Constant
-    o: Constant
+    A quad is the tuple ``(ctx, s, p, o)`` and equals, and hashes like,
+    that plain tuple, so sets of quads hash and compare in C.  It is
+    immutable: the slots are read-only and there is no attribute dict.
+    """
 
-    def __post_init__(self) -> None:
-        for t in (self.ctx, self.s, self.p, self.o):
+    __slots__ = ()
+
+    def __new__(cls, ctx: Constant, s: Constant, p: Constant,
+                o: Constant) -> "Quad":
+        for t in (ctx, s, p, o):
             if not isinstance(t, Constant):
                 raise TermError("quads are ground: got %r" % (t,))
-        if self.ctx.kind != IRI:
-            raise TermError(
-                "context must be an IRI, got %s" % self.ctx.canonical)
+        if ctx.kind != IRI:
+            raise TermError("context must be an IRI, got %s" % ctx.canonical)
+        return tuple.__new__(cls, (ctx, s, p, o))
+
+    ctx = property(itemgetter(0))
+    s = property(itemgetter(1))
+    p = property(itemgetter(2))
+    o = property(itemgetter(3))
+
+    def __getnewargs__(self) -> tuple[Constant, Constant, Constant,
+                                      Constant]:
+        # copy and pickle rebuild through __new__, and so its checks
+        return tuple(self)
 
     @property
     def triple(self) -> tuple[Constant, Constant, Constant]:
-        return (self.s, self.p, self.o)
+        return self[1:]
 
     def sort_key(self) -> tuple[str, str, str, str]:
-        return (self.ctx.canonical, self.s.canonical,
-                self.p.canonical, self.o.canonical)
+        ctx, s, p, o = self
+        return (ctx.canonical, s.canonical, p.canonical, o.canonical)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "%s:(%s, %s, %s)" % (self.ctx.canonical, self.s.canonical,
-                                    self.p.canonical, self.o.canonical)
+        ctx, s, p, o = self
+        return "%s:(%s, %s, %s)" % (ctx.canonical, s.canonical,
+                                    p.canonical, o.canonical)
 
 
 @dataclass(frozen=True)
@@ -361,8 +377,8 @@ class _QuadIndex:
                    o: Optional[Constant] = None) -> list[Quad]:
         """Quads of context ``ctx`` matching the given ground slots."""
         return [q for q in self._bucket(ctx, s, p, o)
-                if (s is None or q.s is s) and (p is None or q.p is p)
-                and (o is None or q.o is o)]
+                if (s is None or q[1] is s) and (p is None or q[2] is p)
+                and (o is None or q[3] is o)]
 
     def candidate_count(self, ctx: Constant, s: Optional[Constant] = None,
                         p: Optional[Constant] = None,
@@ -439,7 +455,7 @@ class QuadGraph(_QuadIndex):
     def constants(self) -> set[Constant]:
         out: set[Constant] = set()
         for q in self._quads:
-            out.update((q.ctx, q.s, q.p, q.o))
+            out.update(q)
         return out
 
     def _ensure_indexes(self) -> None:
@@ -449,9 +465,10 @@ class QuadGraph(_QuadIndex):
         by_ctx_p: dict[tuple, list[Quad]] = {}
         by_ctx_s: dict[tuple, list[Quad]] = {}
         for q in self._quads:
-            by_ctx.setdefault(q.ctx, []).append(q)
-            by_ctx_p.setdefault((q.ctx, q.p), []).append(q)
-            by_ctx_s.setdefault((q.ctx, q.s), []).append(q)
+            ctx, s, p, _ = q
+            by_ctx.setdefault(ctx, []).append(q)
+            by_ctx_p.setdefault((ctx, p), []).append(q)
+            by_ctx_s.setdefault((ctx, s), []).append(q)
         self._by_ctx = by_ctx
         self._by_ctx_p = by_ctx_p
         self._by_ctx_s = by_ctx_s
@@ -498,11 +515,11 @@ class QuadStore(_QuadIndex):
             return False
         self.quads.add(q)
         self.log.append(q)
-        ctx = q.ctx
+        ctx, s, p, o = q
         self._by_ctx.setdefault(ctx, []).append(q)
-        self._by_ctx_s.setdefault((ctx, q.s), []).append(q)
-        self._by_ctx_p.setdefault((ctx, q.p), []).append(q)
-        self._by_ctx_o.setdefault((ctx, q.o), []).append(q)
+        self._by_ctx_s.setdefault((ctx, s), []).append(q)
+        self._by_ctx_p.setdefault((ctx, p), []).append(q)
+        self._by_ctx_o.setdefault((ctx, o), []).append(q)
         return True
 
     def freeze(self) -> QuadGraph:

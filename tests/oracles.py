@@ -424,3 +424,21 @@ def random_boolean_query(rng: random.Random, chase: QuadGraph,
                 terms.append(val)
         atoms.append(QuadPattern(base.ctx, *terms))
     return QueryDocument((), tuple(atoms))
+
+
+def reference_escape_literal(text: str) -> str:
+    """N-Quads literal escaping, one character at a time: the short
+    escapes, lowercase ``\\uXXXX`` for other C0 controls and DEL."""
+    short = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+             "\t": "\\t"}
+    return "".join(short.get(ch) or ("\\u%04x" % ord(ch)
+                                     if ord(ch) < 0x20 or ord(ch) == 0x7F
+                                     else ch)
+                   for ch in text)
+
+
+def reference_escape_iri(text: str) -> str:
+    """N-Quads IRI escaping, one character at a time: lowercase
+    ``\\uXXXX`` for the IRI-unsafe characters, the space and C0 controls."""
+    return "".join("\\u%04x" % ord(ch) if ch in '<>"{}|^`\\' or ord(ch) <= 0x20
+                   else ch for ch in text)

@@ -37,8 +37,48 @@ def test_bad_unicode_escape_names_its_position(capsys, tmp_path):
     bad.write_bytes(b'<s> <p> "a\\u00zz" <g> .\n')
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
-    assert err.startswith("error: line 1, col 11: bad \\u escape '00zz'")
+    assert err.startswith("error: %s: line 1, col 11: bad \\u escape '00zz'"
+                          % bad)
     assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("command", ["chase", "deps", "check"])
+def test_bad_rules_file_is_named_in_the_error(capsys, fixtures_dir, tmp_path,
+                                              command):
+    rules = tmp_path / "broken.qrules"
+    rules.write_text("r1: c1(?x, <p>, ?y) -> c2(?x, <p>\n")
+    extra = ["-o", str(tmp_path / "out.nq")] if command == "chase" else []
+    code, _, err = run(capsys, command, fx(fixtures_dir, "fig3.nq"),
+                       str(rules), *extra)
+    assert code == 2
+    assert err.startswith("error: %s: line 2, col 1: expected ','" % rules)
+
+
+def test_bad_query_file_is_named_in_the_error(capsys, fixtures_dir,
+                                              tmp_path):
+    out_nq = tmp_path / "out.nq"
+    code, _, _ = run(capsys, "chase", fx(fixtures_dir, "fig3.nq"),
+                     fx(fixtures_dir, "fig3.qrules"), "-o", str(out_nq))
+    assert code == 0
+    query = tmp_path / "broken.ccq"
+    query.write_text("ask { c1(?x, <p>, ?y) ")
+    code, _, err = run(capsys, "query", str(out_nq), str(query))
+    assert code == 2
+    assert err.startswith("error: %s: line 1, col 1: expected '}'" % query)
+    code, _, err = run(capsys, "validate", str(query))
+    assert code == 2
+    assert err.startswith("error: %s: line 1, col 1: expected '}'" % query)
+
+
+def test_bad_chase_file_is_named_in_the_error(capsys, fixtures_dir,
+                                              tmp_path):
+    chase = tmp_path / "broken.nq"
+    chase.write_bytes(b"<s> <p> <o> <g> .\n<s> <p> <o> .\n")
+    code, _, err = run(capsys, "query", str(chase),
+                       fx(fixtures_dir, "beat.ccq"))
+    assert code == 2
+    assert err.startswith("error: %s: line 2, col 13: line missing graph "
+                          "label" % chase)
 
 
 def test_validate_unknown_extension(capsys, tmp_path):

@@ -23,6 +23,7 @@ from quadchase.terms import (
     blank,
     iri,
     literal,
+    skolem_constant,
 )
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
@@ -342,6 +343,195 @@ def test_interned_terms_are_not_decoded_again(monkeypatch):
     again = parse_nquads(serialize_nquads(g))
     assert again == g
     assert calls == {}
+
+
+def test_reparsing_a_serialization_never_scans_a_term(monkeypatch):
+    """Every line of a serialization whose terms are interned is read by
+    the statement regex: re-parsing ~1,000 quads with IRIs, escaped
+    IRIs, plain and skolem blanks and literals of every shape calls the
+    character scanner for no term."""
+    stem = _fresh("urn:scanless:")
+    objects = [iri("%s/o%d" % (stem, i)) for i in range(20)]
+    objects += [iri("%s/with space>%d" % (stem, i)) for i in range(5)]
+    objects += [blank(_fresh("b")) for _ in range(10)]
+    objects += [skolem_constant("scanless", 0, [iri(stem), iri(str(i))])
+                for i in range(10)]
+    objects += [literal('%s "%d"\n\t\\' % (stem, i)) for i in range(10)]
+    objects += [literal(str(i), datatype=stem + "/dt") for i in range(10)]
+    objects += [literal("x%d" % i, lang="en-GB") for i in range(10)]
+    contexts = [iri("%s/g%d" % (stem, i)) for i in range(3)]
+    g = QuadGraph(Quad(contexts[i % 3], iri("%s/s%d" % (stem, i // 5)),
+                       iri("%s/p%d" % (stem, i % 5)),
+                       objects[i % len(objects)])
+                  for i in range(1000))
+    assert len(g) == 1000
+    data = serialize_nquads(g)
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(syntax, name, wrapper)
+
+    counted("_scan_nquads_term", syntax._scan_nquads_term)
+    counted("_unescape", syntax._unescape)
+    assert parse_nquads(data) == g
+    assert calls == {}
+    # the counters do see a line the regex leaves to the scanner
+    assert parse_nquads(data + b"<a><b><c><d> .\n") != g
+    assert calls["_scan_nquads_term"] == 4
+
+
+# ---------------------------------------------------------------------------
+# The statement regex against the character scanner
+# ---------------------------------------------------------------------------
+#
+# ``parse_nquads`` reads a line with its statement regex only when the
+# result is certain to be the scanner's.  The property below reads random
+# documents both ways and demands the same quads or the same error.
+
+def _scanned(doc, strict=False, bnode_prefix=None):
+    """``doc`` read with every line left to the character scanner."""
+    quads = set()
+    for lineno, raw in enumerate(doc.split("\n"), start=1):
+        quads.update(syntax._scan_nquads_line(raw, lineno, strict,
+                                              bnode_prefix))
+    return QuadGraph(quads)
+
+
+def _outcome(read, doc, **options):
+    try:
+        return read(doc, **options)
+    except ParseError as exc:
+        return (type(exc), exc.line, exc.col, exc.message)
+
+
+_blank_label = st.from_regex(r"(sk_)?[A-Za-z0-9_.-]{1,5}[.]?", fullmatch=True)
+_doc_constant = st.one_of(
+    _constant,
+    _blank_label.map(blank),
+    st.builds(lambda args: skolem_constant("rd", 0, [iri(a) for a in args]),
+              st.lists(_label, min_size=1, max_size=2)),
+)
+_blanks = st.text(st.sampled_from(" \t\r"), max_size=3)
+
+
+@st.composite
+def _term_text(draw):
+    """A term as a document might spell it: a canonical serialization
+    (the common case), another spelling of an IRI, a blank label that
+    may end in dots, or garbage."""
+    kind = draw(st.sampled_from(["canonical"] * 5
+                                + ["respelled", "label", "garbage"]))
+    if kind == "canonical":
+        return draw(_doc_constant).canonical
+    if kind == "respelled":
+        lexical, source = draw(_spelled_iri())
+        return "<urn:rd:%s>" % source
+    if kind == "label":
+        return "_:" + draw(st.from_regex(r"[A-Za-z0-9_.-]{0,5}",
+                                         fullmatch=True))
+    return draw(st.text(st.sampled_from('<>"_:.@^#\\ uUaA0-'), max_size=6))
+
+
+_gap = st.text(st.sampled_from(" \t\r"), min_size=1, max_size=3)
+
+
+@st.composite
+def _statement_text(draw):
+    """A statement, in the usual shape (canonical terms, blanks between
+    them) half of the time."""
+    if draw(st.booleans()):
+        terms = [draw(_doc_constant).canonical for _ in range(3)]
+        terms.append(iri(draw(_iri_text)).canonical)
+        gaps = [draw(_blanks)] + [draw(_gap) for _ in range(3)] \
+            + [draw(_blanks), draw(_blanks)]
+    else:
+        terms = [draw(_term_text()) for _ in range(3)]
+        terms.append(draw(st.one_of(
+            _iri_text.map(lambda t: iri(t).canonical), _term_text())))
+        gaps = [draw(st.one_of(_blanks, _gap)) for _ in range(6)]
+    text = "".join(gap + term for gap, term in zip(gaps, terms))
+    text += gaps[4] + "." + gaps[5]
+    if draw(st.booleans()):
+        text += "#" + draw(st.text(max_size=8))
+    return text
+
+
+@st.composite
+def _line_text(draw):
+    kind = draw(st.sampled_from(["statement"] * 4
+                                + ["two", "truncated", "garbage", "blank"]))
+    if kind == "statement":
+        return draw(_statement_text())
+    if kind == "two":
+        return draw(_statement_text()) + draw(_blanks) \
+            + draw(_statement_text())
+    if kind == "truncated":
+        text = draw(_statement_text())
+        return text[:draw(st.integers(0, max(0, len(text) - 1)))]
+    if kind == "garbage":
+        return draw(st.text(max_size=20))
+    return draw(_blanks) + draw(st.sampled_from(["", "# note"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_line_text(), max_size=6).map("\n".join), st.booleans(),
+       st.sampled_from([None, "d0_"]), st.booleans())
+@example("<s> <p> <o> <g> .", False, None, True)
+@example("<s>\t<p>\r<o>  <g>. # note", False, None, True)
+@example("<s><p><o><g>.", False, None, True)
+@example("<s> <p> <o> <g> . <s> <p> <o2> <g> .", False, None, True)
+@example("<s> <p> <o> <g> .#", False, None, True)
+@example("<s> <p> <o> <g> . x", False, None, True)
+@example(r"<s> <p> <o>> <g> .", False, None, True)
+@example(r"<s> <p> <s> <g> .", False, None, True)
+@example('<s> <p> "x"^^<> <g> .', False, None, True)
+@example('<s> <p> "x"^^<dt>@en <g> .', False, None, True)
+@example('<s> <p> "x"@en. <g> .', False, None, True)
+@example('<s> <p> "x"@en-GB <g> .', False, None, True)
+@example('<s> <p> "a\\"b" <g> .', False, None, True)
+@example('<s> <p> "a\\" <g> .', False, None, True)
+@example('<s> <p> "abc', False, None, True)
+@example("<s> <p> _:a. <g> .", False, None, True)
+@example("<s> <p> _:a.b <g> .", False, None, True)
+@example("<s> <p> _:... <g> .", False, None, True)
+@example("<s> <p> <o> _:g .", False, None, True)
+@example("<s> <p> <o> <g>", False, None, True)
+@example("<s> <p> <o> .", False, None, True)
+@example('"lit" <p> <o> <g> .', True, None, True)
+@example("<s> _:b <o> <g> .", True, None, True)
+@example('<s> "lit" <o> <g> .', True, None, True)
+@example("_:b <p> _:sk_r1_0_x <g> .", False, "d0_", True)
+@example("_:b <p> _:sk_r1_0_x <g> .", False, "d0_", False)
+def test_statement_regex_reads_like_the_scanner(doc, strict, bnode_prefix,
+                                                scanner_first):
+    """The same quads or the same error (class, line, column, message),
+    for the whole document and for each line on its own.  With
+    ``scanner_first`` the scanner interns the document's terms before
+    ``parse_nquads`` reads it, so most lines take the regex path."""
+    options = dict(strict=strict, bnode_prefix=bnode_prefix)
+    readers = [_scanned, parse_nquads]
+    if not scanner_first:
+        readers.reverse()
+    for text in [doc] + doc.split("\n"):
+        outcomes = [_outcome(read, text, **options) for read in readers]
+        assert outcomes[0] == outcomes[1], text
+
+
+def test_interned_names_ending_in_a_dot_are_left_to_the_scanner():
+    """The scanner hands a name's trailing dots to the punctuation, so a
+    canonical that ends in one is never a whole term, even when it is
+    interned."""
+    label, tag = _fresh("a") + ".", "en."
+    blank(label)
+    literal("x", lang=tag)
+    for doc in ("<s> <p> _:%s <g> ." % label, '<s> <p> "x"@%s <g> .' % tag):
+        with pytest.raises(ParseError) as err:
+            parse_nquads(doc)
+        assert err.value.message == "line missing graph label (context)"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import threading
 import uuid
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quadchase import terms
 from quadchase.terms import (
@@ -27,7 +27,12 @@ from quadchase.terms import (
     skolem_constant,
 )
 
-from oracles import random_constant, random_quadgraph
+from oracles import (
+    random_constant,
+    random_quadgraph,
+    reference_escape_iri,
+    reference_escape_literal,
+)
 
 
 def test_interning_returns_identical_handles():
@@ -79,6 +84,57 @@ def test_quad_context_must_be_iri():
 def test_quads_are_ground():
     with pytest.raises(TermError):
         Quad(iri("c"), Variable("x"), iri("p"), iri("o"))
+    with pytest.raises(TermError):
+        Quad(iri("c"), iri("s"), iri("p"), "o")
+
+
+def test_quad_is_its_plain_tuple():
+    q = Quad(iri("c"), iri("s"), literal("p"), blank("o"))
+    plain = (iri("c"), iri("s"), literal("p"), blank("o"))
+    assert isinstance(q, tuple) and q == plain and hash(q) == hash(plain)
+    assert plain in {q} and q in {plain}
+    assert (q.ctx, q.s, q.p, q.o) == plain
+    assert q != QuadPattern(*plain)
+
+
+def test_quad_copies_and_pickles_to_an_equal_quad():
+    q = Quad(iri("c"), skolem_constant("r1", 0, [iri("a")]),
+             literal("x\n", datatype="dt"), literal("y", lang="en"))
+    for again in (copy.copy(q), copy.deepcopy(q),
+                  pickle.loads(pickle.dumps(q))):
+        assert type(again) is Quad and again == q
+        assert all(a is b for a, b in zip(again, q))
+    assert copy.deepcopy(q.s) is q.s and q.s.is_skolem()
+
+
+def test_quad_attributes_cannot_be_set():
+    q = Quad(iri("c"), iri("s"), iri("p"), iri("o"))
+    with pytest.raises(AttributeError):
+        q.s = iri("t")
+    with pytest.raises(AttributeError):
+        q.extra = 1
+    assert q.s is iri("s")
+
+
+def test_quad_graph_rejects_plain_tuples():
+    with pytest.raises(TermError):
+        QuadGraph([(iri("c"), iri("s"), iri("p"), iri("o"))])
+
+
+_escapable = st.text(st.one_of(
+    st.sampled_from(list('<>"{}|^`\\ \x00\x1f\x7f\n\r\t\x80\u00e9\u2028')),
+    st.characters(max_codepoint=0x7F),
+    st.characters(blacklist_categories=("Cs",))), max_size=30)
+
+
+@given(_escapable)
+@example('<>"{}|^`\\ \x00\x1f\x7f\n\r\t\x80\u00e9\u2028')
+def test_escapers_equal_the_per_character_reference(text):
+    # the whole text, and each character alone: one unsafe character
+    # among safe ones must still leave the fast path
+    for part in [text] + ["a%sb" % ch for ch in text]:
+        assert terms._escape_iri(part) == reference_escape_iri(part)
+        assert terms._escape_literal(part) == reference_escape_literal(part)
 
 
 def test_skolem_constant_is_deterministic():
