@@ -13,8 +13,10 @@ store: each rule group joins only through the quads added since the
 group last ran, and the local closure (its rules compiled per context
 onto the same join) only through the quads the iteration added, so an
 iteration's work follows what it adds rather than the size of the whole
-graph.  The schedule and the output are those of re-running every rule
-over the whole graph and re-closing it from scratch.
+graph.  A context the iteration fills with exactly the triples of a
+context it left alone is already closed, and its closure is skipped.
+The schedule and the output are those of re-running every rule over the
+whole graph and re-closing it from scratch.
 
 Constraints (empty-head rules) are checked after every iteration's
 closure; the first violation stops the run with an inconsistent status.

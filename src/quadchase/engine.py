@@ -11,7 +11,7 @@ Empty-head rules are constraints: a body match signals inconsistency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .terms import (
     BLANK,
@@ -412,12 +412,12 @@ def apply_rule(rule: SkolemRule, qg: QuadGraph) -> QuadGraph:
     return QuadGraph(derive([rule], qg))
 
 
-def apply_ruleset(rules: Iterable[SkolemRule], qg: QuadGraph) -> QuadGraph:
+def apply_ruleset(rules: Sequence[SkolemRule], qg: QuadGraph) -> QuadGraph:
     """Union of per-rule applications; rule order never matters."""
     return QuadGraph(derive(rules, qg))
 
 
-def derive(rules: Iterable[SkolemRule], qg: Union[QuadGraph, QuadStore],
+def derive(rules: Sequence[SkolemRule], qg: Union[QuadGraph, QuadStore],
            delta: Optional[Iterable[Quad]] = None) -> set[Quad]:
     """Set-level rule application.
 
@@ -428,8 +428,10 @@ def derive(rules: Iterable[SkolemRule], qg: Union[QuadGraph, QuadStore],
     when every other grounding's head is already in ``qg``.  A delta run
     also skips a rule whose ground head is already in ``qg``.
     """
-    fresh = None if delta is None else _Delta(delta)
     out: set[Quad] = set()
+    if not rules:
+        return out
+    fresh = None if delta is None else _Delta(delta)
     for rule in rules:
         if rule.head.is_ground():
             head = instantiate_head(rule.head, {})
@@ -457,7 +459,7 @@ class Violation:
         return cls(rule_id, items)
 
 
-def check_constraints(constraints: Iterable[BridgeRule],
+def check_constraints(constraints: Sequence[BridgeRule],
                       qg: Union[QuadGraph, QuadStore],
                       delta: Optional[Iterable[Quad]] = None
                       ) -> list[Violation]:
@@ -466,8 +468,10 @@ def check_constraints(constraints: Iterable[BridgeRule],
     With ``delta``, only groundings that use a delta quad are checked:
     all of them when ``qg`` without the delta violated nothing.
     """
-    fresh = None if delta is None else _Delta(delta)
     found: list[Violation] = []
+    if not constraints:
+        return found
+    fresh = None if delta is None else _Delta(delta)
     for rule in constraints:
         if not rule.is_constraint:
             raise RuleError("rule %s is not a constraint" % rule.rule_id)

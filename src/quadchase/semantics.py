@@ -112,12 +112,48 @@ def local_rules(sem: LocalSemantics,
 def close(store: QuadStore, rules: list[SkolemRule], mark: int) -> None:
     """Close the store under ``rules`` semi-naively, given that the head
     of every grounding into its first ``mark`` quads is already in it:
-    each round joins only through the quads the last one added."""
-    while rules and mark < len(store):
-        delta = store.log[mark:]
+    each round joins only through the quads the last one added.
+
+    ``rules`` are ``local_rules`` output, the same rules compiled for
+    each of some contexts.  A context with no quad past ``mark`` is then
+    closed, if rules were compiled for it; a context holding exactly its
+    triples is closed too, so the first round leaves the quads of such a
+    replica out of its delta.  Closure never adds to another context, so
+    no later round sees them either."""
+    if not rules:
+        return
+    delta = _unreplicated(store, rules, store.log[mark:])
+    while delta:
         mark = len(store)
         for q in derive(rules, store, delta):
             store.add(q)
+        delta = store.log[mark:]
+
+
+def _unreplicated(store: QuadStore, rules: list[SkolemRule],
+                  delta: list[Quad]) -> list[Quad]:
+    """``delta`` without the quads of each context it touches whose
+    triples are those of a context it does not touch but ``rules`` were
+    compiled for."""
+    touched = {q[0] for q in delta}
+    closed: dict[int, list[Constant]] = {}
+    for ctx in {r.head.ctx for r in rules} - touched:
+        size = store.candidate_count(ctx)
+        if size:
+            closed.setdefault(size, []).append(ctx)
+    replicas = {ctx for ctx in touched
+                if any(_same_triples(store, ctx, source) for source
+                       in closed.get(store.candidate_count(ctx), ()))}
+    if not replicas:
+        return delta
+    return [q for q in delta if q[0] not in replicas]
+
+
+def _same_triples(store: QuadStore, ctx: Constant, other: Constant) -> bool:
+    """Whether two contexts of the same size hold the same triples (a
+    context holds no triple twice, so one inclusion is enough)."""
+    return all((other, s, p, o) in store
+               for _, s, p, o in store.candidates(ctx))
 
 
 # The context a bare graph is closed in.

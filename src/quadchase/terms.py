@@ -79,27 +79,38 @@ def _escape_iri(text: str) -> str:
     return _IRI_ESCAPED.sub(_hex_escape, text)
 
 
-@dataclass(frozen=True, eq=False)
 class Constant:
     """An RDF constant: IRI, blank node, skolem blank node, or literal.
 
     ``lexical`` holds the IRI string, the blank node label (without the
-    ``_:`` sigil), or the literal's lexical form.  Equality is identity:
-    build constants only through the interning factories below.
+    ``_:`` sigil), or the literal's lexical form; ``canonical`` is the
+    constant's serialization, computed once when it is built.  Equality
+    is identity: build constants only through the interning factories
+    below.  Constants are immutable.
     """
 
+    __slots__ = ("kind", "lexical", "datatype", "lang", "canonical")
     kind: str
     lexical: str
-    datatype: Optional[str] = None
-    lang: Optional[str] = None
+    datatype: Optional[str]
+    lang: Optional[str]
+    canonical: str
 
-    @property
-    def canonical(self) -> str:
-        cached = self.__dict__.get("_canonical")
-        if cached is None:
-            cached = _canonical(self)
-            object.__setattr__(self, "_canonical", cached)
-        return cached
+    def __init__(self, kind: str, lexical: str,
+                 datatype: Optional[str] = None,
+                 lang: Optional[str] = None) -> None:
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "lexical", lexical)
+        init(self, "datatype", datatype)
+        init(self, "lang", lang)
+        init(self, "canonical", _canonical(self))
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError("constants are immutable")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError("constants are immutable")
 
     def is_skolem(self) -> bool:
         return self.kind == SKOLEM

@@ -401,6 +401,48 @@ def random_firing_system(rng: random.Random, n_contexts: int = 4,
             return system
 
 
+def random_copy_system(rng: random.Random, n_contexts: int = 4,
+                       max_quads: int = 12) -> QuadSystem:
+    """An rdfs-core schema in ``ctx0`` (and sometimes a little data in a
+    later context, so that a copy lands in a context that is not empty)
+    and rules that copy contexts forward: each later context copies from
+    one or two earlier ones: the whole context, only the triples of one
+    predicate, or every triple turned around (a context as large as its
+    source but with other triples).  Copies chain through the contexts,
+    so a context is often filled with exactly the triples of another,
+    closed one.  An existential rule is sometimes added, so that
+    generating iterations copy too."""
+    contexts = [iri("ctx%d" % i) for i in range(n_contexts)]
+    schema = random_rdfs_quadgraph(rng, max_quads, n_contexts=1)
+    quads = {Quad(contexts[0], *q.triple) for q in schema}
+    if rng.random() < 0.4:
+        extra = random_rdfs_quadgraph(rng, 3, n_contexts=1)
+        target = rng.choice(contexts[1:])
+        quads |= {Quad(target, *q.triple) for q in extra}
+    predicates = sorted({q.p for q in quads}, key=lambda c: c.canonical)
+    s, p, o, y = (Variable(v) for v in ("s", "p", "o", "y"))
+    rules = []
+    for j in range(1, n_contexts):
+        for i in rng.sample(range(j), min(j, rng.choice((1, 1, 2)))):
+            pred, head = p, (s, p, o)
+            roll = rng.random()
+            if predicates and roll < 0.3:
+                pred = rng.choice(predicates)
+                head = (s, pred, o)
+            elif roll < 0.45:
+                head = (o, p, s)
+            rules.append(BridgeRule(
+                "copy%d_%d" % (i, j), (QuadPattern(contexts[i], s, pred, o),),
+                (QuadPattern(contexts[j], *head),)))
+    if rng.random() < 0.5:
+        i, j = sorted(rng.sample(range(n_contexts), 2))
+        rules.append(BridgeRule(
+            "gen", (QuadPattern(contexts[i], s, RDF_TYPE, o),),
+            (QuadPattern(contexts[j], s, RDF_TYPE, y),
+             QuadPattern(contexts[j], y, RDFS_SUBCLASSOF, o))))
+    return QuadSystem(QuadGraph(quads), tuple(rules))
+
+
 def random_boolean_query(rng: random.Random, chase: QuadGraph,
                          max_atoms: int = 3) -> QueryDocument:
     """A boolean CCQ biased toward satisfiable shapes: atoms start from

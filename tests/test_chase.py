@@ -29,6 +29,7 @@ from quadchase.vocab import RDF_TYPE, RDFS_SUBCLASSOF
 from oracles import (
     naive_chase,
     random_acyclic_system,
+    random_copy_system,
     random_firing_system,
     random_rdfs_quadgraph,
     random_rule,
@@ -288,6 +289,20 @@ def test_semi_naive_rdfs_chase_matches_naive_oracle(seed, resource):
     system = QuadSystem(system.quads.union(schema.quads), system.rules)
     _assert_same_as_naive(system, ChaseConfig(
         semantics=rdfs_core(resource), max_iterations=30, max_quads=300,
+        record_log=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_copy_system_chase_matches_naive_oracle(seed, resource):
+    """Systems that copy rdfs-core contexts forward (wholly, one
+    predicate at a time or turned around; in chains, into non-empty
+    contexts and from two sources at once): the chase skips closing a
+    context that replicates a closed one, and must still match the
+    reference."""
+    rng = random.Random(seed)
+    _assert_same_as_naive(random_copy_system(rng), ChaseConfig(
+        semantics=rdfs_core(resource), max_iterations=30, max_quads=600,
         record_log=True))
 
 

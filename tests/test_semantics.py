@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadchase import chase, engine
+from quadchase.engine import BridgeRule, QuadSystem
 from quadchase.semantics import (
     SIMPLE,
     close,
@@ -12,7 +14,8 @@ from quadchase.semantics import (
     local_rules,
     rdfs_core,
 )
-from quadchase.terms import Quad, QuadGraph, QuadStore, iri
+from quadchase.terms import (Quad, QuadGraph, QuadPattern, QuadStore,
+                             Variable, iri)
 from quadchase.vocab import (
     RDF_TYPE,
     RDFS_RESOURCE,
@@ -187,3 +190,78 @@ def test_incremental_close_matches_naive_closure(seed, resource, schema):
     for ctx in union.contexts():
         assert closed.graph_of(ctx) == naive_local_closure(
             union.graph_of(ctx), sem)
+
+
+def test_same_size_context_with_other_triples_is_still_closed():
+    """A touched context as large as an untouched closed one, but with
+    other triples, is no replica: its closure still runs."""
+    c0, c1 = iri("c0"), iri("c1")
+    A, B, C = iri("A"), iri("B"), iri("C")
+    rules = local_rules(RDFS, [c0, c1])
+    store = QuadStore([Quad(c0, A, RDFS_SUBCLASSOF, B),
+                       Quad(c0, iri("x"), RDF_TYPE, A)])
+    close(store, rules, 0)
+    assert store.candidate_count(c0) == 3
+    mark = len(store)
+    for s, o in ((A, B), (B, C), (iri("y"), iri("z"))):
+        store.add(Quad(c1, s, RDFS_SUBCLASSOF, o))
+    close(store, rules, mark)
+    assert Quad(c1, A, RDFS_SUBCLASSOF, C) in store
+
+
+def test_context_without_compiled_rules_is_never_a_source():
+    """An untouched context that no rule was compiled for need not be
+    closed, so a context holding its triples is closed all the same."""
+    c0, c1 = iri("c0"), iri("c1")
+    A, B, C = iri("A"), iri("B"), iri("C")
+    chain = [(A, RDFS_SUBCLASSOF, B), (B, RDFS_SUBCLASSOF, C)]
+    store = QuadStore(Quad(c0, *t) for t in chain)
+    mark = len(store)
+    for t in chain:
+        store.add(Quad(c1, *t))
+    close(store, local_rules(RDFS, [c1]), mark)
+    assert Quad(c1, A, RDFS_SUBCLASSOF, C) in store
+    assert Quad(c0, A, RDFS_SUBCLASSOF, C) not in store
+
+
+def test_closing_a_copy_chain_after_iteration_zero_derives_nothing(
+        monkeypatch):
+    """ctx0 -> ctx1 -> ctx2 -> ctx3 copy rules under rdfs-core: each
+    copied context replicates a closed one, so no closure after
+    iteration 0 instantiates a head, and ctx3 still ends up closed."""
+    contexts = [iri("ctx%d" % i) for i in range(4)]
+    classes = [iri("C%d" % i) for i in range(5)]
+    data = [Quad(contexts[0], a, RDFS_SUBCLASSOF, b)
+            for a, b in zip(classes, classes[1:])]
+    data += [Quad(contexts[0], iri("e%d" % i), RDF_TYPE, classes[i % 4])
+             for i in range(8)]
+    s, p, o = Variable("s"), Variable("p"), Variable("o")
+    copies = tuple(BridgeRule("copy%d" % i,
+                              (QuadPattern(contexts[i], s, p, o),),
+                              (QuadPattern(contexts[i + 1], s, p, o),))
+                   for i in range(3))
+    instantiate = engine.instantiate_head
+    heads = [0]
+
+    def counted(*args):
+        heads[0] += 1
+        return instantiate(*args)
+
+    per_close = []
+
+    def counted_close(store, rules, mark):
+        before = heads[0]
+        close(store, rules, mark)
+        per_close.append(heads[0] - before)
+
+    monkeypatch.setattr(engine, "instantiate_head", counted)
+    monkeypatch.setattr(chase, "close", counted_close)
+    result = chase.run_chase(QuadSystem(QuadGraph(data), copies),
+                             chase.ChaseConfig(semantics=RDFS_FULL))
+    assert result.complete and len(result.iteration_log) == 4
+    assert per_close == [0, 0, 0]
+    assert heads[0] > 0
+    closed = result.quads.graph_of(contexts[0])
+    assert closed == lclosure_graph(
+        [q.triple for q in data], RDFS_FULL)
+    assert all(result.quads.graph_of(c) == closed for c in contexts)

@@ -43,6 +43,22 @@ def test_interning_returns_identical_handles():
     assert iri("a") != blank("a")
 
 
+def test_constants_are_immutable_and_carry_their_canonical():
+    c = literal("x\n", lang="en")
+    assert c.canonical == '"x\\n"@en' and not hasattr(c, "__dict__")
+    for attr in ("kind", "lexical", "datatype", "lang", "canonical"):
+        with pytest.raises(AttributeError):
+            setattr(c, attr, "y")
+        with pytest.raises(AttributeError):
+            delattr(c, attr)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    assert c.canonical == '"x\\n"@en' and c.lang == "en"
+    for again in (copy.copy(c), copy.deepcopy(c),
+                  pickle.loads(pickle.dumps(c))):
+        assert again is c
+
+
 def test_variables_are_interned_and_compare_by_identity():
     x = Variable("x")
     assert Variable("x") is x and x.name == "x"
