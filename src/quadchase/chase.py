@@ -36,6 +36,7 @@ from .contextgraph import (
     is_context_acyclic,
 )
 from .engine import (
+    Delta,
     QuadSystem,
     Violation,
     check_constraints,
@@ -103,12 +104,6 @@ class ChaseResult:
         return self.status == COMPLETE
 
 
-def _since(store: QuadStore, mark: int) -> Optional[list]:
-    """The delta of a rule set last evaluated when the store held
-    ``mark`` quads; None (everything) before its first evaluation."""
-    return store.log[mark:] if mark else None
-
-
 def run_chase(system: QuadSystem,
               config: Optional[ChaseConfig] = None) -> ChaseResult:
     """Materialize the chase of a quad-system under the given config."""
@@ -136,6 +131,21 @@ def run_chase(system: QuadSystem,
     # Store sizes when each rule group and the constraints last saw the
     # store: the next evaluation only joins through what came after.
     non_gen_mark = gen_mark = 0
+    # The last delta built, by (mark, store size): the constraints'
+    # delta of one iteration is the non-generating group's of the next.
+    built: dict[tuple[int, int], Delta] = {}
+
+    def since(rules: list, mark: int) -> Optional[Delta]:
+        """The delta of ``rules`` last evaluated at store size ``mark``;
+        None (everything) before their first evaluation or for no rules."""
+        if not mark or not rules:
+            return None
+        key = (mark, len(store))
+        if key not in built:
+            built.clear()
+            built[key] = Delta(store.log[mark:])
+        return built[key]
+
     checked_mark = len(store)
     status = COMPLETE
     index = 0
@@ -145,14 +155,14 @@ def run_chase(system: QuadSystem,
             break
         index += 1
         before = len(store)
-        derived = derive(non_gen, store, _since(store, non_gen_mark))
+        derived = derive(non_gen, store, since(non_gen, non_gen_mark))
         non_gen_mark = before
         new = derived - store.quads
         kind = NON_GENERATING
         if not new:
             kind = GENERATING
             gen_count += 1
-            derived = derive(gen, store, _since(store, gen_mark))
+            derived = derive(gen, store, since(gen, gen_mark))
             gen_mark = before
             new = derived - store.quads
             if not new:
@@ -173,7 +183,7 @@ def run_chase(system: QuadSystem,
         log.append(IterationRecord(index, kind, len(added),
                                    len(store), per_ctx))
         violations = check_constraints(constraints, store,
-                                       store.log[checked_mark:])
+                                       since(constraints, checked_mark))
         checked_mark = len(store)
         if violations:
             status = INCONSISTENT

@@ -6,11 +6,21 @@ quad patterns across contexts.  For evaluation, each rule is skolemized
 frontier variables) and normalized to single-head form; a rule whose head
 mentions a skolem function is *generating*, the rest are *non-generating*.
 Empty-head rules are constraints: a body match signals inconsistency.
+
+Every rule body, constraint body and query is compiled once into a
+``JoinPlan``: each variable numbered into a slot of one binding list,
+each atom its context and a slot per position (a constant's slot is
+bound before the join starts), and each head position a slot or a skolem
+function over argument slots.  One backtracking join (``_join``) extends
+the binding list in place, most constrained atom first, and undoes its
+bindings on backtrack.  A rule compiles on first use and keeps its plan,
+so a chase compiles each rule once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .terms import (
@@ -112,6 +122,11 @@ class BridgeRule:
     def contexts(self) -> set[Constant]:
         return {pat.ctx for pat in self.body + self.head}
 
+    @cached_property
+    def plan(self) -> "JoinPlan":
+        """The body compiled for the join (constraints use it)."""
+        return JoinPlan(self.body)
+
 
 @dataclass(frozen=True)
 class SkolemTerm:
@@ -163,6 +178,11 @@ class SkolemRule:
 
     def size(self) -> int:
         return 4 * (len(self.body) + 1)
+
+    @cached_property
+    def plan(self) -> "JoinPlan":
+        """The body and head compiled for the join, once per rule."""
+        return JoinPlan(self.body, self.head)
 
 
 def rule_size(r: Union[BridgeRule, SkolemRule]) -> int:
@@ -251,31 +271,111 @@ def skolemize_all(rules: Iterable[BridgeRule]
     return non_gen, gen, constraints
 
 
-def _resolve(t: Term, binding: Substitution) -> Optional[Constant]:
-    if isinstance(t, Constant):
-        return t
-    return binding.get(t)
+class JoinPlan:
+    """A conjunction of quad patterns, and optionally a rule head,
+    compiled for the join.
+
+    Every variable gets a slot in one binding list, and so does every
+    distinct constant (bound before the join starts) and every skolem
+    application of the head (bound when the head is instantiated).
+    Variable slots come first, in ``variables`` order.  A body atom is
+    its context and the slots of its three positions, so a position's
+    key is one list read and ``None`` means unbound.  The head is its
+    context, the slots of its three positions and, per skolem
+    application, its slot, function and argument slots.
+    """
+
+    __slots__ = ("variables", "atoms", "initial", "head")
+
+    def __init__(self, patterns: Iterable[QuadPattern],
+                 head: Optional[SkolemAtom] = None) -> None:
+        slots: dict[object, int] = {}
+        initial: list[Optional[Constant]] = []
+        patterns = tuple(patterns)
+        for pat in patterns:
+            for t in (pat.s, pat.p, pat.o):
+                if isinstance(t, Variable) and t not in slots:
+                    slots[t] = len(initial)
+                    initial.append(None)
+        self.variables: tuple[Variable, ...] = tuple(slots)
+
+        def slot(t: Union[HeadTerm, Variable]) -> int:
+            if t not in slots:
+                if isinstance(t, Variable):
+                    raise RuleError("unbound head variable ?%s" % t.name)
+                slots[t] = len(initial)
+                initial.append(t if isinstance(t, Constant) else None)
+            return slots[t]
+
+        self.atoms = tuple((pat.ctx, slot(pat.s), slot(pat.p), slot(pat.o))
+                           for pat in patterns)
+        self.head = None
+        if head is not None:
+            terms = tuple(slot(t) for t in head.terms())
+            functions = tuple((slots[t], t.rule_id, t.fn_index,
+                               tuple(slot(a) for a in t.args))
+                              for t in dict.fromkeys(head.terms())
+                              if isinstance(t, SkolemTerm))
+            self.head = (head.ctx,) + terms + (functions,)
+        self.initial = tuple(initial)
 
 
-def _extend(pat: QuadPattern, quad: Quad, bound: Substitution,
-            no_skolem: frozenset[Variable] = frozenset()
-            ) -> Optional[Substitution]:
-    """``bound`` extended to map the triple of ``pat`` onto ``quad``'s, or
-    None when they clash."""
-    new = dict(bound)
-    _, s, p, o = quad
-    for t, v in ((pat.s, s), (pat.p, p), (pat.o, o)):
-        if isinstance(t, Variable):
-            seen = new.get(t)
-            if seen is None:
-                if t in no_skolem and v.is_skolem():
-                    return None
-                new[t] = v
-            elif seen is not v:
-                return None
-        elif t is not v:
-            return None
-    return new
+# What a join over no atoms yields: the binding as it stands, once.
+_ONCE = (None,)
+_NO_SLOTS: frozenset[int] = frozenset()
+
+
+def _join(qg: Union[QuadGraph, QuadStore], atoms: tuple,
+          binding: list, no_skolem: frozenset[int]) -> Iterator[None]:
+    """Extend ``binding`` in place to each grounding of ``atoms`` into
+    ``qg`` in turn, yielding once per grounding and undoing its bindings
+    on backtrack.
+
+    Picks the most constrained atom first (smallest index bucket under
+    the current binding).  ``candidates`` already matches the bound
+    positions, so only the unbound ones bind, and a slot repeated among
+    them is checked.  Slots in ``no_skolem`` never bind skolem blanks.
+    """
+    if not atoms:
+        yield
+        return
+    best = 0
+    if len(atoms) > 1:
+        best_count = None
+        for i, (ctx, s, p, o) in enumerate(atoms):
+            count = qg.candidate_count(ctx, binding[s], binding[p],
+                                       binding[o])
+            if best_count is None or count < best_count:
+                if not count:
+                    return
+                best, best_count = i, count
+    ctx, s, p, o = atoms[best]
+    rest = atoms[:best] + atoms[best + 1:]
+    keys = binding[s], binding[p], binding[o]
+    free = tuple((j, slot) for j, slot, key in zip((1, 2, 3), (s, p, o), keys)
+                 if key is None)
+    for quad in qg.candidates(ctx, *keys):
+        if _bind(quad, free, binding, no_skolem):
+            yield from _join(qg, rest, binding, no_skolem) if rest else _ONCE
+        for _, slot in free:
+            binding[slot] = None
+
+
+def _bind(quad: Quad, positions: tuple, binding: list,
+          no_skolem: frozenset[int]) -> bool:
+    """Bind each unbound slot of ``positions`` (pairs of a quad index and
+    a slot) to ``quad``'s term there; False when a bound slot's value
+    differs or a ``no_skolem`` slot would bind a skolem blank."""
+    for j, slot in positions:
+        value = quad[j]
+        seen = binding[slot]
+        if seen is None:
+            if slot in no_skolem and value.kind == SKOLEM:
+                return False
+            binding[slot] = value
+        elif seen is not value:
+            return False
+    return True
 
 
 def match_patterns(qg: Union[QuadGraph, QuadStore],
@@ -285,45 +385,21 @@ def match_patterns(qg: Union[QuadGraph, QuadStore],
                    ) -> Iterator[Substitution]:
     """All substitutions grounding every pattern into ``qg``.
 
-    Backtracking join, picking the most constrained remaining atom first
-    (smallest index bucket under the current binding).  Variables listed
-    in ``no_skolem`` never bind to skolem blank nodes.  The result is
-    independent of atom order.
+    The patterns are compiled into a ``JoinPlan`` and joined by ``_join``.
+    Variables listed in ``no_skolem`` never bind to skolem blank nodes.
+    The result is independent of atom order.
     """
-    remaining = list(patterns)
+    plan = JoinPlan(patterns)
     base: Substitution = dict(binding) if binding else {}
-
-    def step(atoms: list[QuadPattern], bound: Substitution
-             ) -> Iterator[Substitution]:
-        if not atoms:
-            yield dict(bound)
-            return
-        best_i = 0
-        best_count = None
-        for i, pat in enumerate(atoms):
-            count = qg.candidate_count(
-                pat.ctx,
-                _resolve(pat.s, bound),
-                _resolve(pat.p, bound),
-                _resolve(pat.o, bound))
-            if best_count is None or count < best_count:
-                best_i, best_count = i, count
-                if count == 0:
-                    break
-        pat = atoms[best_i]
-        rest = atoms[:best_i] + atoms[best_i + 1:]
-        for quad in qg.candidates(pat.ctx,
-                                  _resolve(pat.s, bound),
-                                  _resolve(pat.p, bound),
-                                  _resolve(pat.o, bound)):
-            new = _extend(pat, quad, bound, no_skolem)
-            if new is not None:
-                yield from step(rest, new)
-
-    return step(remaining, base)
+    values = list(plan.initial)
+    values[:len(plan.variables)] = [base.get(v) for v in plan.variables]
+    skip = frozenset(i for i, v in enumerate(plan.variables)
+                     if v in no_skolem)
+    for _ in _join(qg, plan.atoms, values, skip):
+        yield {**base, **dict(zip(plan.variables, values))}
 
 
-class _Delta:
+class Delta:
     """Quads added since a rule set was last evaluated, as a set and
     bucketed by context and by (context, predicate).  Each quad is
     bucketed once, as ``_groundings`` compares bucket sizes with those of
@@ -342,18 +418,12 @@ class _Delta:
                 self.by_ctx.setdefault(ctx, []).append(q)
                 self.by_ctx_p.setdefault((ctx, p), []).append(q)
 
-    def holds(self, pat: QuadPattern, mu: Substitution) -> bool:
-        """Whether ``pat`` grounded by ``mu`` is a delta quad (a quad
-        equals its plain tuple)."""
-        return (pat.ctx, mu.get(pat.s, pat.s), mu.get(pat.p, pat.p),
-                mu.get(pat.o, pat.o)) in self.quads
 
-
-def _groundings(body: tuple[QuadPattern, ...],
-                qg: Union[QuadGraph, QuadStore],
-                delta: Optional[_Delta]) -> Iterator[Substitution]:
-    """Body groundings into ``qg``; with a delta, only those that map
-    some atom to a delta quad, each once.
+def _groundings(plan: JoinPlan, qg: Union[QuadGraph, QuadStore],
+                delta: Optional[Delta], binding: list) -> Iterator[None]:
+    """Body groundings into ``qg``, each left in ``binding`` while it is
+    yielded; with a delta, only those that map some atom to a delta
+    quad, each once.
 
     Atom ``i`` is unified with each delta quad of its context (and
     predicate, when that is a constant) in turn, and the rest of the body
@@ -362,45 +432,47 @@ def _groundings(body: tuple[QuadPattern, ...],
     of ``qg`` an atom could match is a delta quad, later atoms yield
     nothing new.
     """
+    atoms = plan.atoms
     if delta is None:
-        yield from match_patterns(qg, body)
+        yield from _join(qg, atoms, binding, _NO_SLOTS)
         return
-    for atom in body:
-        if not qg.candidate_count(atom.ctx, _resolve(atom.s, {}),
-                                  _resolve(atom.p, {}),
-                                  _resolve(atom.o, {})):
+    for ctx, s, p, o in atoms:
+        if not qg.candidate_count(ctx, binding[s], binding[p], binding[o]):
             return  # no grounding at all: the delta is part of qg
-    for i, atom in enumerate(body):
-        rest = body[:i] + body[i + 1:]
-        p = _resolve(atom.p, {})
-        fresh = (delta.by_ctx.get(atom.ctx, []) if p is None
-                 else delta.by_ctx_p.get((atom.ctx, p), []))
+    held = delta.quads
+    for i, (ctx, s, p, o) in enumerate(atoms):
+        earlier, rest = atoms[:i], atoms[:i] + atoms[i + 1:]
+        positions = ((1, s), (2, p), (3, o))
+        free = tuple(slot for _, slot in positions if binding[slot] is None)
+        pred = binding[p]
+        fresh = (delta.by_ctx.get(ctx, ()) if pred is None
+                 else delta.by_ctx_p.get((ctx, pred), ()))
         for quad in fresh:
-            mu = _extend(atom, quad, {})
-            if mu is None:
-                continue
-            for full in match_patterns(qg, rest, mu):
-                if not any(delta.holds(a, full) for a in body[:i]):
-                    yield full
-        if len(fresh) == qg.candidate_count(atom.ctx, None, p, None):
+            if _bind(quad, positions, binding, _NO_SLOTS):
+                for _ in _join(qg, rest, binding, _NO_SLOTS) if rest \
+                        else _ONCE:
+                    for c, s2, p2, o2 in earlier:
+                        if (c, binding[s2], binding[p2],
+                                binding[o2]) in held:
+                            break
+                    else:
+                        yield
+            for slot in free:
+                binding[slot] = None
+        if len(fresh) == qg.candidate_count(ctx, None, pred, None):
             return
 
 
-def instantiate_head(atom: SkolemAtom, binding: Substitution) -> Quad:
-    """Ground a skolemized head atom, evaluating skolem applications."""
-
-    def ground(t: HeadTerm) -> Constant:
-        if isinstance(t, Constant):
-            return t
-        if isinstance(t, Variable):
-            try:
-                return binding[t]
-            except KeyError:
-                raise RuleError("unbound head variable ?%s" % t.name)
-        return skolem_constant(t.rule_id, t.fn_index,
-                               [binding[a] for a in t.args])
-
-    return Quad(atom.ctx, ground(atom.s), ground(atom.p), ground(atom.o))
+def instantiate_head(head: tuple, binding: list) -> Quad:
+    """Ground a compiled head (``JoinPlan.head``) under a binding list,
+    evaluating its skolem applications into their slots first."""
+    ctx, s, p, o, functions = head
+    for slot, rule_id, fn_index, args in functions:
+        binding[slot] = skolem_constant(rule_id, fn_index,
+                                        [binding[a] for a in args])
+    # the context is a pattern context, so an IRI, and every slot holds
+    # a constant: the checks of ``Quad.__new__`` would all pass
+    return tuple.__new__(Quad, (ctx, binding[s], binding[p], binding[o]))
 
 
 def apply_rule(rule: SkolemRule, qg: QuadGraph) -> QuadGraph:
@@ -418,31 +490,38 @@ def apply_ruleset(rules: Sequence[SkolemRule], qg: QuadGraph) -> QuadGraph:
 
 
 def derive(rules: Sequence[SkolemRule], qg: Union[QuadGraph, QuadStore],
-           delta: Optional[Iterable[Quad]] = None) -> set[Quad]:
+           delta: Union[None, Delta, Iterable[Quad]] = None) -> set[Quad]:
     """Set-level rule application.
 
     Without ``delta``, the head instances of every body grounding into
     ``qg``.  With ``delta`` (quads of ``qg``, typically those added since
-    the rules were last applied), only those of groundings that use at
-    least one delta quad: semi-naive evaluation, which misses nothing new
-    when every other grounding's head is already in ``qg``.  A delta run
-    also skips a rule whose ground head is already in ``qg``.
+    the rules were last applied, or their ``Delta``), only the new head
+    instances of groundings that use at least one delta quad: semi-naive
+    evaluation, which misses nothing new when every other grounding's
+    head is already in ``qg``.  A delta run also skips a rule whose
+    ground head is already in ``qg``.
     """
     out: set[Quad] = set()
     if not rules:
         return out
-    fresh = None if delta is None else _Delta(delta)
+    fresh = delta if delta is None or isinstance(delta, Delta) \
+        else Delta(delta)
+    known = qg.quads
     for rule in rules:
+        plan = rule.plan
+        binding = list(plan.initial)
         if rule.head.is_ground():
-            head = instantiate_head(rule.head, {})
-            if fresh is None or head not in qg:
+            head = instantiate_head(plan.head, binding)
+            if fresh is None or head not in known:
                 # single possible output; one body match decides it
-                for _ in _groundings(rule.body, qg, fresh):
+                for _ in _groundings(plan, qg, fresh, binding):
                     out.add(head)
                     break
             continue
-        for mu in _groundings(rule.body, qg, fresh):
-            out.add(instantiate_head(rule.head, mu))
+        for _ in _groundings(plan, qg, fresh, binding):
+            head = instantiate_head(plan.head, binding)
+            if fresh is None or head not in known:
+                out.add(head)
     return out
 
 
@@ -461,7 +540,7 @@ class Violation:
 
 def check_constraints(constraints: Sequence[BridgeRule],
                       qg: Union[QuadGraph, QuadStore],
-                      delta: Optional[Iterable[Quad]] = None
+                      delta: Union[None, Delta, Iterable[Quad]] = None
                       ) -> list[Violation]:
     """Every grounding of an empty-head rule body is a violation.
 
@@ -471,10 +550,14 @@ def check_constraints(constraints: Sequence[BridgeRule],
     found: list[Violation] = []
     if not constraints:
         return found
-    fresh = None if delta is None else _Delta(delta)
+    fresh = delta if delta is None or isinstance(delta, Delta) \
+        else Delta(delta)
     for rule in constraints:
         if not rule.is_constraint:
             raise RuleError("rule %s is not a constraint" % rule.rule_id)
-        for mu in _groundings(rule.body, qg, fresh):
-            found.append(Violation.from_mapping(rule.rule_id, mu))
+        plan = rule.plan
+        binding = list(plan.initial)
+        for _ in _groundings(plan, qg, fresh, binding):
+            found.append(Violation.from_mapping(
+                rule.rule_id, dict(zip(plan.variables, binding))))
     return found

@@ -161,6 +161,9 @@ class Variable:
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("variables are immutable")
 
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError("variables are immutable")
+
     def __reduce__(self) -> tuple:
         # copies and unpickled variables resolve to the interned one
         return (Variable, (self.name,))

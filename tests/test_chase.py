@@ -380,3 +380,31 @@ def test_local_closure_head_instances_grow_linearly(monkeypatch):
             in result.quads
         counts.append(calls[0])
     assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_each_added_quad_is_bucketed_into_one_delta_once(monkeypatch):
+    """A copy chain with an existential rule and a constraint: the
+    constraints' delta of an iteration is the non-generating rules'
+    delta of the next, so the deltas of the run bucket each quad it adds
+    once (building one per rule group bucketed them about twice)."""
+    built = []
+    init = engine.Delta.__init__
+
+    def counted(self, quads):
+        quads = list(quads)
+        built.append(len(quads))
+        init(self, quads)
+
+    monkeypatch.setattr(engine.Delta, "__init__", counted)
+    c = [iri("ctx%d" % i) for i in range(4)]
+    data = QuadGraph(Quad(c[0], iri("e%d" % i), iri("knows"),
+                          iri("e%d" % (i + 1))) for i in range(20))
+    rules = parse_rules(
+        "c01: <ctx0>(?s, ?p, ?o) -> <ctx1>(?s, ?p, ?o) .\n"
+        "c12: <ctx1>(?s, ?p, ?o) -> <ctx2>(?s, ?p, ?o) .\n"
+        "c23: <ctx2>(?s, ?p, ?o) -> <ctx3>(?s, ?p, ?o) .\n"
+        "pet: <ctx3>(?x, <knows>, ?y) -> <out>(?x, <hasPet>, ?z) .\n"
+        "k: <out>(?x, <hasPet>, ?x) -> .\n").rules
+    result = run_chase(QuadSystem(data, rules))
+    assert result.complete and len(result.quads) == 100
+    assert sum(built) == len(result.quads) - len(data), built

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadchase.chase import ChaseConfig, run_chase
 from quadchase.engine import (
@@ -13,6 +13,7 @@ from quadchase.engine import (
     apply_ruleset,
     check_constraints,
     derive,
+    match_patterns,
     rule_size,
     skolemize,
     skolemize_all,
@@ -30,7 +31,7 @@ from quadchase.terms import (
 )
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
-from oracles import naive_multihead_chase, random_acyclic_system
+from oracles import naive_match, naive_multihead_chase, random_acyclic_system
 
 X1, X2, Y1 = Variable("x1"), Variable("x2"), Variable("y1")
 C1, C2, C3 = iri("c1"), iri("c2"), iri("c3")
@@ -269,3 +270,69 @@ def test_delta_listing_a_quad_twice_misses_nothing():
     assert derive(rules, store, [new, new]) \
         == {Quad(C1, iri("a"), iri("q"), iri("d"))}
 
+
+
+_MATCH_CONTEXTS = [iri("ctx0"), iri("ctx1")]
+_MATCH_VOCAB = [iri("n0"), iri("n1")]
+_MATCH_SKOLEM = skolem_constant("m", 0, [iri("n0")])
+_MATCH_VARS = [Variable("m%d" % i) for i in range(3)]
+_match_terms = st.sampled_from(_MATCH_VOCAB + [_MATCH_SKOLEM])
+# mostly variables, so most atoms match; ctx2 and n2 are in no quad,
+# so their atoms have empty buckets
+_match_pattern_terms = st.one_of(
+    st.sampled_from(_MATCH_VARS), st.sampled_from(_MATCH_VARS),
+    st.sampled_from(_MATCH_VOCAB + [_MATCH_SKOLEM, iri("n2")]))
+_XX = [QuadPattern(C1, X1, X2, X1)]
+_XXX = [QuadPattern(C1, X1, X1, X1)]
+_XX_QUADS = [Quad(C1, a, b, c) for a in (U1, _MATCH_SKOLEM)
+             for b in (U1, _MATCH_SKOLEM) for c in (U1, _MATCH_SKOLEM)]
+# two subjects with two objects under each predicate: the second atom's
+# object must be unbound again for the first atom's next quad
+_JOIN = [QuadPattern(C1, X1, iri("n0"), X2),
+         QuadPattern(C1, X1, iri("n1"), Y1)]
+_JOIN_QUADS = [Quad(C1, s, p, o) for s in (U1, iri("n0"))
+               for p in (iri("n0"), iri("n1")) for o in (U1, iri("n1"))]
+
+
+def _substitution_key(mu):
+    return tuple(sorted((v.name, c.canonical) for v, c in mu.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quads=st.lists(st.builds(Quad, st.sampled_from(_MATCH_CONTEXTS),
+                                _match_terms, _match_terms, _match_terms),
+                      min_size=6, max_size=16),
+       patterns=st.lists(st.builds(
+           QuadPattern, st.sampled_from(_MATCH_CONTEXTS + [iri("ctx2")]),
+           _match_pattern_terms, _match_pattern_terms,
+           _match_pattern_terms), min_size=1, max_size=4),
+       binding=st.dictionaries(st.sampled_from(_MATCH_VARS + [X1]),
+                               st.sampled_from(_MATCH_VOCAB), max_size=2),
+       no_skolem=st.frozensets(st.sampled_from(_MATCH_VARS)))
+@example(quads=_XX_QUADS, patterns=_XX, binding={}, no_skolem=frozenset())
+@example(quads=_XX_QUADS, patterns=_XXX, binding={}, no_skolem=frozenset())
+@example(quads=_XX_QUADS, patterns=_XX, binding={X1: U1},
+         no_skolem=frozenset())
+@example(quads=_XX_QUADS, patterns=_XX + _XXX, binding={},
+         no_skolem=frozenset([X2]))
+@example(quads=_XX_QUADS, patterns=[], binding={X1: U1},
+         no_skolem=frozenset())
+@example(quads=_JOIN_QUADS, patterns=_JOIN, binding={},
+         no_skolem=frozenset())
+def test_match_patterns_agrees_with_naive_match(quads, patterns, binding,
+                                                no_skolem):
+    """The compiled join gives exactly the substitutions of the naive
+    product matcher that agree with ``binding`` and bind no ``no_skolem``
+    variable to a skolem blank, each once, whatever the atom order."""
+    expected = []
+    for mu in naive_match(set(quads), patterns):
+        if any(mu.get(v, c) is not c for v, c in binding.items()):
+            continue
+        if any(mu[v].is_skolem() for v in no_skolem if v in mu):
+            continue
+        expected.append(_substitution_key({**binding, **mu}))
+    for graph in (QuadGraph(quads), QuadStore(quads)):
+        for order in (patterns, patterns[::-1]):
+            got = [_substitution_key(mu) for mu in match_patterns(
+                graph, order, binding, no_skolem)]
+            assert sorted(got) == sorted(expected)

@@ -67,6 +67,9 @@ def test_variables_are_interned_and_compare_by_identity():
     assert pickle.loads(pickle.dumps(x)) is x
     with pytest.raises(AttributeError):
         x.name = "y"
+    with pytest.raises(AttributeError):
+        del x.name
+    assert Variable("x") is x and Variable("x").name == "x"
 
 
 def test_canonical_serialization_drives_equality():
