@@ -9,12 +9,14 @@ context-acyclic system finishes within max-level + 1 generating
 iterations (the last one vacuous), never more than its context count.
 
 Evaluation is semi-naive over one append-only, incrementally indexed
-store: each rule group joins only through the quads added since the
-group last ran, and the local closure (its rules compiled per context
-onto the same join) only through the quads the iteration added, so an
-iteration's work follows what it adds rather than the size of the whole
-graph.  A context the iteration fills with exactly the triples of a
-context it left alone is already closed, and its closure is skipped.
+store: each rule group and the constraints join only through the quads
+added since they last ran, and the local closure (its rules compiled per
+context onto the same join) only through the quads the iteration added,
+so an iteration's work follows what it adds rather than the size of the
+whole graph.  What was added since is named by a mark, the store size
+they last saw, and never copied.  A context the iteration fills with
+exactly the triples of a context it left alone is already closed, and
+its closure is skipped.
 The schedule and the output are those of re-running every rule over the
 whole graph and re-closing it from scratch.
 
@@ -36,7 +38,6 @@ from .contextgraph import (
     is_context_acyclic,
 )
 from .engine import (
-    Delta,
     QuadSystem,
     Violation,
     check_constraints,
@@ -131,21 +132,6 @@ def run_chase(system: QuadSystem,
     # Store sizes when each rule group and the constraints last saw the
     # store: the next evaluation only joins through what came after.
     non_gen_mark = gen_mark = 0
-    # The last delta built, by (mark, store size): the constraints'
-    # delta of one iteration is the non-generating group's of the next.
-    built: dict[tuple[int, int], Delta] = {}
-
-    def since(rules: list, mark: int) -> Optional[Delta]:
-        """The delta of ``rules`` last evaluated at store size ``mark``;
-        None (everything) before their first evaluation or for no rules."""
-        if not mark or not rules:
-            return None
-        key = (mark, len(store))
-        if key not in built:
-            built.clear()
-            built[key] = Delta(store.log[mark:])
-        return built[key]
-
     checked_mark = len(store)
     status = COMPLETE
     index = 0
@@ -155,16 +141,16 @@ def run_chase(system: QuadSystem,
             break
         index += 1
         before = len(store)
-        derived = derive(non_gen, store, since(non_gen, non_gen_mark))
+        derived = derive(non_gen, store, non_gen_mark)
         non_gen_mark = before
-        new = derived - store.quads
+        new = derived.difference(store.quads)
         kind = NON_GENERATING
         if not new:
             kind = GENERATING
             gen_count += 1
-            derived = derive(gen, store, since(gen, gen_mark))
+            derived = derive(gen, store, gen_mark)
             gen_mark = before
-            new = derived - store.quads
+            new = derived.difference(store.quads)
             if not new:
                 log.append(IterationRecord(
                     index, kind, 0, before,
@@ -182,8 +168,7 @@ def run_chase(system: QuadSystem,
                 per_ctx[q.ctx] = per_ctx.get(q.ctx, 0) + 1
         log.append(IterationRecord(index, kind, len(added),
                                    len(store), per_ctx))
-        violations = check_constraints(constraints, store,
-                                       since(constraints, checked_mark))
+        violations = check_constraints(constraints, store, checked_mark)
         checked_mark = len(store)
         if violations:
             status = INCONSISTENT

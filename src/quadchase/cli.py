@@ -228,12 +228,28 @@ def _write_chase_manifest(args: argparse.Namespace, system: QuadSystem,
         fh.write("\n")
 
 
+def _chase_status(path: str) -> str:
+    """The status a chase manifest records; complete when it has none."""
+    statuses = tuple(_STATUS_EXIT)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from exc
+    if not isinstance(manifest, dict):
+        raise ParseError("%s: a chase manifest is a JSON object" % path)
+    status = manifest.get("status", COMPLETE)
+    if status not in statuses:
+        raise ParseError("%s: unknown chase status %r (choose from %s)"
+                         % (path, status, ", ".join(statuses)))
+    return status
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     quads = _parse_file(parse_nquads, args.dchase)
     status = COMPLETE
     if args.chase_stats:
-        with open(args.chase_stats, "r", encoding="utf-8") as fh:
-            status = json.load(fh).get("status", COMPLETE)
+        status = _chase_status(args.chase_stats)
     result = ChaseResult(quads, status, (), 0, [])
     q = _parse_file(parse_query, args.query)
     started = time.monotonic()

@@ -97,9 +97,11 @@ def _successor_map(graph: ContextDependencyGraph
     return succ
 
 
-def _strongly_connected_components(graph: ContextDependencyGraph
-                                   ) -> list[list[Constant]]:
-    """Tarjan's algorithm, iterative, deterministic node order."""
+def _components(graph: ContextDependencyGraph
+                ) -> tuple[list[list[Constant]], dict[Constant, int]]:
+    """The strongly connected components, in reverse topological order
+    (successors first), and each node's index among them.  Tarjan's
+    algorithm, iterative, deterministic node order."""
     succ = _successor_map(graph)
     index: dict[Constant, int] = {}
     low: dict[Constant, int] = {}
@@ -145,7 +147,8 @@ def _strongly_connected_components(graph: ContextDependencyGraph
                     if top == node:
                         break
                 sccs.append(comp)
-    return sccs
+    comp_of = {n: i for i, comp in enumerate(sccs) for n in comp}
+    return sccs, comp_of
 
 
 def _shortest_cycle_through(graph: ContextDependencyGraph,
@@ -189,15 +192,15 @@ def is_context_acyclic(graph: ContextDependencyGraph) -> AcyclicityVerdict:
     Returns one witness cycle through a TGC otherwise, rotated to start
     at its canonically smallest node.
     """
-    comp_of: dict[Constant, int] = {}
-    comps = _strongly_connected_components(graph)
-    for i, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = i
-    sizes = {i: len(c) for i, c in enumerate(comps)}
+    return _verdict(graph, *_components(graph))
+
+
+def _verdict(graph: ContextDependencyGraph, comps: list[list[Constant]],
+             comp_of: dict[Constant, int]) -> AcyclicityVerdict:
+    """``is_context_acyclic`` given the graph's components."""
     self_loops = {a for (a, b) in graph.edges if a == b}
     offenders = [t for t in sorted(graph.tgc, key=lambda c: c.canonical)
-                 if sizes[comp_of[t]] > 1 or t in self_loops]
+                 if len(comps[comp_of[t]]) > 1 or t in self_loops]
     if not offenders:
         return AcyclicityVerdict(True)
     best: Optional[tuple[Constant, ...]] = None
@@ -216,14 +219,10 @@ def compute_levels(graph: ContextDependencyGraph) -> LevelMap:
     condensation: nodes of one component share TGC ancestors, and an
     acyclic graph has no TGC inside a nontrivial component.
     """
-    verdict = is_context_acyclic(graph)
+    comps, comp_of = _components(graph)
+    verdict = _verdict(graph, comps, comp_of)
     if not verdict.acyclic:
         raise NotContextAcyclicError(verdict)
-    comps = _strongly_connected_components(graph)
-    comp_of: dict[Constant, int] = {}
-    for i, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = i
     preds: dict[int, set[int]] = {i: set() for i in range(len(comps))}
     for (a, b) in graph.edges:
         ca, cb = comp_of[a], comp_of[b]

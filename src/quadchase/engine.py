@@ -15,10 +15,15 @@ function over argument slots.  One backtracking join (``_join``) extends
 the binding list in place, most constrained atom first, and undoes its
 bindings on backtrack.  A rule compiles on first use and keeps its plan,
 so a chase compiles each rule once.
+
+Semi-naive evaluation takes a mark into a ``QuadStore``: the quads added
+since the store held ``mark`` quads are the tail of each index bucket,
+found by binary search on their log positions, so no delta is copied.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -399,67 +404,46 @@ def match_patterns(qg: Union[QuadGraph, QuadStore],
         yield {**base, **dict(zip(plan.variables, values))}
 
 
-class Delta:
-    """Quads added since a rule set was last evaluated, as a set and
-    bucketed by context and by (context, predicate).  Each quad is
-    bucketed once, as ``_groundings`` compares bucket sizes with those of
-    the graph."""
-
-    __slots__ = ("by_ctx", "by_ctx_p", "quads")
-
-    def __init__(self, quads: Iterable[Quad]) -> None:
-        self.by_ctx: dict[Constant, list[Quad]] = {}
-        self.by_ctx_p: dict[tuple, list[Quad]] = {}
-        self.quads: set[Quad] = set()
-        for q in quads:
-            if q not in self.quads:
-                self.quads.add(q)
-                ctx, _, p, _ = q
-                self.by_ctx.setdefault(ctx, []).append(q)
-                self.by_ctx_p.setdefault((ctx, p), []).append(q)
-
-
 def _groundings(plan: JoinPlan, qg: Union[QuadGraph, QuadStore],
-                delta: Optional[Delta], binding: list) -> Iterator[None]:
+                mark: int, binding: list) -> Iterator[None]:
     """Body groundings into ``qg``, each left in ``binding`` while it is
-    yielded; with a delta, only those that map some atom to a delta
-    quad, each once.
+    yielded; with a nonzero ``mark`` (``qg`` a store), only those that map
+    some atom to a quad added since the store held ``mark`` quads, each
+    once.
 
-    Atom ``i`` is unified with each delta quad of its context (and
-    predicate, when that is a constant) in turn, and the rest of the body
-    is joined over ``qg``.  A grounding that also maps an earlier atom
-    into the delta was already yielded for that atom; so once every quad
-    of ``qg`` an atom could match is a delta quad, later atoms yield
-    nothing new.
+    Atom ``i`` is unified with each quad of its smallest store bucket
+    added since ``mark`` (the bucket's tail) in turn, and the rest of the
+    body is joined over ``qg``.  A grounding that also maps an earlier
+    atom past ``mark`` was already yielded for that atom; so once an
+    atom's tail is its whole bucket, later atoms yield nothing new.
     """
     atoms = plan.atoms
-    if delta is None:
+    if not mark:
         yield from _join(qg, atoms, binding, _NO_SLOTS)
         return
-    for ctx, s, p, o in atoms:
-        if not qg.candidate_count(ctx, binding[s], binding[p], binding[o]):
-            return  # no grounding at all: the delta is part of qg
-    held = delta.quads
+    buckets = [qg.bucket(ctx, binding[s], binding[p], binding[o])
+               for ctx, s, p, o in atoms]
+    if not all(buckets):
+        return  # no grounding at all
+    log_index = qg.quads
     for i, (ctx, s, p, o) in enumerate(atoms):
         earlier, rest = atoms[:i], atoms[:i] + atoms[i + 1:]
         positions = ((1, s), (2, p), (3, o))
         free = tuple(slot for _, slot in positions if binding[slot] is None)
-        pred = binding[p]
-        fresh = (delta.by_ctx.get(ctx, ()) if pred is None
-                 else delta.by_ctx_p.get((ctx, pred), ()))
-        for quad in fresh:
+        start = bisect_left(buckets[i], mark, key=log_index.__getitem__)
+        for quad in buckets[i][start:]:
             if _bind(quad, positions, binding, _NO_SLOTS):
                 for _ in _join(qg, rest, binding, _NO_SLOTS) if rest \
                         else _ONCE:
                     for c, s2, p2, o2 in earlier:
-                        if (c, binding[s2], binding[p2],
-                                binding[o2]) in held:
+                        if log_index[c, binding[s2], binding[p2],
+                                     binding[o2]] >= mark:
                             break
                     else:
                         yield
             for slot in free:
                 binding[slot] = None
-        if len(fresh) == qg.candidate_count(ctx, None, pred, None):
+        if not start:
             return
 
 
@@ -490,37 +474,33 @@ def apply_ruleset(rules: Sequence[SkolemRule], qg: QuadGraph) -> QuadGraph:
 
 
 def derive(rules: Sequence[SkolemRule], qg: Union[QuadGraph, QuadStore],
-           delta: Union[None, Delta, Iterable[Quad]] = None) -> set[Quad]:
+           mark: int = 0) -> set[Quad]:
     """Set-level rule application.
 
-    Without ``delta``, the head instances of every body grounding into
-    ``qg``.  With ``delta`` (quads of ``qg``, typically those added since
-    the rules were last applied, or their ``Delta``), only the new head
-    instances of groundings that use at least one delta quad: semi-naive
-    evaluation, which misses nothing new when every other grounding's
-    head is already in ``qg``.  A delta run also skips a rule whose
-    ground head is already in ``qg``.
+    With ``mark`` 0, the head instances of every body grounding into
+    ``qg``.  With a nonzero ``mark`` (``qg`` a store, typically at the
+    size it had when the rules were last applied), only the new head
+    instances of groundings that use at least one quad added since the
+    store held ``mark`` quads: semi-naive evaluation, which misses nothing
+    new when every other grounding's head is already in ``qg``.  Such a
+    run also skips a rule whose ground head is already in ``qg``.
     """
     out: set[Quad] = set()
-    if not rules:
-        return out
-    fresh = delta if delta is None or isinstance(delta, Delta) \
-        else Delta(delta)
     known = qg.quads
     for rule in rules:
         plan = rule.plan
         binding = list(plan.initial)
         if rule.head.is_ground():
             head = instantiate_head(plan.head, binding)
-            if fresh is None or head not in known:
+            if not mark or head not in known:
                 # single possible output; one body match decides it
-                for _ in _groundings(plan, qg, fresh, binding):
+                for _ in _groundings(plan, qg, mark, binding):
                     out.add(head)
                     break
             continue
-        for _ in _groundings(plan, qg, fresh, binding):
+        for _ in _groundings(plan, qg, mark, binding):
             head = instantiate_head(plan.head, binding)
-            if fresh is None or head not in known:
+            if not mark or head not in known:
                 out.add(head)
     return out
 
@@ -540,24 +520,20 @@ class Violation:
 
 def check_constraints(constraints: Sequence[BridgeRule],
                       qg: Union[QuadGraph, QuadStore],
-                      delta: Union[None, Delta, Iterable[Quad]] = None
-                      ) -> list[Violation]:
+                      mark: int = 0) -> list[Violation]:
     """Every grounding of an empty-head rule body is a violation.
 
-    With ``delta``, only groundings that use a delta quad are checked:
-    all of them when ``qg`` without the delta violated nothing.
+    With a nonzero ``mark`` (``qg`` a store), only groundings that use a
+    quad added since the store held ``mark`` quads are checked: all of
+    them when its first ``mark`` quads violated nothing.
     """
     found: list[Violation] = []
-    if not constraints:
-        return found
-    fresh = delta if delta is None or isinstance(delta, Delta) \
-        else Delta(delta)
     for rule in constraints:
         if not rule.is_constraint:
             raise RuleError("rule %s is not a constraint" % rule.rule_id)
         plan = rule.plan
         binding = list(plan.initial)
-        for _ in _groundings(plan, qg, fresh, binding):
+        for _ in _groundings(plan, qg, mark, binding):
             found.append(Violation.from_mapping(
                 rule.rule_id, dict(zip(plan.variables, binding))))
     return found

@@ -117,36 +117,32 @@ def close(store: QuadStore, rules: list[SkolemRule], mark: int) -> None:
     ``rules`` are ``local_rules`` output, the same rules compiled for
     each of some contexts.  A context with no quad past ``mark`` is then
     closed, if rules were compiled for it; a context holding exactly its
-    triples is closed too, so the first round leaves the quads of such a
-    replica out of its delta.  Closure never adds to another context, so
-    no later round sees them either."""
+    triples is closed too.  The rules of both are dropped: each rule's
+    body and head lie in one context, so no round adds to either."""
     if not rules:
         return
-    delta = _unreplicated(store, rules, store.log[mark:])
-    while delta:
-        mark = len(store)
-        for q in derive(rules, store, delta):
+    touched = {q[0] for q in store.log[mark:]}
+    open_contexts = touched - _replicas(store, rules, touched)
+    rules = [r for r in rules if r.head.ctx in open_contexts]
+    while mark < len(store):
+        start = len(store)
+        for q in derive(rules, store, mark):
             store.add(q)
-        delta = store.log[mark:]
+        mark = start
 
 
-def _unreplicated(store: QuadStore, rules: list[SkolemRule],
-                  delta: list[Quad]) -> list[Quad]:
-    """``delta`` without the quads of each context it touches whose
-    triples are those of a context it does not touch but ``rules`` were
-    compiled for."""
-    touched = {q[0] for q in delta}
+def _replicas(store: QuadStore, rules: list[SkolemRule],
+              touched: set[Constant]) -> set[Constant]:
+    """The ``touched`` contexts whose triples are those of an untouched
+    context that ``rules`` were compiled for."""
     closed: dict[int, list[Constant]] = {}
     for ctx in {r.head.ctx for r in rules} - touched:
         size = store.candidate_count(ctx)
         if size:
             closed.setdefault(size, []).append(ctx)
-    replicas = {ctx for ctx in touched
-                if any(_same_triples(store, ctx, source) for source
-                       in closed.get(store.candidate_count(ctx), ()))}
-    if not replicas:
-        return delta
-    return [q for q in delta if q[0] not in replicas]
+    return {ctx for ctx in touched
+            if any(_same_triples(store, ctx, source) for source
+                   in closed.get(store.candidate_count(ctx), ()))}
 
 
 def _same_triples(store: QuadStore, ctx: Constant, other: Constant) -> bool:

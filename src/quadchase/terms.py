@@ -371,9 +371,11 @@ class _QuadIndex:
         a map this container does not keep."""
         raise NotImplementedError
 
-    def _bucket(self, ctx: Constant, s: Optional[Constant],
-                p: Optional[Constant], o: Optional[Constant]
-                ) -> Sequence[Quad]:
+    def bucket(self, ctx: Constant, s: Optional[Constant],
+               p: Optional[Constant], o: Optional[Constant]
+               ) -> Sequence[Quad]:
+        """The smallest index bucket holding every quad of context ``ctx``
+        that matches the given ground slots; it may hold others too."""
         by_ctx, by_s, by_p, by_o = self._indexes()
         if s is not None and p is not None and o is not None:
             q = Quad(ctx, s, p, o)
@@ -390,7 +392,7 @@ class _QuadIndex:
                    p: Optional[Constant] = None,
                    o: Optional[Constant] = None) -> list[Quad]:
         """Quads of context ``ctx`` matching the given ground slots."""
-        return [q for q in self._bucket(ctx, s, p, o)
+        return [q for q in self.bucket(ctx, s, p, o)
                 if (s is None or q[1] is s) and (p is None or q[2] is p)
                 and (o is None or q[3] is o)]
 
@@ -398,7 +400,7 @@ class _QuadIndex:
                         p: Optional[Constant] = None,
                         o: Optional[Constant] = None) -> int:
         """Cheap upper estimate of matching quads (index bucket size)."""
-        return len(self._bucket(ctx, s, p, o))
+        return len(self.bucket(ctx, s, p, o))
 
 
 class QuadGraph(_QuadIndex):
@@ -495,17 +497,19 @@ class QuadGraph(_QuadIndex):
 class QuadStore(_QuadIndex):
     """A mutable, append-only set of quads, indexed as it grows.
 
-    ``log`` lists the quads in insertion order, so ``log[mark:]`` is what
-    was added since the store held ``mark`` quads.  ``add`` extends the
-    (ctx), (ctx,s), (ctx,p) and (ctx,o) buckets, so lookups never wait for
-    an index rebuild.
+    ``log`` lists the quads in insertion order, and ``quads`` maps each
+    quad to its position there, so ``log[mark:]`` is what was added since
+    the store held ``mark`` quads.  ``add`` extends the (ctx), (ctx,s),
+    (ctx,p) and (ctx,o) buckets in the same order, so lookups never wait
+    for an index rebuild, and the quads of a bucket added since ``mark``
+    are its tail from the first one at position ``mark`` or later.
     """
 
     __slots__ = ("quads", "log", "_by_ctx", "_by_ctx_s", "_by_ctx_p",
                  "_by_ctx_o")
 
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self.quads: set[Quad] = set()
+        self.quads: dict[Quad, int] = {}
         self.log: list[Quad] = []
         self._by_ctx: dict[Constant, list[Quad]] = {}
         self._by_ctx_s: dict[tuple, list[Quad]] = {}
@@ -527,7 +531,7 @@ class QuadStore(_QuadIndex):
         """Insert ``q``; False when it was already present."""
         if q in self.quads:
             return False
-        self.quads.add(q)
+        self.quads[q] = len(self.log)
         self.log.append(q)
         ctx, s, p, o = q
         self._by_ctx.setdefault(ctx, []).append(q)
@@ -538,7 +542,7 @@ class QuadStore(_QuadIndex):
 
     def freeze(self) -> QuadGraph:
         """The stored quads as a QuadGraph.  Empties the store first, so
-        its set and indexes are not resident beside the graph."""
+        its table and indexes are not resident beside the graph."""
         log, self.log = self.log, []
         for table in (self.quads, self._by_ctx, self._by_ctx_s,
                       self._by_ctx_p, self._by_ctx_o):

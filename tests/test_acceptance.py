@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+import quadchase
 from quadchase.chase import (
     BUDGET_EXHAUSTED,
     COMPLETE,
@@ -263,8 +264,12 @@ def test_criterion_7_brute_force_equivalence():
                  "substitution oracle, 0 disagreements")
 
 
+# The child process runs the sources this process imported.
+_SRC = os.path.dirname(os.path.dirname(quadchase.__file__))
+
+
 def _run_cli(args, hashseed):
-    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed), PYTHONPATH=_SRC)
     proc = subprocess.run([sys.executable, "-m", "quadchase"] + args,
                           capture_output=True, env=env)
     return proc.returncode

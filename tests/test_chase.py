@@ -16,7 +16,7 @@ from quadchase.chase import (
     saturation_report,
 )
 from quadchase.contextgraph import build_dependency_graph, compute_levels
-from quadchase import engine
+from quadchase import chase as chase_module, engine
 from quadchase.engine import BridgeRule, QuadSystem
 from quadchase.reductions.cfg import CFG, CFG_CLASS, CFG_CONTEXT, CFG_SEED, \
     encode_cfg_pair, symbol_iri
@@ -382,20 +382,19 @@ def test_local_closure_head_instances_grow_linearly(monkeypatch):
     assert counts[1] <= 2.2 * counts[0], counts
 
 
-def test_each_added_quad_is_bucketed_into_one_delta_once(monkeypatch):
-    """A copy chain with an existential rule and a constraint: the
-    constraints' delta of an iteration is the non-generating rules'
-    delta of the next, so the deltas of the run bucket each quad it adds
-    once (building one per rule group bucketed them about twice)."""
-    built = []
-    init = engine.Delta.__init__
+def test_constraints_check_each_added_quad_once(monkeypatch):
+    """A copy chain with an existential rule and a constraint: each
+    constraint check joins through the quads added since the last one,
+    so the checks of the run tile the store log, and the chase is the
+    naive one."""
+    checked = []
+    check = chase_module.check_constraints
 
-    def counted(self, quads):
-        quads = list(quads)
-        built.append(len(quads))
-        init(self, quads)
+    def recorded(constraints, store, mark=0):
+        checked.append((mark, len(store)))
+        return check(constraints, store, mark)
 
-    monkeypatch.setattr(engine.Delta, "__init__", counted)
+    monkeypatch.setattr(chase_module, "check_constraints", recorded)
     c = [iri("ctx%d" % i) for i in range(4)]
     data = QuadGraph(Quad(c[0], iri("e%d" % i), iri("knows"),
                           iri("e%d" % (i + 1))) for i in range(20))
@@ -405,6 +404,12 @@ def test_each_added_quad_is_bucketed_into_one_delta_once(monkeypatch):
         "c23: <ctx2>(?s, ?p, ?o) -> <ctx3>(?s, ?p, ?o) .\n"
         "pet: <ctx3>(?x, <knows>, ?y) -> <out>(?x, <hasPet>, ?z) .\n"
         "k: <out>(?x, <hasPet>, ?x) -> .\n").rules
-    result = run_chase(QuadSystem(data, rules))
+    system = QuadSystem(data, rules)
+    result = run_chase(system)
     assert result.complete and len(result.quads) == 100
-    assert sum(built) == len(result.quads) - len(data), built
+    reference = naive_chase(system, ChaseConfig())
+    assert (result.quads, result.status, result.iteration_log) \
+        == (reference.quads, reference.status, reference.iteration_log)
+    assert checked[0] == (0, len(data))
+    assert all(a[1] == b[0] for a, b in zip(checked, checked[1:]))
+    assert checked[-1][1] == len(result.quads), checked

@@ -211,6 +211,32 @@ def test_query_partial_chase_flag(capsys, fixtures_dir, tmp_path):
     assert json.loads(out)["complete"] is False
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[1, 2]", "a chase manifest is a JSON object"),
+    ('{"status": "done"}', "unknown chase status 'done'"),
+    ("{", "Expecting property name"),
+])
+def test_query_refuses_a_bad_chase_manifest(capsys, fixtures_dir, tmp_path,
+                                            text, reason):
+    manifest = tmp_path / "stats.json"
+    manifest.write_text(text)
+    code, out, err = run(capsys, "query", fx(fixtures_dir, "beat.nq"),
+                         fx(fixtures_dir, "beat.ccq"),
+                         "--chase-stats", str(manifest))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % manifest) and reason in err
+
+
+def test_query_reads_a_manifest_without_status_as_complete(
+        capsys, fixtures_dir, tmp_path):
+    manifest = tmp_path / "stats.json"
+    manifest.write_text("{}")
+    code, out, _ = run(capsys, "query", fx(fixtures_dir, "beat.nq"),
+                       fx(fixtures_dir, "beat.ccq"), "--format", "json",
+                       "--chase-stats", str(manifest))
+    assert code == 0 and json.loads(out)["complete"] is True
+
+
 def test_encode_horn_pipeline(capsys, tmp_path):
     phi = tmp_path / "phi.horn"
     phi.write_text("t -> P\nP -> f\n")

@@ -220,46 +220,63 @@ def _dense_patterns(rng, contexts, n):
         for _ in range(3))) for _ in range(n))
 
 
+# Body atoms the examples below add to every rule and constraint: one
+# whose three positions are constant, so its bucket is that one quad
+# (which the graph then holds), and one whose only constant is its
+# object, so its smallest bucket is the (context, object) one.
+_GROUND_ATOM = QuadPattern(iri("ctx0"), iri("n0"), iri("n1"), iri("n2"))
+_OBJECT_ATOM = QuadPattern(iri("ctx0"), Variable("v0"), Variable("v1"),
+                           iri("n2"))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32))
+@given(st.integers(0, 2 ** 32), st.none(), st.just(False))
+@example(5, _GROUND_ATOM, False)
+@example(9, _OBJECT_ATOM, False)
+@example(4, None, True)  # the mark is the store's size
 def test_delta_evaluation_covers_exactly_the_groundings_through_the_delta(
-        seed):
-    """Split a random graph into old quads and a delta.  Semi-naive
-    derivation finds every quad that only the delta makes derivable, and
-    a delta constraint check reports each violation that uses a delta
-    quad exactly once."""
+        seed, atom, all_old):
+    """Split a random graph into the quads before a mark and those after
+    it.  Semi-naive derivation finds every quad that only the quads past
+    the mark make derivable, and a constraint check from the mark reports
+    each violation that uses a quad past it exactly once."""
     rng = random.Random(seed)
     contexts = [iri("ctx0"), iri("ctx1")]
     vocab = [iri("n%d" % i) for i in range(3)]
-    quads = sorted({Quad(rng.choice(contexts), rng.choice(vocab),
-                         rng.choice(vocab), rng.choice(vocab))
-                    for _ in range(rng.randrange(16))}, key=Quad.sort_key)
+    quads = {Quad(rng.choice(contexts), rng.choice(vocab),
+                  rng.choice(vocab), rng.choice(vocab))
+             for _ in range(rng.randrange(16))}
+    if atom is not None and atom.is_ground():
+        quads.add(Quad(atom.ctx, atom.s, atom.p, atom.o))
+    quads = sorted(quads, key=Quad.sort_key)
     rng.shuffle(quads)
-    cut = rng.randrange(len(quads) + 1)
-    old, full, delta = QuadGraph(quads[:cut]), QuadGraph(quads), \
-        quads[cut:]
+    mark = len(quads) if all_old else rng.randrange(len(quads) + 1)
+    old, full = QuadGraph(quads[:mark]), QuadGraph(quads)
     store = QuadStore(quads)
+    extra = (atom,) if atom is not None else ()
+
+    def body():
+        return _dense_patterns(rng, contexts, rng.randrange(1, 4)) + extra
+
     for i in range(3):
-        rule = BridgeRule("r%d" % i,
-                          _dense_patterns(rng, contexts, rng.randrange(1, 4)),
+        rule = BridgeRule("r%d" % i, body(),
                           _dense_patterns(rng, contexts, 1))
         for sk in skolemize(rule):
-            semi = derive([sk], store, delta)
+            semi = derive([sk], store, mark)
             assert semi <= derive([sk], full)
             assert derive([sk], full) - derive([sk], old) - full.quads \
                 <= semi
-    constraints = [BridgeRule("k%d" % i, _dense_patterns(
-        rng, contexts, rng.randrange(1, 4)), ()) for i in range(3)]
-    found = check_constraints(constraints, store, delta)
+    constraints = [BridgeRule("k%d" % i, body(), ()) for i in range(3)]
+    found = check_constraints(constraints, store, mark)
     assert len(found) == len(set(found))
     assert set(found) == set(check_constraints(constraints, full)) \
         - set(check_constraints(constraints, old))
 
 
-def test_delta_listing_a_quad_twice_misses_nothing():
-    """Once every quad an atom can match is a delta quad, later atoms are
-    not tried against the delta; a delta that lists a quad twice must not
-    pass for one that holds the other quad of that bucket too."""
+def test_a_bucket_with_old_quads_does_not_end_the_delta_join():
+    """Once an atom's bucket holds no quad before the mark, later atoms
+    are not tried from the mark; a bucket that also holds an older quad
+    must not pass for one that does not."""
     p = iri("p")
     old = Quad(C1, iri("a"), p, iri("b"))
     new = Quad(C1, iri("b"), p, iri("d"))
@@ -267,9 +284,8 @@ def test_delta_listing_a_quad_twice_misses_nothing():
         "r", (QuadPattern(C1, X1, p, X2), QuadPattern(C1, X2, p, Y1)),
         (QuadPattern(C1, X1, iri("q"), Y1),)))
     store = QuadStore([old, new])
-    assert derive(rules, store, [new, new]) \
+    assert derive(rules, store, 1) \
         == {Quad(C1, iri("a"), iri("q"), iri("d"))}
-
 
 
 _MATCH_CONTEXTS = [iri("ctx0"), iri("ctx1")]
