@@ -287,7 +287,8 @@ class JoinPlan:
     its context and the slots of its three positions, so a position's
     key is one list read and ``None`` means unbound.  The head is its
     context, the slots of its three positions and, per skolem
-    application, its slot, function and argument slots.
+    application, its slot, function, argument slots and the nulls it has
+    minted, keyed by argument tuple.
     """
 
     __slots__ = ("variables", "atoms", "initial", "head")
@@ -318,7 +319,7 @@ class JoinPlan:
         if head is not None:
             terms = tuple(slot(t) for t in head.terms())
             functions = tuple((slots[t], t.rule_id, t.fn_index,
-                               tuple(slot(a) for a in t.args))
+                               tuple(slot(a) for a in t.args), {})
                               for t in dict.fromkeys(head.terms())
                               if isinstance(t, SkolemTerm))
             self.head = (head.ctx,) + terms + (functions,)
@@ -449,11 +450,16 @@ def _groundings(plan: JoinPlan, qg: Union[QuadGraph, QuadStore],
 
 def instantiate_head(head: tuple, binding: list) -> Quad:
     """Ground a compiled head (``JoinPlan.head``) under a binding list,
-    evaluating its skolem applications into their slots first."""
+    evaluating its skolem applications into their slots first.  An
+    application mints its null once per argument tuple, so groundings
+    that differ only in body-only variables share the call."""
     ctx, s, p, o, functions = head
-    for slot, rule_id, fn_index, args in functions:
-        binding[slot] = skolem_constant(rule_id, fn_index,
-                                        [binding[a] for a in args])
+    for slot, rule_id, fn_index, args, minted in functions:
+        key = tuple([binding[a] for a in args])
+        null = minted.get(key)
+        if null is None:
+            null = minted[key] = skolem_constant(rule_id, fn_index, key)
+        binding[slot] = null
     # the context is a pattern context, so an IRI, and every slot holds
     # a constant: the checks of ``Quad.__new__`` would all pass
     return tuple.__new__(Quad, (ctx, binding[s], binding[p], binding[o]))

@@ -27,14 +27,15 @@ Query files (``.ccq``)::
 A quad file is read a line at a time.  A line holding one statement in
 the usual shape (four terms separated by blanks, then ``.`` and an
 optional comment) matches one compiled regex, and each captured term
-text is looked up in the intern table (``terms.interned``); when all
-four hit, the line is that quad.  Any other line goes to the character
-scanner ``_scan_nquads_line``: a term the table does not hold (new, or
-spelled non-canonically), a plain blank ``bnode_prefix`` renames, a
-generalized triple under strict mode, any other layout, and every
-error.  The scanner is the only place that decodes a term or raises a
-``ParseError``, and the regex delimits each term exactly as the scanner
-does, so a line reads the same on either path.
+text is looked up in the intern table (``terms.interned``); a term the
+table does not hold (new, or spelled non-canonically) is decoded by
+``_scan_nquads_term`` at the column where the character scanner would
+decode it, and the line is that quad.  Any other line goes to the
+character scanner ``_scan_nquads_line``: a plain blank ``bnode_prefix``
+renames, a generalized triple under strict mode, and any other layout.
+Only ``_scan_nquads_term`` decodes a term, and the regex delimits each
+term exactly as the scanner does, so a line reads the same, and fails
+with the same ``ParseError``, on either path.
 
 Parsers are not pure: every constant they read is interned into the
 process-wide table in ``terms``.  They are safe to call concurrently
@@ -300,9 +301,14 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False,
         match = _statement(raw)
         if match is not None:
             s, p, o, g = map(interned, match.groups())
-            if (s is not None and p is not None and o is not None
-                    and g is not None
-                    and not (strict and (s.kind == LITERAL or p.kind != IRI))
+            if s is None or p is None or o is None or g is None:
+                # decode each term the table lacks where the scanner
+                # would, to the same constant or the same error
+                s, p, o, g = [
+                    term if term is not None else _scan_nquads_term(
+                        raw, match.start(k), lineno, bnode_prefix)[0]
+                    for k, term in enumerate((s, p, o, g), 1)]
+            if (not (strict and (s.kind == LITERAL or p.kind != IRI))
                     and not (bnode_prefix
                              and BLANK in (s.kind, p.kind, o.kind))):
                 # interned constants with an IRI context: what Quad()

@@ -359,34 +359,52 @@ def apply_substitution(pattern: Union[Quad, QuadPattern],
 class _QuadIndex:
     """Candidate lookup shared by ``QuadGraph`` and ``QuadStore``.
 
-    Both keep a bucket of quads per context and per (context, term) for
-    some of the slots s, p and o.  A lookup walks the smallest bucket
-    among the slots it binds.
+    Both keep a bucket of quads per context (``_by_ctx``).  The first
+    lookup that binds slot s, p or o in a context builds that slot's
+    term -> bucket map from the context's bucket and keeps it in
+    ``_maps[ctx]``; a store extends the maps it has as it grows.  So a
+    map exists only for a (context, slot) pair some lookup has read, and
+    each of its buckets lists its quads in the order of the context's
+    bucket.  A lookup walks the smallest bucket among the slots it binds.
     """
 
     __slots__ = ()
 
-    def _indexes(self) -> tuple:
-        """The (ctx), (ctx,s), (ctx,p) and (ctx,o) bucket maps; None for
-        a map this container does not keep."""
-        raise NotImplementedError
+    _by_ctx: dict[Constant, list[Quad]]
+    # context -> its s, p and o maps, None until a lookup reads one
+    _maps: dict[Constant, list[Optional[dict[Constant, list[Quad]]]]]
 
     def bucket(self, ctx: Constant, s: Optional[Constant],
                p: Optional[Constant], o: Optional[Constant]
                ) -> Sequence[Quad]:
         """The smallest index bucket holding every quad of context ``ctx``
-        that matches the given ground slots; it may hold others too."""
-        by_ctx, by_s, by_p, by_o = self._indexes()
+        that matches the given ground slots; it may hold others too.
+        Ties go to the context, then s, then p, then o."""
         if s is not None and p is not None and o is not None:
             q = Quad(ctx, s, p, o)
             return (q,) if q in self else ()
-        pool = by_ctx.get(ctx, ())
-        for term, index in ((s, by_s), (p, by_p), (o, by_o)):
-            if term is not None and index is not None:
-                bucket = index.get((ctx, term), ())
+        pool = self._by_ctx.get(ctx)
+        if not pool:
+            return ()
+        maps = self._maps[ctx]
+        for j, term in enumerate((s, p, o)):
+            if term is not None:
+                index = maps[j]
+                if index is None:
+                    index = self._slot_map(ctx, j)
+                bucket = index.get(term, ())
                 if len(bucket) < len(pool):
                     pool = bucket
         return pool
+
+    def _slot_map(self, ctx: Constant, j: int) -> dict[Constant, list[Quad]]:
+        """Build the map of slot ``j`` (0 s, 1 p, 2 o) of context ``ctx``
+        from its bucket, and publish it once it is complete."""
+        index: dict[Constant, list[Quad]] = {}
+        for q in self._by_ctx[ctx]:
+            index.setdefault(q[j + 1], []).append(q)
+        self._maps[ctx][j] = index
+        return index
 
     def candidates(self, ctx: Constant, s: Optional[Constant] = None,
                    p: Optional[Constant] = None,
@@ -406,12 +424,15 @@ class _QuadIndex:
 class QuadGraph(_QuadIndex):
     """An immutable set of quads with matching indexes.
 
-    Indexes (by context, by context+predicate, by context+subject) are
-    built lazily on first use; instances are safe to share across threads
-    after construction.
+    The first lookup builds the per-context buckets (``_ensure_indexes``,
+    which every lookup calls first); the s, p and o maps of a context are
+    built by the first lookup that binds that slot there.  Instances are
+    safe to share across threads: each index is assigned only once it is
+    complete (the context maps before the buckets that mark them built),
+    and two threads that build the same index build equal ones.
     """
 
-    __slots__ = ("_quads", "_by_ctx", "_by_ctx_p", "_by_ctx_s", "_hash")
+    __slots__ = ("_quads", "_by_ctx", "_maps", "_hash")
 
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
         self._quads = frozenset(quads)
@@ -419,8 +440,7 @@ class QuadGraph(_QuadIndex):
             if not isinstance(q, Quad):
                 raise TermError("QuadGraph holds Quads, got %r" % (q,))
         self._by_ctx: Optional[dict] = None
-        self._by_ctx_p: Optional[dict] = None
-        self._by_ctx_s: Optional[dict] = None
+        self._maps: Optional[dict] = None
         self._hash: Optional[int] = None
 
     @property
@@ -478,20 +498,16 @@ class QuadGraph(_QuadIndex):
         if self._by_ctx is not None:
             return
         by_ctx: dict[Constant, list[Quad]] = {}
-        by_ctx_p: dict[tuple, list[Quad]] = {}
-        by_ctx_s: dict[tuple, list[Quad]] = {}
         for q in self._quads:
-            ctx, s, p, _ = q
-            by_ctx.setdefault(ctx, []).append(q)
-            by_ctx_p.setdefault((ctx, p), []).append(q)
-            by_ctx_s.setdefault((ctx, s), []).append(q)
+            by_ctx.setdefault(q[0], []).append(q)
+        self._maps = {ctx: [None, None, None] for ctx in by_ctx}
         self._by_ctx = by_ctx
-        self._by_ctx_p = by_ctx_p
-        self._by_ctx_s = by_ctx_s
 
-    def _indexes(self) -> tuple:
+    def bucket(self, ctx: Constant, s: Optional[Constant],
+               p: Optional[Constant], o: Optional[Constant]
+               ) -> Sequence[Quad]:
         self._ensure_indexes()
-        return self._by_ctx, self._by_ctx_s, self._by_ctx_p, None
+        return _QuadIndex.bucket(self, ctx, s, p, o)
 
 
 class QuadStore(_QuadIndex):
@@ -499,22 +515,20 @@ class QuadStore(_QuadIndex):
 
     ``log`` lists the quads in insertion order, and ``quads`` maps each
     quad to its position there, so ``log[mark:]`` is what was added since
-    the store held ``mark`` quads.  ``add`` extends the (ctx), (ctx,s),
-    (ctx,p) and (ctx,o) buckets in the same order, so lookups never wait
-    for an index rebuild, and the quads of a bucket added since ``mark``
-    are its tail from the first one at position ``mark`` or later.
+    the store held ``mark`` quads.  ``add`` appends a quad to its
+    context's bucket and to the buckets of that context's maps built so
+    far, and a map is built from the context's bucket, so every bucket is
+    in log order: the quads of a bucket added since ``mark`` are its tail
+    from the first one at position ``mark`` or later.
     """
 
-    __slots__ = ("quads", "log", "_by_ctx", "_by_ctx_s", "_by_ctx_p",
-                 "_by_ctx_o")
+    __slots__ = ("quads", "log", "_by_ctx", "_maps")
 
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
         self.quads: dict[Quad, int] = {}
         self.log: list[Quad] = []
-        self._by_ctx: dict[Constant, list[Quad]] = {}
-        self._by_ctx_s: dict[tuple, list[Quad]] = {}
-        self._by_ctx_p: dict[tuple, list[Quad]] = {}
-        self._by_ctx_o: dict[tuple, list[Quad]] = {}
+        self._by_ctx = {}
+        self._maps = {}
         for q in quads:
             self.add(q)
 
@@ -533,24 +547,26 @@ class QuadStore(_QuadIndex):
             return False
         self.quads[q] = len(self.log)
         self.log.append(q)
-        ctx, s, p, o = q
-        self._by_ctx.setdefault(ctx, []).append(q)
-        self._by_ctx_s.setdefault((ctx, s), []).append(q)
-        self._by_ctx_p.setdefault((ctx, p), []).append(q)
-        self._by_ctx_o.setdefault((ctx, o), []).append(q)
+        ctx = q[0]
+        bucket = self._by_ctx.get(ctx)
+        if bucket is None:
+            # a lookup builds no map for a context without quads
+            self._by_ctx[ctx] = [q]
+            self._maps[ctx] = [None, None, None]
+            return True
+        bucket.append(q)
+        for j, index in enumerate(self._maps[ctx], 1):
+            if index is not None:
+                index.setdefault(q[j], []).append(q)
         return True
 
     def freeze(self) -> QuadGraph:
         """The stored quads as a QuadGraph.  Empties the store first, so
         its table and indexes are not resident beside the graph."""
         log, self.log = self.log, []
-        for table in (self.quads, self._by_ctx, self._by_ctx_s,
-                      self._by_ctx_p, self._by_ctx_o):
+        for table in (self.quads, self._by_ctx, self._maps):
             table.clear()
         return QuadGraph(log)
-
-    def _indexes(self) -> tuple:
-        return self._by_ctx, self._by_ctx_s, self._by_ctx_p, self._by_ctx_o
 
 
 def quad_graph_size(qg: QuadGraph) -> int:

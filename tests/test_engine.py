@@ -352,3 +352,28 @@ def test_match_patterns_agrees_with_naive_match(quads, patterns, binding,
             got = [_substitution_key(mu) for mu in match_patterns(
                 graph, order, binding, no_skolem)]
             assert sorted(got) == sorted(expected)
+
+
+def test_each_frontier_binding_mints_its_null_once(monkeypatch):
+    """A rule with a body-only variable grounds once per body match but
+    calls ``skolem_constant`` once per distinct frontier binding, and the
+    nulls are the labels the function gives for those arguments."""
+    from quadchase import engine
+
+    knows, pet = iri("knows"), iri("hasPet")
+    people = [iri("person%d" % i) for i in range(6)]
+    data = [Quad(C1, a, knows, b) for a in people[:3] for b in people]
+    rule = BridgeRule("pet", (QuadPattern(C1, X1, knows, X2),),
+                      (QuadPattern(C2, X1, pet, Y1),))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return skolem_constant(*args)
+
+    monkeypatch.setattr(engine, "skolem_constant", counted)
+    (sk,) = skolemize(rule)
+    derived = derive([sk], QuadGraph(data))
+    assert len(calls) == 3
+    assert derived == {Quad(C2, a, pet, skolem_constant("pet", 0, [a]))
+                       for a in people[:3]}

@@ -384,6 +384,34 @@ def test_reparsing_a_serialization_never_scans_a_term(monkeypatch):
     assert calls["_scan_nquads_term"] == 4
 
 
+def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
+    """Lines in the usual shape whose terms are new to the intern table
+    never reach the character scanner: only the unseen terms are decoded,
+    each where the scanner would decode it."""
+    stem = _fresh("urn:cold:")
+    lines = ['<%s/s%d> <%s/p%d> %s <%s/g%d> .'
+             % (stem, i, stem, i % 3,
+                ('"%d\\n"@en' % i, "_:%s" % _fresh("b"),
+                 '"%d"^^<%s/dt>' % (i, stem), "<%s/o%d>" % (stem, i))[i % 4],
+                stem, i % 2)
+             for i in range(40)]
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(syntax, name, wrapper)
+
+    counted("_scan_nquads_line", syntax._scan_nquads_line)
+    counted("_scan_nquads_term", syntax._scan_nquads_term)
+    g = parse_nquads("\n".join(lines))
+    assert calls["_scan_nquads_line"] == 0
+    # 40 subjects, 3 predicates, 40 objects and 2 contexts are new
+    assert calls["_scan_nquads_term"] == 85
+    assert g == _scanned("\n".join(lines))
+
+
 # ---------------------------------------------------------------------------
 # The statement regex against the character scanner
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import threading
 import uuid
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadchase import terms
 from quadchase.terms import (
@@ -355,3 +355,140 @@ def test_candidates_equal_a_filter_for_every_bound_slot_combination(seed):
                         single[i] = probe.triple[i]
                         assert count <= index.candidate_count(probe.ctx,
                                                               *single)
+
+
+# A small universe, so lookups hit shared buckets and the tie-break; the
+# third context gets quads late or never.
+_LAZY_CTX = [iri("lazy-ctx%d" % i) for i in range(3)]
+_LAZY_TERMS = [iri("lazy-t%d" % i) for i in range(3)] + [literal("lazy")]
+_lazy_quad = st.builds(
+    lambda c, s, p, o: Quad(_LAZY_CTX[c], _LAZY_TERMS[s], _LAZY_TERMS[p],
+                            _LAZY_TERMS[o]),
+    st.integers(0, 2), st.integers(0, 3), st.integers(0, 3),
+    st.integers(0, 3))
+_lazy_op = st.one_of(
+    st.tuples(st.just("add"), _lazy_quad),
+    st.tuples(st.sampled_from(["bucket", "candidates", "candidate_count"]),
+              _lazy_quad, st.tuples(st.booleans(), st.booleans(),
+                                    st.booleans())))
+
+
+def _reference_bucket(log, ctx, keys):
+    """The bucket a lookup must walk, as a filter over the log: the
+    quad itself when every slot is bound, else the smallest of the
+    context's bucket and the bound slots' buckets, the first on a tie."""
+    if None not in keys:
+        return [Quad(ctx, *keys)] if Quad(ctx, *keys) in log else []
+    pool = [q for q in log if q[0] is ctx]
+    for j, key in enumerate(keys, 1):
+        if key is not None:
+            bucket = [q for q in log if q[0] is ctx and q[j] is key]
+            if len(bucket) < len(pool):
+                pool = bucket
+    return pool
+
+
+def _check_lookup(index, log, kind, ctx, keys, in_log_order):
+    expected = _reference_bucket(log, ctx, keys)
+    got = getattr(index, kind)(ctx, *keys)
+    if kind == "candidate_count":
+        assert got == len(expected)
+        return
+    if kind == "candidates":
+        expected = [q for q in expected
+                    if all(k is None or q[j] is k
+                           for j, k in enumerate(keys, 1))]
+    got = list(got)
+    if not in_log_order:
+        got.sort(key=Quad.sort_key)
+        expected.sort(key=Quad.sort_key)
+    assert got == expected
+
+
+def _stale_map_ops():
+    # the map of s in ctx0 is built, then ctx0 grows in that s
+    q0, q1 = (Quad(_LAZY_CTX[0], _LAZY_TERMS[0], _LAZY_TERMS[k],
+                   _LAZY_TERMS[0]) for k in (0, 1))
+    return [("add", q0), ("candidates", q0, (True, False, False)),
+            ("add", q1), ("candidates", q0, (True, False, False))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lazy_op, max_size=40))
+@example(_stale_map_ops())
+@example([("bucket", Quad(_LAZY_CTX[2], *_LAZY_TERMS[:3]),
+           (False, True, True))]
+         + [("add", Quad(_LAZY_CTX[2], *_LAZY_TERMS[:3]))]
+         + [("bucket", Quad(_LAZY_CTX[2], *_LAZY_TERMS[:3]),
+             (False, True, True))])
+def test_lazy_index_maps_agree_with_a_filter_over_the_log(ops):
+    """Any interleaving of adds and lookups, under every mask of bound
+    slots: a store's buckets are exactly the filters over its log that
+    the tie-break picks, in log order, and a graph of the same quads
+    gives the same buckets.  Maps are built by whichever lookup first
+    reads them, before a context's first quad or mid-stream."""
+    store = QuadStore()
+    log: list[Quad] = []
+    graph = None
+    for kind, probe, *mask in ops:
+        if kind == "add":
+            assert store.add(probe) == (probe not in log)
+            if probe not in log:
+                log.append(probe)
+                graph = None
+            continue
+        ctx, keys = probe[0], tuple(
+            t if bound else None for t, bound in zip(probe[1:], mask[0]))
+        _check_lookup(store, log, kind, ctx, keys, in_log_order=True)
+        if graph is None:
+            graph = QuadGraph(log)
+        _check_lookup(graph, log, kind, ctx, keys, in_log_order=False)
+    assert store.log == log
+    assert {q: i for i, q in enumerate(log)} == store.quads
+    # then every lookup, through whatever maps the stream left behind
+    graph = QuadGraph(log)
+    probes = log + [Quad(ctx, *_LAZY_TERMS[:3]) for ctx in _LAZY_CTX]
+    for probe in probes:
+        for mask in itertools.product((False, True), repeat=3):
+            keys = tuple(t if bound else None
+                         for t, bound in zip(probe[1:], mask))
+            for index, in_log_order in ((store, True), (graph, False)):
+                _check_lookup(index, log, "bucket", probe[0], keys,
+                              in_log_order)
+
+
+def test_concurrent_lookups_on_a_shared_graph_agree():
+    """Four threads look up every slot of every context of one fresh
+    graph, so they race to build the same maps; each sees the filter."""
+    rng = random.Random(7)
+    graph = random_quadgraph(rng, max_quads=60, n_contexts=3)
+    probes = sorted(graph, key=Quad.sort_key)
+    barrier = threading.Barrier(4, timeout=30)
+    failures: list = []
+
+    def work():
+        barrier.wait()
+        for probe in probes:
+            for mask in itertools.product((False, True), repeat=3):
+                keys = tuple(t if bound else None
+                             for t, bound in zip(probe[1:], mask))
+                got = graph.candidates(probe[0], *keys)
+                expected = [q for q in graph if q[0] is probe[0]
+                            and all(k is None or q[j] is k
+                                    for j, k in enumerate(keys, 1))]
+                if sorted(got, key=Quad.sort_key) \
+                        != sorted(expected, key=Quad.sort_key):
+                    failures.append((probe, mask))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
