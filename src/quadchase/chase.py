@@ -28,7 +28,6 @@ quad cap) or the force flag makes the possible divergence explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .contextgraph import (
@@ -46,7 +45,7 @@ from .engine import (
 )
 from .semantics import (SIMPLE, LocalSemantics, close, lclosure_quadgraph,
                         local_rules)
-from .terms import Constant, QuadGraph, QuadStore
+from .terms import Constant, FrozenRecord, QuadGraph, QuadStore, Record
 
 COMPLETE = "complete"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -71,9 +70,8 @@ class ScheduleInvariantError(RuntimeError):
     """A proven bound failed at runtime; indicates an engine bug."""
 
 
-@dataclass
-class ChaseConfig:
-    semantics: LocalSemantics = field(default_factory=lambda: SIMPLE)
+class ChaseConfig(Record):
+    semantics: LocalSemantics = SIMPLE
     max_iterations: Optional[int] = None
     max_quads: Optional[int] = None
     force_unrestricted: bool = False
@@ -83,8 +81,7 @@ class ChaseConfig:
         return self.max_iterations is not None or self.max_quads is not None
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(FrozenRecord):
     index: int
     kind: str
     new_quads: int
@@ -92,8 +89,7 @@ class IterationRecord:
     per_context: Optional[dict[Constant, int]]
 
 
-@dataclass
-class ChaseResult:
+class ChaseResult(Record):
     quads: QuadGraph
     status: str
     iteration_log: tuple[IterationRecord, ...]
@@ -201,8 +197,7 @@ def entailment_closure_check(result: ChaseResult,
     return derived <= result.quads.quads
 
 
-@dataclass
-class SaturationReport:
+class SaturationReport(Record):
     """Earliest iteration after which each context stopped growing,
     checked against the level schedule (level-k contexts must be
     saturated before the (k+1)-th generating iteration)."""

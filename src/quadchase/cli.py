@@ -57,14 +57,6 @@ from .syntax import (
     serialize_rules,
 )
 from .terms import SkolemCollisionError
-from .reductions import (
-    encode_cfg_pair,
-    encode_dtm,
-    encode_horn,
-    parse_cfg,
-    parse_dtm,
-    parse_horn,
-)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -297,6 +289,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    # only this command uses the encoders; the others skip compiling them
+    from .reductions import (encode_cfg_pair, encode_dtm, encode_horn,
+                             parse_cfg, parse_dtm, parse_horn)
+
     if args.kind == "cfg":
         g1 = parse_cfg(_read(args.inputs[0]).decode("utf-8"))
         g2 = parse_cfg(_read(args.inputs[1]).decode("utf-8"))

@@ -15,15 +15,13 @@ generating iterations, the last of which produces nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .engine import QuadSystem
-from .terms import Constant
+from .terms import Constant, FrozenRecord
 
 
-@dataclass(frozen=True)
-class ContextDependencyGraph:
+class ContextDependencyGraph(FrozenRecord):
     nodes: frozenset[Constant]
     tgc: frozenset[Constant]
     edges: frozenset[tuple[Constant, Constant]]
@@ -38,8 +36,7 @@ class ContextDependencyGraph:
                       key=lambda c: c.canonical)
 
 
-@dataclass(frozen=True)
-class AcyclicityVerdict:
+class AcyclicityVerdict(FrozenRecord):
     acyclic: bool
     witness: Optional[tuple[Constant, ...]] = None
 
@@ -49,8 +46,7 @@ class AcyclicityVerdict:
         return "(%s)" % ", ".join(c.lexical for c in self.witness)
 
 
-@dataclass(frozen=True)
-class LevelMap:
+class LevelMap(FrozenRecord):
     levels: dict[Constant, int]
     max_level: int
 

@@ -24,13 +24,13 @@ found by binary search on their log positions, so no delta is copied.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .terms import (
     BLANK,
     Constant,
+    FrozenRecord,
     SKOLEM,
     Quad,
     QuadGraph,
@@ -48,8 +48,7 @@ class RuleError(ValueError):
     """Ill-formed bridge rule."""
 
 
-@dataclass(frozen=True)
-class BridgeRule:
+class BridgeRule(FrozenRecord):
     """A forall-existential rule between quad patterns.
 
     Variables partition into frontier (body and head), existential
@@ -133,8 +132,7 @@ class BridgeRule:
         return JoinPlan(self.body)
 
 
-@dataclass(frozen=True)
-class SkolemTerm:
+class SkolemTerm(FrozenRecord):
     """A skolem function application f_i^r(x...) inside a rule head."""
 
     rule_id: str
@@ -145,8 +143,7 @@ class SkolemTerm:
 HeadTerm = Union[Constant, Variable, SkolemTerm]
 
 
-@dataclass(frozen=True)
-class SkolemAtom:
+class SkolemAtom(FrozenRecord):
     """A single head quad pattern whose terms may be skolem applications."""
 
     ctx: Constant
@@ -164,8 +161,7 @@ class SkolemAtom:
         return any(isinstance(t, SkolemTerm) for t in self.terms())
 
 
-@dataclass(frozen=True)
-class SkolemRule:
+class SkolemRule(FrozenRecord):
     """A skolemized single-head rule.
 
     ``head_index`` records which head atom of the origin rule this is;
@@ -197,8 +193,7 @@ def rule_size(r: Union[BridgeRule, SkolemRule]) -> int:
     return 4 * (len(r.body) + len(r.head))
 
 
-@dataclass(frozen=True)
-class QuadSystem:
+class QuadSystem(FrozenRecord):
     """A quad-graph together with its bridge rules."""
 
     quads: QuadGraph
@@ -511,8 +506,7 @@ def derive(rules: Sequence[SkolemRule], qg: Union[QuadGraph, QuadStore],
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(FrozenRecord):
     """A constraint body grounded into the data."""
 
     rule_id: str

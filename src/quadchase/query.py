@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 
 from .chase import BUDGET_EXHAUSTED, COMPLETE, INCONSISTENT, ChaseResult
 from .engine import match_patterns
 from .syntax import QueryDocument
-from .terms import Constant, Quad, QuadGraph, QuadPattern, Term, Variable
+from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
+                    Term, Variable)
 
 
 class PartialChaseWarning(UserWarning):
@@ -32,8 +32,7 @@ class InconsistentSystemWarning(UserWarning):
     """Query ran over an inconsistent system; everything is entailed."""
 
 
-@dataclass(frozen=True)
-class AnswerSet:
+class AnswerSet(FrozenRecord):
     variables: tuple[Variable, ...]
     tuples: frozenset[tuple[Constant, ...]]
     complete: bool

@@ -18,12 +18,12 @@ bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..engine import BridgeRule, QuadSystem
 from ..syntax import ParseError, QueryDocument
-from ..terms import Constant, Quad, QuadGraph, QuadPattern, Variable, iri
+from ..terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
+                     Variable, iri)
 from ..vocab import RDF_TYPE
 
 CFG_CONTEXT = iri("c")
@@ -36,8 +36,7 @@ def symbol_iri(name: str) -> Constant:
     return iri(SYMBOL_NS + name)
 
 
-@dataclass(frozen=True)
-class CFG:
+class CFG(FrozenRecord):
     """A context-free grammar; productions map one variable to a
     sequence over variables and terminals."""
 
@@ -250,8 +249,7 @@ def cfg_membership(g: CFG, string: Sequence[str]) -> bool:
     return start in table[0][n]
 
 
-@dataclass(frozen=True)
-class CfgOracleVerdict:
+class CfgOracleVerdict(FrozenRecord):
     nonempty: bool
     witness: Optional[tuple[str, ...]]
     checked_up_to: int

@@ -25,12 +25,12 @@ whether the initial configuration is accepting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..engine import BridgeRule, QuadSystem
 from ..syntax import ParseError, QueryDocument
-from ..terms import Constant, Quad, QuadGraph, QuadPattern, Variable, iri
+from ..terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
+                     Variable, iri)
 from ..vocab import RDF_TYPE
 
 LEFT = -1
@@ -71,8 +71,7 @@ def symbol_iri(sigma: str) -> Constant:
     return iri(SYMBOL_NS + sigma)
 
 
-@dataclass(frozen=True)
-class DTM:
+class DTM(FrozenRecord):
     """A deterministic Turing machine on a left-bounded tape.
 
     ``delta`` maps (state, symbol) to (state, symbol, direction) with

@@ -10,12 +10,12 @@ exactly when the clause set is unsatisfiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..engine import BridgeRule, QuadSystem
 from ..syntax import ParseError, QueryDocument
-from ..terms import Quad, QuadGraph, QuadPattern, Variable, iri
+from ..terms import (FrozenRecord, Quad, QuadGraph, QuadPattern, Variable,
+                     iri)
 from ..vocab import RDF_TYPE
 
 TRUE_PROP = "t"
@@ -25,8 +25,7 @@ CTX_TRUE = iri("ct")
 CTX_FALSE = iri("cf")
 
 
-@dataclass(frozen=True)
-class HornClause:
+class HornClause(FrozenRecord):
     """A pure 3Horn clause: exactly two body literals and one head."""
 
     a: str
@@ -98,8 +97,7 @@ def encode_horn(clauses: Sequence[HornClause]
     return QuadSystem(QuadGraph(quads), (rule,)), query
 
 
-@dataclass(frozen=True)
-class HornVerdict:
+class HornVerdict(FrozenRecord):
     satisfiable: bool
     model: frozenset[str]
 

@@ -20,27 +20,24 @@ each round joins only through the quads the previous round added.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .engine import SkolemAtom, SkolemRule, derive
-from .terms import (Constant, Quad, QuadGraph, QuadPattern, QuadStore, Term,
-                    Variable, iri)
+from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
+                    QuadStore, Term, Variable, iri)
 from . import vocab
 
 Triple = tuple[Constant, Constant, Constant]
 TriplePattern = tuple[Term, Term, Term]
 
 
-@dataclass(frozen=True)
-class LocalRule:
+class LocalRule(FrozenRecord):
     name: str
     body: tuple[TriplePattern, ...]
     head: TriplePattern
 
 
-@dataclass(frozen=True)
-class LocalSemantics:
+class LocalSemantics(FrozenRecord):
     name: str
     rules: tuple[LocalRule, ...]
 

@@ -45,7 +45,6 @@ because interning is atomic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .engine import BridgeRule, RuleError
@@ -54,6 +53,7 @@ from .terms import (
     IRI,
     LITERAL,
     Constant,
+    FrozenRecord,
     Quad,
     QuadGraph,
     QuadPattern,
@@ -330,8 +330,7 @@ def serialize_nquads(qg: QuadGraph) -> bytes:
 # Rule / query tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(FrozenRecord):
     kind: str   # IRI PNAME NAME VAR STRING BNODE PUNCT EOF
     value: object
     line: int
@@ -533,8 +532,7 @@ def _parse_atom_list(ts: _TokenStream, prefixes: dict[str, str],
 # Rule documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuleDocument:
+class RuleDocument(FrozenRecord):
     """An ordered rule list with the source line range of each rule."""
 
     rules: tuple[BridgeRule, ...]
@@ -636,8 +634,7 @@ def serialize_rules(rules: Iterable[BridgeRule]) -> str:
 # Query documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QueryDocument:
+class QueryDocument(FrozenRecord):
     """A contextualized conjunctive query.
 
     ``free_vars`` is the (ordered) projection; every other variable in

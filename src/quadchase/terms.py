@@ -13,12 +13,15 @@ interning the same term concurrently get the same object.
 Skolem blank nodes are labelled nulls whose identity is a deterministic
 function of (rule id, function index, argument vector); their labels use
 the reserved ``sk_`` prefix and are recognised on re-parse.
+
+The module also holds ``Record`` and ``FrozenRecord``, the base classes
+of every value record in the package (patterns, rules, parse results,
+chase configuration and reports).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -45,6 +48,79 @@ class SkolemCollisionError(RuntimeError):
     scale, so a collision must abort the run rather than silently merge
     two labelled nulls.
     """
+
+
+class Record:
+    """A value record whose fields are the names annotated in its class
+    body, in order; a field assigned in the class body takes that value
+    as its default.
+
+    ``Name(a, b=...)`` sets the fields positionally or by keyword and
+    then calls ``__post_init__``, which a subclass overrides to check
+    them.  Two records are equal when they are of the same class and
+    their fields are equal; the ``repr`` is ``Name(field=value, ...)``.
+    A plain record is mutable and so unhashable; see ``FrozenRecord``.
+    Records copy and pickle through their instance ``__dict__``, without
+    running ``__post_init__`` again.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError("%s takes %d arguments but %d were given"
+                            % (cls.__name__, len(fields), len(args)))
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError("%s missing argument %r"
+                                % (cls.__name__, name))
+        if kwargs:
+            raise TypeError("%s got unexpected or repeated arguments %s"
+                            % (cls.__name__, ", ".join(map(repr, kwargs))))
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+class FrozenRecord(Record):
+    """A record whose fields cannot be set or deleted once built.  It
+    hashes by its fields, so one whose fields hold a dict is unhashable,
+    like the dict."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to %s.%s"
+                             % (type(self).__name__, name))
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete %s.%s"
+                             % (type(self).__name__, name))
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -302,8 +378,7 @@ class Quad(tuple):
                                     p.canonical, o.canonical)
 
 
-@dataclass(frozen=True)
-class QuadPattern:
+class QuadPattern(FrozenRecord):
     """A quad pattern: ground IRI context, terms may be variables."""
 
     ctx: Constant

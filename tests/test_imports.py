@@ -1,0 +1,41 @@
+"""What importing quadchase costs a fresh interpreter.
+
+Each ``python -m quadchase`` run and each benchmark sample starts a new
+interpreter, so every module the import pulls in is paid on every run.
+These tests compare ``sys.modules`` after ``import quadchase`` and after
+``import quadchase.cli`` with a bare interpreter's.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import quadchase
+
+# The child process runs the sources this process imported.
+_SRC = os.path.dirname(os.path.dirname(quadchase.__file__))
+
+# dataclasses and the introspection modules it imports
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def modules_after(statement):
+    code = statement + "\nimport sys\nprint('\\n'.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["quadchase", "quadchase.cli"])
+def test_import_loads_no_introspection_modules(module):
+    added = modules_after("import " + module) - modules_after("pass")
+    assert module in added
+    assert not added & HEAVY
+
+
+def test_cli_import_leaves_the_encoders_unloaded():
+    assert "quadchase.reductions" not in modules_after("import quadchase.cli")
