@@ -61,7 +61,8 @@ class Record:
     their fields are equal; the ``repr`` is ``Name(field=value, ...)``.
     A plain record is mutable and so unhashable; see ``FrozenRecord``.
     Records copy and pickle through their instance ``__dict__``, without
-    running ``__post_init__`` again.
+    running ``__post_init__`` again.  Fields are not inherited, so a
+    record class derives from one of these two bases directly.
     """
 
     _fields: tuple[str, ...] = ()

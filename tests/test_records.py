@@ -199,6 +199,16 @@ def test_pattern_never_equals_the_quad_with_its_terms():
     assert Quad(C, A, P, B) != QuadPattern(C, A, P, B)
 
 
+@pytest.mark.parametrize("one, other", [
+    (QuadPattern(C, X, P, Y), SkolemAtom(C, X, P, Y)),
+    (RuleDocument((), ()), QueryDocument((), ())),
+    (HornVerdict(True, None), AcyclicityVerdict(True, None)),
+], ids=["pattern-atom", "rules-query", "horn-acyclicity"])
+def test_records_of_two_classes_differ_even_with_equal_fields(one, other):
+    assert one != other
+    assert other != one
+
+
 @params
 def test_hash_agrees_with_equality(cls, fields, other):
     record = build(cls, fields)
