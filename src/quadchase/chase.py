@@ -8,15 +8,15 @@ all-of-R-at-once schedule is what makes the saturation bounds hold: a
 context-acyclic system finishes within max-level + 1 generating
 iterations (the last one vacuous), never more than its context count.
 
-Evaluation is semi-naive over one append-only, incrementally indexed
-store: each rule group and the constraints join only through the quads
-added since they last ran, and the local closure (its rules compiled per
-context onto the same join) only through the quads the iteration added,
-so an iteration's work follows what it adds rather than the size of the
-whole graph.  What was added since is named by a mark, the store size
-they last saw, and never copied.  A context the iteration fills with
-exactly the triples of a context it left alone is already closed, and
-its closure is skipped.
+Evaluation is semi-naive over one quad-graph, indexed as it grows and
+returned as the result: each rule group and the constraints join only
+through the quads added since they last ran, and the local closure (its
+rules compiled per context onto the same join) only through the quads
+the iteration added, so an iteration's work follows what it adds rather
+than the size of the whole graph.  What was added since is named by a
+mark, the graph size they last saw, and never copied.  A context the
+iteration fills with exactly the triples of a context it left alone is
+already closed, and its closure is skipped.
 The schedule and the output are those of re-running every rule over the
 whole graph and re-closing it from scratch.
 
@@ -45,7 +45,7 @@ from .engine import (
 )
 from .semantics import (SIMPLE, LocalSemantics, close, lclosure_quadgraph,
                         local_rules)
-from .terms import Constant, FrozenRecord, QuadGraph, QuadStore, Record
+from .terms import Constant, FrozenRecord, QuadGraph, Record
 
 COMPLETE = "complete"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -116,19 +116,19 @@ def run_chase(system: QuadSystem,
 
     non_gen, gen, constraints = skolemize_all(system.rules)
     local = local_rules(cfg.semantics, system.contexts())
-    store = QuadStore(lclosure_quadgraph(system.quads, cfg.semantics))
+    # a copy: the closure returns the caller's graph when it adds nothing
+    qg = QuadGraph(lclosure_quadgraph(system.quads, cfg.semantics))
     log: list[IterationRecord] = []
     gen_count = 0
 
-    violations = check_constraints(constraints, store)
+    violations = check_constraints(constraints, qg)
     if violations:
-        return ChaseResult(store.freeze(), INCONSISTENT, tuple(log), 0,
-                           violations)
+        return ChaseResult(qg, INCONSISTENT, tuple(log), 0, violations)
 
-    # Store sizes when each rule group and the constraints last saw the
-    # store: the next evaluation only joins through what came after.
+    # Graph sizes when each rule group and the constraints last saw the
+    # graph: the next evaluation only joins through what came after.
     non_gen_mark = gen_mark = 0
-    checked_mark = len(store)
+    checked_mark = len(qg)
     status = COMPLETE
     index = 0
     while True:
@@ -136,17 +136,17 @@ def run_chase(system: QuadSystem,
             status = BUDGET_EXHAUSTED
             break
         index += 1
-        before = len(store)
-        derived = derive(non_gen, store, non_gen_mark)
+        before = len(qg)
+        derived = derive(non_gen, qg, non_gen_mark)
         non_gen_mark = before
-        new = derived.difference(store.quads)
+        new = derived.difference(qg.positions)
         kind = NON_GENERATING
         if not new:
             kind = GENERATING
             gen_count += 1
-            derived = derive(gen, store, gen_mark)
+            derived = derive(gen, qg, gen_mark)
             gen_mark = before
-            new = derived.difference(store.quads)
+            new = derived.difference(qg.positions)
             if not new:
                 log.append(IterationRecord(
                     index, kind, 0, before,
@@ -154,27 +154,26 @@ def run_chase(system: QuadSystem,
                 status = COMPLETE
                 break
         for q in new:
-            store.add(q)
-        close(store, local, before)
-        added = store.log[before:]
+            qg.add(q)
+        close(qg, local, before)
+        added = qg.log[before:]
         per_ctx: Optional[dict[Constant, int]] = None
         if cfg.record_log:
             per_ctx = {}
             for q in added:
                 per_ctx[q.ctx] = per_ctx.get(q.ctx, 0) + 1
-        log.append(IterationRecord(index, kind, len(added),
-                                   len(store), per_ctx))
-        violations = check_constraints(constraints, store, checked_mark)
-        checked_mark = len(store)
+        log.append(IterationRecord(index, kind, len(added), len(qg),
+                                   per_ctx))
+        violations = check_constraints(constraints, qg, checked_mark)
+        checked_mark = len(qg)
         if violations:
             status = INCONSISTENT
             break
-        if cfg.max_quads is not None and len(store) > cfg.max_quads:
+        if cfg.max_quads is not None and len(qg) > cfg.max_quads:
             status = BUDGET_EXHAUSTED
             break
 
-    result = ChaseResult(store.freeze(), status, tuple(log), gen_count,
-                         violations)
+    result = ChaseResult(qg, status, tuple(log), gen_count, violations)
     if status == COMPLETE and levels is not None:
         bound = levels.max_level + 1
         n_contexts = len(system.contexts()) or 1

@@ -16,8 +16,8 @@ the binding list in place, most constrained atom first, and undoes its
 bindings on backtrack.  A rule compiles on first use and keeps its plan,
 so a chase compiles each rule once.
 
-Semi-naive evaluation takes a mark into a ``QuadStore``: the quads added
-since the store held ``mark`` quads are the tail of each index bucket,
+Semi-naive evaluation takes a mark into a ``QuadGraph``: the quads added
+since the graph held ``mark`` quads are the tail of each index bucket,
 found by binary search on their log positions, so no delta is copied.
 """
 
@@ -35,7 +35,6 @@ from .terms import (
     Quad,
     QuadGraph,
     QuadPattern,
-    QuadStore,
     Substitution,
     Term,
     Variable,
@@ -326,8 +325,8 @@ _ONCE = (None,)
 _NO_SLOTS: frozenset[int] = frozenset()
 
 
-def _join(qg: Union[QuadGraph, QuadStore], atoms: tuple,
-          binding: list, no_skolem: frozenset[int]) -> Iterator[None]:
+def _join(qg: QuadGraph, atoms: tuple, binding: list,
+          no_skolem: frozenset[int]) -> Iterator[None]:
     """Extend ``binding`` in place to each grounding of ``atoms`` into
     ``qg`` in turn, yielding once per grounding and undoing its bindings
     on backtrack.
@@ -379,8 +378,7 @@ def _bind(quad: Quad, positions: tuple, binding: list,
     return True
 
 
-def match_patterns(qg: Union[QuadGraph, QuadStore],
-                   patterns: Iterable[QuadPattern],
+def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
                    binding: Optional[Substitution] = None,
                    no_skolem: frozenset[Variable] = frozenset()
                    ) -> Iterator[Substitution]:
@@ -400,14 +398,13 @@ def match_patterns(qg: Union[QuadGraph, QuadStore],
         yield {**base, **dict(zip(plan.variables, values))}
 
 
-def _groundings(plan: JoinPlan, qg: Union[QuadGraph, QuadStore],
-                mark: int, binding: list) -> Iterator[None]:
+def _groundings(plan: JoinPlan, qg: QuadGraph, mark: int,
+                binding: list) -> Iterator[None]:
     """Body groundings into ``qg``, each left in ``binding`` while it is
-    yielded; with a nonzero ``mark`` (``qg`` a store), only those that map
-    some atom to a quad added since the store held ``mark`` quads, each
-    once.
+    yielded; with a nonzero ``mark``, only those that map some atom to a
+    quad added since ``qg`` held ``mark`` quads, each once.
 
-    Atom ``i`` is unified with each quad of its smallest store bucket
+    Atom ``i`` is unified with each quad of its smallest bucket
     added since ``mark`` (the bucket's tail) in turn, and the rest of the
     body is joined over ``qg``.  A grounding that also maps an earlier
     atom past ``mark`` was already yielded for that atom; so once an
@@ -421,7 +418,7 @@ def _groundings(plan: JoinPlan, qg: Union[QuadGraph, QuadStore],
                for ctx, s, p, o in atoms]
     if not all(buckets):
         return  # no grounding at all
-    log_index = qg.quads
+    log_index = qg.positions
     for i, (ctx, s, p, o) in enumerate(atoms):
         earlier, rest = atoms[:i], atoms[:i] + atoms[i + 1:]
         positions = ((1, s), (2, p), (3, o))
@@ -474,20 +471,20 @@ def apply_ruleset(rules: Sequence[SkolemRule], qg: QuadGraph) -> QuadGraph:
     return QuadGraph(derive(rules, qg))
 
 
-def derive(rules: Sequence[SkolemRule], qg: Union[QuadGraph, QuadStore],
+def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
            mark: int = 0) -> set[Quad]:
     """Set-level rule application.
 
     With ``mark`` 0, the head instances of every body grounding into
-    ``qg``.  With a nonzero ``mark`` (``qg`` a store, typically at the
-    size it had when the rules were last applied), only the new head
-    instances of groundings that use at least one quad added since the
-    store held ``mark`` quads: semi-naive evaluation, which misses nothing
+    ``qg``.  With a nonzero ``mark`` (typically the size ``qg`` had when
+    the rules were last applied), only the new head instances of
+    groundings that use at least one quad added since ``qg`` held
+    ``mark`` quads: semi-naive evaluation, which misses nothing
     new when every other grounding's head is already in ``qg``.  Such a
     run also skips a rule whose ground head is already in ``qg``.
     """
     out: set[Quad] = set()
-    known = qg.quads
+    known = qg.positions
     for rule in rules:
         plan = rule.plan
         binding = list(plan.initial)
@@ -518,14 +515,13 @@ class Violation(FrozenRecord):
         return cls(rule_id, items)
 
 
-def check_constraints(constraints: Sequence[BridgeRule],
-                      qg: Union[QuadGraph, QuadStore],
+def check_constraints(constraints: Sequence[BridgeRule], qg: QuadGraph,
                       mark: int = 0) -> list[Violation]:
     """Every grounding of an empty-head rule body is a violation.
 
-    With a nonzero ``mark`` (``qg`` a store), only groundings that use a
-    quad added since the store held ``mark`` quads are checked: all of
-    them when its first ``mark`` quads violated nothing.
+    With a nonzero ``mark``, only groundings that use a quad added since
+    ``qg`` held ``mark`` quads are checked: all of them when its first
+    ``mark`` quads violated nothing.
     """
     found: list[Violation] = []
     for rule in constraints:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .engine import SkolemAtom, SkolemRule, derive
 from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
-                    QuadStore, Term, Variable, iri)
+                    Term, Variable, iri)
 from . import vocab
 
 Triple = tuple[Constant, Constant, Constant]
@@ -106,10 +106,11 @@ def local_rules(sem: LocalSemantics,
             for ctx in contexts for rule in sem.rules]
 
 
-def close(store: QuadStore, rules: list[SkolemRule], mark: int) -> None:
-    """Close the store under ``rules`` semi-naively, given that the head
-    of every grounding into its first ``mark`` quads is already in it:
-    each round joins only through the quads the last one added.
+def close(graph: QuadGraph, rules: list[SkolemRule], mark: int) -> None:
+    """Close ``graph`` in place under ``rules`` semi-naively, given that
+    the head of every grounding into its first ``mark`` quads is already
+    in it: each round adds its new quads to ``graph`` and the next one
+    joins only through them.
 
     ``rules`` are ``local_rules`` output, the same rules compiled for
     each of some contexts.  A context with no quad past ``mark`` is then
@@ -118,35 +119,35 @@ def close(store: QuadStore, rules: list[SkolemRule], mark: int) -> None:
     body and head lie in one context, so no round adds to either."""
     if not rules:
         return
-    touched = {q[0] for q in store.log[mark:]}
-    open_contexts = touched - _replicas(store, rules, touched)
+    touched = {q[0] for q in graph.log[mark:]}
+    open_contexts = touched - _replicas(graph, rules, touched)
     rules = [r for r in rules if r.head.ctx in open_contexts]
-    while mark < len(store):
-        start = len(store)
-        for q in derive(rules, store, mark):
-            store.add(q)
+    while mark < len(graph):
+        start = len(graph)
+        for q in derive(rules, graph, mark):
+            graph.add(q)
         mark = start
 
 
-def _replicas(store: QuadStore, rules: list[SkolemRule],
+def _replicas(graph: QuadGraph, rules: list[SkolemRule],
               touched: set[Constant]) -> set[Constant]:
     """The ``touched`` contexts whose triples are those of an untouched
     context that ``rules`` were compiled for."""
     closed: dict[int, list[Constant]] = {}
     for ctx in {r.head.ctx for r in rules} - touched:
-        size = store.candidate_count(ctx)
+        size = graph.candidate_count(ctx)
         if size:
             closed.setdefault(size, []).append(ctx)
     return {ctx for ctx in touched
-            if any(_same_triples(store, ctx, source) for source
-                   in closed.get(store.candidate_count(ctx), ()))}
+            if any(_same_triples(graph, ctx, source) for source
+                   in closed.get(graph.candidate_count(ctx), ()))}
 
 
-def _same_triples(store: QuadStore, ctx: Constant, other: Constant) -> bool:
+def _same_triples(graph: QuadGraph, ctx: Constant, other: Constant) -> bool:
     """Whether two contexts of the same size hold the same triples (a
     context holds no triple twice, so one inclusion is enough)."""
-    return all((other, s, p, o) in store
-               for _, s, p, o in store.candidates(ctx))
+    return all((other, s, p, o) in graph
+               for _, s, p, o in graph.candidates(ctx))
 
 
 # The context a bare graph is closed in.
@@ -162,11 +163,12 @@ def lclosure_graph(triples: Iterable[Triple],
 
 
 def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
-    """Per-context closure of a quad-graph; contexts never mix."""
+    """Per-context closure of a quad-graph; contexts never mix.  Returns
+    ``qg`` itself when the closure adds nothing, and never grows it."""
     if not sem.rules:
         return qg
-    store = QuadStore(qg)
-    close(store, local_rules(sem, qg.contexts()), 0)
-    if len(store) == len(qg):
+    closed = QuadGraph(qg)
+    close(closed, local_rules(sem, qg.contexts()), 0)
+    if len(closed) == len(qg):
         return qg
-    return store.freeze()
+    return closed

@@ -288,15 +288,15 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False,
                  bnode_prefix: Optional[str] = None) -> QuadGraph:
     """Parse N-Quads: one quad per statement, graph label required.
 
-    Duplicates collapse (set semantics).  ``bnode_prefix`` renames
-    document-scoped blank labels apart for multi-file loads; skolem
-    labels (reserved ``sk_`` prefix) are never renamed.  Strict mode
-    rejects generalized triples: literal subjects or predicates and
-    blank-node predicates.  The module docstring says how a line is
-    read.
+    Duplicates collapse (set semantics); the graph's log keeps the
+    quads in file order.  ``bnode_prefix`` renames document-scoped blank
+    labels apart for multi-file loads; skolem labels (reserved ``sk_``
+    prefix) are never renamed.  Strict mode rejects generalized triples:
+    literal subjects or predicates and blank-node predicates.  The
+    module docstring says how a line is read.
     """
     text = _decode(data)
-    quads: set[Quad] = set()
+    quads: list[Quad] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         match = _statement(raw)
         if match is not None:
@@ -313,9 +313,9 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False,
                              and BLANK in (s.kind, p.kind, o.kind))):
                 # interned constants with an IRI context: what Quad()
                 # checks holds already
-                quads.add(_new_tuple(Quad, (g, s, p, o)))
+                quads.append(_new_tuple(Quad, (g, s, p, o)))
                 continue
-        quads.update(_scan_nquads_line(raw, lineno, strict, bnode_prefix))
+        quads.extend(_scan_nquads_line(raw, lineno, strict, bnode_prefix))
     return QuadGraph(quads)
 
 

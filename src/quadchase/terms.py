@@ -1,6 +1,6 @@
 """Core term and quad model: interned RDF constants, variables, quads,
-quad-graphs with matching indexes, the chase's append-only quad store,
-and substitutions.
+quad-graphs (the one quad container: parser output, chase working set
+and result, query input) with matching indexes, and substitutions.
 
 Every constant has a canonical serialization (N-Quads term syntax with
 lowercase hex escapes) and two constants are equal exactly when their
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
 
 IRI = "iri"
 BLANK = "blank"
@@ -432,23 +432,136 @@ def apply_substitution(pattern: Union[Quad, QuadPattern],
     return QuadPattern(pattern.ctx, s, p, o)
 
 
-class _QuadIndex:
-    """Candidate lookup shared by ``QuadGraph`` and ``QuadStore``.
+class QuadGraph:
+    """A set of quads in insertion order, with matching indexes.
 
-    Both keep a bucket of quads per context (``_by_ctx``).  The first
-    lookup that binds slot s, p or o in a context builds that slot's
-    term -> bucket map from the context's bucket and keeps it in
-    ``_maps[ctx]``; a store extends the maps it has as it grows.  So a
-    map exists only for a (context, slot) pair some lookup has read, and
-    each of its buckets lists its quads in the order of the context's
-    bucket.  A lookup walks the smallest bucket among the slots it binds.
+    ``log`` lists the quads in the order they came in, and ``positions``
+    maps each quad to its index there; ``quads`` is the set view of
+    ``positions``.  ``QuadGraph(quads)`` drops duplicates, keeping first
+    occurrences, and ``add`` appends: ``log[mark:]`` is what was added
+    since the graph held ``mark`` quads.  Equality and hash go by the
+    set of quads; the hash is cached, so a graph that has been hashed
+    must not grow.
+
+    The first lookup that reads a bucket builds one bucket per context
+    from the log (``_ensure_indexes``); the s, p or o map of a context
+    is built from its bucket by the first lookup that binds that slot
+    there.  ``add`` extends the buckets and maps built so far, so each
+    bucket lists its quads in log order: the quads of a bucket added
+    since ``mark`` are its tail from the first one at position ``mark``
+    or later.  A fully bound lookup reads no bucket.  A graph that does
+    not grow is safe to share across threads: each index is assigned
+    only once it is complete (the context maps before the buckets that
+    mark them built), and two threads that build the same index build
+    equal ones.
     """
 
-    __slots__ = ()
+    __slots__ = ("log", "positions", "_by_ctx", "_maps", "_hash")
 
-    _by_ctx: dict[Constant, list[Quad]]
+    _by_ctx: Optional[dict[Constant, list[Quad]]]
     # context -> its s, p and o maps, None until a lookup reads one
-    _maps: dict[Constant, list[Optional[dict[Constant, list[Quad]]]]]
+    _maps: Optional[dict[Constant,
+                         list[Optional[dict[Constant, list[Quad]]]]]]
+
+    def __init__(self, quads: Iterable[Quad] = ()) -> None:
+        # dict.fromkeys drops duplicates in C, keeping first occurrences
+        self.log: list[Quad] = list(dict.fromkeys(quads))
+        for q in self.log:
+            if not isinstance(q, Quad):
+                raise TermError("QuadGraph holds Quads, got %r" % (q,))
+        self.positions: dict[Quad, int] = dict(
+            zip(self.log, range(len(self.log))))
+        self._by_ctx = self._maps = None
+        self._hash: Optional[int] = None
+
+    @property
+    def quads(self) -> KeysView[Quad]:
+        """The quads, as a set view.  ``set.difference`` walks a view
+        whole, so a hot path diffs against ``positions`` instead."""
+        return self.positions.keys()
+
+    def __len__(self) -> int:
+        return len(self.log)
+
+    def __iter__(self) -> Iterator[Quad]:
+        return iter(self.log)
+
+    def __contains__(self, q: object) -> bool:
+        return q in self.positions
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadGraph):
+            return NotImplemented
+        return self.positions.keys() == other.positions.keys()
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.positions))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled graphs rebuild from the log, without the
+        # indexes or a hash taken in another process
+        return (QuadGraph, (self.log,))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "QuadGraph(%d quads)" % len(self.log)
+
+    def add(self, q: Quad) -> bool:
+        """Append the quad ``q``; False when it was already present."""
+        if q in self.positions:
+            return False
+        self.positions[q] = len(self.log)
+        self.log.append(q)
+        self._hash = None
+        if self._by_ctx is None:
+            return True
+        ctx = q[0]
+        bucket = self._by_ctx.get(ctx)
+        if bucket is None:
+            # a lookup builds no map for a context without quads
+            self._maps[ctx] = [None, None, None]
+            self._by_ctx[ctx] = [q]
+            return True
+        bucket.append(q)
+        for j, index in enumerate(self._maps[ctx], 1):
+            if index is not None:
+                index.setdefault(q[j], []).append(q)
+        return True
+
+    def contexts(self) -> set[Constant]:
+        return {q[0] for q in self.log}
+
+    def graph_of(self, ctx: Constant) -> frozenset[tuple]:
+        """The triple projection of one context; empty if unused."""
+        if not isinstance(ctx, Constant) or ctx.kind != IRI:
+            raise TermError("graph_of needs an IRI context")
+        self._ensure_indexes()
+        return frozenset(q.triple for q in self._by_ctx.get(ctx, ()))
+
+    def union(self, quads: Iterable[Quad]) -> "QuadGraph":
+        extra = [q for q in quads if q not in self.positions]
+        if not extra:
+            return self
+        return QuadGraph(self.log + extra)
+
+    def sorted_quads(self) -> list[Quad]:
+        return sorted(self.log, key=Quad.sort_key)
+
+    def constants(self) -> set[Constant]:
+        out: set[Constant] = set()
+        for q in self.log:
+            out.update(q)
+        return out
+
+    def _ensure_indexes(self) -> None:
+        if self._by_ctx is not None:
+            return
+        by_ctx: dict[Constant, list[Quad]] = {}
+        for q in self.log:
+            by_ctx.setdefault(q[0], []).append(q)
+        self._maps = {ctx: [None, None, None] for ctx in by_ctx}
+        self._by_ctx = by_ctx
 
     def bucket(self, ctx: Constant, s: Optional[Constant],
                p: Optional[Constant], o: Optional[Constant]
@@ -457,8 +570,10 @@ class _QuadIndex:
         that matches the given ground slots; it may hold others too.
         Ties go to the context, then s, then p, then o."""
         if s is not None and p is not None and o is not None:
-            q = Quad(ctx, s, p, o)
-            return (q,) if q in self else ()
+            i = self.positions.get((ctx, s, p, o))
+            return () if i is None else (self.log[i],)
+        if self._by_ctx is None:
+            self._ensure_indexes()
         pool = self._by_ctx.get(ctx)
         if not pool:
             return ()
@@ -495,154 +610,6 @@ class _QuadIndex:
                         o: Optional[Constant] = None) -> int:
         """Cheap upper estimate of matching quads (index bucket size)."""
         return len(self.bucket(ctx, s, p, o))
-
-
-class QuadGraph(_QuadIndex):
-    """An immutable set of quads with matching indexes.
-
-    The first lookup builds the per-context buckets (``_ensure_indexes``,
-    which every lookup calls first); the s, p and o maps of a context are
-    built by the first lookup that binds that slot there.  Instances are
-    safe to share across threads: each index is assigned only once it is
-    complete (the context maps before the buckets that mark them built),
-    and two threads that build the same index build equal ones.
-    """
-
-    __slots__ = ("_quads", "_by_ctx", "_maps", "_hash")
-
-    def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self._quads = frozenset(quads)
-        for q in self._quads:
-            if not isinstance(q, Quad):
-                raise TermError("QuadGraph holds Quads, got %r" % (q,))
-        self._by_ctx: Optional[dict] = None
-        self._maps: Optional[dict] = None
-        self._hash: Optional[int] = None
-
-    @property
-    def quads(self) -> frozenset[Quad]:
-        return self._quads
-
-    def __len__(self) -> int:
-        return len(self._quads)
-
-    def __iter__(self) -> Iterator[Quad]:
-        return iter(self._quads)
-
-    def __contains__(self, q: object) -> bool:
-        return q in self._quads
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadGraph):
-            return NotImplemented
-        return self._quads == other._quads
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._quads)
-        return self._hash
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "QuadGraph(%d quads)" % len(self._quads)
-
-    def contexts(self) -> set[Constant]:
-        return {q.ctx for q in self._quads}
-
-    def graph_of(self, ctx: Constant) -> frozenset[tuple]:
-        """The triple projection of one context; empty if unused."""
-        if not isinstance(ctx, Constant) or ctx.kind != IRI:
-            raise TermError("graph_of needs an IRI context")
-        self._ensure_indexes()
-        return frozenset(q.triple for q in self._by_ctx.get(ctx, ()))
-
-    def union(self, quads: Iterable[Quad]) -> "QuadGraph":
-        extra = set(quads)
-        if not extra - self._quads:
-            return self
-        return QuadGraph(self._quads | extra)
-
-    def sorted_quads(self) -> list[Quad]:
-        return sorted(self._quads, key=Quad.sort_key)
-
-    def constants(self) -> set[Constant]:
-        out: set[Constant] = set()
-        for q in self._quads:
-            out.update(q)
-        return out
-
-    def _ensure_indexes(self) -> None:
-        if self._by_ctx is not None:
-            return
-        by_ctx: dict[Constant, list[Quad]] = {}
-        for q in self._quads:
-            by_ctx.setdefault(q[0], []).append(q)
-        self._maps = {ctx: [None, None, None] for ctx in by_ctx}
-        self._by_ctx = by_ctx
-
-    def bucket(self, ctx: Constant, s: Optional[Constant],
-               p: Optional[Constant], o: Optional[Constant]
-               ) -> Sequence[Quad]:
-        self._ensure_indexes()
-        return _QuadIndex.bucket(self, ctx, s, p, o)
-
-
-class QuadStore(_QuadIndex):
-    """A mutable, append-only set of quads, indexed as it grows.
-
-    ``log`` lists the quads in insertion order, and ``quads`` maps each
-    quad to its position there, so ``log[mark:]`` is what was added since
-    the store held ``mark`` quads.  ``add`` appends a quad to its
-    context's bucket and to the buckets of that context's maps built so
-    far, and a map is built from the context's bucket, so every bucket is
-    in log order: the quads of a bucket added since ``mark`` are its tail
-    from the first one at position ``mark`` or later.
-    """
-
-    __slots__ = ("quads", "log", "_by_ctx", "_maps")
-
-    def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self.quads: dict[Quad, int] = {}
-        self.log: list[Quad] = []
-        self._by_ctx = {}
-        self._maps = {}
-        for q in quads:
-            self.add(q)
-
-    def __len__(self) -> int:
-        return len(self.log)
-
-    def __contains__(self, q: object) -> bool:
-        return q in self.quads
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "QuadStore(%d quads)" % len(self.log)
-
-    def add(self, q: Quad) -> bool:
-        """Insert ``q``; False when it was already present."""
-        if q in self.quads:
-            return False
-        self.quads[q] = len(self.log)
-        self.log.append(q)
-        ctx = q[0]
-        bucket = self._by_ctx.get(ctx)
-        if bucket is None:
-            # a lookup builds no map for a context without quads
-            self._by_ctx[ctx] = [q]
-            self._maps[ctx] = [None, None, None]
-            return True
-        bucket.append(q)
-        for j, index in enumerate(self._maps[ctx], 1):
-            if index is not None:
-                index.setdefault(q[j], []).append(q)
-        return True
-
-    def freeze(self) -> QuadGraph:
-        """The stored quads as a QuadGraph.  Empties the store first, so
-        its table and indexes are not resident beside the graph."""
-        log, self.log = self.log, []
-        for table in (self.quads, self._by_ctx, self._maps):
-            table.clear()
-        return QuadGraph(log)
 
 
 def quad_graph_size(qg: QuadGraph) -> int:

@@ -152,6 +152,39 @@ def test_inconsistency_detected_at_iteration_zero():
     assert result.iteration_log == ()
 
 
+@pytest.mark.parametrize("semantics", [SIMPLE, rdfs_core(True)],
+                         ids=["simple", "rdfs-core"])
+@pytest.mark.parametrize("status", [COMPLETE, BUDGET_EXHAUSTED, INCONSISTENT])
+def test_the_chase_never_grows_its_callers_graph(example1_system,
+                                                 fig3_system, semantics,
+                                                 status):
+    """``run_chase`` and ``lclosure_quadgraph`` add only to graphs of
+    their own: the input graph keeps its length, its quads and its hash,
+    whether the run completes, runs out of budget or stops inconsistent
+    (under ``simple`` the closure returns its argument itself)."""
+    cfg = ChaseConfig(semantics=semantics)
+    if status == COMPLETE:
+        system = fig3_system
+    elif status == BUDGET_EXHAUSTED:
+        system = example1_system
+        cfg = ChaseConfig(semantics=semantics, max_iterations=2)
+    else:
+        system = QuadSystem(
+            QuadGraph([Quad(iri("c1"), iri("s"), iri("p"), iri("o"))]),
+            parse_rules(b"copy: c1(?x,?y,?z) -> c2(?x,?y,?z).\n"
+                        b"chk: c2(?x,<p>,?y) -> .").rules)
+    graph = system.quads
+    size, twin, digest = len(graph), QuadGraph(graph), hash(graph)
+    closed = lclosure_quadgraph(graph, semantics)
+    result = run_chase(system, cfg)
+    assert result.status == status
+    assert len(result.quads) > size
+    assert len(closed) >= size
+    assert len(graph) == size
+    assert graph == twin
+    assert hash(graph) == digest == hash(twin)
+
+
 def test_max_quads_budget(example1_system):
     result = run_chase(example1_system, ChaseConfig(
         semantics=rdfs_core(True), max_quads=60))
@@ -385,14 +418,14 @@ def test_local_closure_head_instances_grow_linearly(monkeypatch):
 def test_constraints_check_each_added_quad_once(monkeypatch):
     """A copy chain with an existential rule and a constraint: each
     constraint check joins through the quads added since the last one,
-    so the checks of the run tile the store log, and the chase is the
+    so the checks of the run tile the graph's log, and the chase is the
     naive one."""
     checked = []
     check = chase_module.check_constraints
 
-    def recorded(constraints, store, mark=0):
-        checked.append((mark, len(store)))
-        return check(constraints, store, mark)
+    def recorded(constraints, graph, mark=0):
+        checked.append((mark, len(graph)))
+        return check(constraints, graph, mark)
 
     monkeypatch.setattr(chase_module, "check_constraints", recorded)
     c = [iri("ctx%d" % i) for i in range(4)]

@@ -23,7 +23,6 @@ from quadchase.terms import (
     Quad,
     QuadGraph,
     QuadPattern,
-    QuadStore,
     Variable,
     blank,
     iri,
@@ -31,7 +30,8 @@ from quadchase.terms import (
 )
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
-from oracles import naive_match, naive_multihead_chase, random_acyclic_system
+from oracles import (grown_quadgraph, naive_match, naive_multihead_chase,
+                     random_acyclic_system)
 
 X1, X2, Y1 = Variable("x1"), Variable("x2"), Variable("y1")
 C1, C2, C3 = iri("c1"), iri("c2"), iri("c3")
@@ -233,7 +233,7 @@ _OBJECT_ATOM = QuadPattern(iri("ctx0"), Variable("v0"), Variable("v1"),
 @given(st.integers(0, 2 ** 32), st.none(), st.just(False))
 @example(5, _GROUND_ATOM, False)
 @example(9, _OBJECT_ATOM, False)
-@example(4, None, True)  # the mark is the store's size
+@example(4, None, True)  # the mark is the graph's size
 def test_delta_evaluation_covers_exactly_the_groundings_through_the_delta(
         seed, atom, all_old):
     """Split a random graph into the quads before a mark and those after
@@ -252,7 +252,7 @@ def test_delta_evaluation_covers_exactly_the_groundings_through_the_delta(
     rng.shuffle(quads)
     mark = len(quads) if all_old else rng.randrange(len(quads) + 1)
     old, full = QuadGraph(quads[:mark]), QuadGraph(quads)
-    store = QuadStore(quads)
+    grown = grown_quadgraph(quads)
     extra = (atom,) if atom is not None else ()
 
     def body():
@@ -262,12 +262,12 @@ def test_delta_evaluation_covers_exactly_the_groundings_through_the_delta(
         rule = BridgeRule("r%d" % i, body(),
                           _dense_patterns(rng, contexts, 1))
         for sk in skolemize(rule):
-            semi = derive([sk], store, mark)
+            semi = derive([sk], grown, mark)
             assert semi <= derive([sk], full)
             assert derive([sk], full) - derive([sk], old) - full.quads \
                 <= semi
     constraints = [BridgeRule("k%d" % i, body(), ()) for i in range(3)]
-    found = check_constraints(constraints, store, mark)
+    found = check_constraints(constraints, grown, mark)
     assert len(found) == len(set(found))
     assert set(found) == set(check_constraints(constraints, full)) \
         - set(check_constraints(constraints, old))
@@ -283,8 +283,8 @@ def test_a_bucket_with_old_quads_does_not_end_the_delta_join():
     rules = skolemize(BridgeRule(
         "r", (QuadPattern(C1, X1, p, X2), QuadPattern(C1, X2, p, Y1)),
         (QuadPattern(C1, X1, iri("q"), Y1),)))
-    store = QuadStore([old, new])
-    assert derive(rules, store, 1) \
+    graph = QuadGraph([old, new])
+    assert derive(rules, graph, 1) \
         == {Quad(C1, iri("a"), iri("q"), iri("d"))}
 
 
@@ -347,7 +347,7 @@ def test_match_patterns_agrees_with_naive_match(quads, patterns, binding,
         if any(mu[v].is_skolem() for v in no_skolem if v in mu):
             continue
         expected.append(_substitution_key({**binding, **mu}))
-    for graph in (QuadGraph(quads), QuadStore(quads)):
+    for graph in (QuadGraph(quads), grown_quadgraph(quads)):
         for order in (patterns, patterns[::-1]):
             got = [_substitution_key(mu) for mu in match_patterns(
                 graph, order, binding, no_skolem)]

@@ -129,6 +129,23 @@ def test_entails_quad_and_blank_as_existential():
                             Quad(iri("c"), iri("a"), iri("q"), blank("x")))
 
 
+def test_fully_bound_lookups_build_no_bucket():
+    """A membership test reads no index bucket, so a fresh parsed graph
+    builds none for it; the first partly bound lookup builds them."""
+    graph = parse_nquads(b"<a> <p> <b> <c> .\n<b> <p> <d> <c> .\n")
+    c, a, p, b = iri("c"), iri("a"), iri("p"), iri("b")
+    assert graph.candidates(c, a, p, b) == [Quad(c, a, p, b)]
+    assert graph.candidates(c, b, p, a) == []
+    assert graph.candidate_count(c, a, p, b) == 1
+    assert graph.candidate_count(iri("nowhere"), a, p, b) == 0
+    result = ChaseResult(graph, COMPLETE, (), 0, [])
+    assert entails_quad(result, Quad(c, a, p, b))
+    assert not entails_quad(result, Quad(c, b, p, b))
+    assert graph._by_ctx is None
+    assert graph.candidate_count(c, s=a) == 1
+    assert graph._by_ctx is not None
+
+
 def test_entails_quadgraph_shares_blanks():
     result = completed([Quad(iri("c"), iri("a"), iri("p"), iri("m")),
                         Quad(iri("c"), iri("m"), iri("q"), iri("b"))])

@@ -14,8 +14,7 @@ from quadchase.semantics import (
     local_rules,
     rdfs_core,
 )
-from quadchase.terms import (Quad, QuadGraph, QuadPattern, QuadStore,
-                             Variable, iri)
+from quadchase.terms import Quad, QuadGraph, QuadPattern, Variable, iri
 from quadchase.vocab import (
     RDF_TYPE,
     RDFS_RESOURCE,
@@ -179,13 +178,12 @@ def test_incremental_close_matches_naive_closure(seed, resource, schema):
     extra = graph(rng, max_quads=15)
     union = base.union(extra.quads)
     rules = local_rules(sem, union.contexts())
-    store = QuadStore(base)
-    close(store, rules, 0)
-    mark = len(store)
+    closed = QuadGraph(base)
+    close(closed, rules, 0)
+    mark = len(closed)
     for q in extra:
-        store.add(q)
-    close(store, rules, mark)
-    closed = store.freeze()
+        closed.add(q)
+    close(closed, rules, mark)
     assert closed.contexts() == union.contexts()
     for ctx in union.contexts():
         assert closed.graph_of(ctx) == naive_local_closure(
@@ -198,15 +196,15 @@ def test_same_size_context_with_other_triples_is_still_closed():
     c0, c1 = iri("c0"), iri("c1")
     A, B, C = iri("A"), iri("B"), iri("C")
     rules = local_rules(RDFS, [c0, c1])
-    store = QuadStore([Quad(c0, A, RDFS_SUBCLASSOF, B),
+    graph = QuadGraph([Quad(c0, A, RDFS_SUBCLASSOF, B),
                        Quad(c0, iri("x"), RDF_TYPE, A)])
-    close(store, rules, 0)
-    assert store.candidate_count(c0) == 3
-    mark = len(store)
+    close(graph, rules, 0)
+    assert graph.candidate_count(c0) == 3
+    mark = len(graph)
     for s, o in ((A, B), (B, C), (iri("y"), iri("z"))):
-        store.add(Quad(c1, s, RDFS_SUBCLASSOF, o))
-    close(store, rules, mark)
-    assert Quad(c1, A, RDFS_SUBCLASSOF, C) in store
+        graph.add(Quad(c1, s, RDFS_SUBCLASSOF, o))
+    close(graph, rules, mark)
+    assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
 
 
 def test_context_without_compiled_rules_is_never_a_source():
@@ -215,13 +213,13 @@ def test_context_without_compiled_rules_is_never_a_source():
     c0, c1 = iri("c0"), iri("c1")
     A, B, C = iri("A"), iri("B"), iri("C")
     chain = [(A, RDFS_SUBCLASSOF, B), (B, RDFS_SUBCLASSOF, C)]
-    store = QuadStore(Quad(c0, *t) for t in chain)
-    mark = len(store)
+    graph = QuadGraph(Quad(c0, *t) for t in chain)
+    mark = len(graph)
     for t in chain:
-        store.add(Quad(c1, *t))
-    close(store, local_rules(RDFS, [c1]), mark)
-    assert Quad(c1, A, RDFS_SUBCLASSOF, C) in store
-    assert Quad(c0, A, RDFS_SUBCLASSOF, C) not in store
+        graph.add(Quad(c1, *t))
+    close(graph, local_rules(RDFS, [c1]), mark)
+    assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
+    assert Quad(c0, A, RDFS_SUBCLASSOF, C) not in graph
 
 
 def test_closing_a_copy_chain_after_iteration_zero_derives_nothing(
@@ -249,9 +247,9 @@ def test_closing_a_copy_chain_after_iteration_zero_derives_nothing(
 
     per_close = []
 
-    def counted_close(store, rules, mark):
+    def counted_close(graph, rules, mark):
         before = heads[0]
-        close(store, rules, mark)
+        close(graph, rules, mark)
         per_close.append(heads[0] - before)
 
     monkeypatch.setattr(engine, "instantiate_head", counted)

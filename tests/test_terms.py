@@ -14,7 +14,6 @@ from quadchase.terms import (
     Quad,
     QuadGraph,
     QuadPattern,
-    QuadStore,
     SkolemCollisionError,
     TermError,
     Variable,
@@ -28,6 +27,7 @@ from quadchase.terms import (
 )
 
 from oracles import (
+    grown_quadgraph,
     random_constant,
     random_quadgraph,
     reference_escape_iri,
@@ -315,6 +315,35 @@ def test_union_is_idempotent_commutative_associative(seed):
         b.union(c.quads).quads)
 
 
+def test_graph_equality_and_hash_follow_add():
+    c = iri("c")
+    q1, q2 = (Quad(c, iri("s%d" % i), iri("p"), iri("o")) for i in (1, 2))
+    g = QuadGraph([q1])
+    first = hash(g)
+    assert first == hash(QuadGraph([q1]))
+    assert g.add(q2)
+    assert not g.add(q2)
+    assert g == QuadGraph([q2, q1]) and g != QuadGraph([q1])
+    assert hash(g) == hash(QuadGraph([q2, q1])) != first
+    assert g.log == [q1, q2] and list(g) == [q1, q2]
+    assert g.positions == {q1: 0, q2: 1} and g.quads == {q1, q2}
+
+
+def test_graph_keeps_first_occurrences_in_order_through_copies():
+    c = iri("c")
+    q1, q2, q3 = (Quad(c, iri("s%d" % i), iri("p"), iri("o"))
+                  for i in (1, 2, 3))
+    g = QuadGraph([q2, q1, q2, q3, q1])
+    assert g.log == [q2, q1, q3] and len(g) == 3
+    g.candidates(c, p=iri("p"))
+    hash(g)
+    for twin in (copy.copy(g), copy.deepcopy(g),
+                 pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin.log == g.log
+        assert twin._by_ctx is None and twin._hash is None
+        assert twin.log is not g.log
+
+
 def test_candidates_respect_indexes():
     c = iri("c")
     quads = [Quad(c, iri("s%d" % i), iri("p%d" % (i % 2)), iri("o"))
@@ -331,7 +360,7 @@ def test_candidates_respect_indexes():
 def test_candidates_equal_a_filter_for_every_bound_slot_combination(seed):
     rng = random.Random(seed)
     g = random_quadgraph(rng, max_quads=20, n_contexts=2)
-    store = QuadStore(g)
+    grown = grown_quadgraph(g)
     probes = [Quad(iri("ctx%d" % rng.randrange(2)), random_constant(rng),
                    random_constant(rng), random_constant(rng))]
     probes += rng.sample(sorted(g, key=Quad.sort_key), min(3, len(g)))
@@ -343,7 +372,7 @@ def test_candidates_equal_a_filter_for_every_bound_slot_combination(seed):
                 (q for q in g if q.ctx is probe.ctx
                  and s in (None, q.s) and p in (None, q.p)
                  and o in (None, q.o)), key=Quad.sort_key)
-            for index in (g, store):
+            for index in (g, grown):
                 got = index.candidates(probe.ctx, s, p, o)
                 assert sorted(got, key=Quad.sort_key) == expected
                 count = index.candidate_count(probe.ctx, s, p, o)
@@ -387,7 +416,7 @@ def _reference_bucket(log, ctx, keys):
     return pool
 
 
-def _check_lookup(index, log, kind, ctx, keys, in_log_order):
+def _check_lookup(index, log, kind, ctx, keys):
     expected = _reference_bucket(log, ctx, keys)
     got = getattr(index, kind)(ctx, *keys)
     if kind == "candidate_count":
@@ -397,11 +426,7 @@ def _check_lookup(index, log, kind, ctx, keys, in_log_order):
         expected = [q for q in expected
                     if all(k is None or q[j] is k
                            for j, k in enumerate(keys, 1))]
-    got = list(got)
-    if not in_log_order:
-        got.sort(key=Quad.sort_key)
-        expected.sort(key=Quad.sort_key)
-    assert got == expected
+    assert list(got) == expected
 
 
 def _stale_map_ops():
@@ -422,28 +447,29 @@ def _stale_map_ops():
              (False, True, True))])
 def test_lazy_index_maps_agree_with_a_filter_over_the_log(ops):
     """Any interleaving of adds and lookups, under every mask of bound
-    slots: a store's buckets are exactly the filters over its log that
-    the tie-break picks, in log order, and a graph of the same quads
-    gives the same buckets.  Maps are built by whichever lookup first
-    reads them, before a context's first quad or mid-stream."""
-    store = QuadStore()
+    slots: a growing graph's buckets are exactly the filters over its
+    log that the tie-break picks, in log order, and a graph built from
+    that log in one call gives the same buckets.  Buckets and maps are
+    built by whichever lookup first reads them, before a context's first
+    quad or mid-stream."""
+    grown = QuadGraph()
     log: list[Quad] = []
     graph = None
     for kind, probe, mask in ops:
         if kind == "add":
-            assert store.add(probe) == (probe not in log)
+            assert grown.add(probe) == (probe not in log)
             if probe not in log:
                 log.append(probe)
                 graph = None
             continue
         ctx, keys = probe[0], tuple(
             t if bound else None for t, bound in zip(probe[1:], mask))
-        _check_lookup(store, log, kind, ctx, keys, in_log_order=True)
+        _check_lookup(grown, log, kind, ctx, keys)
         if graph is None:
             graph = QuadGraph(log)
-        _check_lookup(graph, log, kind, ctx, keys, in_log_order=False)
-    assert store.log == log
-    assert {q: i for i, q in enumerate(log)} == store.quads
+        _check_lookup(graph, log, kind, ctx, keys)
+    assert grown.log == log
+    assert {q: i for i, q in enumerate(log)} == grown.positions
     # then every lookup, through whatever maps the stream left behind
     if graph is None:
         graph = QuadGraph(log)
@@ -452,9 +478,8 @@ def test_lazy_index_maps_agree_with_a_filter_over_the_log(ops):
         for mask in itertools.product((False, True), repeat=3):
             keys = tuple(t if bound else None
                          for t, bound in zip(probe[1:], mask))
-            for index, in_log_order in ((store, True), (graph, False)):
-                _check_lookup(index, log, "bucket", probe[0], keys,
-                              in_log_order)
+            for index in (grown, graph):
+                _check_lookup(index, log, "bucket", probe[0], keys)
 
 
 def test_concurrent_lookups_on_a_shared_graph_agree():
