@@ -52,9 +52,9 @@ from .syntax import (
     parse_nquads,
     parse_query,
     parse_rules,
-    serialize_nquads,
     serialize_query,
     serialize_rules,
+    write_nquads,
 )
 from .terms import SkolemCollisionError
 
@@ -74,14 +74,30 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _parse_file(parse, path: str, **options):
-    """``parse`` applied to the bytes of ``path``; a parse error names
-    the file before its location."""
-    data = _read(path)
+def _parse_file(parse, path: str, data: Optional[bytes] = None,
+                **options):
+    """``parse`` applied to ``data``, by default the bytes of ``path``;
+    a parse error names the file before its location."""
+    if data is None:
+        data = _read(path)
     try:
         return parse(data, **options)
     except ParseError as exc:
         raise ParseError("%s: %s" % (path, exc)) from exc
+
+
+class _DigestWriter:
+    """A binary file that takes the SHA-256 of the bytes written to it."""
+
+    def __init__(self, fh) -> None:
+        import hashlib  # only manifests need it
+
+        self.sha256 = hashlib.sha256()
+        self._write = fh.write
+
+    def write(self, data: bytes) -> int:
+        self.sha256.update(data)
+        return self._write(data)
 
 
 def _load_system(data_path: str, rules_path: str,
@@ -159,7 +175,8 @@ def cmd_chase(args: argparse.Namespace) -> int:
     result = run_chase(system, cfg)
     elapsed = time.monotonic() - started
     with open(args.output, "wb") as fh:
-        fh.write(serialize_nquads(result.quads))
+        digest = _DigestWriter(fh) if args.stats else None
+        write_nquads(result.quads, digest or fh)
     if result.status == BUDGET_EXHAUSTED:
         print("budget exhausted after %d iterations; partial chase "
               "written to %s" % (len(result.iteration_log), args.output),
@@ -173,13 +190,14 @@ def cmd_chase(args: argparse.Namespace) -> int:
         print("quad-system is inconsistent; partial chase written to %s"
               % args.output, file=sys.stderr)
     if args.stats:
-        _write_chase_manifest(args, system, result, sem_name, elapsed)
+        _write_chase_manifest(args, system, result, sem_name, elapsed,
+                              digest.sha256.hexdigest())
     return _STATUS_EXIT[result.status]
 
 
 def _write_chase_manifest(args: argparse.Namespace, system: QuadSystem,
                           result: ChaseResult, sem_name: str,
-                          elapsed: float) -> None:
+                          elapsed: float, output_sha256: str) -> None:
     graph = build_dependency_graph(system)
     verdict = is_context_acyclic(graph)
     saturation: Optional[dict] = None
@@ -194,6 +212,7 @@ def _write_chase_manifest(args: argparse.Namespace, system: QuadSystem,
         "version": __version__,
         "inputs": {"data": args.data, "rules": args.rules},
         "output": args.output,
+        "output_sha256": output_sha256,
         "semantics": sem_name,
         "rdfs_resource_rule": args.rdfs_resource_rule,
         "max_iterations": args.max_iterations,
@@ -220,8 +239,10 @@ def _write_chase_manifest(args: argparse.Namespace, system: QuadSystem,
         fh.write("\n")
 
 
-def _chase_status(path: str) -> str:
-    """The status a chase manifest records; complete when it has none."""
+def _chase_status(path: str, chase_path: str, chase: bytes) -> str:
+    """The status the chase manifest ``path`` records, complete when it
+    has none, once its ``output_sha256`` (when it has one) is checked
+    against the bytes ``chase`` read from ``chase_path``."""
     statuses = tuple(_STATUS_EXIT)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -234,14 +255,26 @@ def _chase_status(path: str) -> str:
     if status not in statuses:
         raise ParseError("%s: unknown chase status %r (choose from %s)"
                          % (path, status, ", ".join(statuses)))
+    recorded = manifest.get("output_sha256")
+    if recorded is not None:
+        import hashlib  # only manifests need it
+
+        actual = hashlib.sha256(chase).hexdigest()
+        if actual != recorded:
+            raise ParseError(
+                "%s does not match the chase manifest %s: its SHA-256 is "
+                "%s, the manifest records %s"
+                % (chase_path, path, actual, recorded))
     return status
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    quads = _parse_file(parse_nquads, args.dchase)
+    data = _read(args.dchase)
+    quads = _parse_file(parse_nquads, args.dchase, data)
     status = COMPLETE
     if args.chase_stats:
-        status = _chase_status(args.chase_stats)
+        status = _chase_status(args.chase_stats, args.dchase, data)
+    del data  # the query reads the graph, not the file
     result = ChaseResult(quads, status, (), 0, [])
     q = _parse_file(parse_query, args.query)
     started = time.monotonic()
@@ -307,7 +340,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         system, query = encode_dtm(machine, args.input_word, n=args.n)
     os.makedirs(args.output, exist_ok=True)
     with open(os.path.join(args.output, "system.nq"), "wb") as fh:
-        fh.write(serialize_nquads(system.quads))
+        write_nquads(system.quads, fh)
     with open(os.path.join(args.output, "rules.qrules"), "w",
               encoding="utf-8") as fh:
         fh.write(serialize_rules(system.rules))

@@ -37,6 +37,16 @@ Only ``_scan_nquads_term`` decodes a term, and the regex delimits each
 term exactly as the scanner does, so a line reads the same, and fails
 with the same ``ParseError``, on either path.
 
+Quad files stream, so neither side holds the whole file as text.
+``parse_nquads`` decodes bytes ``_CHUNK_BYTES`` (64 KiB) at a time, each
+chunk cut after a newline, and numbers lines across chunks, so a byte
+that is not UTF-8 is reported at its line and column; text input is one
+chunk.  ``write_nquads`` writes a graph to a binary file one context at
+a time, in canonical order, sorting that context's quads by canonical
+triple and formatting, encoding and writing ``_BLOCK_LINES`` (1,024)
+lines at a time.  Beyond the graph it holds one context's sort keys and
+one block; ``serialize_nquads`` is the same writer into memory.
+
 Parsers are not pure: every constant they read is interned into the
 process-wide table in ``terms``.  They are safe to call concurrently
 because interning is atomic.
@@ -44,8 +54,11 @@ because interning is atomic.
 
 from __future__ import annotations
 
+import io
 import re
-from typing import Iterable, Optional, Union
+from itertools import chain
+from operator import attrgetter
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from .engine import BridgeRule, RuleError
 from .terms import (
@@ -173,13 +186,43 @@ def _scan_name(s: str, i: int) -> tuple[str, int]:
 # N-Quads
 # ---------------------------------------------------------------------------
 
-def _decode(data: Union[bytes, str]) -> str:
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError("input is not valid UTF-8: %s" % exc)
-    return data
+def _decode(data: Union[bytes, str], line: int = 1) -> str:
+    """``data`` as text; ``line`` numbers its first line in the input,
+    so a byte that is not UTF-8 is reported at its line and column."""
+    if not isinstance(data, bytes):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError("input is not valid UTF-8: %s (byte 0x%02x)"
+                         % (exc.reason, data[exc.start]),
+                         line + data.count(b"\n", 0, start),
+                         len(data[start:exc.start].decode("utf-8")) + 1
+                         ) from None
+
+
+# Bytes decoded at a time when reading a quad file (and on to the end of
+# the line), and lines formatted and encoded at a time when writing one.
+_CHUNK_BYTES = 1 << 16
+_BLOCK_LINES = 1024
+
+
+def _text_chunks(data: Union[bytes, str]) -> Iterator[tuple[int, str]]:
+    """``data`` as consecutive pieces of text, each with the number of
+    its first line.  Bytes are cut after the first newline past
+    ``_CHUNK_BYTES`` bytes, never inside a UTF-8 character; text is one
+    piece."""
+    if not isinstance(data, bytes):
+        yield 1, data
+        return
+    line = 1
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK_BYTES) + 1 or len(data)
+        yield line, _decode(data[start:end], line)
+        line += data.count(b"\n", start, end)
+        start = end
 
 
 def _scan_nquads_term(s: str, i: int, line: int,
@@ -295,9 +338,10 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False,
     literal subjects or predicates and blank-node predicates.  The
     module docstring says how a line is read.
     """
-    text = _decode(data)
     quads: list[Quad] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    lines = chain.from_iterable(enumerate(text.split("\n"), first)
+                                for first, text in _text_chunks(data))
+    for lineno, raw in lines:
         match = _statement(raw)
         if match is not None:
             s, p, o, g = map(interned, match.groups())
@@ -319,11 +363,31 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False,
     return QuadGraph(quads)
 
 
+def write_nquads(qg: QuadGraph, fh: BinaryIO) -> None:
+    """Write deterministic N-Quads to the binary file ``fh``: the quads
+    sorted by canonical (context, s, p, o), in UTF-8.
+
+    Contexts go in canonical order (distinct contexts have distinct
+    canonicals), each with its quads sorted, and lines are formatted,
+    encoded and written ``_BLOCK_LINES`` at a time.  Beyond the graph,
+    this holds one context's sort keys and one block of text, never the
+    whole file.
+    """
+    by_ctx = qg.by_context()
+    for ctx in sorted(by_ctx, key=attrgetter("canonical")):
+        keys = sorted(map(Quad.sort_key, by_ctx[ctx]))
+        for i in range(0, len(keys), _BLOCK_LINES):
+            fh.write("".join([
+                "%s %s %s %s .\n" % (s, p, o, c)
+                for c, s, p, o in keys[i:i + _BLOCK_LINES]
+            ]).encode("utf-8"))
+
+
 def serialize_nquads(qg: QuadGraph) -> bytes:
-    """Deterministic N-Quads: quads sorted by canonical (context,s,p,o)."""
-    keys = sorted(map(Quad.sort_key, qg))
-    return "".join("%s %s %s %s .\n" % (s, p, o, ctx)
-                   for ctx, s, p, o in keys).encode("utf-8")
+    """The bytes ``write_nquads`` writes for ``qg``."""
+    out = io.BytesIO()
+    write_nquads(qg, out)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

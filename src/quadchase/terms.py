@@ -554,12 +554,21 @@ class QuadGraph:
             out.update(q)
         return out
 
-    def _ensure_indexes(self) -> None:
+    def by_context(self) -> dict[Constant, list[Quad]]:
+        """Each context's quads in log order, not to be modified: the
+        buckets once a lookup has built them, else a grouping made in one
+        pass over the log and not kept, so no index is built."""
         if self._by_ctx is not None:
-            return
+            return self._by_ctx
         by_ctx: dict[Constant, list[Quad]] = {}
         for q in self.log:
             by_ctx.setdefault(q[0], []).append(q)
+        return by_ctx
+
+    def _ensure_indexes(self) -> None:
+        if self._by_ctx is not None:
+            return
+        by_ctx = self.by_context()
         self._maps = {ctx: [None, None, None] for ctx in by_ctx}
         self._by_ctx = by_ctx
 

@@ -1,9 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
 from quadchase.cli import main
-from quadchase.syntax import parse_nquads, parse_query, parse_rules
+from quadchase.syntax import (
+    parse_nquads,
+    parse_query,
+    parse_rules,
+    serialize_nquads,
+)
 
 
 def run(capsys, *argv):
@@ -40,6 +46,15 @@ def test_bad_unicode_escape_names_its_position(capsys, tmp_path):
     assert err.startswith("error: %s: line 1, col 11: bad \\u escape '00zz'"
                           % bad)
     assert "invalid literal" not in err
+
+
+def test_bad_utf8_is_located(capsys, tmp_path):
+    bad = tmp_path / "bad.nq"
+    bad.write_bytes(b'<s> <p> <o> <g> .\n<s> <p> "\xc3\xa9\xff" <g> .\n')
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert err.startswith("error: %s: line 2, col 11: input is not valid "
+                          "UTF-8: invalid start byte (byte 0xff)" % bad)
 
 
 @pytest.mark.parametrize("command", ["chase", "deps", "check"])
@@ -237,6 +252,59 @@ def test_query_reads_a_manifest_without_status_as_complete(
     assert code == 0 and json.loads(out)["complete"] is True
 
 
+def _chase_with_manifest(capsys, fixtures_dir, tmp_path):
+    out_nq = tmp_path / "out.nq"
+    stats = tmp_path / "stats.json"
+    code, _, _ = run(capsys, "chase", fx(fixtures_dir, "fig3.nq"),
+                     fx(fixtures_dir, "fig3.qrules"),
+                     "-o", str(out_nq), "--stats", str(stats))
+    assert code == 0
+    return out_nq, stats
+
+
+def _query_json(capsys, tmp_path, out_nq, stats):
+    query = tmp_path / "q.ccq"
+    query.write_text("ask { c4(<s>, <p>, <o>) }\n")
+    return run(capsys, "query", str(out_nq), str(query), "--format", "json",
+               "--chase-stats", str(stats))
+
+
+def test_chase_manifest_records_the_chase_file_digest(capsys, fixtures_dir,
+                                                      tmp_path):
+    out_nq, stats = _chase_with_manifest(capsys, fixtures_dir, tmp_path)
+    doc = json.loads(stats.read_text())
+    assert doc["output_sha256"] \
+        == hashlib.sha256(out_nq.read_bytes()).hexdigest()
+    code, out, err = _query_json(capsys, tmp_path, out_nq, stats)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"boolean": True, "complete": True}
+
+
+def test_query_refuses_a_chase_file_its_manifest_does_not_describe(
+        capsys, fixtures_dir, tmp_path):
+    out_nq, stats = _chase_with_manifest(capsys, fixtures_dir, tmp_path)
+    recorded = json.loads(stats.read_text())["output_sha256"]
+    out_nq.write_bytes(out_nq.read_bytes() + b"<s> <p> <o> <c1> .\n")
+    code, out, err = _query_json(capsys, tmp_path, out_nq, stats)
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s does not match the chase manifest %s"
+                          % (out_nq, stats))
+    assert recorded in err
+    assert hashlib.sha256(out_nq.read_bytes()).hexdigest() in err
+
+
+def test_query_accepts_a_manifest_without_a_digest(capsys, fixtures_dir,
+                                                   tmp_path):
+    out_nq, stats = _chase_with_manifest(capsys, fixtures_dir, tmp_path)
+    doc = json.loads(stats.read_text())
+    del doc["output_sha256"]
+    stats.write_text(json.dumps(doc))
+    out_nq.write_bytes(out_nq.read_bytes() + b"<s> <p> <o> <c1> .\n")
+    code, out, err = _query_json(capsys, tmp_path, out_nq, stats)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"boolean": True, "complete": True}
+
+
 def test_encode_horn_pipeline(capsys, tmp_path):
     phi = tmp_path / "phi.horn"
     phi.write_text("t -> P\nP -> f\n")
@@ -247,6 +315,9 @@ def test_encode_horn_pipeline(capsys, tmp_path):
     rules = outdir / "rules.qrules"
     query = outdir / "query.ccq"
     assert system.exists() and rules.exists() and query.exists()
+    from quadchase.reductions import encode_horn, parse_horn
+    encoded, _ = encode_horn(parse_horn(phi.read_text()))
+    assert system.read_bytes() == serialize_nquads(encoded.quads)
     parse_rules(rules.read_bytes())
     parse_query(query.read_bytes())
     chased = tmp_path / "chase.nq"

@@ -37,5 +37,12 @@ def test_import_loads_no_introspection_modules(module):
     assert not added & HEAVY
 
 
+@pytest.mark.parametrize("module", ["quadchase", "quadchase.cli"])
+def test_import_loads_no_hashlib(module):
+    # only a chase manifest needs a digest, and the CLI imports hashlib
+    # when it writes or checks one
+    assert "hashlib" not in modules_after("import " + module)
+
+
 def test_cli_import_leaves_the_encoders_unloaded():
     assert "quadchase.reductions" not in modules_after("import quadchase.cli")

@@ -1,7 +1,10 @@
 import collections
+import io
 import itertools
 import random
+import tracemalloc
 import uuid
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +19,7 @@ from quadchase.syntax import (
     serialize_nquads,
     serialize_query,
     serialize_rules,
+    write_nquads,
 )
 from quadchase.terms import (
     Quad,
@@ -560,6 +564,185 @@ def test_interned_names_ending_in_a_dot_are_left_to_the_scanner():
         with pytest.raises(ParseError) as err:
             parse_nquads(doc)
         assert err.value.message == "line missing graph label (context)"
+
+
+# ---------------------------------------------------------------------------
+# Writing in blocks, reading in chunks
+# ---------------------------------------------------------------------------
+#
+# ``write_nquads`` sorts one context at a time and writes the lines in
+# blocks; ``parse_nquads`` decodes bytes a chunk at a time.  Either must
+# give what the whole-file code gives: the writer the bytes of one sorted
+# key list, the reader what it reads from the text decoded in one piece.
+
+def _one_shot(qg):
+    """The whole file from one sorted list of (context, s, p, o) keys."""
+    keys = sorted(map(Quad.sort_key, qg))
+    return "".join("%s %s %s %s .\n" % (s, p, o, ctx)
+                   for ctx, s, p, o in keys).encode("utf-8")
+
+
+class _Sink:
+    """A binary file that keeps the line count of each write and drops
+    the bytes."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, data):
+        self.lines.append(data.count(b"\n"))
+        return len(data)
+
+
+_written_constant = st.one_of(
+    _constant,
+    st.sampled_from([literal('q"uote\\d \n\t\x00 line'), literal("é€𝄞"),
+                     literal("x", lang="en-GB"),
+                     literal("1", datatype="http://www.w3.org/2001/"
+                                           "XMLSchema#integer")]),
+    st.builds(lambda args: skolem_constant("wr", 0, [iri(a) for a in args]),
+              st.lists(_label, min_size=1, max_size=2)),
+)
+# contexts whose canonicals share prefixes
+_written_context = st.one_of(
+    st.sampled_from(["a", "a/b", "ab", "a b", "a%2F", "é"]).map(iri),
+    _iri_text.map(iri))
+_written_quad = st.builds(Quad, _written_context, _written_constant,
+                          _written_constant, _written_constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_written_quad, max_size=40), st.sampled_from([1, 2, 3, 1024]),
+       st.booleans())
+def test_block_writer_matches_the_one_shot_serialization(quads, block,
+                                                         indexed):
+    g = QuadGraph(quads)
+    if indexed and quads:
+        g.graph_of(quads[0].ctx)
+    out, sink = io.BytesIO(), _Sink()
+    with mock.patch.object(syntax, "_BLOCK_LINES", block):
+        write_nquads(g, out)
+        write_nquads(g, sink)
+    assert out.getvalue() == serialize_nquads(g) == _one_shot(g)
+    assert all(0 < lines <= block for lines in sink.lines)
+    assert sum(sink.lines) == len(g)
+
+
+def test_a_context_spans_several_blocks():
+    big, small = iri("http://example.org/big"), iri("http://example.org/b")
+    quads = [Quad(big, iri("http://example.org/e%d" % (i % 613)),
+                  iri("http://example.org/p"), literal("v%d é" % i))
+             for i in range(2500)]
+    quads += [Quad(small, blank("x"), iri("p"), literal("y"))]
+    g = QuadGraph(reversed(quads))
+    sink = _Sink()
+    write_nquads(g, sink)
+    assert sink.lines == [1, 1024, 1024, 452]
+    assert serialize_nquads(g) == _one_shot(g)
+
+
+def test_writing_builds_no_index():
+    g = QuadGraph([Quad(iri("g%d" % (i % 3)), iri("s"), iri("p"),
+                        literal(str(i))) for i in range(10)])
+    assert serialize_nquads(g) == _one_shot(g)
+    assert g._by_ctx is None
+
+
+def test_writing_holds_one_context_and_one_block():
+    """The writer holds one context's sort keys (about 80 bytes a quad)
+    and one block of text, so twenty contexts of 1,000 quads each,
+    indexed as a chase leaves its graph, are written with a peak under a
+    quarter of the file.  The one-shot serializer peaks at about three
+    and a half times the file."""
+    quads = [Quad(iri("http://example.org/c%d" % c),
+                  iri("http://example.org/e%d" % (i % 997)),
+                  iri("http://example.org/p%d" % (i % 7)),
+                  literal("value %d" % i))
+             for c in range(20) for i in range(1000)]
+    g = QuadGraph(quads)
+    g.graph_of(quads[0].ctx)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        write_nquads(g, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(serialize_nquads(g))
+    assert sum(sink.lines) == len(g) and size > 1_500_000
+    assert peak < size / 4
+
+
+_CHUNKED = (
+    "# a comment\n"
+    '<s> <p> "é€𝄞 near a cut" <g> .\r\n'
+    "\n"
+    " \t\r\n"
+    "<s> <p> <o> <a/b> . # and a comment\r\n"
+    '_:b1 <p> "x"@en-GB <ab> .\n'
+    "# another comment\n"
+    '<s> <p> "1"^^<http://www.w3.org/2001/XMLSchema#integer> <a> .\n'
+    '<s> <p> "𝄞𝄞" <g> .'
+)
+
+
+@pytest.mark.parametrize("tail", [
+    "", "\n", "\r\n", "\n\n# last\n",
+    "\n<s> <p> <o> .\n",
+    '\n<é> <p> "é\\q" <g> .',
+    '\r\n<s> <p> "é" "x" <g> .\r\n',
+])
+def test_chunked_read_matches_the_whole_text(tail):
+    """Every cut of the bytes: the same graph, or the same error at the
+    same line and column, as the text read in one piece."""
+    text = _CHUNKED + tail
+    data = text.encode("utf-8")
+    expected = _outcome(parse_nquads, text)
+    for size in range(1, len(data) + 2):
+        with mock.patch.object(syntax, "_CHUNK_BYTES", size):
+            assert _outcome(parse_nquads, data) == expected, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_line_text(), max_size=8), st.sampled_from(["\n", "\r\n"]),
+       st.integers(1, 64))
+def test_chunked_read_of_random_documents(lines, newline, size):
+    text = newline.join(lines)
+    data = text.encode("utf-8")
+    with mock.patch.object(syntax, "_CHUNK_BYTES", size):
+        assert _outcome(parse_nquads, data) == _outcome(parse_nquads, text)
+
+
+_GOOD_LINE = '<s> <p> "é" <g> .\n'.encode("utf-8")
+
+
+@pytest.mark.parametrize("before, bad, col, reason", [
+    (3, b'<s> <p> "\xe2\x82\xac\xff" <g> .\n', 11, "invalid start byte"),
+    (5000, b'<s> <p> "\xe2\x82\xac\xff" <g> .\n', 11, "invalid start byte"),
+    (5000, b'<s\xc3\xa9> <p> <o> <g> . # \xe2\x82\n', 22,
+     "invalid continuation byte"),
+    (5000, b'<s\xc3\xa9> <p> <o> <g> . # \xe2\x82', 22,
+     "unexpected end of data"),
+])
+def test_a_byte_that_is_not_utf8_is_located(before, bad, col, reason):
+    """In the first chunk and in a later one, with multi-byte characters
+    before the bad byte on its line."""
+    data = _GOOD_LINE * before + bad
+    assert (len(_GOOD_LINE * before) > syntax._CHUNK_BYTES) == (before > 3)
+    with pytest.raises(ParseError) as err:
+        parse_nquads(data)
+    assert (err.value.line, err.value.col) == (before + 1, col)
+    assert err.value.message.startswith(
+        "input is not valid UTF-8: %s (byte 0x" % reason)
+
+
+def test_rule_and_query_files_locate_a_byte_that_is_not_utf8():
+    with pytest.raises(ParseError) as err:
+        parse_rules(b"r1: c1(?x, <p>, ?y) ->\n  c2(?x, <\xc3\xa9\xc3>, ?y) .")
+    assert (err.value.line, err.value.col) == (2, 12)
+    with pytest.raises(ParseError) as err:
+        parse_query(b"ask { c1(<\xff>, <p>, <o>) }")
+    assert (err.value.line, err.value.col) == (1, 11)
 
 
 # ---------------------------------------------------------------------------
