@@ -116,8 +116,7 @@ def run_chase(system: QuadSystem,
 
     non_gen, gen, constraints = skolemize_all(system.rules)
     local = local_rules(cfg.semantics, system.contexts())
-    # a copy: the closure returns the caller's graph when it adds nothing
-    qg = QuadGraph(lclosure_quadgraph(system.quads, cfg.semantics))
+    qg = lclosure_quadgraph(system.quads, cfg.semantics)
     log: list[IterationRecord] = []
     gen_count = 0
 

@@ -27,14 +27,6 @@ class ContextDependencyGraph(FrozenRecord):
     edges: frozenset[tuple[Constant, Constant]]
     provenance: dict[tuple[Constant, Constant], tuple[str, ...]]
 
-    def successors(self, node: Constant) -> list[Constant]:
-        return sorted((b for (a, b) in self.edges if a == node),
-                      key=lambda c: c.canonical)
-
-    def predecessors(self, node: Constant) -> list[Constant]:
-        return sorted((a for (a, b) in self.edges if b == node),
-                      key=lambda c: c.canonical)
-
 
 class AcyclicityVerdict(FrozenRecord):
     acyclic: bool

@@ -35,10 +35,8 @@ from .terms import (
     Quad,
     QuadGraph,
     QuadPattern,
-    Substitution,
     Term,
     Variable,
-    quad_graph_size,
     skolem_constant,
 )
 
@@ -176,20 +174,10 @@ class SkolemRule(FrozenRecord):
     def is_generating(self) -> bool:
         return self.head.has_function()
 
-    def size(self) -> int:
-        return 4 * (len(self.body) + 1)
-
     @cached_property
     def plan(self) -> "JoinPlan":
         """The body and head compiled for the join, once per rule."""
         return JoinPlan(self.body, self.head)
-
-
-def rule_size(r: Union[BridgeRule, SkolemRule]) -> int:
-    """Symbol size of a rule: four symbols per quad pattern."""
-    if isinstance(r, SkolemRule):
-        return r.size()
-    return 4 * (len(r.body) + len(r.head))
 
 
 class QuadSystem(FrozenRecord):
@@ -211,19 +199,18 @@ class QuadSystem(FrozenRecord):
         return [r for r in self.rules if r.is_constraint]
 
 
-def quad_system_size(qs: QuadSystem) -> int:
-    return quad_graph_size(qs.quads) + sum(rule_size(r) for r in qs.rules)
-
-
 def symbol_size(x: Union[QuadGraph, BridgeRule, SkolemRule,
                          QuadSystem]) -> int:
-    """Number of symbols needed to print the object."""
+    """Number of symbols needed to print the object: four per quad or
+    quad pattern (a skolemized rule has one head pattern)."""
     if isinstance(x, QuadGraph):
-        return quad_graph_size(x)
-    if isinstance(x, (BridgeRule, SkolemRule)):
-        return rule_size(x)
+        return 4 * len(x)
+    if isinstance(x, BridgeRule):
+        return 4 * (len(x.body) + len(x.head))
+    if isinstance(x, SkolemRule):
+        return 4 * (len(x.body) + 1)
     if isinstance(x, QuadSystem):
-        return quad_system_size(x)
+        return 4 * len(x.quads) + sum(map(symbol_size, x.rules))
     raise TypeError("no symbol size for %r" % (x,))
 
 
@@ -379,23 +366,20 @@ def _bind(quad: Quad, positions: tuple, binding: list,
 
 
 def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
-                   binding: Optional[Substitution] = None,
-                   no_skolem: frozenset[Variable] = frozenset()
-                   ) -> Iterator[Substitution]:
-    """All substitutions grounding every pattern into ``qg``.
+                   free: Sequence[Variable] = ()
+                   ) -> Iterator[tuple[Constant, ...]]:
+    """The values of the ``free`` variables, in order, in each grounding
+    of every pattern into ``qg``: one tuple per grounding.
 
     The patterns are compiled into a ``JoinPlan`` and joined by ``_join``.
-    Variables listed in ``no_skolem`` never bind to skolem blank nodes.
-    The result is independent of atom order.
+    Free variables, which must occur in the patterns, never bind skolem
+    blank nodes.  The result is independent of atom order.
     """
     plan = JoinPlan(patterns)
-    base: Substitution = dict(binding) if binding else {}
-    values = list(plan.initial)
-    values[:len(plan.variables)] = [base.get(v) for v in plan.variables]
-    skip = frozenset(i for i, v in enumerate(plan.variables)
-                     if v in no_skolem)
-    for _ in _join(qg, plan.atoms, values, skip):
-        yield {**base, **dict(zip(plan.variables, values))}
+    slots = [plan.variables.index(v) for v in free]
+    binding = list(plan.initial)
+    for _ in _join(qg, plan.atoms, binding, frozenset(slots)):
+        yield tuple([binding[i] for i in slots])
 
 
 def _groundings(plan: JoinPlan, qg: QuadGraph, mark: int,
@@ -504,15 +488,11 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
 
 
 class Violation(FrozenRecord):
-    """A constraint body grounded into the data."""
+    """A constraint body grounded into the data; ``binding`` lists its
+    variables' values by variable name."""
 
     rule_id: str
     binding: tuple[tuple[Variable, Constant], ...]
-
-    @classmethod
-    def from_mapping(cls, rule_id: str, mu: Substitution) -> "Violation":
-        items = tuple(sorted(mu.items(), key=lambda kv: kv[0].name))
-        return cls(rule_id, items)
 
 
 def check_constraints(constraints: Sequence[BridgeRule], qg: QuadGraph,
@@ -530,6 +510,6 @@ def check_constraints(constraints: Sequence[BridgeRule], qg: QuadGraph,
         plan = rule.plan
         binding = list(plan.initial)
         for _ in _groundings(plan, qg, mark, binding):
-            found.append(Violation.from_mapping(
-                rule.rule_id, dict(zip(plan.variables, binding))))
+            found.append(Violation(rule.rule_id, tuple(sorted(
+                zip(plan.variables, binding), key=lambda kv: kv[0].name))))
     return found

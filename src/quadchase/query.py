@@ -80,12 +80,8 @@ def answers(result: ChaseResult, query: QueryDocument) -> AnswerSet:
             key=lambda c: c.canonical)
         rows = frozenset(itertools.product(universe, repeat=len(free)))
         return AnswerSet(free, rows, False)
-    rows = set()
-    for mu in match_patterns(result.quads, query.atoms,
-                             no_skolem=frozenset(free)):
-        rows.add(tuple(mu[v] for v in free))
-    return AnswerSet(free, frozenset(rows),
-                     result.status == COMPLETE)
+    rows = frozenset(match_patterns(result.quads, query.atoms, free))
+    return AnswerSet(free, rows, result.status == COMPLETE)
 
 
 def _quad_to_atom(quad: Quad, blank_vars: dict[Constant, Variable]

@@ -163,12 +163,10 @@ def lclosure_graph(triples: Iterable[Triple],
 
 
 def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
-    """Per-context closure of a quad-graph; contexts never mix.  Returns
-    ``qg`` itself when the closure adds nothing, and never grows it."""
-    if not sem.rules:
-        return qg
+    """Per-context closure of a quad-graph, as a new graph whose log
+    starts with ``qg``'s quads; contexts never mix, and ``qg`` is not
+    changed."""
     closed = QuadGraph(qg)
-    close(closed, local_rules(sem, qg.contexts()), 0)
-    if len(closed) == len(qg):
-        return qg
+    if sem.rules:
+        close(closed, local_rules(sem, qg.contexts()), 0)
     return closed

@@ -29,13 +29,15 @@ the usual shape (four terms separated by blanks, then ``.`` and an
 optional comment) matches one compiled regex, and each captured term
 text is looked up in the intern table (``terms.interned``); a term the
 table does not hold (new, or spelled non-canonically) is decoded by
-``_scan_nquads_term`` at the column where the character scanner would
-decode it, and the line is that quad.  Any other line goes to the
-character scanner ``_scan_nquads_line``: a plain blank ``bnode_prefix``
-renames, a generalized triple under strict mode, and any other layout.
-Only ``_scan_nquads_term`` decodes a term, and the regex delimits each
-term exactly as the scanner does, so a line reads the same, and fails
-with the same ``ParseError``, on either path.
+``_scan_term`` at the column where the character scanner would decode
+it, and the line is that quad.  Any other line goes to the character
+scanner ``_scan_nquads_line``: a generalized triple under strict mode,
+and any other layout.  Only ``_scan_term`` decodes a term, and the
+regex delimits each term exactly as the scanner does, so a line reads
+the same, and fails with the same ``ParseError``, on either path.  The
+rule and query tokenizer reads its IRIs, literals and blank nodes with
+``_scan_term`` too, so a term is spelled, and rejected, alike in every
+file.
 
 Quad files stream, so neither side holds the whole file as text.
 ``parse_nquads`` decodes bytes ``_CHUNK_BYTES`` (64 KiB) at a time, each
@@ -70,7 +72,7 @@ from .terms import (
     Quad,
     QuadGraph,
     QuadPattern,
-    SKOLEM_LABEL_PREFIX,
+    SKOLEM,
     Term,
     Variable,
     blank,
@@ -225,8 +227,9 @@ def _text_chunks(data: Union[bytes, str]) -> Iterator[tuple[int, str]]:
         start = end
 
 
-def _scan_nquads_term(s: str, i: int, line: int,
-                      bnode_prefix: Optional[str]) -> tuple[Constant, int]:
+def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
+    """The IRI, blank node or literal spelled at ``s[i]``, and the index
+    after it."""
     # A term whose source text is an interned canonical is that constant
     # (see ``terms.interned``); only a miss is decoded and built.
     ch = s[i]
@@ -242,8 +245,6 @@ def _scan_nquads_term(s: str, i: int, line: int,
         label, j = _scan_name(s, i + 2)
         if not label:
             raise ParseError("empty blank node label", line, i + 1)
-        if bnode_prefix and not label.startswith(SKOLEM_LABEL_PREFIX):
-            return blank(bnode_prefix + label), j
         return interned(s[i:j]) or blank(label), j
     if ch == '"':
         lex, j = _scan_string(s, i, line)
@@ -264,7 +265,7 @@ def _scan_nquads_term(s: str, i: int, line: int,
 # One statement in its usual shape, as a whole line: four terms (IRI,
 # blank node or literal; the context an IRI) separated by blanks, then
 # '.', then an optional comment.  Each term is delimited exactly as
-# ``_scan_nquads_term`` delimits it: an IRI ends at the first '>', a
+# ``_scan_term`` delimits it: an IRI ends at the first '>', a
 # literal at the first unescaped '"', and a name (blank label, language
 # tag) at the end of its run of name characters.  A name that ends in
 # '.' is left to the scanner, which hands that dot to the punctuation,
@@ -280,8 +281,7 @@ _statement = re.compile(
 _new_tuple = tuple.__new__
 
 
-def _scan_nquads_line(raw: str, lineno: int, strict: bool,
-                      bnode_prefix: Optional[str]) -> list[Quad]:
+def _scan_nquads_line(raw: str, lineno: int, strict: bool) -> list[Quad]:
     """The quads of one line, read a character at a time."""
     quads: list[Quad] = []
     i = 0
@@ -320,21 +320,19 @@ def _scan_nquads_line(raw: str, lineno: int, strict: bool,
             continue
         if len(terms) >= 4:
             raise ParseError("too many terms in statement", lineno, i + 1)
-        term, i = _scan_nquads_term(raw, i, lineno, bnode_prefix)
+        term, i = _scan_term(raw, i, lineno)
         terms.append(term)
     if terms:
         raise ParseError("statement not terminated by '.'", lineno, n)
     return quads
 
 
-def parse_nquads(data: Union[bytes, str], strict: bool = False,
-                 bnode_prefix: Optional[str] = None) -> QuadGraph:
+def parse_nquads(data: Union[bytes, str], strict: bool = False
+                 ) -> QuadGraph:
     """Parse N-Quads: one quad per statement, graph label required.
 
     Duplicates collapse (set semantics); the graph's log keeps the
-    quads in file order.  ``bnode_prefix`` renames document-scoped blank
-    labels apart for multi-file loads; skolem labels (reserved ``sk_``
-    prefix) are never renamed.  Strict mode rejects generalized triples:
+    quads in file order.  Strict mode rejects generalized triples:
     literal subjects or predicates and blank-node predicates.  The
     module docstring says how a line is read.
     """
@@ -349,17 +347,15 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False,
                 # decode each term the table lacks where the scanner
                 # would, to the same constant or the same error
                 s, p, o, g = [
-                    term if term is not None else _scan_nquads_term(
-                        raw, match.start(k), lineno, bnode_prefix)[0]
+                    term if term is not None
+                    else _scan_term(raw, match.start(k), lineno)[0]
                     for k, term in enumerate((s, p, o, g), 1)]
-            if (not (strict and (s.kind == LITERAL or p.kind != IRI))
-                    and not (bnode_prefix
-                             and BLANK in (s.kind, p.kind, o.kind))):
+            if not (strict and (s.kind == LITERAL or p.kind != IRI)):
                 # interned constants with an IRI context: what Quad()
                 # checks holds already
                 quads.append(_new_tuple(Quad, (g, s, p, o)))
                 continue
-        quads.extend(_scan_nquads_line(raw, lineno, strict, bnode_prefix))
+        quads.extend(_scan_nquads_line(raw, lineno, strict))
     return QuadGraph(quads)
 
 
@@ -395,7 +391,7 @@ def serialize_nquads(qg: QuadGraph) -> bytes:
 # ---------------------------------------------------------------------------
 
 class _Token(FrozenRecord):
-    kind: str   # IRI PNAME NAME VAR STRING BNODE PUNCT EOF
+    kind: str   # TERM PNAME NAME VAR PUNCT EOF
     value: object
     line: int
     col: int
@@ -426,37 +422,15 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token("PUNCT", ch, lineno, col))
                 i += 1
                 continue
-            if ch == "<":
-                value, i = _scan_iriref(raw, i, lineno)
-                tokens.append(_Token("IRI", value, lineno, col))
+            if ch in '<"' or raw[i:i + 2] == "_:":
+                term, i = _scan_term(raw, i, lineno)
+                tokens.append(_Token("TERM", term, lineno, col))
                 continue
             if ch == "?":
                 name, i = _scan_name(raw, i + 1)
                 if not name:
                     raise ParseError("empty variable name", lineno, col)
                 tokens.append(_Token("VAR", name, lineno, col))
-                continue
-            if ch == '"':
-                lex, i = _scan_string(raw, i, lineno)
-                dt = None
-                lang = None
-                if raw[i:i + 2] == "^^":
-                    if raw[i + 2:i + 3] == "<":
-                        dt, i = _scan_iriref(raw, i + 2, lineno)
-                    else:
-                        raise ParseError("datatype must be an IRI",
-                                         lineno, i + 3)
-                elif raw[i:i + 1] == "@":
-                    lang, i = _scan_name(raw, i + 1)
-                    if not lang:
-                        raise ParseError("empty language tag", lineno, i)
-                tokens.append(_Token("STRING", (lex, dt, lang), lineno, col))
-                continue
-            if raw[i:i + 2] == "_:":
-                label, i = _scan_name(raw, i + 2)
-                if not label:
-                    raise ParseError("empty blank node label", lineno, col)
-                tokens.append(_Token("BNODE", label, lineno, col))
                 continue
             if ch == "@":
                 word, i = _scan_name(raw, i + 1)
@@ -530,10 +504,10 @@ def _parse_prefix_decl(ts: _TokenStream, prefixes: dict[str, str]) -> None:
     name = tok.value
     ts.expect_punct(":")
     ns_tok = ts.next()
-    if ns_tok.kind != "IRI":
+    if ns_tok.kind != "TERM" or ns_tok.value.kind != IRI:
         raise ParseError("expected namespace IRI", ns_tok.line, ns_tok.col)
     ts.expect_punct(".")
-    prefixes[name] = ns_tok.value
+    prefixes[name] = ns_tok.value.lexical
 
 
 _KEYWORDS = {"ask", "select", "where", "exists"}
@@ -541,8 +515,11 @@ _KEYWORDS = {"ask", "select", "where", "exists"}
 
 def _term_from_token(tok: _Token, prefixes: dict[str, str],
                      allow_var: bool = True) -> Term:
-    if tok.kind == "IRI":
-        return iri(tok.value)
+    if tok.kind == "TERM":
+        if tok.value.kind in (BLANK, SKOLEM):
+            raise ParseError("blank node %s not allowed in a pattern"
+                             % tok.value.canonical, tok.line, tok.col)
+        return tok.value
     if tok.kind == "PNAME":
         return iri(_expand_pname(prefixes, tok))
     if tok.kind == "NAME":
@@ -550,16 +527,10 @@ def _term_from_token(tok: _Token, prefixes: dict[str, str],
             raise ParseError("reserved word %r used as term; write <%s>"
                              % (tok.value, tok.value), tok.line, tok.col)
         return iri(tok.value)
-    if tok.kind == "STRING":
-        lex, dt, lang = tok.value
-        return literal(lex, datatype=dt, lang=lang)
     if tok.kind == "VAR":
         if not allow_var:
             raise ParseError("variable not allowed here", tok.line, tok.col)
         return Variable(tok.value)
-    if tok.kind == "BNODE":
-        raise ParseError("blank node _:%s not allowed in a pattern"
-                         % tok.value, tok.line, tok.col)
     raise ParseError("expected a term", tok.line, tok.col)
 
 

@@ -619,8 +619,3 @@ class QuadGraph:
                         o: Optional[Constant] = None) -> int:
         """Cheap upper estimate of matching quads (index bucket size)."""
         return len(self.bucket(ctx, s, p, o))
-
-
-def quad_graph_size(qg: QuadGraph) -> int:
-    """Symbol size of a quad-graph: four symbols per quad."""
-    return 4 * len(qg)

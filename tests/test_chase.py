@@ -242,14 +242,14 @@ def test_growth_rate_stays_under_loose_exponent_bound(
         fig3_system, example1_system):
     """After a generating iteration and its non-generating tail, symbol
     size stays below ||before||^||rules|| (a deliberately loose cap)."""
-    from quadchase.engine import rule_size
+    from quadchase.engine import symbol_size
     corpus = [(fig3_system, ChaseConfig(record_log=True)),
               (example1_system, ChaseConfig(force_unrestricted=True,
                                             record_log=True))]
     for system, cfg in corpus:
         result = run_chase(system, cfg)
-        rules_size = max(sum(rule_size(r) for r in system.rules), 2)
-        start = 4 * len(lclosure_quadgraph(system.quads, cfg.semantics))
+        rules_size = max(sum(map(symbol_size, system.rules)), 2)
+        start = symbol_size(lclosure_quadgraph(system.quads, cfg.semantics))
         sizes = [start] + [4 * rec.cumulative
                            for rec in result.iteration_log]
         kinds = [None] + [rec.kind for rec in result.iteration_log]

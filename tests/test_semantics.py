@@ -36,7 +36,8 @@ def test_simple_is_identity():
     g = {(iri("a"), iri("b"), iri("c"))}
     assert lclosure_graph(g, SIMPLE) == frozenset(g)
     qg = QuadGraph([Quad(iri("c"), iri("a"), iri("b"), iri("c"))])
-    assert lclosure_quadgraph(qg, SIMPLE) is qg
+    closed = lclosure_quadgraph(qg, SIMPLE)
+    assert closed == qg and closed is not qg
 
 
 def test_subclass_instantiation():

@@ -133,12 +133,36 @@ def test_bad_escape_in_rules_is_a_parse_error():
     assert (err.value.line, err.value.col) == (1, 14)
 
 
-def test_bnode_prefix_renames_but_not_skolems():
-    g = parse_nquads(b"_:x <p> _:sk_r1_0_00ff <g> .", bnode_prefix="d0_")
-    (q,) = list(g)
-    assert q.s == blank("d0_x")
-    assert q.o.lexical == "sk_r1_0_00ff"
-    assert q.o.is_skolem()
+@pytest.mark.parametrize("term, message, offset", [
+    (r'"a\u00zz"', r"bad \u escape '00zz'", 2),
+    ('"abc', "unterminated string literal", 0),
+    ('"a"^^dt', "datatype must be an IRI", 5),
+    # the character after the '@'
+    ('"a"@ ', "empty language tag", 4),
+    ("_:b", "blank node _:b not allowed in a pattern", 0),
+])
+def test_rule_and_query_files_read_terms_as_nquads_does(term, message,
+                                                        offset):
+    """A rule file and a query file reject a bad term with the N-Quads
+    reader's message, ``offset`` columns past the term's first
+    character; a blank node, which N-Quads accepts, has no place in a
+    pattern."""
+    nquads = "<s> <p> %s <g> ." % term
+    if term.startswith("_:"):
+        assert len(parse_nquads(nquads)) == 1
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_nquads(nquads)
+        assert err.value.col == len("<s> <p> ") + 1 + offset
+        assert err.value.message.startswith(message)
+        message = err.value.message
+    for parse, template in [
+            (parse_rules, "r: <c>(?x, <p>, %s) -> <d>(?x, <p>, ?x) ."),
+            (parse_query, "ask { <c>(?x, <p>, %s) }")]:
+        with pytest.raises(ParseError) as err:
+            parse(template % term)
+        assert (err.value.line, err.value.col, err.value.message) \
+            == (1, template.index("%s") + 1 + offset, message)
 
 
 def test_serialize_sorted_and_parse_round_trip():
@@ -254,23 +278,6 @@ def test_any_iri_spelling_parses_to_the_factory_constant(spelled, warm):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_bnode_prefix_renames_interned_labels(warm):
-    label = _fresh("x")
-    sk_label = _fresh("sk_r1_0_")
-    if warm:
-        blank(label)
-        blank(sk_label)
-        blank("d0_" + label)
-    doc = "_:%s <p> _:%s <g> ." % (label, sk_label)
-    (q,) = list(parse_nquads(doc, bnode_prefix="d0_"))
-    assert q.s is blank("d0_" + label)
-    assert q.s is not blank(label)
-    assert q.o is blank(sk_label) and q.o.is_skolem()
-    (plain,) = list(parse_nquads(doc))
-    assert plain.s is blank(label)
-
-
-@pytest.mark.parametrize("warm", [False, True])
 def test_strict_rejects_interned_generalized_terms(warm):
     lex, bnode, g = _fresh("lit"), _fresh("b"), _fresh("g")
     if warm:
@@ -379,13 +386,13 @@ def test_reparsing_a_serialization_never_scans_a_term(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(syntax, name, wrapper)
 
-    counted("_scan_nquads_term", syntax._scan_nquads_term)
+    counted("_scan_term", syntax._scan_term)
     counted("_unescape", syntax._unescape)
     assert parse_nquads(data) == g
     assert calls == {}
     # the counters do see a line the regex leaves to the scanner
     assert parse_nquads(data + b"<a><b><c><d> .\n") != g
-    assert calls["_scan_nquads_term"] == 4
+    assert calls["_scan_term"] == 4
 
 
 def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
@@ -408,11 +415,11 @@ def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
         monkeypatch.setattr(syntax, name, wrapper)
 
     counted("_scan_nquads_line", syntax._scan_nquads_line)
-    counted("_scan_nquads_term", syntax._scan_nquads_term)
+    counted("_scan_term", syntax._scan_term)
     g = parse_nquads("\n".join(lines))
     assert calls["_scan_nquads_line"] == 0
     # 40 subjects, 3 predicates, 40 objects and 2 contexts are new
-    assert calls["_scan_nquads_term"] == 85
+    assert calls["_scan_term"] == 85
     assert g == _scanned("\n".join(lines))
 
 
@@ -424,12 +431,11 @@ def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
 # result is certain to be the scanner's.  The property below reads random
 # documents both ways and demands the same quads or the same error.
 
-def _scanned(doc, strict=False, bnode_prefix=None):
+def _scanned(doc, strict=False):
     """``doc`` read with every line left to the character scanner."""
     quads = set()
     for lineno, raw in enumerate(doc.split("\n"), start=1):
-        quads.update(syntax._scan_nquads_line(raw, lineno, strict,
-                                              bnode_prefix))
+        quads.update(syntax._scan_nquads_line(raw, lineno, strict))
     return QuadGraph(quads)
 
 
@@ -511,45 +517,43 @@ def _line_text(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_line_text(), max_size=6).map("\n".join), st.booleans(),
-       st.sampled_from([None, "d0_"]), st.booleans())
-@example("<s> <p> <o> <g> .", False, None, True)
-@example("<s>\t<p>\r<o>  <g>. # note", False, None, True)
-@example("<s><p><o><g>.", False, None, True)
-@example("<s> <p> <o> <g> . <s> <p> <o2> <g> .", False, None, True)
-@example("<s> <p> <o> <g> .#", False, None, True)
-@example("<s> <p> <o> <g> . x", False, None, True)
-@example(r"<s> <p> <o>> <g> .", False, None, True)
-@example(r"<s> <p> <s> <g> .", False, None, True)
-@example('<s> <p> "x"^^<> <g> .', False, None, True)
-@example('<s> <p> "x"^^<dt>@en <g> .', False, None, True)
-@example('<s> <p> "x"@en. <g> .', False, None, True)
-@example('<s> <p> "x"@en-GB <g> .', False, None, True)
-@example('<s> <p> "a\\"b" <g> .', False, None, True)
-@example('<s> <p> "a\\" <g> .', False, None, True)
-@example('<s> <p> "abc', False, None, True)
-@example("<s> <p> _:a. <g> .", False, None, True)
-@example("<s> <p> _:a.b <g> .", False, None, True)
-@example("<s> <p> _:... <g> .", False, None, True)
-@example("<s> <p> <o> _:g .", False, None, True)
-@example("<s> <p> <o> <g>", False, None, True)
-@example("<s> <p> <o> .", False, None, True)
-@example('"lit" <p> <o> <g> .', True, None, True)
-@example("<s> _:b <o> <g> .", True, None, True)
-@example('<s> "lit" <o> <g> .', True, None, True)
-@example("_:b <p> _:sk_r1_0_x <g> .", False, "d0_", True)
-@example("_:b <p> _:sk_r1_0_x <g> .", False, "d0_", False)
-def test_statement_regex_reads_like_the_scanner(doc, strict, bnode_prefix,
-                                                scanner_first):
+       st.booleans())
+@example("<s> <p> <o> <g> .", False, True)
+@example("<s>\t<p>\r<o>  <g>. # note", False, True)
+@example("<s><p><o><g>.", False, True)
+@example("<s> <p> <o> <g> . <s> <p> <o2> <g> .", False, True)
+@example("<s> <p> <o> <g> .#", False, True)
+@example("<s> <p> <o> <g> . x", False, True)
+@example(r"<s> <p> <o>> <g> .", False, True)
+@example(r"<s> <p> <s> <g> .", False, True)
+@example('<s> <p> "x"^^<> <g> .', False, True)
+@example('<s> <p> "x"^^<dt>@en <g> .', False, True)
+@example('<s> <p> "x"@en. <g> .', False, True)
+@example('<s> <p> "x"@en-GB <g> .', False, True)
+@example('<s> <p> "a\\"b" <g> .', False, True)
+@example('<s> <p> "a\\" <g> .', False, True)
+@example('<s> <p> "abc', False, True)
+@example("<s> <p> _:a. <g> .", False, True)
+@example("<s> <p> _:a.b <g> .", False, True)
+@example("<s> <p> _:... <g> .", False, True)
+@example("<s> <p> <o> _:g .", False, True)
+@example("<s> <p> <o> <g>", False, True)
+@example("<s> <p> <o> .", False, True)
+@example('"lit" <p> <o> <g> .', True, True)
+@example("<s> _:b <o> <g> .", True, True)
+@example('<s> "lit" <o> <g> .', True, True)
+@example("_:b <p> _:sk_r1_0_x <g> .", False, True)
+@example("_:b <p> _:sk_r1_0_x <g> .", False, False)
+def test_statement_regex_reads_like_the_scanner(doc, strict, scanner_first):
     """The same quads or the same error (class, line, column, message),
     for the whole document and for each line on its own.  With
     ``scanner_first`` the scanner interns the document's terms before
     ``parse_nquads`` reads it, so most lines take the regex path."""
-    options = dict(strict=strict, bnode_prefix=bnode_prefix)
     readers = [_scanned, parse_nquads]
     if not scanner_first:
         readers.reverse()
     for text in [doc] + doc.split("\n"):
-        outcomes = [_outcome(read, text, **options) for read in readers]
+        outcomes = [_outcome(read, text, strict=strict) for read in readers]
         assert outcomes[0] == outcomes[1], text
 
 

@@ -22,7 +22,6 @@ from quadchase.terms import (
     interned,
     iri,
     literal,
-    quad_graph_size,
     skolem_constant,
 )
 
@@ -297,10 +296,11 @@ def test_substitution_composes_on_disjoint_domains(seed):
 
 
 def test_size_of_quadgraph():
-    assert quad_graph_size(QuadGraph()) == 0
+    from quadchase.engine import symbol_size
+    assert symbol_size(QuadGraph()) == 0
     g = QuadGraph([Quad(iri("c"), iri("a%d" % i), iri("p"), iri("o"))
                    for i in range(3)])
-    assert quad_graph_size(g) == 12
+    assert symbol_size(g) == 12
 
 
 @given(st.integers(0, 2 ** 32))
