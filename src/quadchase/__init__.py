@@ -24,9 +24,8 @@ from .engine import (
     BridgeRule,
     QuadSystem,
     SkolemRule,
-    apply_rule,
-    apply_ruleset,
     check_constraints,
+    derive,
     skolemize,
     symbol_size,
 )
@@ -78,8 +77,8 @@ __all__ = [
     "__version__",
     "Constant", "Quad", "QuadGraph", "QuadPattern", "Variable",
     "apply_substitution", "blank", "iri", "literal", "skolem_constant",
-    "BridgeRule", "QuadSystem", "SkolemRule", "apply_rule",
-    "apply_ruleset", "check_constraints", "skolemize", "symbol_size",
+    "BridgeRule", "QuadSystem", "SkolemRule", "check_constraints",
+    "derive", "skolemize", "symbol_size",
     "ParseError", "QueryDocument", "RuleDocument", "parse_nquads",
     "parse_query", "parse_rules", "serialize_nquads", "serialize_query",
     "serialize_rules",

@@ -18,7 +18,8 @@ mark, the graph size they last saw, and never copied.  A context the
 iteration fills with exactly the triples of a context it left alone is
 already closed, and its closure is skipped.
 The schedule and the output are those of re-running every rule over the
-whole graph and re-closing it from scratch.
+whole graph and re-closing it from scratch.  ``derive`` returns only the
+quads it adds, and every iteration's record counts them per context.
 
 Constraints (empty-head rules) are checked after every iteration's
 closure; the first violation stops the run with an inconsistent status.
@@ -75,7 +76,13 @@ class ChaseConfig(Record):
     max_iterations: Optional[int] = None
     max_quads: Optional[int] = None
     force_unrestricted: bool = False
-    record_log: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("max_iterations", "max_quads"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError("%s must not be negative, got %d"
+                                 % (name, value))
 
     def has_budget(self) -> bool:
         return self.max_iterations is not None or self.max_quads is not None
@@ -86,7 +93,7 @@ class IterationRecord(FrozenRecord):
     kind: str
     new_quads: int
     cumulative: int
-    per_context: Optional[dict[Constant, int]]
+    per_context: dict[Constant, int]
 
 
 class ChaseResult(Record):
@@ -136,33 +143,25 @@ def run_chase(system: QuadSystem,
             break
         index += 1
         before = len(qg)
-        derived = derive(non_gen, qg, non_gen_mark)
+        new = derive(non_gen, qg, non_gen_mark)
         non_gen_mark = before
-        new = derived.difference(qg.positions)
         kind = NON_GENERATING
         if not new:
             kind = GENERATING
             gen_count += 1
-            derived = derive(gen, qg, gen_mark)
+            new = derive(gen, qg, gen_mark)
             gen_mark = before
-            new = derived.difference(qg.positions)
             if not new:
-                log.append(IterationRecord(
-                    index, kind, 0, before,
-                    {} if cfg.record_log else None))
-                status = COMPLETE
+                log.append(IterationRecord(index, kind, 0, before, {}))
                 break
         for q in new:
             qg.add(q)
         close(qg, local, before)
-        added = qg.log[before:]
-        per_ctx: Optional[dict[Constant, int]] = None
-        if cfg.record_log:
-            per_ctx = {}
-            for q in added:
-                per_ctx[q.ctx] = per_ctx.get(q.ctx, 0) + 1
-        log.append(IterationRecord(index, kind, len(added), len(qg),
-                                   per_ctx))
+        per_context: dict[Constant, int] = {}
+        for q in qg.log[before:]:
+            per_context[q[0]] = per_context.get(q[0], 0) + 1
+        log.append(IterationRecord(index, kind, len(qg) - before, len(qg),
+                                   per_context))
         violations = check_constraints(constraints, qg, checked_mark)
         checked_mark = len(qg)
         if violations:
@@ -191,8 +190,7 @@ def entailment_closure_check(result: ChaseResult,
     if not result.complete:
         raise ValueError("closure check needs a complete chase")
     non_gen, gen, _ = skolemize_all(system.rules)
-    derived = derive(non_gen + gen, result.quads)
-    return derived <= result.quads.quads
+    return not derive(non_gen + gen, result.quads)
 
 
 class SaturationReport(Record):
@@ -210,17 +208,12 @@ def saturation_report(result: ChaseResult,
                       levels: LevelMap) -> SaturationReport:
     if not result.complete:
         raise ValueError("saturation report needs a complete chase")
-    for rec in result.iteration_log:
-        if rec.per_context is None:
-            raise ValueError("saturation report needs a chase run with "
-                             "record_log enabled")
     last_add: dict[Constant, int] = {c: 0 for c in levels.levels}
     for c in result.quads.contexts():
         last_add.setdefault(c, 0)
-    for rec in result.iteration_log:
-        for ctx, count in (rec.per_context or {}).items():
-            if count > 0:
-                last_add[ctx] = max(last_add.get(ctx, 0), rec.index)
+    for rec in result.iteration_log:  # in index order
+        for ctx in rec.per_context:
+            last_add[ctx] = rec.index
     gen_indices = [rec.index for rec in result.iteration_log
                    if rec.kind == GENERATING]
     problems: list[str] = []

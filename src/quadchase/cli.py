@@ -169,7 +169,6 @@ def cmd_chase(args: argparse.Namespace) -> int:
         max_iterations=args.max_iterations,
         max_quads=args.max_quads,
         force_unrestricted=args.force_unrestricted,
-        record_log=args.stats is not None,
     )
     started = time.monotonic()
     result = run_chase(system, cfg)
@@ -225,7 +224,9 @@ def _write_chase_manifest(args: argparse.Namespace, system: QuadSystem,
         "generating_iterations": result.generating_iterations,
         "iterations": [
             {"index": rec.index, "kind": rec.kind,
-             "new_quads": rec.new_quads, "cumulative": rec.cumulative}
+             "new_quads": rec.new_quads, "cumulative": rec.cumulative,
+             "per_context": {c.lexical: n
+                             for c, n in rec.per_context.items()}}
             for rec in result.iteration_log],
         "saturation": saturation,
         "violations": [

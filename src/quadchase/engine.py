@@ -19,6 +19,9 @@ so a chase compiles each rule once.
 Semi-naive evaluation takes a mark into a ``QuadGraph``: the quads added
 since the graph held ``mark`` quads are the tail of each index bucket,
 found by binary search on their log positions, so no delta is copied.
+The rule-application operator, ``derive``, returns only the head
+instances that are not in the graph yet, at every mark, so it is the one
+place that decides what a rule adds.
 """
 
 from __future__ import annotations
@@ -150,9 +153,6 @@ class SkolemAtom(FrozenRecord):
 
     def terms(self) -> tuple[HeadTerm, HeadTerm, HeadTerm]:
         return (self.s, self.p, self.o)
-
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Constant) for t in self.terms())
 
     def has_function(self) -> bool:
         return any(isinstance(t, SkolemTerm) for t in self.terms())
@@ -441,48 +441,25 @@ def instantiate_head(head: tuple, binding: list) -> Quad:
     return tuple.__new__(Quad, (ctx, binding[s], binding[p], binding[o]))
 
 
-def apply_rule(rule: SkolemRule, qg: QuadGraph) -> QuadGraph:
-    """The head instances of every body grounding into ``qg``.
-
-    Exactly the derived set: quads of ``qg`` appear in the result only if
-    they happen to be head instances.
-    """
-    return QuadGraph(derive([rule], qg))
-
-
-def apply_ruleset(rules: Sequence[SkolemRule], qg: QuadGraph) -> QuadGraph:
-    """Union of per-rule applications; rule order never matters."""
-    return QuadGraph(derive(rules, qg))
-
-
 def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
            mark: int = 0) -> set[Quad]:
-    """Set-level rule application.
+    """The head instances of the rules' body groundings into ``qg`` that
+    are not in ``qg``.
 
-    With ``mark`` 0, the head instances of every body grounding into
-    ``qg``.  With a nonzero ``mark`` (typically the size ``qg`` had when
-    the rules were last applied), only the new head instances of
-    groundings that use at least one quad added since ``qg`` held
-    ``mark`` quads: semi-naive evaluation, which misses nothing
-    new when every other grounding's head is already in ``qg``.  Such a
-    run also skips a rule whose ground head is already in ``qg``.
+    With a nonzero ``mark`` (typically the size ``qg`` had when the rules
+    were last applied), only groundings that use at least one quad added
+    since ``qg`` held ``mark`` quads count: semi-naive evaluation, which
+    misses nothing when every other grounding's head is already in
+    ``qg``.
     """
     out: set[Quad] = set()
     known = qg.positions
     for rule in rules:
         plan = rule.plan
         binding = list(plan.initial)
-        if rule.head.is_ground():
-            head = instantiate_head(plan.head, binding)
-            if not mark or head not in known:
-                # single possible output; one body match decides it
-                for _ in _groundings(plan, qg, mark, binding):
-                    out.add(head)
-                    break
-            continue
         for _ in _groundings(plan, qg, mark, binding):
             head = instantiate_head(plan.head, binding)
-            if not mark or head not in known:
+            if head not in known:
                 out.add(head)
     return out
 

@@ -440,8 +440,8 @@ class QuadGraph:
     ``positions``.  ``QuadGraph(quads)`` drops duplicates, keeping first
     occurrences, and ``add`` appends: ``log[mark:]`` is what was added
     since the graph held ``mark`` quads.  Equality and hash go by the
-    set of quads; the hash is cached, so a graph that has been hashed
-    must not grow.
+    set of quads; the hash is cached and ``add`` clears it, so it follows
+    the graph, but a graph must not grow while it is a set member or key.
 
     The first lookup that reads a bucket builds one bucket per context
     from the log (``_ensure_indexes``); the s, p or o map of a context
@@ -476,8 +476,7 @@ class QuadGraph:
 
     @property
     def quads(self) -> KeysView[Quad]:
-        """The quads, as a set view.  ``set.difference`` walks a view
-        whole, so a hot path diffs against ``positions`` instead."""
+        """The quads, as a set view."""
         return self.positions.keys()
 
     def __len__(self) -> int:

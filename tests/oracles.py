@@ -139,18 +139,14 @@ def naive_chase(system: QuadSystem, cfg: ChaseConfig) -> ChaseResult:
             gen_count += 1
             new = derive(gen, current) - current.quads
             if not new:
-                log.append(IterationRecord(
-                    index, kind, 0, len(current),
-                    {} if cfg.record_log else None))
+                log.append(IterationRecord(index, kind, 0, len(current), {}))
                 break
         updated = naive_quad_closure(current.union(new), cfg.semantics)
         added = updated.quads - current.quads
         current = updated
-        per_ctx = None
-        if cfg.record_log:
-            per_ctx = {}
-            for q in added:
-                per_ctx[q.ctx] = per_ctx.get(q.ctx, 0) + 1
+        per_ctx: dict[Constant, int] = {}
+        for q in added:
+            per_ctx[q.ctx] = per_ctx.get(q.ctx, 0) + 1
         log.append(IterationRecord(index, kind, len(added), len(current),
                                    per_ctx))
         violations = check_constraints(constraints, current)

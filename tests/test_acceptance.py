@@ -114,7 +114,7 @@ def test_criterion_2_fig3_levels_and_schedule():
         levels = compute_levels(graph)
         named = {c.lexical: lvl for c, lvl in levels.levels.items()}
         assert named == {"c2": 0, "c4": 0, "c1": 1, "c3": 2}
-        result = run_chase(system, ChaseConfig(record_log=True))
+        result = run_chase(system, ChaseConfig())
         assert result.complete
         assert result.generating_iterations <= 3
         sat = saturation_report(result, levels)
@@ -365,7 +365,7 @@ def test_criterion_9_invariant_suites():
         # chase growth, schedule, generating-iteration bounds
         for _ in range(60):
             system = random_acyclic_system(rng)
-            result = run_chase(system, ChaseConfig(record_log=True))
+            result = run_chase(system, ChaseConfig())
             assert result.complete
             sizes = [r.cumulative for r in result.iteration_log]
             assert all(b >= a for a, b in zip(sizes, sizes[1:]))

@@ -93,13 +93,13 @@ def test_budget_refusal_policy(example1_system):
 
 
 def test_acyclic_systems_never_need_budget(fig3_system):
-    result = run_chase(fig3_system, ChaseConfig(record_log=True))
+    result = run_chase(fig3_system, ChaseConfig())
     assert result.status == COMPLETE
     assert result.generating_iterations <= 3
 
 
 def test_fig3_saturation_schedule(fig3_system):
-    result = run_chase(fig3_system, ChaseConfig(record_log=True))
+    result = run_chase(fig3_system, ChaseConfig())
     levels = compute_levels(build_dependency_graph(fig3_system))
     report = saturation_report(result, levels)
     assert report.schedule_ok, report.problems
@@ -120,7 +120,7 @@ def test_no_tgc_fixture_saturates_before_any_generating_iteration():
     system = QuadSystem(
         QuadGraph([Quad(iri("c1"), iri("s"), iri("p"), iri("o"))]),
         doc.rules)
-    result = run_chase(system, ChaseConfig(record_log=True))
+    result = run_chase(system, ChaseConfig())
     levels = compute_levels(build_dependency_graph(system))
     assert levels.max_level == 0
     report = saturation_report(result, levels)
@@ -192,6 +192,16 @@ def test_max_quads_budget(example1_system):
     assert len(result.quads) > 60
 
 
+@pytest.mark.parametrize("field", ["max_iterations", "max_quads"])
+def test_negative_budgets_are_refused(example1_system, field):
+    with pytest.raises(ValueError, match="^%s must not be negative" % field):
+        ChaseConfig(**{field: -1})
+    # zero stays valid: no iteration, or a stop after the first
+    result = run_chase(example1_system, ChaseConfig(**{field: 0}))
+    assert result.status == BUDGET_EXHAUSTED
+    assert len(result.iteration_log) == (field == "max_quads")
+
+
 def test_determinism_in_process(example1_system, fig3_system):
     for system, cfg in [
             (example1_system, ChaseConfig(force_unrestricted=True)),
@@ -220,7 +230,7 @@ def test_entailment_closure_check(fig3_system):
 def test_schedule_conformance_and_monotone_growth(seed):
     rng = random.Random(seed)
     system = random_acyclic_system(rng)
-    cfg = ChaseConfig(record_log=True)
+    cfg = ChaseConfig()
     result = run_chase(system, cfg)
     assert result.complete
     reference = naive_chase(system, cfg)
@@ -243,9 +253,8 @@ def test_growth_rate_stays_under_loose_exponent_bound(
     """After a generating iteration and its non-generating tail, symbol
     size stays below ||before||^||rules|| (a deliberately loose cap)."""
     from quadchase.engine import symbol_size
-    corpus = [(fig3_system, ChaseConfig(record_log=True)),
-              (example1_system, ChaseConfig(force_unrestricted=True,
-                                            record_log=True))]
+    corpus = [(fig3_system, ChaseConfig()),
+              (example1_system, ChaseConfig(force_unrestricted=True))]
     for system, cfg in corpus:
         result = run_chase(system, cfg)
         rules_size = max(sum(map(symbol_size, system.rules)), 2)
@@ -262,16 +271,6 @@ def test_growth_rate_stays_under_loose_exponent_bound(
             assert sizes[j] <= max(sizes[i - 1], 2) ** rules_size
 
 
-def test_record_log_off_keeps_aggregate_log(fig3_system):
-    result = run_chase(fig3_system, ChaseConfig(record_log=False))
-    assert result.iteration_log
-    assert all(rec.per_context is None
-               for rec in result.iteration_log[:-1])
-    levels = compute_levels(build_dependency_graph(fig3_system))
-    with pytest.raises(ValueError):
-        saturation_report(result, levels)
-
-
 def _assert_same_as_naive(system, cfg):
     fast = run_chase(system, cfg)
     slow = naive_chase(system, cfg)
@@ -284,9 +283,9 @@ def _assert_same_as_naive(system, cfg):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32), st.booleans(), st.booleans(),
-       st.booleans(), st.booleans())
+       st.booleans())
 def test_semi_naive_chase_matches_naive_oracle(seed, firing, rdfs,
-                                               record_log, with_constraint):
+                                               with_constraint):
     """Random systems, optionally with a constraint, chased semi-naively
     and by the naive reference: the criterion-7 systems, and systems
     whose rules fire over several iterations.  A constraint is a random
@@ -305,8 +304,7 @@ def test_semi_naive_chase_matches_naive_oracle(seed, firing, rdfs,
         system = QuadSystem(system.quads,
                             system.rules + (BridgeRule("chk", body, ()),))
     cfg = ChaseConfig(semantics=rdfs_core(rng.random() < 0.5) if rdfs
-                      else SIMPLE, max_iterations=30, max_quads=300,
-                      record_log=record_log)
+                      else SIMPLE, max_iterations=30, max_quads=300)
     _assert_same_as_naive(system, cfg)
 
 
@@ -321,8 +319,7 @@ def test_semi_naive_rdfs_chase_matches_naive_oracle(seed, resource):
     schema = random_rdfs_quadgraph(rng, max_quads=10, n_contexts=2)
     system = QuadSystem(system.quads.union(schema.quads), system.rules)
     _assert_same_as_naive(system, ChaseConfig(
-        semantics=rdfs_core(resource), max_iterations=30, max_quads=300,
-        record_log=True))
+        semantics=rdfs_core(resource), max_iterations=30, max_quads=300))
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,8 +332,7 @@ def test_copy_system_chase_matches_naive_oracle(seed, resource):
     reference."""
     rng = random.Random(seed)
     _assert_same_as_naive(random_copy_system(rng), ChaseConfig(
-        semantics=rdfs_core(resource), max_iterations=30, max_quads=600,
-        record_log=True))
+        semantics=rdfs_core(resource), max_iterations=30, max_quads=600))
 
 
 @pytest.mark.parametrize("semantics", [SIMPLE, rdfs_core(True),
@@ -347,7 +343,7 @@ def test_semi_naive_chase_matches_naive_oracle_on_fixtures(
         example1_system, fig3_system, semantics, budget):
     for system in (example1_system, fig3_system):
         _assert_same_as_naive(system, ChaseConfig(
-            semantics=semantics, record_log=True, **budget))
+            semantics=semantics, **budget))
 
 
 def _horn_chain(k):

@@ -167,6 +167,8 @@ def test_chase_budget_exhausted_exit_code(capsys, fixtures_dir, tmp_path):
     assert doc["context_acyclic"] is False
     assert len(doc["iterations"]) == 10
     assert doc["saturation"] is None
+    for entry in doc["iterations"]:
+        assert sum(entry["per_context"].values()) == entry["new_quads"]
 
 
 def test_chase_stats_with_saturation(capsys, fixtures_dir, tmp_path):
@@ -180,6 +182,31 @@ def test_chase_stats_with_saturation(capsys, fixtures_dir, tmp_path):
     assert doc["status"] == "complete"
     assert doc["generating_iterations"] <= 3
     assert set(doc["saturation"]) >= {"c1", "c2", "c3", "c4"}
+    for entry in doc["iterations"]:
+        assert set(entry["per_context"]) <= set(doc["saturation"])
+        assert sum(entry["per_context"].values()) == entry["new_quads"]
+    # a context saturates in the last iteration that added to it
+    last = {c: e["index"] for e in doc["iterations"]
+            for c, n in e["per_context"].items() if n}
+    assert last == {c: i for c, i in doc["saturation"].items() if i}
+
+
+@pytest.mark.parametrize("flag", ["--max-iterations", "--max-quads"])
+def test_chase_refuses_a_negative_budget(capsys, fixtures_dir, tmp_path,
+                                         flag):
+    out_nq = tmp_path / "out.nq"
+    stats = tmp_path / "stats.json"
+    args = ("chase", fx(fixtures_dir, "fig3.nq"),
+            fx(fixtures_dir, "fig3.qrules"), "-o", str(out_nq),
+            "--stats", str(stats))
+    code, _, err = run(capsys, *args, flag, "-3")
+    assert code == 2
+    assert err.startswith("error: %s must not be negative"
+                          % flag[2:].replace("-", "_"))
+    assert not out_nq.exists() and not stats.exists()
+    # a zero budget is still a budget: it cuts the run
+    code, _, _ = run(capsys, *args, flag, "0")
+    assert code == 3 and out_nq.exists()
 
 
 def test_chase_inconsistent_exit_code(capsys, tmp_path):

@@ -9,8 +9,6 @@ from quadchase.engine import (
     QuadSystem,
     RuleError,
     SkolemTerm,
-    apply_rule,
-    apply_ruleset,
     check_constraints,
     derive,
     match_patterns,
@@ -23,6 +21,7 @@ from quadchase.terms import (
     QuadGraph,
     QuadPattern,
     Variable,
+    apply_substitution,
     blank,
     iri,
     skolem_constant,
@@ -91,21 +90,21 @@ def test_skolemize_refuses_constraints():
     assert len(non_gen) == 1 and len(gen) == 1 and constraints == [c]
 
 
-def test_apply_rule_single_match():
+def test_derive_single_match():
     (gen, _) = skolemize(EX1_RULE)
-    out = apply_rule(gen, QuadGraph([Quad(C1, iri("a"), iri("b"), U1)]))
+    out = derive([gen], QuadGraph([Quad(C1, iri("a"), iri("b"), U1)]))
     sk = skolem_constant("r1", 0, [iri("a"), iri("b")])
-    assert out == QuadGraph([Quad(C2, iri("a"), iri("b"), sk)])
+    assert out == {Quad(C2, iri("a"), iri("b"), sk)}
 
 
-def test_apply_rule_no_match():
+def test_derive_no_match():
     (gen, _) = skolemize(EX1_RULE)
-    out = apply_rule(gen, QuadGraph([Quad(C1, iri("a"), iri("b"),
-                                          iri("V"))]))
-    assert len(out) == 0
+    out = derive([gen], QuadGraph([Quad(C1, iri("a"), iri("b"),
+                                        iri("V"))]))
+    assert out == set()
 
 
-def test_apply_rule_cfg_terminal_shape():
+def test_derive_cfg_terminal_shape():
     # existential chain-extension rule: every class member sprouts a
     # t-edge to a fresh class member
     x, y = Variable("x"), Variable("y")
@@ -116,45 +115,43 @@ def test_apply_rule_cfg_terminal_shape():
     data = QuadGraph([Quad(c, iri("a"), RDF_TYPE, cls)])
     edge_rule, typing_rule = skolemize(r)
     b1 = skolem_constant("t1", 0, [iri("a")])
-    assert apply_rule(edge_rule, data) \
-        == QuadGraph([Quad(c, iri("a"), iri("t1"), b1)])
-    assert apply_rule(typing_rule, data) \
-        == QuadGraph([Quad(c, b1, RDF_TYPE, cls)])
+    assert derive([edge_rule], data) == {Quad(c, iri("a"), iri("t1"), b1)}
+    assert derive([typing_rule], data) == {Quad(c, b1, RDF_TYPE, cls)}
 
 
-def test_apply_ruleset_union_and_order_independence():
+def test_derive_union_order_independence_and_known_heads():
     (gen, typing) = skolemize(EX1_RULE)
     data = QuadGraph([Quad(C1, iri("a"), iri("b"), U1)])
-    both = apply_ruleset([gen, typing], data)
-    flipped = apply_ruleset([typing, gen], data)
-    assert both == flipped
+    both = derive([gen, typing], data)
+    assert both == derive([typing, gen], data)
     assert len(both) == 2
-    assert apply_ruleset([], data) == QuadGraph()
+    assert derive([], data) == set()
+    # a head instance already in the graph is not returned, at mark 0
+    typed = Quad(C3, iri("b"), RDF_TYPE, RDF_PROPERTY)
+    assert derive([gen, typing], data.union([typed])) == both - {typed}
 
 
-def test_apply_ruleset_example1_first_step(example1_system):
+def test_derive_example1_first_step(example1_system):
     # hand-derived first application on the initial closure: only the
     # two heads of the existential rule can fire
     non_gen, gen, _ = skolemize_all(example1_system.rules)
-    start = example1_system.quads
-    derived = apply_ruleset(non_gen + gen, start)
+    derived = derive(non_gen + gen, example1_system.quads)
     sk = skolem_constant("r1", 0, [iri("a"), iri("b")])
-    assert derived == QuadGraph([
-        Quad(C2, iri("a"), iri("b"), sk),
-        Quad(C3, iri("b"), RDF_TYPE, RDF_PROPERTY)])
+    assert derived == {Quad(C2, iri("a"), iri("b"), sk),
+                       Quad(C3, iri("b"), RDF_TYPE, RDF_PROPERTY)}
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32))
-def test_apply_rule_monotone(seed):
+def test_derive_monotone(seed):
     rng = random.Random(seed)
     system = random_acyclic_system(rng, max_rules=2)
     if not system.bridge_rules():
         return
     rule = skolemize(system.bridge_rules()[0])[0]
-    small = QuadGraph(list(system.quads)[: len(system.quads) // 2])
-    assert apply_rule(rule, small).quads \
-        <= apply_rule(rule, system.quads).quads
+    big = system.quads
+    small = QuadGraph(list(big)[: len(big) // 2])
+    assert derive([rule], small) <= derive([rule], big) | big.quads
 
 
 def test_check_constraints_reports_groundings():
@@ -343,6 +340,64 @@ def test_match_patterns_agrees_with_naive_match(quads, patterns, free):
             got = list(match_patterns(graph, order, free))
             assert sorted(got, key=_canonicals) \
                 == sorted(expected, key=_canonicals)
+
+
+_rule_terms = st.one_of(st.sampled_from(_MATCH_VARS),
+                        st.sampled_from(_MATCH_VOCAB + [iri("n2")]))
+_rule_patterns = st.builds(QuadPattern, st.sampled_from(_MATCH_CONTEXTS),
+                           _rule_terms, _rule_terms, _rule_terms)
+# a head without variables makes a ground-head rule
+_ground_patterns = st.builds(QuadPattern, st.sampled_from(_MATCH_CONTEXTS),
+                             *[st.sampled_from(_MATCH_VOCAB)] * 3)
+# (body, head) pairs; a head variable missing from the body is existential
+_rule_shapes = st.tuples(
+    st.lists(_rule_patterns, min_size=1, max_size=3),
+    st.lists(st.one_of(_ground_patterns, _rule_patterns), min_size=1,
+             max_size=2))
+# a ground head that is in the graph, between the body's two groundings
+_GROUND_HEAD = QuadPattern(iri("ctx1"), iri("n0"), iri("n1"), iri("n0"))
+_GROUND_HEAD_QUADS = [Quad(iri("ctx0"), iri("n0"), iri("n0"), iri("n0")),
+                      apply_substitution(_GROUND_HEAD, {}),
+                      Quad(iri("ctx0"), iri("n1"), iri("n1"), iri("n1"))]
+_GROUND_HEAD_SHAPE = ([QuadPattern(iri("ctx0"), X1, X1, X1)], [_GROUND_HEAD])
+
+
+def _naive_head(head, mu):
+    """The quad a skolemized head atom names under the grounding ``mu``."""
+    def ground(t):
+        if isinstance(t, SkolemTerm):
+            return skolem_constant(t.rule_id, t.fn_index,
+                                   [mu[a] for a in t.args])
+        return mu[t] if isinstance(t, Variable) else t
+    return Quad(head.ctx, *map(ground, head.terms()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quads=st.lists(st.builds(Quad, st.sampled_from(_MATCH_CONTEXTS),
+                                _match_terms, _match_terms, _match_terms),
+                      max_size=12),
+       shapes=st.lists(_rule_shapes, min_size=1, max_size=3))
+@example(quads=_GROUND_HEAD_QUADS, shapes=[_GROUND_HEAD_SHAPE])
+@example(quads=_GROUND_HEAD_QUADS[::-1], shapes=[_GROUND_HEAD_SHAPE])
+def test_derive_agrees_with_naive_match_at_every_mark(quads, shapes):
+    """At every mark from 0 to the graph's size, ``derive`` returns the
+    heads of the naive groundings that use a quad at a log position at or
+    past the mark (every grounding at mark 0), minus the graph's quads,
+    for random rules that include ground-head and generating ones."""
+    quads = list(dict.fromkeys(quads))
+    position = {q: i for i, q in enumerate(quads)}
+    rules = [sk for i, (body, head) in enumerate(shapes)
+             for sk in skolemize(BridgeRule("r%d" % i, tuple(body),
+                                            tuple(head)))]
+    # each grounding's head and the last log position of its body quads
+    heads = [(_naive_head(rule.head, mu),
+              max(position[apply_substitution(pat, mu)]
+                  for pat in rule.body))
+             for rule in rules for mu in naive_match(set(quads), rule.body)]
+    for graph in (QuadGraph(quads), grown_quadgraph(quads)):
+        for mark in range(len(quads) + 1):
+            expected = {head for head, last in heads if last >= mark}
+            assert derive(rules, graph, mark) == expected - set(quads)
 
 
 def test_each_frontier_binding_mints_its_null_once(monkeypatch):

@@ -90,11 +90,11 @@ CASES = [
     (LevelMap, dict(levels={C: 0, D: 1}, max_level=1), dict(max_level=2)),
     (ChaseConfig,
      dict(semantics=SIMPLE, max_iterations=3, max_quads=10,
-          force_unrestricted=False, record_log=True),
+          force_unrestricted=False),
      dict(max_quads=11)),
     (IterationRecord,
      dict(index=1, kind="generating", new_quads=2, cumulative=3,
-          per_context=None),
+          per_context={C: 2}),
      dict(cumulative=4)),
     (ChaseResult,
      dict(quads=GRAPH, status="complete", iteration_log=(),
@@ -126,13 +126,13 @@ CASES = [
 
 MUTABLE = {ChaseConfig, ChaseResult, SaturationReport}
 # frozen, but a field holds a dict, so hashing fails as it does for a dict
-HOLDS_DICT = {ContextDependencyGraph, LevelMap, DTM}
+HOLDS_DICT = {ContextDependencyGraph, LevelMap, DTM, IterationRecord}
 # classes that print themselves in their own notation
 OWN_REPR = {QuadPattern: "<http://example.org/c>:(?x, <http://example.org/p>, ?y)"}
 DEFAULTS = {
     AcyclicityVerdict: dict(witness=None),
     ChaseConfig: dict(semantics=SIMPLE, max_iterations=None, max_quads=None,
-                      force_unrestricted=False, record_log=False),
+                      force_unrestricted=False),
 }
 
 params = pytest.mark.parametrize(

@@ -60,7 +60,7 @@ def test_encoding_is_context_acyclic_with_chain():
 
 def test_counter_builds_four_chained_cells():
     system, _ = encode_dtm(ACCEPTING_1STEP, "a", n=1)
-    result = run_chase(system, ChaseConfig(record_log=True))
+    result = run_chase(system, ChaseConfig())
     assert result.complete
     assert result.generating_iterations <= 2
     c1 = element_context(1)
