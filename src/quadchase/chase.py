@@ -46,7 +46,7 @@ from .engine import (
 )
 from .semantics import (SIMPLE, LocalSemantics, close, lclosure_quadgraph,
                         local_rules)
-from .terms import Constant, FrozenRecord, QuadGraph, Record
+from .terms import Constant, FrozenRecord, QuadGraph
 
 COMPLETE = "complete"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -71,7 +71,7 @@ class ScheduleInvariantError(RuntimeError):
     """A proven bound failed at runtime; indicates an engine bug."""
 
 
-class ChaseConfig(Record):
+class ChaseConfig(FrozenRecord):
     semantics: LocalSemantics = SIMPLE
     max_iterations: Optional[int] = None
     max_quads: Optional[int] = None
@@ -96,12 +96,16 @@ class IterationRecord(FrozenRecord):
     per_context: dict[Constant, int]
 
 
-class ChaseResult(Record):
+class ChaseResult(FrozenRecord):
+    """The record of one run.  ``levels`` is the level map of a
+    context-acyclic system, None for any other."""
+
     quads: QuadGraph
     status: str
     iteration_log: tuple[IterationRecord, ...]
     generating_iterations: int
     violations: list[Violation]
+    levels: Optional[LevelMap] = None
 
     @property
     def complete(self) -> bool:
@@ -122,14 +126,15 @@ def run_chase(system: QuadSystem,
         levels = compute_levels(graph)
 
     non_gen, gen, constraints = skolemize_all(system.rules)
-    local = local_rules(cfg.semantics, system.contexts())
+    local = local_rules(cfg.semantics, graph.nodes)
     qg = lclosure_quadgraph(system.quads, cfg.semantics)
     log: list[IterationRecord] = []
     gen_count = 0
 
     violations = check_constraints(constraints, qg)
     if violations:
-        return ChaseResult(qg, INCONSISTENT, tuple(log), 0, violations)
+        return ChaseResult(qg, INCONSISTENT, tuple(log), 0, violations,
+                           levels)
 
     # Graph sizes when each rule group and the constraints last saw the
     # graph: the next evaluation only joins through what came after.
@@ -171,16 +176,15 @@ def run_chase(system: QuadSystem,
             status = BUDGET_EXHAUSTED
             break
 
-    result = ChaseResult(qg, status, tuple(log), gen_count, violations)
     if status == COMPLETE and levels is not None:
         bound = levels.max_level + 1
-        n_contexts = len(system.contexts()) or 1
+        n_contexts = len(graph.nodes) or 1
         if gen_count > bound or gen_count > n_contexts:
             raise ScheduleInvariantError(
                 "complete acyclic run used %d generating iterations; "
                 "bound is min(max level + 1 = %d, contexts = %d)"
                 % (gen_count, bound, n_contexts))
-    return result
+    return ChaseResult(qg, status, tuple(log), gen_count, violations, levels)
 
 
 def entailment_closure_check(result: ChaseResult,
@@ -193,7 +197,7 @@ def entailment_closure_check(result: ChaseResult,
     return not derive(non_gen + gen, result.quads)
 
 
-class SaturationReport(Record):
+class SaturationReport(FrozenRecord):
     """Earliest iteration after which each context stopped growing,
     checked against the level schedule (level-k contexts must be
     saturated before the (k+1)-th generating iteration)."""
@@ -204,13 +208,14 @@ class SaturationReport(Record):
     problems: list[str]
 
 
-def saturation_report(result: ChaseResult,
-                      levels: LevelMap) -> SaturationReport:
-    if not result.complete:
-        raise ValueError("saturation report needs a complete chase")
+def saturation_report(result: ChaseResult) -> SaturationReport:
+    """The report of a complete run of a context-acyclic system, from the
+    level map it carries; that map has every context of the system."""
+    levels = result.levels
+    if not result.complete or levels is None:
+        raise ValueError("saturation report needs a complete chase of a "
+                         "context-acyclic system")
     last_add: dict[Constant, int] = {c: 0 for c in levels.levels}
-    for c in result.quads.contexts():
-        last_add.setdefault(c, 0)
     for rec in result.iteration_log:  # in index order
         for ctx in rec.per_context:
             last_add[ctx] = rec.index

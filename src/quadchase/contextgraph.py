@@ -52,13 +52,11 @@ class NotContextAcyclicError(ValueError):
 
 def build_dependency_graph(system: QuadSystem) -> ContextDependencyGraph:
     """Nodes are every context in the data or rules; edges body->head."""
-    nodes: set[Constant] = set(system.quads.contexts())
     tgc: set[Constant] = set()
     prov: dict[tuple[Constant, Constant], list[str]] = {}
     for rule in system.rules:
         body_ctx = {p.ctx for p in rule.body}
         head_ctx = {p.ctx for p in rule.head}
-        nodes |= body_ctx | head_ctx
         existential = rule.existential_variables()
         for pat in rule.head:
             if pat.variables() & existential:
@@ -67,7 +65,7 @@ def build_dependency_graph(system: QuadSystem) -> ContextDependencyGraph:
             for b in head_ctx:
                 prov.setdefault((a, b), []).append(rule.rule_id)
     return ContextDependencyGraph(
-        frozenset(nodes), frozenset(tgc),
+        frozenset(system.contexts()), frozenset(tgc),
         frozenset(prov.keys()),
         {edge: tuple(sorted(set(ids))) for edge, ids in prov.items()})
 
@@ -234,14 +232,11 @@ def predicted_generating_iterations(lm: LevelMap) -> int:
     return lm.max_level
 
 
-def to_dot(graph: ContextDependencyGraph,
-           levels: Optional[LevelMap] = None) -> str:
+def to_dot(graph: ContextDependencyGraph) -> str:
     """DOT rendering; TGC nodes are starred."""
     lines = ["digraph contexts {"]
     for n in _sorted_nodes(graph):
         label = n.lexical + (" *" if n in graph.tgc else "")
-        if levels is not None:
-            label += " [%d]" % levels.levels[n]
         lines.append('  "%s" [label="%s"%s];'
                      % (n.lexical, label,
                         ", shape=doublecircle" if n in graph.tgc else ""))

@@ -195,9 +195,6 @@ class QuadSystem(FrozenRecord):
     def bridge_rules(self) -> list[BridgeRule]:
         return [r for r in self.rules if not r.is_constraint]
 
-    def constraints(self) -> list[BridgeRule]:
-        return [r for r in self.rules if r.is_constraint]
-
 
 def symbol_size(x: Union[QuadGraph, BridgeRule, SkolemRule,
                          QuadSystem]) -> int:

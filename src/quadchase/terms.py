@@ -14,9 +14,11 @@ Skolem blank nodes are labelled nulls whose identity is a deterministic
 function of (rule id, function index, argument vector); their labels use
 the reserved ``sk_`` prefix and are recognised on re-parse.
 
-The module also holds ``Record`` and ``FrozenRecord``, the base classes
-of every value record in the package (patterns, rules, parse results,
-chase configuration and reports).
+The module also holds ``FrozenRecord``, the one base class of every
+value record in the package (patterns, rules, parse results, chase
+configuration, results and reports): its fields are set once, when it
+is built.  A quad-graph is not a record: it grows, and like a ``set``
+it does not hash.
 """
 
 from __future__ import annotations
@@ -50,19 +52,21 @@ class SkolemCollisionError(RuntimeError):
     """
 
 
-class Record:
+class FrozenRecord:
     """A value record whose fields are the names annotated in its class
     body, in order; a field assigned in the class body takes that value
     as its default.
 
     ``Name(a, b=...)`` sets the fields positionally or by keyword and
     then calls ``__post_init__``, which a subclass overrides to check
-    them.  Two records are equal when they are of the same class and
-    their fields are equal; the ``repr`` is ``Name(field=value, ...)``.
-    A plain record is mutable and so unhashable; see ``FrozenRecord``.
-    Records copy and pickle through their instance ``__dict__``, without
-    running ``__post_init__`` again.  Fields are not inherited, so a
-    record class derives from one of these two bases directly.
+    them; a field cannot be set or deleted after that.  Two records are
+    equal when they are of the same class and their fields are equal,
+    and a record hashes by its fields, so one whose fields hold a dict
+    or a graph is unhashable, like the dict.  The ``repr`` is
+    ``Name(field=value, ...)``.  Records copy and pickle through their
+    instance ``__dict__``, without running ``__post_init__`` again.
+    Fields are not inherited, so a record class derives from this base
+    directly.
     """
 
     _fields: tuple[str, ...] = ()
@@ -102,15 +106,8 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
-
-
-class FrozenRecord(Record):
-    """A record whose fields cannot be set or deleted once built.  It
-    hashes by its fields, so one whose fields hold a dict is unhashable,
-    like the dict."""
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("cannot assign to %s.%s"
@@ -120,8 +117,9 @@ class FrozenRecord(Record):
         raise AttributeError("cannot delete %s.%s"
                              % (type(self).__name__, name))
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -456,7 +454,7 @@ class QuadGraph:
     equal ones.
     """
 
-    __slots__ = ("log", "positions", "_by_ctx", "_maps", "_hash")
+    __slots__ = ("log", "positions", "_by_ctx", "_maps")
 
     _by_ctx: Optional[dict[Constant, list[Quad]]]
     # context -> its s, p and o maps, None until a lookup reads one
@@ -472,7 +470,6 @@ class QuadGraph:
         self.positions: dict[Quad, int] = dict(
             zip(self.log, range(len(self.log))))
         self._by_ctx = self._maps = None
-        self._hash: Optional[int] = None
 
     @property
     def quads(self) -> KeysView[Quad]:
@@ -493,14 +490,11 @@ class QuadGraph:
             return NotImplemented
         return self.positions.keys() == other.positions.keys()
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.positions))
-        return self._hash
+    __hash__ = None
 
     def __reduce__(self) -> tuple:
         # copies and unpickled graphs rebuild from the log, without the
-        # indexes or a hash taken in another process
+        # indexes
         return (QuadGraph, (self.log,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -512,7 +506,6 @@ class QuadGraph:
             return False
         self.positions[q] = len(self.log)
         self.log.append(q)
-        self._hash = None
         if self._by_ctx is None:
             return True
         ctx = q[0]

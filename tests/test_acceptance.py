@@ -117,7 +117,8 @@ def test_criterion_2_fig3_levels_and_schedule():
         result = run_chase(system, ChaseConfig())
         assert result.complete
         assert result.generating_iterations <= 3
-        sat = saturation_report(result, levels)
+        assert result.levels == levels
+        sat = saturation_report(result)
         assert sat.schedule_ok, sat.problems
     report(2, t, "levels c2=0 c4=0 c1=1 c3=2; %d generating iterations; "
                  "saturation schedule holds" % result.generating_iterations)
@@ -377,7 +378,8 @@ def test_criterion_9_invariant_suites():
             assert result.generating_iterations <= levels.max_level + 1
             assert result.generating_iterations \
                 <= len(system.contexts())
-            sat = saturation_report(result, levels)
+            assert result.levels == levels
+            sat = saturation_report(result)
             assert sat.schedule_ok, sat.problems
     report(9, t, "lclosure x1000, round-trip x1000, partition x300, "
                  "skolem identity, chase growth/schedule/bounds x60")

@@ -100,8 +100,9 @@ def test_acyclic_systems_never_need_budget(fig3_system):
 
 def test_fig3_saturation_schedule(fig3_system):
     result = run_chase(fig3_system, ChaseConfig())
-    levels = compute_levels(build_dependency_graph(fig3_system))
-    report = saturation_report(result, levels)
+    levels = result.levels
+    assert levels == compute_levels(build_dependency_graph(fig3_system))
+    report = saturation_report(result)
     assert report.schedule_ok, report.problems
     gen = report.generating_indices
     named = {c.lexical: i for c, i in report.saturation.items()}
@@ -121,9 +122,9 @@ def test_no_tgc_fixture_saturates_before_any_generating_iteration():
         QuadGraph([Quad(iri("c1"), iri("s"), iri("p"), iri("o"))]),
         doc.rules)
     result = run_chase(system, ChaseConfig())
-    levels = compute_levels(build_dependency_graph(system))
-    assert levels.max_level == 0
-    report = saturation_report(result, levels)
+    assert result.levels == compute_levels(build_dependency_graph(system))
+    assert result.levels.max_level == 0
+    report = saturation_report(result)
     assert report.schedule_ok
     (vacuous_gen,) = report.generating_indices
     assert all(i < vacuous_gen for i in report.saturation.values())
@@ -159,8 +160,8 @@ def test_the_chase_never_grows_its_callers_graph(example1_system,
                                                  fig3_system, semantics,
                                                  status):
     """``run_chase`` and ``lclosure_quadgraph`` add only to graphs of
-    their own: the input graph keeps its length, its quads and its hash,
-    whether the run completes, runs out of budget or stops inconsistent
+    their own: the input graph keeps its length and its quads, whether
+    the run completes, runs out of budget or stops inconsistent
     (under ``simple`` the closure returns its argument itself)."""
     cfg = ChaseConfig(semantics=semantics)
     if status == COMPLETE:
@@ -174,7 +175,7 @@ def test_the_chase_never_grows_its_callers_graph(example1_system,
             parse_rules(b"copy: c1(?x,?y,?z) -> c2(?x,?y,?z).\n"
                         b"chk: c2(?x,<p>,?y) -> .").rules)
     graph = system.quads
-    size, twin, digest = len(graph), QuadGraph(graph), hash(graph)
+    size, twin = len(graph), QuadGraph(graph)
     closed = lclosure_quadgraph(graph, semantics)
     result = run_chase(system, cfg)
     assert result.status == status
@@ -182,7 +183,22 @@ def test_the_chase_never_grows_its_callers_graph(example1_system,
     assert len(closed) >= size
     assert len(graph) == size
     assert graph == twin
-    assert hash(graph) == digest == hash(twin)
+
+
+def test_a_checked_config_and_its_result_cannot_change(example1_system):
+    """A budget is checked once, when the config is built; no field of a
+    config or a result can be set afterwards, so a run cannot see a
+    budget that was never checked."""
+    cfg = ChaseConfig(max_iterations=2)
+    result = run_chase(example1_system, cfg)
+    for record, value in [(cfg, -3), (result, None)]:
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+    assert cfg.max_iterations == 2
+    again = run_chase(example1_system, cfg)
+    assert again.status == BUDGET_EXHAUSTED
+    assert len(again.iteration_log) == 2
 
 
 def test_max_quads_budget(example1_system):

@@ -234,6 +234,34 @@ def test_query_select_formats(capsys, fixtures_dir):
                    "complete": True}
 
 
+@pytest.mark.parametrize("query, exit_code, boolean, answers", [
+    ("beat.ccq", 0, False, 1),
+    ("ask { worldcup(?x, <beat>, <uruguay>) }\n", 1, True, None),
+], ids=["select", "ask"])
+def test_query_stats_manifest(capsys, fixtures_dir, tmp_path, query,
+                              exit_code, boolean, answers):
+    if query.endswith(".ccq"):
+        query_path = fx(fixtures_dir, query)
+    else:
+        query_path = tmp_path / "q.ccq"
+        query_path.write_text(query)
+    chase_stats = tmp_path / "chase.json"
+    chase_stats.write_text(json.dumps({"status": "budget-exhausted"}))
+    stats = tmp_path / "query.json"
+    with pytest.warns(UserWarning, match="partial"):
+        code, _, _ = run(capsys, "query", fx(fixtures_dir, "beat.nq"),
+                         str(query_path), "--chase-stats", str(chase_stats),
+                         "--stats", str(stats))
+    assert code == exit_code
+    doc = json.loads(stats.read_text())
+    assert set(doc) == {"tool", "version", "inputs", "chase_status",
+                        "elapsed_seconds", "boolean", "answers"}
+    assert doc["inputs"] == {"dchase": fx(fixtures_dir, "beat.nq"),
+                             "query": str(query_path)}
+    assert doc["chase_status"] == "budget-exhausted"
+    assert (doc["boolean"], doc["answers"]) == (boolean, answers)
+
+
 def test_query_boolean_false_exit(capsys, fixtures_dir, tmp_path):
     q = tmp_path / "q.ccq"
     q.write_text("ask { worldcup(<italy>, <beat>, <uruguay>) }\n")
@@ -406,6 +434,17 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "chase", "nope.nq", "nope.qrules",
                        "-o", "out.nq")
     assert code == 2
+
+
+def test_unknown_env_var_semantics_is_refused(capsys, fixtures_dir, tmp_path,
+                                              monkeypatch):
+    monkeypatch.setenv("QUADCHASE_SEMANTICS", "bogus")
+    out_nq = tmp_path / "out.nq"
+    code, _, err = run(capsys, "chase", fx(fixtures_dir, "fig3.nq"),
+                       fx(fixtures_dir, "fig3.qrules"), "-o", str(out_nq))
+    assert code == 2 and not out_nq.exists()
+    assert err == ("error: unknown local semantics 'bogus' "
+                   "(choose from simple, rdfs-core)\n")
 
 
 def test_env_var_semantics(capsys, fixtures_dir, tmp_path, monkeypatch):

@@ -2,9 +2,9 @@
 
 Each record is built from its fields, positionally or by keyword, with
 class-body defaults.  Records are equal only to records of the same class
-with equal fields, hash consistently with that equality when frozen,
-refuse every set and delete when frozen, print as ``Name(field=value,
-...)``, and survive copy, deepcopy and pickle.
+with equal fields, hash consistently with that equality, refuse every
+set and delete, print as ``Name(field=value, ...)``, and survive copy,
+deepcopy and pickle.
 """
 
 import copy
@@ -62,6 +62,7 @@ SK_TERM = SkolemTerm("r", 0, (X,))
 ATOM = SkolemAtom(D, X, P, SK_TERM)
 SK_RULE = SkolemRule("r", 0, (PAT,), ATOM)
 GRAPH = QuadGraph([Quad(C, A, P, B)])
+LEVELS = LevelMap({C: 0, D: 1}, 1)
 LOCAL_RULE = LocalRule("swap", ((X, P, Y),), (Y, P, X))
 
 # (class, its fields in declaration order, another value for one field)
@@ -98,7 +99,8 @@ CASES = [
      dict(cumulative=4)),
     (ChaseResult,
      dict(quads=GRAPH, status="complete", iteration_log=(),
-          generating_iterations=0, violations=[Violation("r", ((X, A),))]),
+          generating_iterations=0, violations=[Violation("r", ((X, A),))],
+          levels=LEVELS),
      dict(status="inconsistent")),
     (SaturationReport,
      dict(saturation={C: 1}, generating_indices=[1], schedule_ok=True,
@@ -124,15 +126,17 @@ CASES = [
      dict(witness=None)),
 ]
 
-MUTABLE = {ChaseConfig, ChaseResult, SaturationReport}
-# frozen, but a field holds a dict, so hashing fails as it does for a dict
-HOLDS_DICT = {ContextDependencyGraph, LevelMap, DTM, IterationRecord}
+# a field holds a dict, a list or a quad-graph, so hashing fails as it
+# does for that field
+UNHASHABLE = {ContextDependencyGraph, LevelMap, DTM, IterationRecord,
+              QuadSystem, ChaseResult, SaturationReport}
 # classes that print themselves in their own notation
 OWN_REPR = {QuadPattern: "<http://example.org/c>:(?x, <http://example.org/p>, ?y)"}
 DEFAULTS = {
     AcyclicityVerdict: dict(witness=None),
     ChaseConfig: dict(semantics=SIMPLE, max_iterations=None, max_quads=None,
                       force_unrestricted=False),
+    ChaseResult: dict(levels=None),
 }
 
 params = pytest.mark.parametrize(
@@ -213,7 +217,7 @@ def test_records_of_two_classes_differ_even_with_equal_fields(one, other):
 @params
 def test_hash_agrees_with_equality(cls, fields, other):
     record = build(cls, fields)
-    if cls in MUTABLE or cls in HOLDS_DICT:
+    if cls in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -224,11 +228,7 @@ def test_hash_agrees_with_equality(cls, fields, other):
 @params
 def test_frozen_records_refuse_set_and_delete(cls, fields, other):
     record = build(cls, fields)
-    name, value = next(iter(other.items()))
-    if cls in MUTABLE:
-        setattr(record, name, value)
-        assert getattr(record, name) is value
-        return
+    value = next(iter(other.values()))
     for attr in fields:
         with pytest.raises(AttributeError):
             setattr(record, attr, value)

@@ -135,6 +135,8 @@ def test_bad_escape_in_rules_is_a_parse_error():
 
 @pytest.mark.parametrize("term, message, offset", [
     (r'"a\u00zz"', r"bad \u escape '00zz'", 2),
+    # an IRI that ends in a backslash
+    (r"<o\>", "dangling escape", 2),
     ('"abc', "unterminated string literal", 0),
     ('"a"^^dt', "datatype must be an IRI", 5),
     # the character after the '@'
@@ -875,6 +877,23 @@ def test_empty_body_query_rejected():
         parse_query(b"select ?x where { }")
     with pytest.raises(ParseError):
         parse_query(b"ask { }")
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("c(?x,<p>,?y)", "expected 'ask' or 'select'", 1, 1),
+    ("select ?x ?y ?x where { c(?x,<p>,?y) }",
+     "duplicate select variable ?x", 1, 14),
+    ("select where { c(?x,<p>,?y) }",
+     "select needs at least one variable", 1, 8),
+    ("select ?x { c(?x,<p>,?y) }", "expected 'where'", 1, 11),
+    ("ask { c(?x,<p>,?y) } ask", "trailing input after query", 1, 22),
+], ids=["no-keyword", "duplicate-variable", "no-variable", "no-where",
+        "trailing-input"])
+def test_query_refusals_name_their_location(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert (err.value.message, err.value.line, err.value.col) \
+        == (message, line, col)
 
 
 def test_free_variable_must_occur():
