@@ -14,7 +14,6 @@ from .terms import (
     QuadGraph,
     QuadPattern,
     Variable,
-    apply_substitution,
     blank,
     iri,
     literal,
@@ -27,7 +26,6 @@ from .engine import (
     check_constraints,
     derive,
     skolemize,
-    symbol_size,
 )
 from .syntax import (
     ParseError,
@@ -44,7 +42,6 @@ from .semantics import (
     SIMPLE,
     LocalSemantics,
     get_semantics,
-    lclosure_graph,
     lclosure_quadgraph,
     rdfs_core,
 )
@@ -55,7 +52,6 @@ from .contextgraph import (
     build_dependency_graph,
     compute_levels,
     is_context_acyclic,
-    predicted_generating_iterations,
 )
 from .chase import (
     BudgetRequiredError,
@@ -76,17 +72,16 @@ from .query import (
 __all__ = [
     "__version__",
     "Constant", "Quad", "QuadGraph", "QuadPattern", "Variable",
-    "apply_substitution", "blank", "iri", "literal", "skolem_constant",
+    "blank", "iri", "literal", "skolem_constant",
     "BridgeRule", "QuadSystem", "SkolemRule", "check_constraints",
-    "derive", "skolemize", "symbol_size",
+    "derive", "skolemize",
     "ParseError", "QueryDocument", "RuleDocument", "parse_nquads",
     "parse_query", "parse_rules", "serialize_nquads", "serialize_query",
     "serialize_rules",
-    "SIMPLE", "LocalSemantics", "get_semantics", "lclosure_graph",
-    "lclosure_quadgraph", "rdfs_core",
+    "SIMPLE", "LocalSemantics", "get_semantics", "lclosure_quadgraph",
+    "rdfs_core",
     "AcyclicityVerdict", "ContextDependencyGraph", "LevelMap",
     "build_dependency_graph", "compute_levels", "is_context_acyclic",
-    "predicted_generating_iterations",
     "BudgetRequiredError", "ChaseConfig", "ChaseResult",
     "entailment_closure_check", "run_chase", "saturation_report",
     "AnswerSet", "answers", "entails_boolean", "entails_quad",

@@ -200,9 +200,7 @@ def _write_chase_manifest(args: argparse.Namespace, result: ChaseResult,
         if not report.schedule_ok:  # pragma: no cover - engine bug guard
             print("saturation schedule violated: %s" % report.problems,
                   file=sys.stderr)
-    manifest = {
-        "tool": "quadchase",
-        "version": __version__,
+    _write_manifest(args.stats, {
         "inputs": {"data": args.data, "rules": args.rules},
         "output": args.output,
         "output_sha256": output_sha256,
@@ -228,9 +226,15 @@ def _write_chase_manifest(args: argparse.Namespace, result: ChaseResult,
              "binding": {"?" + var.name: c.canonical
                          for var, c in v.binding}}
             for v in result.violations],
-    }
-    with open(args.stats, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    })
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
+    """Write a ``--stats`` manifest, with the tool's name and version, as
+    indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"tool": "quadchase", "version": __version__, **manifest},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -301,18 +305,13 @@ def cmd_query(args: argparse.Namespace) -> int:
                 print("\t".join(c.canonical for c in row))
         code = EXIT_OK
     if args.stats:
-        manifest = {
-            "tool": "quadchase",
-            "version": __version__,
+        _write_manifest(args.stats, {
             "inputs": {"dchase": args.dchase, "query": args.query},
             "chase_status": status,
             "elapsed_seconds": round(time.monotonic() - started, 6),
             "boolean": q.is_boolean,
             "answers": answer_count,
-        }
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     return code
 
 

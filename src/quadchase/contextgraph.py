@@ -11,10 +11,16 @@ Levels stratify an acyclic graph: a context's level is the number of
 TGCs on the TGC-richest path leading into it (counting the context
 itself when it is a TGC).  The chase needs at most max-level + 1
 generating iterations, the last of which produces nothing.
+
+The verdict and the levels both come from the strongly connected
+components of the graph.  A graph computes them once, on first use,
+and keeps them with its successor map, so the verdict, the levels and
+the witness cycle of one graph share a single analysis.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from .engine import QuadSystem
@@ -22,10 +28,75 @@ from .terms import Constant, FrozenRecord
 
 
 class ContextDependencyGraph(FrozenRecord):
+    """The dependency graph of a quad-system.  Its successor map and its
+    strongly connected components are computed on first use and kept."""
+
     nodes: frozenset[Constant]
     tgc: frozenset[Constant]
     edges: frozenset[tuple[Constant, Constant]]
     provenance: dict[tuple[Constant, Constant], tuple[str, ...]]
+
+    @cached_property
+    def successors(self) -> dict[Constant, list[Constant]]:
+        """Each node's successors, in canonical order."""
+        succ: dict[Constant, list[Constant]] = {n: [] for n in self.nodes}
+        for (a, b) in sorted(self.edges, key=lambda e: (e[0].canonical,
+                                                        e[1].canonical)):
+            succ[a].append(b)
+        return succ
+
+    @cached_property
+    def components(self) -> tuple[list[list[Constant]], dict[Constant, int]]:
+        """The strongly connected components, in reverse topological order
+        (successors first), and each node's index among them.  Tarjan's
+        algorithm, iterative, deterministic node order."""
+        succ = self.successors
+        index: dict[Constant, int] = {}
+        low: dict[Constant, int] = {}
+        on_stack: set[Constant] = set()
+        stack: list[Constant] = []
+        sccs: list[list[Constant]] = []
+        counter = [0]
+
+        for root in _sorted_nodes(self):
+            if root in index:
+                continue
+            work = [(root, iter(succ[root]))]
+            index[root] = low[root] = counter[0]
+            counter[0] += 1
+            stack.append(root)
+            on_stack.add(root)
+            while work:
+                node, it = work[-1]
+                advanced = False
+                for nxt in it:
+                    if nxt not in index:
+                        index[nxt] = low[nxt] = counter[0]
+                        counter[0] += 1
+                        stack.append(nxt)
+                        on_stack.add(nxt)
+                        work.append((nxt, iter(succ[nxt])))
+                        advanced = True
+                        break
+                    if nxt in on_stack:
+                        low[node] = min(low[node], index[nxt])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        top = stack.pop()
+                        on_stack.discard(top)
+                        comp.append(top)
+                        if top == node:
+                            break
+                    sccs.append(comp)
+        comp_of = {n: i for i, comp in enumerate(sccs) for n in comp}
+        return sccs, comp_of
 
 
 class AcyclicityVerdict(FrozenRecord):
@@ -74,73 +145,10 @@ def _sorted_nodes(graph: ContextDependencyGraph) -> list[Constant]:
     return sorted(graph.nodes, key=lambda c: c.canonical)
 
 
-def _successor_map(graph: ContextDependencyGraph
-                   ) -> dict[Constant, list[Constant]]:
-    succ: dict[Constant, list[Constant]] = {n: [] for n in graph.nodes}
-    for (a, b) in sorted(graph.edges,
-                         key=lambda e: (e[0].canonical, e[1].canonical)):
-        succ[a].append(b)
-    return succ
-
-
-def _components(graph: ContextDependencyGraph
-                ) -> tuple[list[list[Constant]], dict[Constant, int]]:
-    """The strongly connected components, in reverse topological order
-    (successors first), and each node's index among them.  Tarjan's
-    algorithm, iterative, deterministic node order."""
-    succ = _successor_map(graph)
-    index: dict[Constant, int] = {}
-    low: dict[Constant, int] = {}
-    on_stack: set[Constant] = set()
-    stack: list[Constant] = []
-    sccs: list[list[Constant]] = []
-    counter = [0]
-
-    for root in _sorted_nodes(graph):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                sccs.append(comp)
-    comp_of = {n: i for i, comp in enumerate(sccs) for n in comp}
-    return sccs, comp_of
-
-
 def _shortest_cycle_through(graph: ContextDependencyGraph,
                             node: Constant) -> tuple[Constant, ...]:
     """Shortest directed cycle node -> ... -> node (BFS, sorted order)."""
-    succ = _successor_map(graph)
+    succ = graph.successors
     if node in succ[node]:
         return (node, node)
     parent: dict[Constant, Constant] = {}
@@ -178,15 +186,9 @@ def is_context_acyclic(graph: ContextDependencyGraph) -> AcyclicityVerdict:
     Returns one witness cycle through a TGC otherwise, rotated to start
     at its canonically smallest node.
     """
-    return _verdict(graph, *_components(graph))
-
-
-def _verdict(graph: ContextDependencyGraph, comps: list[list[Constant]],
-             comp_of: dict[Constant, int]) -> AcyclicityVerdict:
-    """``is_context_acyclic`` given the graph's components."""
-    self_loops = {a for (a, b) in graph.edges if a == b}
+    comps, comp_of = graph.components
     offenders = [t for t in sorted(graph.tgc, key=lambda c: c.canonical)
-                 if len(comps[comp_of[t]]) > 1 or t in self_loops]
+                 if len(comps[comp_of[t]]) > 1 or (t, t) in graph.edges]
     if not offenders:
         return AcyclicityVerdict(True)
     best: Optional[tuple[Constant, ...]] = None
@@ -205,10 +207,10 @@ def compute_levels(graph: ContextDependencyGraph) -> LevelMap:
     condensation: nodes of one component share TGC ancestors, and an
     acyclic graph has no TGC inside a nontrivial component.
     """
-    comps, comp_of = _components(graph)
-    verdict = _verdict(graph, comps, comp_of)
+    verdict = is_context_acyclic(graph)
     if not verdict.acyclic:
         raise NotContextAcyclicError(verdict)
+    comps, comp_of = graph.components
     preds: dict[int, set[int]] = {i: set() for i in range(len(comps))}
     for (a, b) in graph.edges:
         ca, cb = comp_of[a], comp_of[b]
@@ -226,12 +228,6 @@ def compute_levels(graph: ContextDependencyGraph) -> LevelMap:
     return LevelMap(levels, max(levels.values(), default=0))
 
 
-def predicted_generating_iterations(lm: LevelMap) -> int:
-    """The chase performs at most this + 1 generating iterations (the
-    final one producing nothing new)."""
-    return lm.max_level
-
-
 def to_dot(graph: ContextDependencyGraph) -> str:
     """DOT rendering; TGC nodes are starred."""
     lines = ["digraph contexts {"]
@@ -240,9 +236,9 @@ def to_dot(graph: ContextDependencyGraph) -> str:
         lines.append('  "%s" [label="%s"%s];'
                      % (n.lexical, label,
                         ", shape=doublecircle" if n in graph.tgc else ""))
-    for (a, b) in sorted(graph.edges,
-                         key=lambda e: (e[0].canonical, e[1].canonical)):
-        lines.append('  "%s" -> "%s";' % (a.lexical, b.lexical))
+    for a in _sorted_nodes(graph):
+        for b in graph.successors[a]:
+            lines.append('  "%s" -> "%s";' % (a.lexical, b.lexical))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -258,9 +254,8 @@ def to_json_dict(graph: ContextDependencyGraph) -> dict:
                   for n in _sorted_nodes(graph)],
         "edges": [{"from": a.lexical, "to": b.lexical,
                    "rules": list(graph.provenance[(a, b)])}
-                  for (a, b) in sorted(
-                      graph.edges,
-                      key=lambda e: (e[0].canonical, e[1].canonical))],
+                  for a in _sorted_nodes(graph)
+                  for b in graph.successors[a]],
         "context_acyclic": verdict.acyclic,
         "witness_cycle": ([c.lexical for c in verdict.witness]
                           if verdict.witness else None),

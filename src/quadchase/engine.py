@@ -94,34 +94,17 @@ class BridgeRule(FrozenRecord):
     def existential_variables(self) -> set[Variable]:
         return self.head_variables() - self.body_variables()
 
-    def body_only_variables(self) -> set[Variable]:
-        return self.body_variables() - self.head_variables()
-
     def frontier_vector(self) -> tuple[Variable, ...]:
         """Frontier variables in order of first occurrence in the body.
 
         This order is the (fixed) argument order of every skolem function
         of the rule.
         """
-        frontier = self.frontier_variables()
-        seen: list[Variable] = []
-        for pat in self.body:
-            for t in (pat.s, pat.p, pat.o):
-                if isinstance(t, Variable) and t in frontier \
-                        and t not in seen:
-                    seen.append(t)
-        return tuple(seen)
+        return _first_occurrences(self.body, self.frontier_variables())
 
     def existential_vector(self) -> tuple[Variable, ...]:
         """Existential variables in order of first occurrence in the head."""
-        existential = self.existential_variables()
-        seen: list[Variable] = []
-        for pat in self.head:
-            for t in (pat.s, pat.p, pat.o):
-                if isinstance(t, Variable) and t in existential \
-                        and t not in seen:
-                    seen.append(t)
-        return tuple(seen)
+        return _first_occurrences(self.head, self.existential_variables())
 
     def contexts(self) -> set[Constant]:
         return {pat.ctx for pat in self.body + self.head}
@@ -130,6 +113,14 @@ class BridgeRule(FrozenRecord):
     def plan(self) -> "JoinPlan":
         """The body compiled for the join (constraints use it)."""
         return JoinPlan(self.body)
+
+
+def _first_occurrences(patterns: tuple[QuadPattern, ...],
+                       among: set[Variable]) -> tuple[Variable, ...]:
+    """The variables of ``among`` in order of first occurrence in
+    ``patterns``."""
+    return tuple(dict.fromkeys(t for pat in patterns
+                               for t in (pat.s, pat.p, pat.o) if t in among))
 
 
 class SkolemTerm(FrozenRecord):
@@ -191,24 +182,6 @@ class QuadSystem(FrozenRecord):
         for r in self.rules:
             out |= r.contexts()
         return out
-
-    def bridge_rules(self) -> list[BridgeRule]:
-        return [r for r in self.rules if not r.is_constraint]
-
-
-def symbol_size(x: Union[QuadGraph, BridgeRule, SkolemRule,
-                         QuadSystem]) -> int:
-    """Number of symbols needed to print the object: four per quad or
-    quad pattern (a skolemized rule has one head pattern)."""
-    if isinstance(x, QuadGraph):
-        return 4 * len(x)
-    if isinstance(x, BridgeRule):
-        return 4 * (len(x.body) + len(x.head))
-    if isinstance(x, SkolemRule):
-        return 4 * (len(x.body) + 1)
-    if isinstance(x, QuadSystem):
-        return 4 * len(x.quads) + sum(map(symbol_size, x.rules))
-    raise TypeError("no symbol size for %r" % (x,))
 
 
 def skolemize(rule: BridgeRule) -> list[SkolemRule]:

@@ -23,11 +23,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from .engine import SkolemAtom, SkolemRule, derive
-from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
-                    Term, Variable, iri)
+from .terms import (Constant, FrozenRecord, QuadGraph, QuadPattern, Term,
+                    Variable)
 from . import vocab
 
-Triple = tuple[Constant, Constant, Constant]
 TriplePattern = tuple[Term, Term, Term]
 
 
@@ -148,18 +147,6 @@ def _same_triples(graph: QuadGraph, ctx: Constant, other: Constant) -> bool:
     context holds no triple twice, so one inclusion is enough)."""
     return all((other, s, p, o) in graph
                for _, s, p, o in graph.candidates(ctx))
-
-
-# The context a bare graph is closed in.
-_GRAPH = iri("urn:x-quadchase:graph")
-
-
-def lclosure_graph(triples: Iterable[Triple],
-                   sem: LocalSemantics) -> frozenset[Triple]:
-    """Least fixpoint of the semantics' rules over one graph."""
-    closed = lclosure_quadgraph(
-        QuadGraph(Quad(_GRAPH, s, p, o) for s, p, o in triples), sem)
-    return frozenset(q.triple for q in closed)
 
 
 def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:

@@ -568,10 +568,9 @@ def _parse_atom_list(ts: _TokenStream, prefixes: dict[str, str],
 # ---------------------------------------------------------------------------
 
 class RuleDocument(FrozenRecord):
-    """An ordered rule list with the source line range of each rule."""
+    """An ordered rule list."""
 
     rules: tuple[BridgeRule, ...]
-    spans: tuple[tuple[int, int], ...]
 
     def bridge_rules(self) -> list[BridgeRule]:
         return [r for r in self.rules if not r.is_constraint]
@@ -586,7 +585,6 @@ def parse_rules(data: Union[bytes, str]) -> RuleDocument:
     ts = _TokenStream(_tokenize(text))
     prefixes = dict(PREDECLARED_PREFIXES)
     rules: list[BridgeRule] = []
-    spans: list[tuple[int, int]] = []
     ids_seen: set[str] = set()
     index = 0
     while ts.peek().kind != "EOF":
@@ -619,7 +617,7 @@ def parse_rules(data: Union[bytes, str]) -> RuleDocument:
                                  arrow.col)
             ts.expect_punct(".")
         head = _parse_atom_list(ts, prefixes, stop=".")
-        end = ts.expect_punct(".")
+        ts.expect_punct(".")
         try:
             rule = BridgeRule(rule_id, tuple(body), tuple(head))
         except RuleError as exc:
@@ -639,8 +637,7 @@ def parse_rules(data: Union[bytes, str]) -> RuleDocument:
                              start_line, tok.col)
         ids_seen.add(rule_id)
         rules.append(rule)
-        spans.append((start_line, end.line))
-    return RuleDocument(tuple(rules), tuple(spans))
+    return RuleDocument(tuple(rules))
 
 
 def _term_text(t: Union[Term, Constant]) -> str:
@@ -689,9 +686,6 @@ class QueryDocument(FrozenRecord):
             out |= a.variables()
         return out
 
-    def quantified_vars(self) -> set[Variable]:
-        return self.variables() - set(self.free_vars)
-
 
 def parse_query(data: Union[bytes, str]) -> QueryDocument:
     """Parse ``ask { ... }`` or ``select ?v ... where { ... }``."""
@@ -727,14 +721,13 @@ def parse_query(data: Union[bytes, str]) -> QueryDocument:
         raise ParseError("trailing input after query", tail.line, tail.col)
     if not atoms:
         raise ParseError("empty query body", brace.line, brace.col)
-    atom_vars: set[Variable] = set()
-    for a in atoms:
-        atom_vars |= a.variables()
+    query = QueryDocument(tuple(free), tuple(atoms))
+    atom_vars = query.variables()
     for var in free:
         if var not in atom_vars:
             raise ParseError("free variable ?%s occurs in no atom"
                              % var.name, brace.line, brace.col)
-    return QueryDocument(tuple(free), tuple(atoms))
+    return query
 
 
 def serialize_query(q: QueryDocument) -> str:

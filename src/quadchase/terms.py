@@ -1,6 +1,6 @@
 """Core term and quad model: interned RDF constants, variables, quads,
-quad-graphs (the one quad container: parser output, chase working set
-and result, query input) with matching indexes, and substitutions.
+and quad-graphs (the one quad container: parser output, chase working
+set and result, query input) with matching indexes.
 
 Every constant has a canonical serialization (N-Quads term syntax with
 lowercase hex escapes) and two constants are equal exactly when their
@@ -396,38 +396,11 @@ class QuadPattern(FrozenRecord):
         return {t for t in (self.s, self.p, self.o)
                 if isinstance(t, Variable)}
 
-    def is_ground(self) -> bool:
-        return not self.variables()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         def show(t: Term) -> str:
             return t.canonical if isinstance(t, Constant) else "?" + t.name
         return "%s:(%s, %s, %s)" % (self.ctx.canonical, show(self.s),
                                     show(self.p), show(self.o))
-
-
-Substitution = dict[Variable, Constant]
-
-
-def apply_substitution(pattern: Union[Quad, QuadPattern],
-                       mapping: Substitution) -> Union[Quad, QuadPattern]:
-    """Replace exactly the in-domain variables of ``pattern``.
-
-    Identity on ground quads; a partial substitution yields a pattern,
-    a total one yields a ground Quad.
-    """
-    if isinstance(pattern, Quad):
-        return pattern
-
-    def subst(t: Term) -> Term:
-        if isinstance(t, Variable):
-            return mapping.get(t, t)
-        return t
-
-    s, p, o = subst(pattern.s), subst(pattern.p), subst(pattern.o)
-    if all(isinstance(t, Constant) for t in (s, p, o)):
-        return Quad(pattern.ctx, s, p, o)
-    return QuadPattern(pattern.ctx, s, p, o)
 
 
 class QuadGraph:
@@ -437,9 +410,8 @@ class QuadGraph:
     maps each quad to its index there; ``quads`` is the set view of
     ``positions``.  ``QuadGraph(quads)`` drops duplicates, keeping first
     occurrences, and ``add`` appends: ``log[mark:]`` is what was added
-    since the graph held ``mark`` quads.  Equality and hash go by the
-    set of quads; the hash is cached and ``add`` clears it, so it follows
-    the graph, but a graph must not grow while it is a set member or key.
+    since the graph held ``mark`` quads.  Equality goes by the set of
+    quads; like a ``set``, a graph grows and so does not hash.
 
     The first lookup that reads a bucket builds one bucket per context
     from the log (``_ensure_indexes``); the s, p or o map of a context
@@ -523,19 +495,6 @@ class QuadGraph:
 
     def contexts(self) -> set[Constant]:
         return {q[0] for q in self.log}
-
-    def graph_of(self, ctx: Constant) -> frozenset[tuple]:
-        """The triple projection of one context; empty if unused."""
-        if not isinstance(ctx, Constant) or ctx.kind != IRI:
-            raise TermError("graph_of needs an IRI context")
-        self._ensure_indexes()
-        return frozenset(q.triple for q in self._by_ctx.get(ctx, ()))
-
-    def union(self, quads: Iterable[Quad]) -> "QuadGraph":
-        extra = [q for q in quads if q not in self.positions]
-        if not extra:
-            return self
-        return QuadGraph(self.log + extra)
 
     def sorted_quads(self) -> list[Quad]:
         return sorted(self.log, key=Quad.sort_key)

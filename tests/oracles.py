@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Union
 
 from quadchase.chase import (
     BUDGET_EXHAUSTED,
@@ -28,6 +28,7 @@ from quadchase.contextgraph import build_dependency_graph, is_context_acyclic
 from quadchase.engine import (
     BridgeRule,
     QuadSystem,
+    SkolemRule,
     check_constraints,
     derive,
     skolemize_all,
@@ -40,7 +41,6 @@ from quadchase.terms import (
     QuadGraph,
     QuadPattern,
     Variable,
-    apply_substitution,
     blank,
     iri,
     literal,
@@ -53,6 +53,38 @@ from quadchase.vocab import (
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
 )
+
+
+def substitute(pattern: Union[Quad, QuadPattern],
+               mapping: dict[Variable, Constant]) -> Union[Quad, QuadPattern]:
+    """Replace exactly the in-domain variables of ``pattern``: a total
+    substitution gives a Quad, a partial one a pattern, and a ground
+    quad is returned as it is."""
+    if isinstance(pattern, Quad):
+        return pattern
+    terms = [mapping.get(t, t) if isinstance(t, Variable) else t
+             for t in (pattern.s, pattern.p, pattern.o)]
+    if all(isinstance(t, Constant) for t in terms):
+        return Quad(pattern.ctx, *terms)
+    return QuadPattern(pattern.ctx, *terms)
+
+
+def triples_of(qg: QuadGraph, ctx: Constant) -> frozenset[tuple]:
+    """The triple projection of one context of ``qg``; empty if unused."""
+    return frozenset(q.triple for q in qg if q.ctx is ctx)
+
+
+def symbol_size(x: Union[QuadGraph, BridgeRule, SkolemRule,
+                         QuadSystem]) -> int:
+    """Number of symbols needed to print the object: four per quad or
+    quad pattern (a skolemized rule has one head pattern)."""
+    if isinstance(x, QuadSystem):
+        return symbol_size(x.quads) + sum(map(symbol_size, x.rules))
+    if isinstance(x, BridgeRule):
+        return 4 * (len(x.body) + len(x.head))
+    if isinstance(x, SkolemRule):
+        return 4 * (len(x.body) + 1)
+    return 4 * len(x)
 
 
 def naive_match(quads: set[Quad], patterns: Iterable[QuadPattern]
@@ -104,7 +136,7 @@ def naive_multihead_chase(system: QuadSystem, sem: LocalSemantics = SIMPLE,
                     ext[yvar] = skolem_constant(
                         rule.rule_id, i, [mu[a] for a in frontier])
                 for pat in rule.head:
-                    out = apply_substitution(pat, ext)
+                    out = substitute(pat, ext)
                     assert isinstance(out, Quad)
                     new.add(out)
         if new <= current:
@@ -141,7 +173,8 @@ def naive_chase(system: QuadSystem, cfg: ChaseConfig) -> ChaseResult:
             if not new:
                 log.append(IterationRecord(index, kind, 0, len(current), {}))
                 break
-        updated = naive_quad_closure(current.union(new), cfg.semantics)
+        updated = naive_quad_closure(QuadGraph([*current, *new]),
+                                     cfg.semantics)
         added = updated.quads - current.quads
         current = updated
         per_ctx: dict[Constant, int] = {}
@@ -168,11 +201,11 @@ def exhaustive_entails(qg: QuadGraph,
                        key=lambda v: v.name)
     constants = sorted(qg.constants(), key=lambda c: c.canonical)
     if not variables:
-        return all(apply_substitution(a, {}) in qg for a in atoms)
+        return all(substitute(a, {}) in qg for a in atoms)
     for combo in itertools.product(constants, repeat=len(variables)):
         mu = dict(zip(variables, combo))
         for a in atoms:
-            q = apply_substitution(a, mu)
+            q = substitute(a, mu)
             if not isinstance(q, Quad) or q not in qg:
                 break
         else:
@@ -190,7 +223,7 @@ def exhaustive_answers(qg: QuadGraph,
     for combo in itertools.product(candidates,
                                    repeat=len(query.free_vars)):
         mu = dict(zip(query.free_vars, combo))
-        grounded = [apply_substitution(a, mu) for a in query.atoms]
+        grounded = [substitute(a, mu) for a in query.atoms]
         patterns = [g if isinstance(g, QuadPattern)
                     else QuadPattern(g.ctx, g.s, g.p, g.o)
                     for g in grounded]

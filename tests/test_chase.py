@@ -33,6 +33,7 @@ from oracles import (
     random_firing_system,
     random_rdfs_quadgraph,
     random_rule,
+    symbol_size,
 )
 
 
@@ -268,7 +269,6 @@ def test_growth_rate_stays_under_loose_exponent_bound(
         fig3_system, example1_system):
     """After a generating iteration and its non-generating tail, symbol
     size stays below ||before||^||rules|| (a deliberately loose cap)."""
-    from quadchase.engine import symbol_size
     corpus = [(fig3_system, ChaseConfig()),
               (example1_system, ChaseConfig(force_unrestricted=True))]
     for system, cfg in corpus:
@@ -333,7 +333,7 @@ def test_semi_naive_rdfs_chase_matches_naive_oracle(seed, resource):
     rng = random.Random(seed)
     system = random_firing_system(rng)
     schema = random_rdfs_quadgraph(rng, max_quads=10, n_contexts=2)
-    system = QuadSystem(system.quads.union(schema.quads), system.rules)
+    system = QuadSystem(QuadGraph([*system.quads, *schema]), system.rules)
     _assert_same_as_naive(system, ChaseConfig(
         semantics=rdfs_core(resource), max_iterations=30, max_quads=300))
 
@@ -418,7 +418,7 @@ def test_local_closure_head_instances_grow_linearly(monkeypatch):
                  for a, b in zip(classes, classes[1:])]
         typed += [Quad(CTX_TRUE, iri("e%d" % j), RDF_TYPE, classes[0])
                   for j in range(k)]
-        system = QuadSystem(system.quads.union(typed), system.rules)
+        system = QuadSystem(QuadGraph([*system.quads, *typed]), system.rules)
         result = run_chase(system, ChaseConfig(semantics=rdfs_core(True)))
         assert result.complete and len(result.iteration_log) == k + 1
         assert Quad(CTX_TRUE, iri("e0"), RDF_TYPE, classes[-1]) \

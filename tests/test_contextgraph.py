@@ -4,12 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadchase import cli
+from quadchase.chase import ChaseConfig, run_chase
 from quadchase.contextgraph import (
+    ContextDependencyGraph,
     NotContextAcyclicError,
     build_dependency_graph,
     compute_levels,
     is_context_acyclic,
-    predicted_generating_iterations,
     to_dot,
     to_json_dict,
 )
@@ -17,6 +19,7 @@ from quadchase.engine import QuadSystem
 from quadchase.syntax import parse_rules
 from quadchase.terms import QuadGraph, iri
 
+from conftest import FIXTURES, load_system
 from oracles import brute_force_levels, random_rule
 
 
@@ -61,7 +64,6 @@ def test_fig3_graph_acyclic_and_levels(fig3_system):
     named = {c.lexical: lvl for c, lvl in lm.levels.items()}
     assert named == {"c1": 1, "c2": 0, "c3": 2, "c4": 0}
     assert lm.max_level == 2
-    assert predicted_generating_iterations(lm) == 2
 
 
 def test_empty_graph_is_acyclic():
@@ -154,3 +156,32 @@ def test_json_output_shape(fig3_system):
     assert doc["max_level"] == 2
     assert {"from": "c4", "to": "c2", "rules": ["ra"]} in doc["edges"]
     assert {"context": "c1", "tgc": True} in doc["nodes"]
+
+
+# Each way into the analysis decides acyclicity and, for an acyclic
+# graph, computes its levels; a budget lets the cyclic system run.
+ANALYSES = {
+    "run_chase": lambda system, paths: run_chase(
+        system, ChaseConfig(max_iterations=5)),
+    "check": lambda system, paths: cli.main(["check", *paths]),
+    "to_json_dict": lambda system, paths: to_json_dict(
+        build_dependency_graph(system)),
+}
+
+
+@pytest.mark.parametrize("entry", ANALYSES)
+@pytest.mark.parametrize("name", ["fig3", "example1"])
+def test_each_graph_is_analysed_once(monkeypatch, entry, name):
+    """One successor map and one run of Tarjan's algorithm per graph."""
+    counts = {"successors": 0, "components": 0}
+    for prop in counts:
+        cached = vars(ContextDependencyGraph)[prop]
+
+        def counted(graph, func=cached.func, prop=prop):
+            counts[prop] += 1
+            return func(graph)
+
+        monkeypatch.setattr(cached, "func", counted)
+    files = [name + ".nq", name + ".qrules"]
+    ANALYSES[entry](load_system(*files), [str(FIXTURES / f) for f in files])
+    assert counts == {"successors": 1, "components": 1}

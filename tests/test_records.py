@@ -77,7 +77,7 @@ CASES = [
     (Violation, dict(rule_id="r", binding=((X, A),)),
      dict(binding=((X, B),))),
     (_Token, dict(kind="NAME", value="@prefix", line=1, col=1), dict(col=2)),
-    (RuleDocument, dict(rules=(RULE,), spans=((1, 2),)), dict(spans=())),
+    (RuleDocument, dict(rules=(RULE,)), dict(rules=())),
     (QueryDocument, dict(free_vars=(X,), atoms=(PAT,)), dict(free_vars=())),
     (LocalRule, dict(name="swap", body=((X, P, Y),), head=(Y, P, X)),
      dict(name="turn")),
@@ -206,7 +206,7 @@ def test_pattern_never_equals_the_quad_with_its_terms():
 
 @pytest.mark.parametrize("one, other", [
     (QuadPattern(C, X, P, Y), SkolemAtom(C, X, P, Y)),
-    (RuleDocument((), ()), QueryDocument((), ())),
+    (RuleDocument(()), QueryDocument((), ())),
     (HornVerdict(True, None), AcyclicityVerdict(True, None)),
 ], ids=["pattern-atom", "rules-query", "horn-acyclicity"])
 def test_records_of_two_classes_differ_even_with_equal_fields(one, other):

@@ -9,7 +9,6 @@ from quadchase.semantics import (
     SIMPLE,
     close,
     get_semantics,
-    lclosure_graph,
     lclosure_quadgraph,
     local_rules,
     rdfs_core,
@@ -26,15 +25,23 @@ from oracles import (
     naive_local_closure,
     random_quadgraph,
     random_rdfs_quadgraph,
+    triples_of,
 )
 
 RDFS = rdfs_core(resource_rule=False)
 RDFS_FULL = rdfs_core(resource_rule=True)
 
 
+def close_one_graph(triples, sem):
+    """The closure of one graph, as the one context of a quad-graph."""
+    ctx = iri("urn:x-test:graph")
+    qg = QuadGraph(Quad(ctx, *t) for t in triples)
+    return triples_of(lclosure_quadgraph(qg, sem), ctx)
+
+
 def test_simple_is_identity():
     g = {(iri("a"), iri("b"), iri("c"))}
-    assert lclosure_graph(g, SIMPLE) == frozenset(g)
+    assert close_one_graph(g, SIMPLE) == frozenset(g)
     qg = QuadGraph([Quad(iri("c"), iri("a"), iri("b"), iri("c"))])
     closed = lclosure_quadgraph(qg, SIMPLE)
     assert closed == qg and closed is not qg
@@ -43,14 +50,14 @@ def test_simple_is_identity():
 def test_subclass_instantiation():
     g = {(iri("A"), RDFS_SUBCLASSOF, iri("B")),
          (iri("x"), RDF_TYPE, iri("A"))}
-    closed = lclosure_graph(g, RDFS)
+    closed = close_one_graph(g, RDFS)
     assert (iri("x"), RDF_TYPE, iri("B")) in closed
 
 
 def test_subclass_transitivity():
     g = {(iri("A"), RDFS_SUBCLASSOF, iri("B")),
          (iri("B"), RDFS_SUBCLASSOF, iri("C"))}
-    closed = lclosure_graph(g, RDFS)
+    closed = close_one_graph(g, RDFS)
     assert (iri("A"), RDFS_SUBCLASSOF, iri("C")) in closed
 
 
@@ -61,7 +68,7 @@ def test_subproperty_domain_range():
           iri("D")),
          (iri("q"), iri("http://www.w3.org/2000/01/rdf-schema#range"),
           iri("R"))}
-    closed = lclosure_graph(g, RDFS)
+    closed = close_one_graph(g, RDFS)
     assert (iri("s"), iri("q"), iri("o")) in closed
     assert (iri("s"), RDF_TYPE, iri("D")) in closed
     assert (iri("o"), RDF_TYPE, iri("R")) in closed
@@ -69,9 +76,9 @@ def test_subproperty_domain_range():
 
 def test_resource_rule_flag():
     g = {(iri("s"), iri("p"), iri("o"))}
-    with_rule = lclosure_graph(g, RDFS_FULL)
+    with_rule = close_one_graph(g, RDFS_FULL)
     assert (iri("o"), RDF_TYPE, RDFS_RESOURCE) in with_rule
-    without = lclosure_graph(g, RDFS)
+    without = close_one_graph(g, RDFS)
     assert (iri("o"), RDF_TYPE, RDFS_RESOURCE) not in without
 
 
@@ -114,7 +121,7 @@ def test_monotonicity(seed):
     rng = random.Random(seed)
     small = random_quadgraph(rng, max_quads=12)
     extra = random_quadgraph(rng, max_quads=8)
-    big = small.union(extra.quads)
+    big = QuadGraph([*small, *extra])
     closed_small = lclosure_quadgraph(small, RDFS_FULL)
     closed_big = lclosure_quadgraph(big, RDFS_FULL)
     assert closed_small.quads <= closed_big.quads
@@ -127,8 +134,9 @@ def test_context_isolation_property(seed):
     qg = random_quadgraph(rng, max_quads=20)
     closed = lclosure_quadgraph(qg, RDFS_FULL)
     for ctx in qg.contexts():
-        assert closed.graph_of(ctx) == lclosure_graph(
-            qg.graph_of(ctx), RDFS_FULL)
+        alone = QuadGraph(q for q in qg if q.ctx is ctx)
+        assert lclosure_quadgraph(alone, RDFS_FULL).quads \
+            == {q for q in closed if q.ctx is ctx}
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,10 +144,10 @@ def test_context_isolation_property(seed):
 def test_oracle_equivalence_small_graphs(seed):
     rng = random.Random(seed)
     qg = random_quadgraph(rng, max_quads=30, n_contexts=1)
+    closed = lclosure_quadgraph(qg, RDFS_FULL)
     for ctx in qg.contexts():
-        triples = qg.graph_of(ctx)
-        assert lclosure_graph(triples, RDFS_FULL) \
-            == naive_local_closure(triples, RDFS_FULL)
+        assert triples_of(closed, ctx) \
+            == naive_local_closure(triples_of(qg, ctx), RDFS_FULL)
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,9 +159,9 @@ def test_polynomial_output_bound(seed):
     qg = random_quadgraph(rng, max_quads=15)
     closed = lclosure_quadgraph(qg, RDFS_FULL)
     for ctx in qg.contexts():
-        constants = {t for tri in qg.graph_of(ctx) for t in tri}
+        constants = {t for tri in triples_of(qg, ctx) for t in tri}
         bound = (len(constants) + 2) ** 3
-        assert len(closed.graph_of(ctx)) <= bound
+        assert len(triples_of(closed, ctx)) <= bound
 
 
 def test_local_rules_are_compiled_per_context():
@@ -177,7 +185,7 @@ def test_incremental_close_matches_naive_closure(seed, resource, schema):
     graph = random_rdfs_quadgraph if schema else random_quadgraph
     base = graph(rng, max_quads=15)
     extra = graph(rng, max_quads=15)
-    union = base.union(extra.quads)
+    union = QuadGraph([*base, *extra])
     rules = local_rules(sem, union.contexts())
     closed = QuadGraph(base)
     close(closed, rules, 0)
@@ -187,8 +195,8 @@ def test_incremental_close_matches_naive_closure(seed, resource, schema):
     close(closed, rules, mark)
     assert closed.contexts() == union.contexts()
     for ctx in union.contexts():
-        assert closed.graph_of(ctx) == naive_local_closure(
-            union.graph_of(ctx), sem)
+        assert triples_of(closed, ctx) == naive_local_closure(
+            triples_of(union, ctx), sem)
 
 
 def test_same_size_context_with_other_triples_is_still_closed():
@@ -260,7 +268,6 @@ def test_closing_a_copy_chain_after_iteration_zero_derives_nothing(
     assert result.complete and len(result.iteration_log) == 4
     assert per_close == [0, 0, 0]
     assert heads[0] > 0
-    closed = result.quads.graph_of(contexts[0])
-    assert closed == lclosure_graph(
-        [q.triple for q in data], RDFS_FULL)
-    assert all(result.quads.graph_of(c) == closed for c in contexts)
+    closed = triples_of(result.quads, contexts[0])
+    assert closed == naive_local_closure([q.triple for q in data], RDFS_FULL)
+    assert all(triples_of(result.quads, c) == closed for c in contexts)

@@ -624,7 +624,7 @@ def test_block_writer_matches_the_one_shot_serialization(quads, block,
                                                          indexed):
     g = QuadGraph(quads)
     if indexed and quads:
-        g.graph_of(quads[0].ctx)
+        g.candidate_count(quads[0].ctx)
     out, sink = io.BytesIO(), _Sink()
     with mock.patch.object(syntax, "_BLOCK_LINES", block):
         write_nquads(g, out)
@@ -666,7 +666,7 @@ def test_writing_holds_one_context_and_one_block():
                   literal("value %d" % i))
              for c in range(20) for i in range(1000)]
     g = QuadGraph(quads)
-    g.graph_of(quads[0].ctx)
+    g.candidate_count(quads[0].ctx)
     sink = _Sink()
     tracemalloc.start()
     try:
@@ -765,7 +765,7 @@ def test_rule_classification_with_existential():
     assert r.rule_id == "r1"
     assert {v.name for v in r.frontier_variables()} == {"x1", "x2"}
     assert {v.name for v in r.existential_variables()} == {"y1"}
-    assert r.body_only_variables() == set()
+    assert r.body_variables() - r.head_variables() == set()
     assert r.head[1].p == RDF_TYPE and r.head[1].o == RDF_PROPERTY
 
 
@@ -773,7 +773,8 @@ def test_rule_classification_body_only():
     doc = parse_rules(b"r2: c2(?x1,?x2,?z1) -> c1(?x1,?x2,<U1>).")
     (r,) = doc.rules
     assert {v.name for v in r.frontier_variables()} == {"x1", "x2"}
-    assert {v.name for v in r.body_only_variables()} == {"z1"}
+    assert {v.name for v in r.body_variables() - r.head_variables()} \
+        == {"z1"}
     assert r.existential_variables() == set()
 
 
@@ -805,11 +806,15 @@ def test_auto_assigned_ids_and_duplicates():
                     b"a: c(?x,?y,?z) -> e(?x,?y,?z).")
 
 
-def test_rule_spans_recorded():
-    doc = parse_rules(b"# comment\nr1: c(?x,?y,?z) -> d(?x,?y,?z).\n"
-                      b"r2: c(?x,?y,?z) ->\n  e(?x,?y,?z).")
-    assert doc.spans[0] == (2, 2)
-    assert doc.spans[1] == (3, 4)
+def test_rules_over_several_lines_name_their_first_line():
+    text = (b"# comment\nr1: c(?x,?y,?z) -> d(?x,?y,?z).\n"
+            b"r2: c(?x,?y,?z) ->\n  e(?x,?y,?z).")
+    doc = parse_rules(text)
+    assert [r.rule_id for r in doc.rules] == ["r1", "r2"]
+    assert doc.rules[1].head[0].ctx == iri("e")
+    with pytest.raises(ParseError) as err:
+        parse_rules(text + b"\nr1:\n c(?x,?y,?z) -> f(?x,?y,?z).")
+    assert err.value.line == 5
 
 
 def test_exists_clause_accepted_when_exact():
@@ -841,7 +846,7 @@ def test_variable_partition_is_exact():
     for r in parse_rules(text).rules:
         x = r.frontier_variables()
         y = r.existential_variables()
-        z = r.body_only_variables()
+        z = r.body_variables() - r.head_variables()
         assert x | y | z == r.body_variables() | r.head_variables()
         assert not (x & y) and not (x & z) and not (y & z)
 
@@ -863,13 +868,14 @@ def test_select_query_motivating_shape():
     assert [v.name for v in q.free_vars] == ["x"]
     assert len(q.atoms) == 2
     assert not q.is_boolean
-    assert q.quantified_vars() == set()
+    assert q.variables() - set(q.free_vars) == set()
 
 
 def test_ask_query_is_boolean_with_quantified_vars():
     q = parse_query(b"ask { c(?y, <S1>, ?y2) }")
     assert q.is_boolean
-    assert {v.name for v in q.quantified_vars()} == {"y", "y2"}
+    assert {v.name for v in q.variables() - set(q.free_vars)} \
+        == {"y", "y2"}
 
 
 def test_empty_body_query_rejected():
