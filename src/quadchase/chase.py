@@ -10,13 +10,17 @@ iterations (the last one vacuous), never more than its context count.
 
 Evaluation is semi-naive over one quad-graph, indexed as it grows and
 returned as the result: each rule group and the constraints join only
-through the quads added since they last ran, and the local closure (its
-rules compiled per context onto the same join) only through the quads
-the iteration added, so an iteration's work follows what it adds rather
-than the size of the whole graph.  What was added since is named by a
-mark, the graph size they last saw, and never copied.  A context the
-iteration fills with exactly the triples of a context it left alone is
-already closed, and its closure is skipped.
+through the quads added since they last ran, and the local closure only
+through the quads the iteration added, so an iteration's work follows
+what it adds rather than the size of the whole graph.  What was added
+since is named by a mark, the graph size they last saw, and never
+copied.  A context the iteration fills with exactly the triples of a
+context it left alone is already closed, and its closure is skipped.
+Under rdfs-core, a context the iteration fills from empty (every
+context, in iteration 0) is closed in one pass by the direct procedure
+of ``semantics`` when its own triples meet that procedure's conditions
+C1-C3; every other context runs the semantics' rules, compiled per
+context onto the same join.
 The schedule and the output are those of re-running every rule over the
 whole graph and re-closing it from scratch.  ``derive`` returns only the
 quads it adds, and every iteration's record counts them per context.
@@ -161,7 +165,7 @@ def run_chase(system: QuadSystem,
                 break
         for q in new:
             qg.add(q)
-        close(qg, local, before)
+        close(qg, cfg.semantics, local, before)
         per_context: dict[Constant, int] = {}
         for q in qg.log[before:]:
             per_context[q[0]] = per_context.get(q[0], 0) + 1

@@ -11,20 +11,31 @@ Two are built in:
   rdfs:Resource).  Axiomatic triples are deliberately excluded to keep
   the closure finite.
 
-Closure is strictly per context: each rule is compiled once per context
-into an ordinary engine rule whose body and head lie in that context, so
-the lift never mixes contexts.  The closure runs on the engine's
-semi-naive join (``close``), the same one that applies bridge rules:
-each round joins only through the quads the previous round added.
+Closure is strictly per context, so the lift never mixes contexts, and
+``close`` takes one of two paths for each context it closes.  Under
+rdfs-core, a context that held no quad before the mark is closed from
+scratch in one pass by a direct rho-df procedure (``_rho_df``) when its
+own triples meet C1-C3: no schema property in a ``subPropertyOf``
+triple, none as the subject of a ``domain`` or ``range`` triple, and,
+with the resource rule on, no ``rdfs:Resource`` in a ``subClassOf``
+triple.  Then no rule writes a triple that the schema side of a rule
+reads, so the schema is the asserted one with its two hierarchies closed
+by reachability, and the instance triples need one pass each of
+subproperty instantiation, domain and range typing, and pushing every
+type through its class's closed superclass set.  Every other context
+takes the generic path: each rule is compiled once per context into an
+ordinary engine rule whose body and head lie in that context, and run on
+the engine's semi-naive join, the same one that applies bridge rules,
+each round joining only through the quads the previous round added.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 from .engine import SkolemAtom, SkolemRule, derive
-from .terms import (Constant, FrozenRecord, QuadGraph, QuadPattern, Term,
-                    Variable)
+from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
+                    Term, Variable)
 from . import vocab
 
 TriplePattern = tuple[Term, Term, Term]
@@ -83,6 +94,14 @@ def rdfs_core(resource_rule: bool = True) -> LocalSemantics:
     return LocalSemantics("rdfs-core", rules)
 
 
+# The rules of rdfs-core, without and with the resource rule, mapped to
+# whether that rule is on: the semantics ``_rho_df`` computes.
+_RHO_DF = {_RDFS_RULES: False, _RDFS_RULES + (_RESOURCE_RULE,): True}
+
+_SCHEMA = frozenset((vocab.RDF_TYPE, vocab.RDFS_SUBCLASSOF,
+                     vocab.RDFS_SUBPROPERTYOF, vocab.RDFS_DOMAIN,
+                     vocab.RDFS_RANGE))
+
 SEMANTICS_NAMES = ("simple", "rdfs-core")
 
 
@@ -105,27 +124,122 @@ def local_rules(sem: LocalSemantics,
             for ctx in contexts for rule in sem.rules]
 
 
-def close(graph: QuadGraph, rules: list[SkolemRule], mark: int) -> None:
-    """Close ``graph`` in place under ``rules`` semi-naively, given that
-    the head of every grounding into its first ``mark`` quads is already
-    in it: each round adds its new quads to ``graph`` and the next one
-    joins only through them.
+def close(graph: QuadGraph, sem: LocalSemantics, rules: list[SkolemRule],
+          mark: int) -> None:
+    """Close ``graph`` in place under ``sem``, given that the head of every
+    grounding into its first ``mark`` quads is already in it.
 
-    ``rules`` are ``local_rules`` output, the same rules compiled for
-    each of some contexts.  A context with no quad past ``mark`` is then
-    closed, if rules were compiled for it; a context holding exactly its
-    triples is closed too.  The rules of both are dropped: each rule's
-    body and head lie in one context, so no round adds to either."""
+    ``rules`` are ``local_rules(sem, ...)`` output, the same rules
+    compiled for each of some contexts; only those contexts are closed.
+    A context with no quad past ``mark`` is then closed, and so is one
+    holding exactly the triples of such a context: both are skipped.
+    Under rdfs-core a context with no quad before ``mark`` is closed from
+    scratch by ``_rho_df`` when its triples meet C1-C3, which keep every
+    rule's schema side to asserted triples and the closed hierarchies,
+    so one pass in rule order completes it.  The rest go semi-naively
+    through their compiled rules: each round adds its new quads to
+    ``graph`` and the next one joins only through them.  Each rule's
+    body and head lie in one context, so the contexts closed apart from
+    the rules never feed them."""
     if not rules:
         return
     touched = {q[0] for q in graph.log[mark:]}
     open_contexts = touched - _replicas(graph, rules, touched)
+    resource = _RHO_DF.get(sem.rules)
+    if resource is not None:
+        for ctx in open_contexts & {r.head.ctx for r in rules}:
+            quads = graph.bucket(ctx, None, None, None)
+            if graph.positions[quads[0]] >= mark:
+                closed = _rho_df(quads, resource)
+                if closed is not None:
+                    open_contexts.discard(ctx)
+                    for q in closed:
+                        graph.add(q)
     rules = [r for r in rules if r.head.ctx in open_contexts]
     while mark < len(graph):
         start = len(graph)
         for q in derive(rules, graph, mark):
             graph.add(q)
         mark = start
+
+
+def _rho_df(quads: Sequence[Quad], resource: bool) -> Optional[list[Quad]]:
+    """The rdfs-core closure of one context's ``quads`` (the resource rule
+    on or off) in one pass, or None when one of these fails:
+
+    * C1: no ``subPropertyOf`` triple has a schema property (``type``,
+      ``subClassOf``, ``subPropertyOf``, ``domain``, ``range``) as its
+      subject or object;
+    * C2: no ``domain`` or ``range`` triple has one as its subject;
+    * C3: with the resource rule on, ``rdfs:Resource`` is in no
+      ``subClassOf`` triple.
+
+    By C1 subproperty instantiation neither reads nor writes a schema
+    triple, so the ``subClassOf``, ``subPropertyOf``, ``domain`` and
+    ``range`` triples are the asserted ones and the two hierarchies'
+    transitive closures.  By C2 domain and range typing read only the
+    other triples, which subproperty instantiation completes first.  So
+    every type comes from an asserted type, domain or range, and pushing
+    it once through its class's closed superclass set completes it; the
+    types the resource rule adds last have no superclass by C3."""
+    by_p: dict[Constant, set[tuple[Constant, Constant]]] = {}
+    for _, s, p, o in quads:
+        by_p.setdefault(p, set()).add((s, o))
+    sc_edges = by_p.get(vocab.RDFS_SUBCLASSOF, ())
+    sp_edges = by_p.get(vocab.RDFS_SUBPROPERTYOF, ())
+    typing = [*by_p.get(vocab.RDFS_DOMAIN, ()),
+              *by_p.get(vocab.RDFS_RANGE, ())]
+    if any(s in _SCHEMA or o in _SCHEMA for s, o in sp_edges) \
+            or any(p in _SCHEMA for p, _ in typing) \
+            or resource and any(vocab.RDFS_RESOURCE in e for e in sc_edges):
+        return None
+    sc, sp = _reach(sc_edges), _reach(sp_edges)
+    for p, supers in sp.items():
+        pairs = by_p.get(p)
+        if pairs:
+            for q in supers - {p}:
+                by_p.setdefault(q, set()).update(pairs)
+    types = set(by_p.get(vocab.RDF_TYPE, ()))
+    for p, c in by_p.get(vocab.RDFS_DOMAIN, ()):
+        types.update([(s, c) for s, _ in by_p.get(p, ())])
+    for p, c in by_p.get(vocab.RDFS_RANGE, ()):
+        types.update([(o, c) for _, o in by_p.get(p, ())])
+    types.update([(s, b) for s, a in types for b in sc.get(a, ())])
+    by_p[vocab.RDF_TYPE] = types
+    for p, reach in ((vocab.RDFS_SUBCLASSOF, sc),
+                     (vocab.RDFS_SUBPROPERTYOF, sp)):
+        by_p[p] = {(a, b) for a, bs in reach.items() for b in bs}
+    ctx = quads[0][0]
+    # ``ctx`` is a quad's context and every term a quad's term, so the
+    # checks of ``Quad.__new__`` would all pass
+    out = [tuple.__new__(Quad, (ctx, s, p, o))
+           for p, pairs in by_p.items() for s, o in pairs]
+    if resource and out:
+        objects = {q[3] for q in out}
+        objects.add(vocab.RDFS_RESOURCE)
+        out += [tuple.__new__(Quad, (ctx, o, vocab.RDF_TYPE,
+                                     vocab.RDFS_RESOURCE)) for o in objects]
+    return out
+
+
+def _reach(pairs: Iterable[tuple[Constant, Constant]]
+           ) -> dict[Constant, set[Constant]]:
+    """Each subject of ``pairs`` mapped to the terms it reaches through
+    one or more of them (itself only on a cycle)."""
+    succ: dict[Constant, list[Constant]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    reach: dict[Constant, set[Constant]] = {}
+    for a in succ:
+        seen: set[Constant] = set()
+        todo = [a]
+        while todo:
+            for b in succ.get(todo.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        reach[a] = seen
+    return reach
 
 
 def _replicas(graph: QuadGraph, rules: list[SkolemRule],
@@ -155,5 +269,5 @@ def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
     changed."""
     closed = QuadGraph(qg)
     if sem.rules:
-        close(closed, local_rules(sem, qg.contexts()), 0)
+        close(closed, sem, local_rules(sem, qg.contexts()), 0)
     return closed

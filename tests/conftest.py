@@ -2,6 +2,7 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -9,6 +10,18 @@ from quadchase.engine import QuadSystem
 from quadchase.syntax import parse_nquads, parse_rules
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# ``pytest --hypothesis-profile=ci`` runs ten times the examples of the
+# default profile, in the tests that leave ``max_examples`` to it and in
+# those that set their count through ``examples``.
+DEFAULT_EXAMPLES = settings.get_profile("default").max_examples
+settings.register_profile("ci", max_examples=10 * DEFAULT_EXAMPLES)
+
+
+def examples(n: int) -> int:
+    """``n`` examples under the default Hypothesis profile, and as many
+    times more as the loaded profile has over the default."""
+    return n * settings().max_examples // DEFAULT_EXAMPLES
 
 
 def load_system(nq_name: str, rules_name: str) -> QuadSystem:

@@ -50,6 +50,7 @@ from quadchase.vocab import (
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
+    RDFS_RESOURCE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
 )
@@ -346,13 +347,30 @@ def random_rdfs_quadgraph(rng: random.Random, max_quads: int = 15,
                           n_contexts: int = 3) -> QuadGraph:
     """A random quad-graph over four IRIs and the rdfs-core vocabulary,
     on which every rdfs-core rule can fire (``random_quadgraph`` never
-    holds that vocabulary, so only its resource rule fires)."""
+    holds that vocabulary, so only its resource rule fires).
+
+    A subject or object is now and then a schema property,
+    ``rdfs:Resource``, a literal or a blank node, and a predicate now and
+    then a literal, so some contexts hold generalized triples and schema
+    triples about the schema itself, and close through the compiled
+    rules instead of the direct rho-df pass.  Over four names,
+    ``subClassOf`` and ``subPropertyOf`` cycles and self-loops are
+    common."""
     contexts = [iri("ctx%d" % i) for i in range(n_contexts)]
     names = [iri("n%d" % i) for i in range(4)]
-    predicates = [RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF,
-                  RDFS_DOMAIN, RDFS_RANGE] + names[:2]
-    return QuadGraph(Quad(rng.choice(contexts), rng.choice(names),
-                          rng.choice(predicates), rng.choice(names))
+    schema = [RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDFS_DOMAIN,
+              RDFS_RANGE]
+    odd = schema + [RDFS_RESOURCE, literal("v0"), blank("b0")]
+
+    def node() -> Constant:
+        return rng.choice(odd if rng.random() < 0.1 else names)
+
+    def predicate() -> Constant:
+        if rng.random() < 0.05:
+            return literal("v1")
+        return rng.choice(schema + names[:2])
+
+    return QuadGraph(Quad(rng.choice(contexts), node(), predicate(), node())
                      for _ in range(rng.randrange(max_quads + 1)))
 
 

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quadchase import chase, engine
 from quadchase.engine import BridgeRule, QuadSystem
 from quadchase.semantics import (
     SIMPLE,
+    _rho_df,
     close,
     get_semantics,
     lclosure_quadgraph,
@@ -16,11 +17,14 @@ from quadchase.semantics import (
 from quadchase.terms import Quad, QuadGraph, QuadPattern, Variable, iri
 from quadchase.vocab import (
     RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_RANGE,
     RDFS_RESOURCE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
 )
 
+from conftest import examples
 from oracles import (
     naive_local_closure,
     random_quadgraph,
@@ -37,6 +41,20 @@ def close_one_graph(triples, sem):
     ctx = iri("urn:x-test:graph")
     qg = QuadGraph(Quad(ctx, *t) for t in triples)
     return triples_of(lclosure_quadgraph(qg, sem), ctx)
+
+
+def count_heads(monkeypatch) -> list[int]:
+    """A one-item list that counts the rule heads instantiated from now
+    on."""
+    instantiate = engine.instantiate_head
+    heads = [0]
+
+    def counted(*args):
+        heads[0] += 1
+        return instantiate(*args)
+
+    monkeypatch.setattr(engine, "instantiate_head", counted)
+    return heads
 
 
 def test_simple_is_identity():
@@ -105,7 +123,7 @@ def test_get_semantics_names():
         get_semantics("owl-horst")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 2 ** 32), st.booleans())
 def test_idempotence(seed, resource):
     rng = random.Random(seed)
@@ -115,7 +133,7 @@ def test_idempotence(seed, resource):
     assert lclosure_quadgraph(once, sem) == once
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_monotonicity(seed):
     rng = random.Random(seed)
@@ -127,7 +145,7 @@ def test_monotonicity(seed):
     assert closed_small.quads <= closed_big.quads
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_context_isolation_property(seed):
     rng = random.Random(seed)
@@ -139,18 +157,22 @@ def test_context_isolation_property(seed):
             == {q for q in closed if q.ctx is ctx}
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 32))
-def test_oracle_equivalence_small_graphs(seed):
+@settings(max_examples=examples(200), deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_oracle_equivalence_small_graphs(seed, schema):
+    """``schema`` draws the graph over the rdfs-core vocabulary, so that
+    the context is closed by the direct pass or, when its triples break
+    one of its conditions, by the compiled rules."""
     rng = random.Random(seed)
-    qg = random_quadgraph(rng, max_quads=30, n_contexts=1)
+    graph = random_rdfs_quadgraph if schema else random_quadgraph
+    qg = graph(rng, max_quads=30, n_contexts=1)
     closed = lclosure_quadgraph(qg, RDFS_FULL)
     for ctx in qg.contexts():
         assert triples_of(closed, ctx) \
             == naive_local_closure(triples_of(qg, ctx), RDFS_FULL)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_polynomial_output_bound(seed):
     # Closure can touch the fixed vocabulary (rdf:type, rdfs:Resource),
@@ -173,26 +195,30 @@ def test_local_rules_are_compiled_per_context():
     assert local_rules(SIMPLE, [iri("c1")]) == []
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
 def test_incremental_close_matches_naive_closure(seed, resource, schema):
     """Close a random multi-context part, add the rest of the graph, and
     close again through only what was added: each context ends up as
     the naive closure of its union.  ``schema`` draws the graphs over
-    the rdfs-core vocabulary, so that every rule fires."""
+    the rdfs-core vocabulary, so that every rule fires.  ``ctx2`` only
+    ever appears in the rest, so the second close meets it empty before
+    the mark and may close it by the direct pass, while the contexts of
+    the first part that the rest adds to go through their compiled
+    rules."""
     rng = random.Random(seed)
     sem = rdfs_core(resource)
     graph = random_rdfs_quadgraph if schema else random_quadgraph
-    base = graph(rng, max_quads=15)
+    base = graph(rng, max_quads=15, n_contexts=2)
     extra = graph(rng, max_quads=15)
     union = QuadGraph([*base, *extra])
     rules = local_rules(sem, union.contexts())
     closed = QuadGraph(base)
-    close(closed, rules, 0)
+    close(closed, sem, rules, 0)
     mark = len(closed)
     for q in extra:
         closed.add(q)
-    close(closed, rules, mark)
+    close(closed, sem, rules, mark)
     assert closed.contexts() == union.contexts()
     for ctx in union.contexts():
         assert triples_of(closed, ctx) == naive_local_closure(
@@ -207,12 +233,12 @@ def test_same_size_context_with_other_triples_is_still_closed():
     rules = local_rules(RDFS, [c0, c1])
     graph = QuadGraph([Quad(c0, A, RDFS_SUBCLASSOF, B),
                        Quad(c0, iri("x"), RDF_TYPE, A)])
-    close(graph, rules, 0)
+    close(graph, RDFS, rules, 0)
     assert graph.candidate_count(c0) == 3
     mark = len(graph)
     for s, o in ((A, B), (B, C), (iri("y"), iri("z"))):
         graph.add(Quad(c1, s, RDFS_SUBCLASSOF, o))
-    close(graph, rules, mark)
+    close(graph, RDFS, rules, mark)
     assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
 
 
@@ -226,7 +252,7 @@ def test_context_without_compiled_rules_is_never_a_source():
     mark = len(graph)
     for t in chain:
         graph.add(Quad(c1, *t))
-    close(graph, local_rules(RDFS, [c1]), mark)
+    close(graph, RDFS, local_rules(RDFS, [c1]), mark)
     assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
     assert Quad(c0, A, RDFS_SUBCLASSOF, C) not in graph
 
@@ -247,21 +273,14 @@ def test_closing_a_copy_chain_after_iteration_zero_derives_nothing(
                               (QuadPattern(contexts[i], s, p, o),),
                               (QuadPattern(contexts[i + 1], s, p, o),))
                    for i in range(3))
-    instantiate = engine.instantiate_head
-    heads = [0]
-
-    def counted(*args):
-        heads[0] += 1
-        return instantiate(*args)
-
+    heads = count_heads(monkeypatch)
     per_close = []
 
-    def counted_close(graph, rules, mark):
+    def counted_close(graph, sem, rules, mark):
         before = heads[0]
-        close(graph, rules, mark)
+        close(graph, sem, rules, mark)
         per_close.append(heads[0] - before)
 
-    monkeypatch.setattr(engine, "instantiate_head", counted)
     monkeypatch.setattr(chase, "close", counted_close)
     result = chase.run_chase(QuadSystem(QuadGraph(data), copies),
                              chase.ChaseConfig(semantics=RDFS_FULL))
@@ -271,3 +290,89 @@ def test_closing_a_copy_chain_after_iteration_zero_derives_nothing(
     closed = triples_of(result.quads, contexts[0])
     assert closed == naive_local_closure([q.triple for q in data], RDFS_FULL)
     assert all(triples_of(result.quads, c) == closed for c in contexts)
+
+
+SCHEMA = {RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDFS_DOMAIN,
+          RDFS_RANGE}
+
+
+def meets_conditions(triples, resource: bool) -> bool:
+    """C1-C3 of the direct rdfs-core pass: no schema property in a
+    subPropertyOf triple, none as the subject of a domain or range
+    triple, and (resource rule on) no rdfs:Resource in a subClassOf
+    triple."""
+    return not any(
+        p is RDFS_SUBPROPERTYOF and (s in SCHEMA or o in SCHEMA)
+        or p in (RDFS_DOMAIN, RDFS_RANGE) and s in SCHEMA
+        or resource and p is RDFS_SUBCLASSOF and RDFS_RESOURCE in (s, o)
+        for s, p, o in triples)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_direct_pass_matches_naive_closure(seed, resource):
+    """The direct pass closes a context as the naive closure does, with
+    the resource rule on and off, and declines exactly the contexts whose
+    triples break C1, C2 or C3."""
+    rng = random.Random(seed)
+    qg = random_rdfs_quadgraph(rng, max_quads=20, n_contexts=1)
+    assume(len(qg))
+    ctx = qg.log[0].ctx
+    triples = triples_of(qg, ctx)
+    closed = _rho_df(qg.log, resource)
+    if closed is not None:
+        assert all(q.ctx is ctx for q in closed)
+        assert {q.triple for q in closed} \
+            == naive_local_closure(triples, rdfs_core(resource))
+    assert (closed is not None) == meets_conditions(triples, resource)
+
+
+@pytest.mark.parametrize("resource", [False, True])
+def test_closing_a_class_chain_instantiates_no_head(monkeypatch, resource):
+    """A 10-class subClassOf chain with 20 entities typed along it is
+    closed by the direct pass: no rule head is instantiated, and the
+    closure adds the chain's 36 implied subClassOf triples, each entity's
+    classes above its own and, with the resource rule, a type for each
+    class and for rdfs:Resource itself."""
+    ctx = iri("urn:x-test:graph")
+    classes = [iri("C%d" % i) for i in range(10)]
+    data = [Quad(ctx, a, RDFS_SUBCLASSOF, b)
+            for a, b in zip(classes, classes[1:])]
+    data += [Quad(ctx, iri("e%d" % i), RDF_TYPE, classes[i % 10])
+             for i in range(20)]
+    heads = count_heads(monkeypatch)
+    sem = rdfs_core(resource)
+    closed = lclosure_quadgraph(QuadGraph(data), sem)
+    added = 10 * 9 // 2 - 9 + sum(9 - i % 10 for i in range(20))
+    if resource:
+        added += len(classes) + 1
+    assert heads[0] == 0
+    assert len(closed) - len(data) == added
+    assert triples_of(closed, ctx) \
+        == naive_local_closure([q.triple for q in data], sem)
+
+
+X, Y, P, C, D = (iri(name) for name in ("x", "y", "p", "C", "D"))
+
+# One context per condition of the direct pass that its triples break,
+# with the semantics it is closed under and a triple only the broken
+# condition's inference gives.
+BREAKING = {
+    "C1": ([(P, RDFS_SUBPROPERTYOF, RDF_TYPE), (X, P, C),
+            (C, RDFS_SUBCLASSOF, D)], RDFS, (X, RDF_TYPE, D)),
+    "C2": ([(RDF_TYPE, RDFS_DOMAIN, D), (X, RDF_TYPE, C)], RDFS,
+           (X, RDF_TYPE, D)),
+    "C3": ([(RDFS_RESOURCE, RDFS_SUBCLASSOF, D), (X, P, Y)], RDFS_FULL,
+           (Y, RDF_TYPE, D)),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(BREAKING))
+def test_context_breaking_a_condition_is_closed_by_its_rules(monkeypatch,
+                                                             condition):
+    triples, sem, implied = BREAKING[condition]
+    heads = count_heads(monkeypatch)
+    closed = close_one_graph(triples, sem)
+    assert heads[0] > 0
+    assert implied in closed
+    assert closed == naive_local_closure(triples, sem)
