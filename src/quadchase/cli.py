@@ -72,30 +72,42 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _parse_file(parse, path: str, data: Optional[bytes] = None,
-                **options):
-    """``parse`` applied to ``data``, by default the bytes of ``path``;
-    a parse error names the file before its location."""
-    if data is None:
-        data = _read(path)
+def _parse_file(parse, path: str, fh=None, **options):
+    """``parse`` applied to the binary file ``fh``, by default ``path``
+    opened: a quad file streams from it and any other is read whole.  A
+    parse error names the file before its location."""
+    if fh is None:
+        with open(path, "rb") as fh:
+            return _parse_file(parse, path, fh, **options)
     try:
-        return parse(data, **options)
+        return parse(fh if parse is parse_nquads else fh.read(), **options)
     except ParseError as exc:
         raise ParseError("%s: %s" % (path, exc)) from exc
 
 
-class _DigestWriter:
-    """A binary file that takes the SHA-256 of the bytes written to it."""
+class _Digest:
+    """A binary file that takes the SHA-256 of the bytes written to it
+    or read from it."""
 
     def __init__(self, fh) -> None:
         import hashlib  # only manifests need it
 
         self.sha256 = hashlib.sha256()
-        self._write = fh.write
+        self._fh = fh
 
     def write(self, data: bytes) -> int:
         self.sha256.update(data)
-        return self._write(data)
+        return self._fh.write(data)
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._fh.read(size)
+        self.sha256.update(data)
+        return data
+
+    def readline(self) -> bytes:
+        data = self._fh.readline()
+        self.sha256.update(data)
+        return data
 
 
 def _load_system(data_path: str, rules_path: str,
@@ -170,7 +182,7 @@ def cmd_chase(args: argparse.Namespace) -> int:
     result = run_chase(system, cfg)
     elapsed = time.monotonic() - started
     with open(args.output, "wb") as fh:
-        digest = _DigestWriter(fh) if args.stats else None
+        digest = _Digest(fh) if args.stats else None
         write_nquads(result.quads, digest or fh)
     if result.status == BUDGET_EXHAUSTED:
         print("budget exhausted after %d iterations; partial chase "
@@ -238,10 +250,10 @@ def _write_manifest(path: str, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _chase_status(path: str, chase_path: str, chase: bytes) -> str:
+def _chase_status(path: str, chase_path: str, actual: str) -> str:
     """The status the chase manifest ``path`` records, complete when it
     has none, once its ``output_sha256`` (when it has one) is checked
-    against the bytes ``chase`` read from ``chase_path``."""
+    against ``actual``, the SHA-256 of the chase file ``chase_path``."""
     statuses = tuple(_STATUS_EXIT)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -255,25 +267,22 @@ def _chase_status(path: str, chase_path: str, chase: bytes) -> str:
         raise ParseError("%s: unknown chase status %r (choose from %s)"
                          % (path, status, ", ".join(statuses)))
     recorded = manifest.get("output_sha256")
-    if recorded is not None:
-        import hashlib  # only manifests need it
-
-        actual = hashlib.sha256(chase).hexdigest()
-        if actual != recorded:
-            raise ParseError(
-                "%s does not match the chase manifest %s: its SHA-256 is "
-                "%s, the manifest records %s"
-                % (chase_path, path, actual, recorded))
+    if recorded is not None and actual != recorded:
+        raise ParseError(
+            "%s does not match the chase manifest %s: its SHA-256 is "
+            "%s, the manifest records %s"
+            % (chase_path, path, actual, recorded))
     return status
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    data = _read(args.dchase)
-    quads = _parse_file(parse_nquads, args.dchase, data)
+    with open(args.dchase, "rb") as fh:
+        digest = _Digest(fh) if args.chase_stats else None
+        quads = _parse_file(parse_nquads, args.dchase, digest or fh)
     status = COMPLETE
-    if args.chase_stats:
-        status = _chase_status(args.chase_stats, args.dchase, data)
-    del data  # the query reads the graph, not the file
+    if digest is not None:
+        status = _chase_status(args.chase_stats, args.dchase,
+                               digest.sha256.hexdigest())
     result = ChaseResult(quads, status, (), 0, [])
     q = _parse_file(parse_query, args.query)
     started = time.monotonic()

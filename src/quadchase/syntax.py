@@ -24,26 +24,31 @@ Query files (``.ccq``)::
     ask { c1(?x, <beat>, <Italy>) }
     select ?x where { c1(?x, <beat>, <Italy>), c2(?x, <beat>, <Italy>) }
 
-A quad file is read a line at a time.  A line holding one statement in
-the usual shape (four terms separated by blanks, then ``.`` and an
-optional comment) matches one compiled regex, and each captured term
-text is looked up in the intern table (``terms.interned``); a term the
-table does not hold (new, or spelled non-canonically) is decoded by
-``_scan_term`` at the column where the character scanner would decode
-it, and the line is that quad.  Any other line goes to the character
-scanner ``_scan_nquads_line``: a generalized triple under strict mode,
-and any other layout.  Only ``_scan_term`` decodes a term, and the
-regex delimits each term exactly as the scanner does, so a line reads
-the same, and fails with the same ``ParseError``, on either path.  The
-rule and query tokenizer reads its IRIs, literals and blank nodes with
-``_scan_term`` too, so a term is spelled, and rejected, alike in every
-file.
+A quad file is read a chunk at a time.  Each line in the usual shape
+(four terms separated by blanks, then ``.`` and an optional comment),
+blank, or holding only a comment, is one row of one compiled regex, so
+one ``findall`` over the chunk gives every term text.  One pass looks
+them up in the intern table (``terms.interned``), ``_scan_term``
+decodes once each distinct text the table does not hold (new, or
+spelled non-canonically), and the quads are built in bulk, with no
+Python work per line.  A chunk with any other line, a term that does
+not decode, or a generalized triple under strict mode is read again a
+line at a time: a line the regex takes has its missing terms decoded
+where the character scanner would decode them, and any other line goes
+to the scanner ``_scan_nquads_line``, which alone reports a
+``ParseError``'s line and column.  Only ``_scan_term`` decodes a term,
+and the regex delimits each term exactly as the scanner does, so a
+chunk reads the same, and fails with the same ``ParseError``, on every
+path.  The rule and query tokenizer reads its IRIs, literals and blank
+nodes with ``_scan_term`` too, so a term is spelled, and rejected,
+alike in every file.
 
-Quad files stream, so neither side holds the whole file as text.
-``parse_nquads`` decodes bytes ``_CHUNK_BYTES`` (64 KiB) at a time, each
-chunk cut after a newline, and numbers lines across chunks, so a byte
-that is not UTF-8 is reported at its line and column; text input is one
-chunk.  ``write_nquads`` writes a graph to a binary file one context at
+Quad files stream, so neither side holds the whole file.
+``parse_nquads`` takes bytes, text or a binary file and reads
+``_CHUNK_BYTES`` (64 KiB) at a time, each chunk cut after the first
+newline past that size (characters, for text), and numbers lines
+across chunks, so a byte that is not UTF-8 is reported at its line and
+column.  ``write_nquads`` writes a graph to a binary file one context at
 a time, in canonical order, sorting that context's quads by canonical
 triple and formatting, encoding and writing ``_BLOCK_LINES`` (1,024)
 lines at a time.  Beyond the graph it holds one context's sort keys and
@@ -58,8 +63,9 @@ from __future__ import annotations
 
 import io
 import re
-from itertools import chain
-from operator import attrgetter
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, itemgetter
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from .engine import BridgeRule, RuleError
@@ -210,21 +216,33 @@ _CHUNK_BYTES = 1 << 16
 _BLOCK_LINES = 1024
 
 
-def _text_chunks(data: Union[bytes, str]) -> Iterator[tuple[int, str]]:
-    """``data`` as consecutive pieces of text, each with the number of
-    its first line.  Bytes are cut after the first newline past
-    ``_CHUNK_BYTES`` bytes, never inside a UTF-8 character; text is one
-    piece."""
-    if not isinstance(data, bytes):
-        yield 1, data
+def _pieces(data: Union[bytes, str, BinaryIO]
+            ) -> Iterator[Union[bytes, str]]:
+    """``data`` cut after the first newline past each ``_CHUNK_BYTES``
+    bytes (characters of text), so never inside a UTF-8 character; a
+    binary file is read ``_CHUNK_BYTES`` at a time and then to the end
+    of the line."""
+    if not isinstance(data, (bytes, str)):
+        for piece in iter(partial(data.read, _CHUNK_BYTES), b""):
+            yield piece if piece.endswith(b"\n") else piece + data.readline()
         return
-    line = 1
+    newline = "\n" if isinstance(data, str) else b"\n"
     start = 0
     while start < len(data):
-        end = data.find(b"\n", start + _CHUNK_BYTES) + 1 or len(data)
-        yield line, _decode(data[start:end], line)
-        line += data.count(b"\n", start, end)
+        end = data.find(newline, start + _CHUNK_BYTES) + 1 or len(data)
+        yield data[start:end]
         start = end
+
+
+def _text_chunks(data: Union[bytes, str, BinaryIO]
+                 ) -> Iterator[tuple[int, str]]:
+    """The pieces of ``data`` as text, each with the number of its first
+    line."""
+    line = 1
+    for piece in _pieces(data):
+        text = _decode(piece, line)
+        yield line, text
+        line += text.count("\n")
 
 
 def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
@@ -262,21 +280,30 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
     raise ParseError("expected an RDF term", line, i + 1)
 
 
-# One statement in its usual shape, as a whole line: four terms (IRI,
+# A line that is one statement in its usual shape: four terms (IRI,
 # blank node or literal; the context an IRI) separated by blanks, then
 # '.', then an optional comment.  Each term is delimited exactly as
 # ``_scan_term`` delimits it: an IRI ends at the first '>', a
 # literal at the first unescaped '"', and a name (blank label, language
 # tag) at the end of its run of name characters.  A name that ends in
 # '.' is left to the scanner, which hands that dot to the punctuation,
-# and so is an empty IRI, which it rejects.
+# and so is an empty IRI, which it rejects.  The regex also takes a line
+# of blanks and an optional comment, with no group set.
+#
+# ``_statement`` matches one line; ``_statements`` gives the rows of a
+# chunk, a statement's four term texts or four empty strings.  Each row
+# starts a line, and a row that runs past a newline (inside an IRI or a
+# literal) leaves the next line without one, so a chunk has one row per
+# line exactly when each of its lines is one of the two.
 _IRI_TOKEN = r"<[^>]+>"
 _NAME_TOKEN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"
 _TERM_TOKEN = (r'(%s|_:%s|"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^%s|@%s)?)'
                % (_IRI_TOKEN, _NAME_TOKEN, _IRI_TOKEN, _NAME_TOKEN))
-_statement = re.compile(
-    r"[ \t\r]*%s[ \t\r]+%s[ \t\r]+%s[ \t\r]+(%s)[ \t\r]*\.[ \t\r]*(?:#.*)?"
-    % (_TERM_TOKEN, _TERM_TOKEN, _TERM_TOKEN, _IRI_TOKEN)).fullmatch
+_LINE = re.compile(
+    r"^(?:[ \t\r]*%s[ \t\r]+%s[ \t\r]+%s[ \t\r]+(%s)[ \t\r]*\.[ \t\r]*(?:#.*)?"
+    r"|[ \t\r]*(?:#.*)?)$"
+    % (_TERM_TOKEN, _TERM_TOKEN, _TERM_TOKEN, _IRI_TOKEN), re.MULTILINE)
+_statement, _statements = _LINE.match, _LINE.findall
 
 _new_tuple = tuple.__new__
 
@@ -327,21 +354,42 @@ def _scan_nquads_line(raw: str, lineno: int, strict: bool) -> list[Quad]:
     return quads
 
 
-def parse_nquads(data: Union[bytes, str], strict: bool = False
-                 ) -> QuadGraph:
-    """Parse N-Quads: one quad per statement, graph label required.
+def _read_chunk(text: str, strict: bool) -> Optional[Iterator[Quad]]:
+    """The quads of ``text``, read in bulk; None when a line is not a
+    statement in the usual shape, blank or a comment, when a term does
+    not decode, or when ``strict`` rejects a statement."""
+    rows = _statements(text)
+    if len(rows) != text.count("\n") + 1:
+        return None
+    texts = list(chain.from_iterable(filter(itemgetter(0), rows)))
+    terms = list(map(interned, texts))
+    if None in terms:
+        # decode each distinct text the table lacks once; a term text is
+        # delimited as the scanner delimits it, so alone it decodes to
+        # the constant it is in its line
+        try:
+            decoded = {token: _scan_term(token, 0, 0)[0] for token in
+                       set(compress(texts, map(is_, terms, repeat(None))))}
+        except ParseError:
+            return None
+        terms = list(map(decoded.get, texts, terms))
+    s, p = terms[0::4], terms[1::4]
+    if strict and (LITERAL in map(attrgetter("kind"), s)
+                   or not {IRI}.issuperset(map(attrgetter("kind"), p))):
+        return None
+    # interned constants with an IRI context: what Quad() checks holds
+    return map(_new_tuple, repeat(Quad), zip(terms[3::4], s, p, terms[2::4]))
 
-    Duplicates collapse (set semantics); the graph's log keeps the
-    quads in file order.  Strict mode rejects generalized triples:
-    literal subjects or predicates and blank-node predicates.  The
-    module docstring says how a line is read.
-    """
-    quads: list[Quad] = []
-    lines = chain.from_iterable(enumerate(text.split("\n"), first)
-                                for first, text in _text_chunks(data))
-    for lineno, raw in lines:
+
+def _read_lines(text: str, first: int, strict: bool,
+                quads: list[Quad]) -> None:
+    """Append the quads of ``text``, whose first line is ``first``, to
+    ``quads``, a line at a time."""
+    for lineno, raw in enumerate(text.split("\n"), first):
         match = _statement(raw)
         if match is not None:
+            if match.lastindex is None:
+                continue  # blanks and an optional comment
             s, p, o, g = map(interned, match.groups())
             if s is None or p is None or o is None or g is None:
                 # decode each term the table lacks where the scanner
@@ -356,6 +404,25 @@ def parse_nquads(data: Union[bytes, str], strict: bool = False
                 quads.append(_new_tuple(Quad, (g, s, p, o)))
                 continue
         quads.extend(_scan_nquads_line(raw, lineno, strict))
+
+
+def parse_nquads(data: Union[bytes, str, BinaryIO], strict: bool = False
+                 ) -> QuadGraph:
+    """Parse N-Quads from bytes, text or a binary file: one quad per
+    statement, graph label required.
+
+    Duplicates collapse (set semantics); the graph's log keeps the
+    quads in file order.  Strict mode rejects generalized triples:
+    literal subjects or predicates and blank-node predicates.  The
+    module docstring says how a chunk is read.
+    """
+    quads: list[Quad] = []
+    for first, text in _text_chunks(data):
+        bulk = _read_chunk(text, strict)
+        if bulk is not None:
+            quads.extend(bulk)
+        else:
+            _read_lines(text, first, strict, quads)
     return QuadGraph(quads)
 
 

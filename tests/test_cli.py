@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from quadchase import syntax
 from quadchase.cli import main
 from quadchase.syntax import (
     parse_nquads,
@@ -333,6 +334,19 @@ def test_chase_manifest_records_the_chase_file_digest(capsys, fixtures_dir,
     code, out, err = _query_json(capsys, tmp_path, out_nq, stats)
     assert code == 0 and err == ""
     assert json.loads(out) == {"boolean": True, "complete": True}
+
+
+def test_query_hashes_the_chase_file_in_the_pieces_it_parses(
+        capsys, fixtures_dir, tmp_path, monkeypatch):
+    """Read 7 bytes and then to the end of the line at a time, the chase
+    file still matches its manifest, and a changed one still does not."""
+    out_nq, stats = _chase_with_manifest(capsys, fixtures_dir, tmp_path)
+    monkeypatch.setattr(syntax, "_CHUNK_BYTES", 7)
+    code, out, err = _query_json(capsys, tmp_path, out_nq, stats)
+    assert code == 0 and err == ""
+    out_nq.write_bytes(out_nq.read_bytes().replace(b"<s>", b"<t>", 1))
+    code, out, err = _query_json(capsys, tmp_path, out_nq, stats)
+    assert code == 2 and "does not match the chase manifest" in err
 
 
 def test_query_refuses_a_chase_file_its_manifest_does_not_describe(

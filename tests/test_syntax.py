@@ -1,9 +1,11 @@
 import collections
+import functools
 import io
 import itertools
 import random
 import tracemalloc
 import uuid
+from operator import attrgetter
 from unittest import mock
 
 import pytest
@@ -31,6 +33,7 @@ from quadchase.terms import (
 )
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
+from conftest import examples
 from oracles import random_quadgraph
 
 
@@ -202,7 +205,7 @@ _constant = st.one_of(
 _quad = st.builds(Quad, _iri_text.map(iri), _constant, _constant, _constant)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.lists(_quad, max_size=50))
 def test_round_trip_property(quads):
     g = QuadGraph(quads)
@@ -259,7 +262,7 @@ def _spelled_iri(draw):
     return "".join(chars), "".join(out)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(_spelled_iri(), st.booleans())
 @example((">", r"\u003E"), False)
 @example((">", r"\u003E"), True)
@@ -311,6 +314,17 @@ def test_bad_iri_errors_keep_their_position(warm, bad, col, message):
     assert err.value.message.startswith(message)
 
 
+def _count_calls(monkeypatch, *names):
+    """A counter of the calls to each named function of ``syntax``."""
+    calls = collections.Counter()
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(syntax, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(syntax, name, wrapper)
+    return calls
+
+
 def test_interned_terms_are_not_decoded_again(monkeypatch):
     """A cold parse decodes and builds each distinct IRI or blank term
     once, not once per occurrence; re-parsing a serialized ~1,000-quad
@@ -334,17 +348,7 @@ def test_interned_terms_are_not_decoded_again(monkeypatch):
     n_iris = sum(1 for t in used if t.startswith("<"))
     n_blanks = len(used) - n_iris
 
-    calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(syntax, name, wrapper)
-
-    counted("_unescape", syntax._unescape)
-    counted("iri", syntax.iri)
-    counted("blank", syntax.blank)
+    calls = _count_calls(monkeypatch, "_unescape", "iri", "blank")
 
     g = parse_nquads(doc)
     assert len(g) == 1000
@@ -380,16 +384,7 @@ def test_reparsing_a_serialization_never_scans_a_term(monkeypatch):
     assert len(g) == 1000
     data = serialize_nquads(g)
 
-    calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(syntax, name, wrapper)
-
-    counted("_scan_term", syntax._scan_term)
-    counted("_unescape", syntax._unescape)
+    calls = _count_calls(monkeypatch, "_scan_term", "_unescape")
     assert parse_nquads(data) == g
     assert calls == {}
     # the counters do see a line the regex leaves to the scanner
@@ -408,16 +403,7 @@ def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
                  '"%d"^^<%s/dt>' % (i, stem), "<%s/o%d>" % (stem, i))[i % 4],
                 stem, i % 2)
              for i in range(40)]
-    calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(syntax, name, wrapper)
-
-    counted("_scan_nquads_line", syntax._scan_nquads_line)
-    counted("_scan_term", syntax._scan_term)
+    calls = _count_calls(monkeypatch, "_scan_nquads_line", "_scan_term")
     g = parse_nquads("\n".join(lines))
     assert calls["_scan_nquads_line"] == 0
     # 40 subjects, 3 predicates, 40 objects and 2 contexts are new
@@ -425,25 +411,75 @@ def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
     assert g == _scanned("\n".join(lines))
 
 
+def test_a_reread_chase_stays_on_the_bulk_path(monkeypatch):
+    """Re-reading a serialized graph of over ten chunks, as bytes or from a
+    file, with or without blank and comment lines, never enters the line
+    loop (``_statement``) or the character scanner; one odd line sends
+    only its own chunk to the line loop, and only itself to the
+    scanner."""
+    stem = _fresh("urn:bulk:")
+    objects = [iri("%s/o%d" % (stem, i)) for i in range(20)]
+    objects += [blank(_fresh("b")) for _ in range(10)]
+    objects += [skolem_constant("bulk", 0, [iri(stem), iri(str(i))])
+                for i in range(10)]
+    objects += [literal('%s "%d"\n' % (stem, i)) for i in range(10)]
+    objects += [literal("x%d" % i, lang="en-GB") for i in range(10)]
+    g = QuadGraph(Quad(iri("%s/g%d" % (stem, i % 3)),
+                       iri("%s/s%d" % (stem, i // 5)),
+                       iri("%s/p%d" % (stem, i % 5)),
+                       objects[i % len(objects)])
+                  for i in range(600))
+    lines = serialize_nquads(g).decode("utf-8").split("\n")
+    commented = "\n".join(
+        line + ("  # note\n\n \t\n# a comment line" if i % 9 == 0 else "")
+        for i, line in enumerate(lines)).encode("utf-8")
+    monkeypatch.setattr(syntax, "_CHUNK_BYTES", 4096)
+    calls = _count_calls(monkeypatch, "_statement", "_scan_nquads_line",
+                         "_scan_term")
+    data = serialize_nquads(g)
+    assert len(list(syntax._text_chunks(data))) > 10
+    for source in (data, io.BytesIO(data), commented):
+        assert parse_nquads(source) == g
+    assert calls == {}
+
+    lines[300] = "<%s/a><%s/b><%s/c><%s/d> ." % ((stem,) * 4)
+    odd = "\n".join(lines)
+    (chunk,) = [text for first, text in syntax._text_chunks(odd)
+                if first <= 301 <= first + text.count("\n")]
+    assert len(parse_nquads(odd)) == 600
+    assert calls == {"_statement": chunk.count("\n") + 1,
+                     "_scan_nquads_line": 1, "_scan_term": 4}
+
+
 # ---------------------------------------------------------------------------
 # The statement regex against the character scanner
 # ---------------------------------------------------------------------------
 #
-# ``parse_nquads`` reads a line with its statement regex only when the
-# result is certain to be the scanner's.  The property below reads random
-# documents both ways and demands the same quads or the same error.
+# ``parse_nquads`` reads a chunk in bulk, or a line with its statement
+# regex, only when the result is certain to be the scanner's.  The
+# properties below read random documents, in chunks of several sizes,
+# and with the character scanner alone, and demand the same quads in the
+# same order or the same error.
 
 def _scanned(doc, strict=False):
     """``doc`` read with every line left to the character scanner."""
-    quads = set()
+    quads = []
     for lineno, raw in enumerate(doc.split("\n"), start=1):
-        quads.update(syntax._scan_nquads_line(raw, lineno, strict))
+        quads.extend(syntax._scan_nquads_line(raw, lineno, strict))
     return QuadGraph(quads)
 
 
+def _chunked(size, doc, **options):
+    """``parse_nquads`` reading ``size`` bytes (characters of text) at a
+    time."""
+    with mock.patch.object(syntax, "_CHUNK_BYTES", size):
+        return parse_nquads(doc, **options)
+
+
 def _outcome(read, doc, **options):
+    """The quads read, in log order, or the error's class and place."""
     try:
-        return read(doc, **options)
+        return read(doc, **options).log
     except ParseError as exc:
         return (type(exc), exc.line, exc.col, exc.message)
 
@@ -456,20 +492,35 @@ _doc_constant = st.one_of(
               st.lists(_label, min_size=1, max_size=2)),
 )
 _blanks = st.text(st.sampled_from(" \t\r"), max_size=3)
+# terms no parse or factory has seen: their texts miss the intern table
+_cold_iri = st.uuids().map(lambda u: "<urn:cold:%s>" % u.hex)
+_cold_text = st.one_of(_cold_iri, st.builds(
+    lambda spelling, u: spelling % u.hex,
+    st.sampled_from(["_:c%s", '"%s"', '"%s"@en', '"%s"^^<urn:cold:dt>']),
+    st.uuids()))
+_respelled_iri = _spelled_iri().map(lambda spelled: "<urn:rd:%s>" % spelled[1])
+# a term of a line in the usual shape: warm (the canonical of a constant
+# already built), cold, or an IRI spelled non-canonically
+_usual_text = st.one_of(_doc_constant.map(attrgetter("canonical")),
+                        _cold_text, _respelled_iri)
+_usual_context = st.one_of(_iri_text.map(lambda t: iri(t).canonical),
+                           _cold_iri, _respelled_iri)
 
 
 @st.composite
 def _term_text(draw):
     """A term as a document might spell it: a canonical serialization
-    (the common case), another spelling of an IRI, a blank label that
-    may end in dots, or garbage."""
+    (the common case), a new or non-canonical one, one that does not
+    decode, a blank label that may end in dots, or garbage."""
     kind = draw(st.sampled_from(["canonical"] * 5
-                                + ["respelled", "label", "garbage"]))
+                                + ["usual", "bad", "label", "garbage"]))
     if kind == "canonical":
         return draw(_doc_constant).canonical
-    if kind == "respelled":
-        lexical, source = draw(_spelled_iri())
-        return "<urn:rd:%s>" % source
+    if kind == "usual":
+        return draw(_usual_text)
+    if kind == "bad":
+        return draw(st.sampled_from(
+            [r"<urn:bad:\u00zz>", r'"bad \q"', r"<urn:bad:\U0000D800>"]))
     if kind == "label":
         return "_:" + draw(st.from_regex(r"[A-Za-z0-9_.-]{0,5}",
                                          fullmatch=True))
@@ -480,12 +531,15 @@ _gap = st.text(st.sampled_from(" \t\r"), min_size=1, max_size=3)
 
 
 @st.composite
-def _statement_text(draw):
-    """A statement, in the usual shape (canonical terms, blanks between
-    them) half of the time."""
-    if draw(st.booleans()):
-        terms = [draw(_doc_constant).canonical for _ in range(3)]
-        terms.append(iri(draw(_iri_text)).canonical)
+def _statement_text(draw, usual=False):
+    """A statement, in the usual shape (blanks between the terms) half
+    of the time, or always when ``usual``."""
+    if usual or draw(st.booleans()):
+        # mostly IRIs as subject and predicate, so that most of these
+        # statements hold under strict mode too
+        terms = [draw(st.one_of(_usual_context, _usual_context, _usual_text))
+                 for _ in range(2)]
+        terms += [draw(_usual_text), draw(_usual_context)]
         gaps = [draw(_blanks)] + [draw(_gap) for _ in range(3)] \
             + [draw(_blanks), draw(_blanks)]
     else:
@@ -501,11 +555,14 @@ def _statement_text(draw):
 
 
 @st.composite
-def _line_text(draw):
-    kind = draw(st.sampled_from(["statement"] * 4
-                                + ["two", "truncated", "garbage", "blank"]))
+def _line_text(draw, usual=False):
+    """A line of a document; when ``usual``, a statement in the usual
+    shape, a blank line or a comment."""
+    kinds = ["statement"] * 5 + ["comment"] * 2
+    kind = draw(st.sampled_from(
+        kinds if usual else kinds + ["two", "truncated", "garbage"]))
     if kind == "statement":
-        return draw(_statement_text())
+        return draw(_statement_text(usual))
     if kind == "two":
         return draw(_statement_text()) + draw(_blanks) \
             + draw(_statement_text())
@@ -517,9 +574,20 @@ def _line_text(draw):
     return draw(_blanks) + draw(st.sampled_from(["", "# note"]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_line_text(), max_size=6).map("\n".join), st.booleans(),
-       st.booleans())
+def _lines(max_size):
+    """The lines of a document: all of them in the usual shape, blank or
+    comments (which ``parse_nquads`` reads in bulk) half of the time."""
+    return st.booleans().flatmap(
+        lambda usual: st.lists(_line_text(usual), max_size=max_size))
+
+
+# Chunk sizes that cut a document of a few lines into several chunks,
+# and the default, which reads it in one.
+_SIZES = (48, 160, syntax._CHUNK_BYTES)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(_lines(12).map("\n".join), st.booleans(), st.booleans())
 @example("<s> <p> <o> <g> .", False, True)
 @example("<s>\t<p>\r<o>  <g>. # note", False, True)
 @example("<s><p><o><g>.", False, True)
@@ -547,16 +615,17 @@ def _line_text(draw):
 @example("_:b <p> _:sk_r1_0_x <g> .", False, True)
 @example("_:b <p> _:sk_r1_0_x <g> .", False, False)
 def test_statement_regex_reads_like_the_scanner(doc, strict, scanner_first):
-    """The same quads or the same error (class, line, column, message),
-    for the whole document and for each line on its own.  With
-    ``scanner_first`` the scanner interns the document's terms before
-    ``parse_nquads`` reads it, so most lines take the regex path."""
-    readers = [_scanned, parse_nquads]
-    if not scanner_first:
-        readers.reverse()
+    """The same quads in the same order or the same error (class, line,
+    column, message), for the whole document read in chunks of each size
+    and for each line on its own.  With ``scanner_first`` the scanner
+    interns the document's terms before ``parse_nquads`` reads it, so
+    most chunks are read in bulk; without it the first read, in the
+    smallest chunks, meets terms new to the intern table."""
+    readers = [functools.partial(_chunked, size) for size in _SIZES]
+    readers.insert(0 if scanner_first else len(readers), _scanned)
     for text in [doc] + doc.split("\n"):
         outcomes = [_outcome(read, text, strict=strict) for read in readers]
-        assert outcomes[0] == outcomes[1], text
+        assert outcomes == outcomes[:1] * len(readers), text
 
 
 def test_interned_names_ending_in_a_dot_are_left_to_the_scanner():
@@ -617,7 +686,7 @@ _written_quad = st.builds(Quad, _written_context, _written_constant,
                           _written_constant, _written_constant)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.lists(_written_quad, max_size=40), st.sampled_from([1, 2, 3, 1024]),
        st.booleans())
 def test_block_writer_matches_the_one_shot_serialization(quads, block,
@@ -699,24 +768,31 @@ _CHUNKED = (
     '\r\n<s> <p> "é" "x" <g> .\r\n',
 ])
 def test_chunked_read_matches_the_whole_text(tail):
-    """Every cut of the bytes: the same graph, or the same error at the
-    same line and column, as the text read in one piece."""
+    """Every cut of the bytes, of the text and of a binary file: the same
+    quads in the same order, or the same error at the same line and
+    column, as the text read in one piece."""
     text = _CHUNKED + tail
     data = text.encode("utf-8")
     expected = _outcome(parse_nquads, text)
     for size in range(1, len(data) + 2):
-        with mock.patch.object(syntax, "_CHUNK_BYTES", size):
-            assert _outcome(parse_nquads, data) == expected, size
+        for source in (data, text, io.BytesIO(data)):
+            assert _outcome(functools.partial(_chunked, size), source) \
+                == expected, (size, type(source))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_line_text(), max_size=8), st.sampled_from(["\n", "\r\n"]),
-       st.integers(1, 64))
-def test_chunked_read_of_random_documents(lines, newline, size):
+@settings(max_examples=examples(150), deadline=None)
+@given(_lines(16), st.sampled_from(["\n", "\r\n"]), st.integers(1, 64),
+       st.booleans())
+def test_chunked_read_of_random_documents(lines, newline, size, strict):
+    """Bytes, text and a binary file, read in chunks of ``size`` and
+    before the character scanner: the same quads in the same order, or
+    the same error, as the scanner."""
     text = newline.join(lines)
     data = text.encode("utf-8")
-    with mock.patch.object(syntax, "_CHUNK_BYTES", size):
-        assert _outcome(parse_nquads, data) == _outcome(parse_nquads, text)
+    outcomes = [_outcome(functools.partial(_chunked, size), source,
+                         strict=strict)
+                for source in (data, text, io.BytesIO(data))]
+    assert outcomes == [_outcome(_scanned, text, strict=strict)] * 3
 
 
 _GOOD_LINE = '<s> <p> "é" <g> .\n'.encode("utf-8")
@@ -732,14 +808,15 @@ _GOOD_LINE = '<s> <p> "é" <g> .\n'.encode("utf-8")
 ])
 def test_a_byte_that_is_not_utf8_is_located(before, bad, col, reason):
     """In the first chunk and in a later one, with multi-byte characters
-    before the bad byte on its line."""
+    before the bad byte on its line, from bytes and from a file."""
     data = _GOOD_LINE * before + bad
     assert (len(_GOOD_LINE * before) > syntax._CHUNK_BYTES) == (before > 3)
-    with pytest.raises(ParseError) as err:
-        parse_nquads(data)
-    assert (err.value.line, err.value.col) == (before + 1, col)
-    assert err.value.message.startswith(
-        "input is not valid UTF-8: %s (byte 0x" % reason)
+    for source in (data, io.BytesIO(data)):
+        with pytest.raises(ParseError) as err:
+            parse_nquads(source)
+        assert (err.value.line, err.value.col) == (before + 1, col)
+        assert err.value.message.startswith(
+            "input is not valid UTF-8: %s (byte 0x" % reason)
 
 
 def test_rule_and_query_files_locate_a_byte_that_is_not_utf8():
