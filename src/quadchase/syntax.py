@@ -24,27 +24,26 @@ Query files (``.ccq``)::
     ask { c1(?x, <beat>, <Italy>) }
     select ?x where { c1(?x, <beat>, <Italy>), c2(?x, <beat>, <Italy>) }
 
-A quad file is read a chunk at a time.  Each line in the usual shape
+A quad file is read a chunk at a time, with one ``findall`` of one
+compiled regex that gives every line a row.  A line in the usual shape
 (four terms separated by blanks, then ``.`` and an optional comment),
-blank, or holding only a comment, is one row of one compiled regex, so
-one ``findall`` over the chunk gives every term text.  One pass looks
-them up in the intern table (``terms.interned``), ``_scan_term``
-decodes once each distinct text the table does not hold (new, or
-spelled non-canonically), and the quads are built in bulk, with no
-Python work per line.  A chunk with any other line, a term that does
-not decode, or a generalized triple under strict mode is read again a
-line at a time: a line the regex takes has its missing terms decoded
-where the character scanner would decode them, and any other line goes
-to the scanner ``_scan_nquads_line``, which alone reports a
-``ParseError``'s line and column.  Only ``_scan_term`` decodes a term,
-and the regex delimits each term exactly as the scanner does, so a
-chunk reads the same, and fails with the same ``ParseError``, on every
-path.  The rule and query tokenizer reads its IRIs, literals and blank
-nodes with ``_scan_term`` too, so a term is spelled, and rejected,
-alike in every file.
+blank, or holding only a comment is a usual row; any other line is odd.
+The usual rows are read in bulk: one pass looks their term texts up in
+the intern table (``terms.interned``), ``_scan_term`` decodes once each
+distinct text the table does not hold (new, or spelled
+non-canonically), and the quads are built with no Python work per line.
+Only the odd lines go to the character scanner ``_scan_nquads_line``,
+in line order, between the runs of usual rows around them; so does a
+usual line with a term that does not decode or, under strict mode, a
+generalized triple.  The scanner alone reports a ``ParseError``'s line
+and column.  Only ``_scan_term`` decodes a term, and the regex delimits
+each term exactly as the scanner does, so a line reads the same, and
+fails with the same ``ParseError``, on either path.  The rule and query
+tokenizer reads its IRIs, literals and blank nodes with ``_scan_term``
+too, so a term is spelled, and rejected, alike in every file.
 
 Quad files stream, so neither side holds the whole file.
-``parse_nquads`` takes bytes, text or a binary file and reads
+``parse_nquads`` takes bytes, text, or a binary or text file and reads
 ``_CHUNK_BYTES`` (64 KiB) at a time, each chunk cut after the first
 newline past that size (characters, for text), and numbers lines
 across chunks, so a byte that is not UTF-8 is reported at its line and
@@ -64,9 +63,9 @@ from __future__ import annotations
 import io
 import re
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, is_, itemgetter
-from typing import BinaryIO, Iterable, Iterator, Optional, Union
+from typing import IO, BinaryIO, Iterable, Iterator, Optional, Union
 
 from .engine import BridgeRule, RuleError
 from .terms import (
@@ -216,33 +215,26 @@ _CHUNK_BYTES = 1 << 16
 _BLOCK_LINES = 1024
 
 
-def _pieces(data: Union[bytes, str, BinaryIO]
-            ) -> Iterator[Union[bytes, str]]:
+def _pieces(data: Union[bytes, str, IO]) -> Iterator[Union[bytes, str]]:
     """``data`` cut after the first newline past each ``_CHUNK_BYTES``
     bytes (characters of text), so never inside a UTF-8 character; a
-    binary file is read ``_CHUNK_BYTES`` at a time and then to the end
-    of the line."""
-    if not isinstance(data, (bytes, str)):
-        for piece in iter(partial(data.read, _CHUNK_BYTES), b""):
-            yield piece if piece.endswith(b"\n") else piece + data.readline()
+    file is read ``_CHUNK_BYTES`` at a time and then to the end of the
+    line."""
+    stream = not isinstance(data, (bytes, str))
+    empty = data.read(0) if stream else data[:0]
+    newline = "\n" if isinstance(empty, str) else b"\n"
+    if stream:
+        for piece in iter(partial(data.read, _CHUNK_BYTES), empty):
+            # a text file may end a line read at a lone "\r"
+            while not piece.endswith(newline) and (rest := data.readline()):
+                piece += rest
+            yield piece
         return
-    newline = "\n" if isinstance(data, str) else b"\n"
     start = 0
     while start < len(data):
         end = data.find(newline, start + _CHUNK_BYTES) + 1 or len(data)
         yield data[start:end]
         start = end
-
-
-def _text_chunks(data: Union[bytes, str, BinaryIO]
-                 ) -> Iterator[tuple[int, str]]:
-    """The pieces of ``data`` as text, each with the number of its first
-    line."""
-    line = 1
-    for piece in _pieces(data):
-        text = _decode(piece, line)
-        yield line, text
-        line += text.count("\n")
 
 
 def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
@@ -280,30 +272,31 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
     raise ParseError("expected an RDF term", line, i + 1)
 
 
-# A line that is one statement in its usual shape: four terms (IRI,
-# blank node or literal; the context an IRI) separated by blanks, then
-# '.', then an optional comment.  Each term is delimited exactly as
-# ``_scan_term`` delimits it: an IRI ends at the first '>', a
-# literal at the first unescaped '"', and a name (blank label, language
-# tag) at the end of its run of name characters.  A name that ends in
-# '.' is left to the scanner, which hands that dot to the punctuation,
-# and so is an empty IRI, which it rejects.  The regex also takes a line
-# of blanks and an optional comment, with no group set.
+# Every line is one row of this regex.  A statement in its usual shape
+# sets the first four groups: four terms (IRI, blank node or literal;
+# the context an IRI) separated by blanks, then '.', then an optional
+# comment.  Each term is delimited exactly as ``_scan_term`` delimits
+# it: an IRI ends at the first '>', a literal at the first unescaped
+# '"', and a name (blank label, language tag) at the end of its run of
+# name characters.  A name that ends in '.' is left to the scanner,
+# which hands that dot to the punctuation, and so is an empty IRI, which
+# it rejects.  A line of blanks and an optional comment sets no group;
+# any other line is the fifth group, whole.
 #
-# ``_statement`` matches one line; ``_statements`` gives the rows of a
-# chunk, a statement's four term texts or four empty strings.  Each row
-# starts a line, and a row that runs past a newline (inside an IRI or a
-# literal) leaves the next line without one, so a chunk has one row per
-# line exactly when each of its lines is one of the two.
+# ``_rows`` gives the rows of a chunk, each a 5-tuple of texts.  Each
+# row starts a line.  A statement row that runs past a newline (inside
+# an IRI or a literal) leaves the next line without one, so a chunk has
+# fewer rows than lines exactly when a row opens an IRI or a literal
+# that its own line does not close, and the scanner rejects that line.
 _IRI_TOKEN = r"<[^>]+>"
 _NAME_TOKEN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"
 _TERM_TOKEN = (r'(%s|_:%s|"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^%s|@%s)?)'
                % (_IRI_TOKEN, _NAME_TOKEN, _IRI_TOKEN, _NAME_TOKEN))
 _LINE = re.compile(
     r"^(?:[ \t\r]*%s[ \t\r]+%s[ \t\r]+%s[ \t\r]+(%s)[ \t\r]*\.[ \t\r]*(?:#.*)?"
-    r"|[ \t\r]*(?:#.*)?)$"
+    r"|[ \t\r]*(?:#.*)?|(.*))$"
     % (_TERM_TOKEN, _TERM_TOKEN, _TERM_TOKEN, _IRI_TOKEN), re.MULTILINE)
-_statement, _statements = _LINE.match, _LINE.findall
+_rows = _LINE.findall
 
 _new_tuple = tuple.__new__
 
@@ -354,14 +347,13 @@ def _scan_nquads_line(raw: str, lineno: int, strict: bool) -> list[Quad]:
     return quads
 
 
-def _read_chunk(text: str, strict: bool) -> Optional[Iterator[Quad]]:
-    """The quads of ``text``, read in bulk; None when a line is not a
-    statement in the usual shape, blank or a comment, when a term does
-    not decode, or when ``strict`` rejects a statement."""
-    rows = _statements(text)
-    if len(rows) != text.count("\n") + 1:
-        return None
+def _read_usual(rows: list[tuple[str, ...]], strict: bool
+                ) -> Optional[Iterator[Quad]]:
+    """The quads of the statement rows among ``rows``, read in bulk;
+    None when a term does not decode or ``strict`` rejects a
+    statement."""
     texts = list(chain.from_iterable(filter(itemgetter(0), rows)))
+    del texts[4::5]
     terms = list(map(interned, texts))
     if None in terms:
         # decode each distinct text the table lacks once; a term text is
@@ -381,35 +373,40 @@ def _read_chunk(text: str, strict: bool) -> Optional[Iterator[Quad]]:
     return map(_new_tuple, repeat(Quad), zip(terms[3::4], s, p, terms[2::4]))
 
 
-def _read_lines(text: str, first: int, strict: bool,
+def _read_chunk(text: str, first: int, lines: int, strict: bool,
                 quads: list[Quad]) -> None:
-    """Append the quads of ``text``, whose first line is ``first``, to
-    ``quads``, a line at a time."""
-    for lineno, raw in enumerate(text.split("\n"), first):
-        match = _statement(raw)
-        if match is not None:
-            if match.lastindex is None:
-                continue  # blanks and an optional comment
-            s, p, o, g = map(interned, match.groups())
-            if s is None or p is None or o is None or g is None:
-                # decode each term the table lacks where the scanner
-                # would, to the same constant or the same error
-                s, p, o, g = [
-                    term if term is not None
-                    else _scan_term(raw, match.start(k), lineno)[0]
-                    for k, term in enumerate((s, p, o, g), 1)]
-            if not (strict and (s.kind == LITERAL or p.kind != IRI)):
-                # interned constants with an IRI context: what Quad()
-                # checks holds already
-                quads.append(_new_tuple(Quad, (g, s, p, o)))
-                continue
-        quads.extend(_scan_nquads_line(raw, lineno, strict))
+    """Append the quads of ``text``, whose ``lines`` lines start at line
+    ``first``, to ``quads``: the usual rows in bulk, and each odd line
+    in its place with the scanner."""
+    rows = _rows(text)
+    if len(rows) != lines:
+        # the first row that runs past its line becomes that odd line,
+        # which the scanner rejects, so no later row is read
+        k = next(k for k, row in enumerate(rows) if "\n" in "".join(row))
+        rows[k:] = [("", "", "", "", text.split("\n", k + 1)[k])]
+    bulk = _read_usual(rows, strict)
+    if bulk is None:
+        # so does each row with a term that does not decode, or that
+        # strict mode rejects
+        rows = [row if _read_usual([row], strict) is not None
+                else ("", "", "", "", text.split("\n", j + 1)[j])
+                for j, row in enumerate(rows)]
+        bulk = _read_usual(rows, strict)
+    start = 0
+    for odd in compress(count(), map(itemgetter(4), rows)):
+        # the quads of the statements before the odd line, then its own
+        before = len(list(filter(itemgetter(0), rows[start:odd])))
+        quads.extend(islice(bulk, before))
+        quads.extend(_scan_nquads_line(rows[odd][4], first + odd, strict))
+        start = odd + 1
+    del rows  # so that the quads reuse the memory of the rows' texts
+    quads.extend(bulk)
 
 
-def parse_nquads(data: Union[bytes, str, BinaryIO], strict: bool = False
+def parse_nquads(data: Union[bytes, str, IO], strict: bool = False
                  ) -> QuadGraph:
-    """Parse N-Quads from bytes, text or a binary file: one quad per
-    statement, graph label required.
+    """Parse N-Quads from bytes, text or a binary or text file: one quad
+    per statement, graph label required.
 
     Duplicates collapse (set semantics); the graph's log keeps the
     quads in file order.  Strict mode rejects generalized triples:
@@ -417,12 +414,12 @@ def parse_nquads(data: Union[bytes, str, BinaryIO], strict: bool = False
     module docstring says how a chunk is read.
     """
     quads: list[Quad] = []
-    for first, text in _text_chunks(data):
-        bulk = _read_chunk(text, strict)
-        if bulk is not None:
-            quads.extend(bulk)
-        else:
-            _read_lines(text, first, strict, quads)
+    first = 1
+    for piece in _pieces(data):
+        text = _decode(piece, first)
+        lines = text.count("\n") + 1
+        _read_chunk(text, first, lines, strict, quads)
+        first += lines - 1
     return QuadGraph(quads)
 
 

@@ -411,55 +411,99 @@ def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
     assert g == _scanned("\n".join(lines))
 
 
-def test_a_reread_chase_stays_on_the_bulk_path(monkeypatch):
-    """Re-reading a serialized graph of over ten chunks, as bytes or from a
-    file, with or without blank and comment lines, never enters the line
-    loop (``_statement``) or the character scanner; one odd line sends
-    only its own chunk to the line loop, and only itself to the
-    scanner."""
-    stem = _fresh("urn:bulk:")
+def _reread_graph(stem):
+    """A graph of 600 quads with IRIs, blank and skolem nodes and
+    literals, whose serialization fills over ten 4 KiB chunks."""
     objects = [iri("%s/o%d" % (stem, i)) for i in range(20)]
     objects += [blank(_fresh("b")) for _ in range(10)]
     objects += [skolem_constant("bulk", 0, [iri(stem), iri(str(i))])
                 for i in range(10)]
     objects += [literal('%s "%d"\n' % (stem, i)) for i in range(10)]
     objects += [literal("x%d" % i, lang="en-GB") for i in range(10)]
-    g = QuadGraph(Quad(iri("%s/g%d" % (stem, i % 3)),
-                       iri("%s/s%d" % (stem, i // 5)),
-                       iri("%s/p%d" % (stem, i % 5)),
-                       objects[i % len(objects)])
-                  for i in range(600))
-    lines = serialize_nquads(g).decode("utf-8").split("\n")
+    return QuadGraph(Quad(iri("%s/g%d" % (stem, i % 3)),
+                          iri("%s/s%d" % (stem, i // 5)),
+                          iri("%s/p%d" % (stem, i % 5)),
+                          objects[i % len(objects)])
+                     for i in range(600))
+
+
+def test_a_reread_chase_stays_on_the_bulk_path(monkeypatch):
+    """Re-reading a serialized graph of over ten chunks, as bytes, text,
+    a binary or a text file, with or without blank and comment lines,
+    runs the row regex once per chunk and never the character scanner;
+    one odd line sends only itself to the scanner."""
+    stem = _fresh("urn:bulk:")
+    g = _reread_graph(stem)
+    data = serialize_nquads(g)
+    lines = data.decode("utf-8").split("\n")
     commented = "\n".join(
         line + ("  # note\n\n \t\n# a comment line" if i % 9 == 0 else "")
         for i, line in enumerate(lines)).encode("utf-8")
     monkeypatch.setattr(syntax, "_CHUNK_BYTES", 4096)
-    calls = _count_calls(monkeypatch, "_statement", "_scan_nquads_line",
+    calls = _count_calls(monkeypatch, "_rows", "_scan_nquads_line",
                          "_scan_term")
-    data = serialize_nquads(g)
-    assert len(list(syntax._text_chunks(data))) > 10
-    for source in (data, io.BytesIO(data), commented):
+    text = data.decode("utf-8")
+    for source in (data, text, io.BytesIO(data), io.StringIO(text),
+                   commented):
+        chunks = len(list(syntax._pieces(source)))
+        if not isinstance(source, (bytes, str)):
+            source.seek(0)
+        assert chunks > 10
+        calls.clear()
         assert parse_nquads(source) == g
-    assert calls == {}
+        assert calls == {"_rows": chunks}
 
     lines[300] = "<%s/a><%s/b><%s/c><%s/d> ." % ((stem,) * 4)
     odd = "\n".join(lines)
-    (chunk,) = [text for first, text in syntax._text_chunks(odd)
-                if first <= 301 <= first + text.count("\n")]
+    calls.clear()
     assert len(parse_nquads(odd)) == 600
-    assert calls == {"_statement": chunk.count("\n") + 1,
+    assert calls == {"_rows": len(list(syntax._pieces(odd))),
                      "_scan_nquads_line": 1, "_scan_term": 4}
+
+
+def test_an_odd_line_in_every_chunk_is_read_around(monkeypatch):
+    """A file with an odd but valid line in each of its many chunks, after
+    blank and comment lines: one regex pass per chunk, one scanner call
+    per odd line, and the quads the scanner reads, in its order."""
+    stem = _fresh("urn:around:")
+    lines = serialize_nquads(_reread_graph(stem)).decode("utf-8").split("\n")
+    # every eighth statement and the last, so that every chunk has one
+    odd = sorted({*range(0, len(lines) - 1, 8), len(lines) - 2})
+    for i in odd:
+        lines[i] = "# note\n\n<%s/a%d><%s/b> <%s/c>  <%s/d>." % (
+            stem, i, stem, stem, stem)
+    doc = "\n".join(lines)
+    monkeypatch.setattr(syntax, "_CHUNK_BYTES", 2048)
+    chunks = list(syntax._pieces(doc))
+    assert len(chunks) > 10
+    assert all("><" in text for text in chunks)
+    expected = _scanned(doc).log
+    calls = _count_calls(monkeypatch, "_rows", "_scan_nquads_line")
+    assert parse_nquads(doc).log == expected
+    assert calls == {"_rows": len(chunks), "_scan_nquads_line": len(odd)}
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1 << 16])
+def test_text_and_bytes_read_alike(size):
+    """Text, a text file, bytes and a binary file give the same graph at
+    every chunk size, and an empty file gives an empty one."""
+    doc = _CHUNKED + "\n<é> <p> <o> <g> .\n"
+    expected = parse_nquads(doc.encode("utf-8"))
+    for source in (doc, io.StringIO(doc), io.BytesIO(doc.encode("utf-8"))):
+        assert _chunked(size, source) == expected
+    for empty in ("", b"", io.StringIO(""), io.BytesIO(b"")):
+        assert len(_chunked(size, empty)) == 0
 
 
 # ---------------------------------------------------------------------------
 # The statement regex against the character scanner
 # ---------------------------------------------------------------------------
 #
-# ``parse_nquads`` reads a chunk in bulk, or a line with its statement
-# regex, only when the result is certain to be the scanner's.  The
-# properties below read random documents, in chunks of several sizes,
-# and with the character scanner alone, and demand the same quads in the
-# same order or the same error.
+# ``parse_nquads`` reads the usual rows of a chunk in bulk only when the
+# result is certain to be the scanner's, and sends every other line to
+# the scanner.  The properties below read random documents, in chunks of
+# several sizes, and with the character scanner alone, and demand the
+# same quads in the same order or the same error.
 
 def _scanned(doc, strict=False):
     """``doc`` read with every line left to the character scanner."""
@@ -564,8 +608,10 @@ def _line_text(draw, usual=False):
     if kind == "statement":
         return draw(_statement_text(usual))
     if kind == "two":
-        return draw(_statement_text()) + draw(_blanks) \
-            + draw(_statement_text())
+        # both in the usual shape half of the time: an odd line that reads
+        both = draw(st.booleans())
+        return draw(_statement_text(both)) + draw(_blanks) \
+            + draw(_statement_text(both))
     if kind == "truncated":
         text = draw(_statement_text())
         return text[:draw(st.integers(0, max(0, len(text) - 1)))]
@@ -614,6 +660,23 @@ _SIZES = (48, 160, syntax._CHUNK_BYTES)
 @example('<s> "lit" <o> <g> .', True, True)
 @example("_:b <p> _:sk_r1_0_x <g> .", False, True)
 @example("_:b <p> _:sk_r1_0_x <g> .", False, False)
+# an odd row between usual lines of one chunk: a term that runs past its
+# line, a valid odd line, a term that does not decode, a line that
+# strict mode rejects
+@example("<a> <b> <c> <d> .\n<s> <p> <o> <g\nx> .\n<a> <b> <c> <e> .",
+         False, True)
+@example('<a> <b> <c> <d> .\n<s> <p> "a\nb" <g> .\n<a> <b> <c> <e> .',
+         False, True)
+@example("<a> <b> <c> <d> .\n<a><b><c><d> .\n<a> <b> <c> <e> .", False, True)
+@example("<a> <b> <c> <d> .\n<a><b><c><d> .\n<a> <b> <c> <e> .", True, False)
+@example("<a> <b> <c> <d> .\n<s> <p> <urn:bad:\\u00zz> <g> .\n"
+         "<a> <b> <c> <e> .", False, True)
+@example('<a> <b> <c> <d> .\n"lit" <p> <o> <g> .\n<a> <b> <c> <e> .',
+         True, True)
+@example('<a> <b> <c> <d> .\n<s> _:b <o> <g> .\n<a> <b> <c> <e> .',
+         True, False)
+@example("<a> <b> <c> <d> .\n# note\n\n<a><b><c><f> .\n<a> <b> <c> <e> .",
+         False, True)
 def test_statement_regex_reads_like_the_scanner(doc, strict, scanner_first):
     """The same quads in the same order or the same error (class, line,
     column, message), for the whole document read in chunks of each size
@@ -768,14 +831,15 @@ _CHUNKED = (
     '\r\n<s> <p> "é" "x" <g> .\r\n',
 ])
 def test_chunked_read_matches_the_whole_text(tail):
-    """Every cut of the bytes, of the text and of a binary file: the same
-    quads in the same order, or the same error at the same line and
-    column, as the text read in one piece."""
+    """Every cut of the bytes, of the text and of a binary and a text
+    file: the same quads in the same order, or the same error at the same
+    line and column, as the text read in one piece."""
     text = _CHUNKED + tail
     data = text.encode("utf-8")
     expected = _outcome(parse_nquads, text)
     for size in range(1, len(data) + 2):
-        for source in (data, text, io.BytesIO(data)):
+        for source in (data, text, io.BytesIO(data),
+                       io.StringIO(text, newline="")):
             assert _outcome(functools.partial(_chunked, size), source) \
                 == expected, (size, type(source))
 
@@ -784,15 +848,16 @@ def test_chunked_read_matches_the_whole_text(tail):
 @given(_lines(16), st.sampled_from(["\n", "\r\n"]), st.integers(1, 64),
        st.booleans())
 def test_chunked_read_of_random_documents(lines, newline, size, strict):
-    """Bytes, text and a binary file, read in chunks of ``size`` and
-    before the character scanner: the same quads in the same order, or
-    the same error, as the scanner."""
+    """Bytes, text, a binary and a text file, read in chunks of ``size``
+    and before the character scanner: the same quads in the same order,
+    or the same error, as the scanner."""
     text = newline.join(lines)
     data = text.encode("utf-8")
     outcomes = [_outcome(functools.partial(_chunked, size), source,
                          strict=strict)
-                for source in (data, text, io.BytesIO(data))]
-    assert outcomes == [_outcome(_scanned, text, strict=strict)] * 3
+                for source in (data, text, io.BytesIO(data),
+                               io.StringIO(text, newline=""))]
+    assert outcomes == [_outcome(_scanned, text, strict=strict)] * 4
 
 
 _GOOD_LINE = '<s> <p> "é" <g> .\n'.encode("utf-8")
