@@ -29,18 +29,22 @@ compiled regex that gives every line a row.  A line in the usual shape
 (four terms separated by blanks, then ``.`` and an optional comment),
 blank, or holding only a comment is a usual row; any other line is odd.
 The usual rows are read in bulk: one pass looks their term texts up in
-the intern table (``terms.interned``), ``_scan_term`` decodes once each
-distinct text the table does not hold (new, or spelled
-non-canonically), and the quads are built with no Python work per line.
-Only the odd lines go to the character scanner ``_scan_nquads_line``,
-in line order, between the runs of usual rows around them; so does a
-usual line with a term that does not decode or, under strict mode, a
-generalized triple.  The scanner alone reports a ``ParseError``'s line
-and column.  Only ``_scan_term`` decodes a term, and the regex delimits
-each term exactly as the scanner does, so a line reads the same, and
-fails with the same ``ParseError``, on either path.  The rule and query
-tokenizer reads its IRIs, literals and blank nodes with ``_scan_term``
-too, so a term is spelled, and rejected, alike in every file.
+the intern table (``terms.interned``); of the distinct texts the table
+does not hold, ``terms.mint_iris`` builds in bulk each IRI written as
+its own canonical serialization (no escape, and no character the
+canonical escapes), ``_scan_term`` decodes each other one once (a blank
+node, a literal, an IRI spelled with an escape), and the quads are
+built with no Python work per line.  Only the odd lines go to the
+character scanner ``_scan_nquads_line``, in line order, between the
+runs of usual rows around them; so does a usual line with a term that
+does not decode or, under strict mode, a generalized triple.  The
+scanner alone reports a ``ParseError``'s line and column.  Only
+``_scan_term`` decodes a term (a minted IRI has nothing to decode), and
+the regex delimits each term exactly as the scanner does, so a line
+reads the same, and fails with the same ``ParseError``, on either path.
+The rule and query tokenizer reads its IRIs, literals and blank nodes
+with ``_scan_term`` too, so a term is spelled, and rejected, alike in
+every file.
 
 Quad files stream, so neither side holds the whole file.
 ``parse_nquads`` takes bytes, text, or a binary or text file and reads
@@ -84,6 +88,7 @@ from .terms import (
     interned,
     iri,
     literal,
+    mint_iris,
 )
 from .vocab import PREDECLARED_PREFIXES
 
@@ -240,10 +245,10 @@ def _pieces(data: Union[bytes, str, IO]) -> Iterator[Union[bytes, str]]:
 def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
     """The IRI, blank node or literal spelled at ``s[i]``, and the index
     after it."""
-    # A term whose source text is an interned canonical is that constant
-    # (see ``terms.interned``); only a miss is decoded and built.
     ch = s[i]
     if ch == "<":
+        # An IRI whose source text is an interned canonical is that
+        # constant (see ``terms.interned``), so only a miss is decoded.
         # An unterminated IRI slices to "", which is never interned.
         j = s.find(">", i + 1) + 1
         known = interned(s[i:j])
@@ -255,7 +260,7 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
         label, j = _scan_name(s, i + 2)
         if not label:
             raise ParseError("empty blank node label", line, i + 1)
-        return interned(s[i:j]) or blank(label), j
+        return blank(label), j
     if ch == '"':
         lex, j = _scan_string(s, i, line)
         if s[j:j + 2] == "^^":
@@ -356,12 +361,15 @@ def _read_usual(rows: list[tuple[str, ...]], strict: bool
     del texts[4::5]
     terms = list(map(interned, texts))
     if None in terms:
-        # decode each distinct text the table lacks once; a term text is
+        # mint the new IRIs spelled without an escape in bulk, and decode
+        # each other distinct text the table lacks once; a term text is
         # delimited as the scanner delimits it, so alone it decodes to
         # the constant it is in its line
+        missing = set(compress(texts, map(is_, terms, repeat(None))))
+        decoded = mint_iris(missing)
         try:
-            decoded = {token: _scan_term(token, 0, 0)[0] for token in
-                       set(compress(texts, map(is_, terms, repeat(None))))}
+            for token in missing.difference(decoded):
+                decoded[token] = _scan_term(token, 0, 0)[0]
         except ParseError:
             return None
         terms = list(map(decoded.get, texts, terms))

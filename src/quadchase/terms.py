@@ -7,8 +7,11 @@ lowercase hex escapes) and two constants are equal exactly when their
 canonical serializations are byte-equal.  Construction goes through the
 factory functions ``iri``, ``blank``, ``literal`` and ``skolem_constant``,
 which intern instances so equal terms are the identical object; constants
-therefore compare and hash by identity.  Interning is atomic, so threads
-interning the same term concurrently get the same object.
+therefore compare and hash by identity.  A factory looks the canonical
+up first and builds a constant only when the table lacks it;
+``mint_iris`` builds a batch of new IRIs that need no escaping at once.
+Interning is atomic, so threads interning the same term concurrently get
+the same object.
 
 Skolem blank nodes are labelled nulls whose identity is a deterministic
 function of (rule id, function index, argument vector); their labels use
@@ -24,7 +27,8 @@ it does not hash.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from itertools import count, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
 
 IRI = "iri"
@@ -133,7 +137,11 @@ def fnv1a_64(data: bytes) -> int:
 # The characters each escaper rewrites.  Most text holds none of them,
 # and ``sub`` then returns the text itself.
 _LITERAL_ESCAPED = re.compile(r'[\\"\x00-\x1f\x7f]')
-_IRI_ESCAPED = re.compile(r'[<>"{}|^`\\\x00-\x20]')
+_IRI_SPECIAL = r'<>"{}|^`\\\x00-\x20'
+_IRI_ESCAPED = re.compile("[%s]" % _IRI_SPECIAL)
+# An IRI spelled as its canonical serialization with no escape: the text
+# between the brackets is the IRI, and ``_escape_iri`` leaves it alone.
+_PLAIN_IRI = re.compile("<[^%s]+>" % _IRI_SPECIAL)
 _LITERAL_SHORT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
                   "\t": "\\t"}
 
@@ -159,7 +167,7 @@ class Constant:
 
     ``lexical`` holds the IRI string, the blank node label (without the
     ``_:`` sigil), or the literal's lexical form; ``canonical`` is the
-    constant's serialization, computed once when it is built.  Equality
+    constant's serialization, computed once, before it is built.  Equality
     is identity: build constants only through the interning factories
     below.  Constants are immutable.
     """
@@ -171,15 +179,14 @@ class Constant:
     lang: Optional[str]
     canonical: str
 
-    def __init__(self, kind: str, lexical: str,
-                 datatype: Optional[str] = None,
-                 lang: Optional[str] = None) -> None:
+    def __init__(self, kind: str, lexical: str, datatype: Optional[str],
+                 lang: Optional[str], canonical: str) -> None:
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "lexical", lexical)
         init(self, "datatype", datatype)
         init(self, "lang", lang)
-        init(self, "canonical", _canonical(self))
+        init(self, "canonical", canonical)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("constants are immutable")
@@ -199,16 +206,17 @@ class Constant:
         return f"Constant({self.canonical})"
 
 
-def _canonical(c: Constant) -> str:
-    if c.kind == IRI:
-        return "<%s>" % _escape_iri(c.lexical)
-    if c.kind in (BLANK, SKOLEM):
-        return "_:" + c.lexical
-    lit = '"%s"' % _escape_literal(c.lexical)
-    if c.lang is not None:
-        return lit + "@" + c.lang
-    if c.datatype is not None:
-        return lit + "^^<%s>" % _escape_iri(c.datatype)
+def _canonical(kind: str, lexical: str, datatype: Optional[str],
+               lang: Optional[str]) -> str:
+    if kind == IRI:
+        return "<%s>" % _escape_iri(lexical)
+    if kind in (BLANK, SKOLEM):
+        return "_:" + lexical
+    lit = '"%s"' % _escape_literal(lexical)
+    if lang is not None:
+        return lit + "@" + lang
+    if datatype is not None:
+        return lit + "^^<%s>" % _escape_iri(datatype)
     return lit
 
 
@@ -260,15 +268,21 @@ _VARIABLES: dict[str, Variable] = {}
 _SKOLEM_ARGS: dict[str, tuple] = {}
 
 
-def _intern(c: Constant) -> Constant:
-    # One setdefault, not a get and a later store: a thread switch
-    # between the two could mint two unequal constants for one canonical.
-    return _INTERN.setdefault(c.canonical, c)
+def _constant(kind: str, lexical: str, datatype: Optional[str],
+              lang: Optional[str], canonical: str) -> Constant:
+    """The interned constant serialized as ``canonical``, built from these
+    fields only when the table lacks it."""
+    # A get first, so a hit builds nothing; on a miss one setdefault, not
+    # a store, since a thread switch between the get and the store could
+    # mint two unequal constants for one canonical.
+    return _INTERN.get(canonical) or _INTERN.setdefault(
+        canonical, Constant(kind, lexical, datatype, lang, canonical))
 
 
 def _interned_constant(kind: str, lexical: str, datatype: Optional[str],
                        lang: Optional[str]) -> Constant:
-    return _intern(Constant(kind, lexical, datatype, lang))
+    return _constant(kind, lexical, datatype, lang,
+                     _canonical(kind, lexical, datatype, lang))
 
 
 # ``interned(text)`` is the interned constant whose canonical
@@ -281,15 +295,43 @@ def _interned_constant(kind: str, lexical: str, datatype: Optional[str],
 # in a literal), so decoding the text of a hit, read as one term, gives
 # back that constant's fields: a hit is exactly the constant that decoding
 # the text and calling the factory would give.  A miss (a term not seen
-# yet, or a non-canonical spelling such as ``\u003E``) says nothing, and
-# the caller decodes the text as usual.
+# yet, or a non-canonical spelling such as ``\u003E``) says nothing.  The
+# caller hands its misses to ``mint_iris``, which builds the IRIs spelled
+# without an escape in bulk, and decodes only the rest one by one.
 interned = _INTERN.get
+
+# The member descriptors of the slots of ``Constant``, in slot order.
+_SLOTS = tuple(map(vars(Constant).get, Constant.__slots__))
+_BRACKETED = itemgetter(slice(1, -1))
+_CANONICAL = attrgetter("canonical")
+
+
+def mint_iris(texts: Iterable[str]) -> dict[str, Constant]:
+    """The interned IRI constant of each text among ``texts`` that is
+    ``<``, a nonempty IRI with no character ``_escape_iri`` rewrites, and
+    ``>``, keyed by that text; every other text is left out.
+
+    Such a text is its own canonical serialization and, between the
+    brackets, its own lexical form, so nothing is decoded or escaped.
+    Meant for distinct texts the table lacks: each one is built with no
+    Python call per constant (a text the table holds only costs a
+    throwaway build) and interned with one atomic ``setdefault``, so a
+    thread minting the same text concurrently gets the same constant.
+    """
+    plain = list(filter(_PLAIN_IRI.fullmatch, texts))
+    new = list(map(object.__new__, repeat(Constant, len(plain))))
+    fields = (repeat(IRI), map(_BRACKETED, plain), repeat(None),
+              repeat(None), plain)
+    for slot, values in zip(_SLOTS, fields):
+        # ``__set__`` returns None, so ``any`` runs the whole map
+        any(map(slot.__set__, new, values))
+    return dict(zip(plain, map(_INTERN.setdefault, plain, new)))
 
 
 def iri(value: str) -> Constant:
     if not value:
         raise TermError("empty IRI")
-    return _intern(Constant(IRI, value))
+    return _constant(IRI, value, None, None, "<%s>" % _escape_iri(value))
 
 
 def blank(label: str) -> Constant:
@@ -297,16 +339,16 @@ def blank(label: str) -> Constant:
     skolem blanks so skolem-ness survives a serialize/parse round trip."""
     if not label:
         raise TermError("empty blank node label")
-    if label.startswith(SKOLEM_LABEL_PREFIX):
-        return _intern(Constant(SKOLEM, label))
-    return _intern(Constant(BLANK, label))
+    kind = SKOLEM if label.startswith(SKOLEM_LABEL_PREFIX) else BLANK
+    return _constant(kind, label, None, None, "_:" + label)
 
 
 def literal(lexical: str, datatype: Optional[str] = None,
             lang: Optional[str] = None) -> Constant:
     if datatype is not None and lang is not None:
         raise TermError("literal cannot carry both datatype and language tag")
-    return _intern(Constant(LITERAL, lexical, datatype=datatype, lang=lang))
+    return _constant(LITERAL, lexical, datatype, lang,
+                     _canonical(LITERAL, lexical, datatype, lang))
 
 
 def skolem_constant(rule_id: str, fn_index: int,
@@ -316,21 +358,22 @@ def skolem_constant(rule_id: str, fn_index: int,
 
     Deterministic: identical inputs yield the byte-identical label.  The
     label is ``sk_<rule>_<index>_<hex64>`` with hex64 an FNV-1a 64 hash of
-    the argument canonicals joined by byte 0x1f.
+    the UTF-8 bytes of the argument canonicals joined by ``\x1f``.  The
+    label is computed on every call; the constant is built only the first
+    time, when the intern table lacks it.
     """
     arg_tuple = tuple(args)
-    for a in arg_tuple:
-        if not isinstance(a, Constant):
-            raise TermError("skolem arguments must be ground constants")
-    arg_canon = tuple(a.canonical for a in arg_tuple)
-    digest = fnv1a_64(b"\x1f".join(s.encode("utf-8") for s in arg_canon))
+    if not all(map(isinstance, arg_tuple, repeat(Constant))):
+        raise TermError("skolem arguments must be ground constants")
+    arg_canon = tuple(map(_CANONICAL, arg_tuple))
+    digest = fnv1a_64("\x1f".join(arg_canon).encode())
     label = "%s%s_%d_%016x" % (SKOLEM_LABEL_PREFIX, rule_id, fn_index, digest)
     ident = (rule_id, fn_index, arg_canon)
     seen = _SKOLEM_ARGS.setdefault(label, ident)
     if seen != ident:
         raise SkolemCollisionError(
             "skolem label collision on %s: %r vs %r" % (label, seen, ident))
-    return _intern(Constant(SKOLEM, label))
+    return _constant(SKOLEM, label, None, None, "_:" + label)
 
 
 class Quad(tuple):
@@ -434,13 +477,20 @@ class QuadGraph:
                          list[Optional[dict[Constant, list[Quad]]]]]]
 
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        # dict.fromkeys drops duplicates in C, keeping first occurrences
-        self.log: list[Quad] = list(dict.fromkeys(quads))
-        for q in self.log:
-            if not isinstance(q, Quad):
-                raise TermError("QuadGraph holds Quads, got %r" % (q,))
-        self.positions: dict[Quad, int] = dict(
-            zip(self.log, range(len(self.log))))
+        # one hash per quad; a dict keeps the first occurrence of a key in
+        # its place, and zip stops at the end of ``quads`` before taking
+        # a number, so the next one is the count of quads given
+        numbers = count()
+        positions = dict(zip(quads, numbers))
+        if len(positions) < next(numbers):
+            # a duplicate kept a later number: renumber
+            positions = dict(zip(positions, count()))
+        log = list(positions)
+        if not all(map(isinstance, log, repeat(Quad))):
+            bad = next(q for q in log if not isinstance(q, Quad))
+            raise TermError("QuadGraph holds Quads, got %r" % (bad,))
+        self.log: list[Quad] = log
+        self.positions: dict[Quad, int] = positions
         self._by_ctx = self._maps = None
 
     @property

@@ -3,6 +3,8 @@ import functools
 import io
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
 import uuid
 from operator import attrgetter
@@ -27,6 +29,7 @@ from quadchase.terms import (
     Quad,
     QuadGraph,
     blank,
+    interned,
     iri,
     literal,
     skolem_constant,
@@ -404,11 +407,128 @@ def test_a_cold_parse_decodes_terms_without_the_line_scanner(monkeypatch):
                 stem, i % 2)
              for i in range(40)]
     calls = _count_calls(monkeypatch, "_scan_nquads_line", "_scan_term")
+    minted = _count_minted(monkeypatch)
     g = parse_nquads("\n".join(lines))
     assert calls["_scan_nquads_line"] == 0
-    # 40 subjects, 3 predicates, 40 objects and 2 contexts are new
-    assert calls["_scan_term"] == 85
+    # 40 subjects, 3 predicates, 40 objects and 2 contexts are new: the
+    # 55 IRIs among them are minted in bulk, the 30 other terms decoded
+    assert calls["_scan_term"] == 30
+    assert len(minted) == 55
+    assert all(c is iri(c.lexical) for c in minted)
     assert g == _scanned("\n".join(lines))
+
+
+def _count_minted(monkeypatch):
+    """The list of the constants ``syntax.mint_iris`` returns."""
+    minted = []
+    mint = syntax.mint_iris
+
+    def counted(texts):
+        out = mint(texts)
+        minted.extend(out.values())
+        return out
+    monkeypatch.setattr(syntax, "mint_iris", counted)
+    return minted
+
+
+# How a character may be spelled inside an IRI on a line of a quad file:
+# every character ``_escape_iri`` rewrites, raw where a line can hold it
+# (not '>', '\\' or a newline) and escaped; other escapes, non-ASCII
+# text and '\x7f'.
+_IRI_PIECES = st.one_of(
+    st.sampled_from(list('<"{}|^`') + [chr(c) for c in range(0x21)
+                                       if c != 0x0A]),
+    st.sampled_from([r"\u003e", r"\u003E", r"\U0000003e", r"\u000a",
+                     r"\u005c", r"\\", r"\t", r"\u0041", r"\u0020",
+                     r"\u00e9", r"\U0001F600"]),
+    st.sampled_from(["\x7f", "\x80", "\u00e9", "\u2028", "\U0001f600"]),
+    st.characters(blacklist_categories=("Cs",),
+                  blacklist_characters=">\\\n"),
+    st.text("abcXYZ0189:/#?=-._~%", min_size=1, max_size=6))
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.lists(st.lists(_IRI_PIECES, max_size=6).map("".join),
+                min_size=1, max_size=12))
+@example(["a", "b/c#d", "\u00e9\x7f", "\U0001f600"])
+@example(['<"{}|^`\x00\x1f\r\t x', r"\u0041", r"\u003e\u003E"])
+def test_a_cold_bulk_parse_builds_the_scanner_constants(bodies):
+    """IRIs new to the intern table, read in bulk (minted, or decoded when
+    spelled with an escape or a character the canonical escapes), are the
+    constants the line scanner and ``iri`` give, field by field."""
+    def doc(stem):
+        texts = ["<%s/%d/%s>" % (stem, k, b) for k, b in enumerate(bodies)]
+        n = len(texts)
+        return "\n".join("%s <%s/p> %s %s ." % (texts[k], stem,
+                                               texts[(k + 1) % n],
+                                               texts[(k + 2) % n])
+                          for k in range(n))
+
+    def fields(c, stem):
+        return (c.kind, c.lexical.replace(stem, "~"), c.datatype, c.lang,
+                c.canonical.replace(stem, "~"))
+
+    cold, reference = _fresh("urn:bulk-cold:"), _fresh("urn:scan-cold:")
+    with mock.patch.object(syntax, "_scan_nquads_line",
+                           wraps=syntax._scan_nquads_line) as scanner:
+        got = parse_nquads(doc(cold)).log
+    assert not scanner.called
+    want = _scanned(doc(reference)).log
+    assert [[fields(c, cold) for c in q] for q in got] \
+        == [[fields(c, reference) for c in q] for q in want]
+    for q in got:
+        assert all(c is iri(c.lexical) for c in q)
+    # once interned, the scanner finds the very same constants
+    assert _scanned(doc(cold)).log == got
+
+
+def test_bulk_parses_race_the_factory_to_one_constant_per_canonical():
+    """Four threads take batches of fresh IRIs together, each reading a
+    batch in bulk from a document two times in three and building it
+    with ``iri`` (in reverse order, to meet a parse halfway) the third,
+    while the interpreter switches threads as often as it can; each
+    canonical must map to a single constant."""
+    run = _fresh("urn:race:")
+    barrier = threading.Barrier(4, timeout=30)
+    results = [None] * 4
+
+    def batch_lexicals(batch):
+        return ["%s/%d/%dA" % (run, batch, i) for i in range(40)]
+
+    def work(slot):
+        row = []
+        for batch in range(200):
+            lexicals = batch_lexicals(batch)
+            # one escaped spelling in three, which is decoded, not minted
+            spelled = [lex[:-1] + "\\u0041" if i % 3 == 2 else lex
+                       for i, lex in enumerate(lexicals)]
+            doc = "\n".join("<%s> <%s> <%s> <%s> ." % (t, t, t, t)
+                            for t in spelled)
+            barrier.wait()
+            if (slot + batch) % 3:
+                row += [q.s for q in parse_nquads(doc)]
+            else:
+                row += reversed(list(map(iri, reversed(lexicals))))
+        results[slot] = row
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert None not in results
+    assert len(results[0]) == 8000
+    for row in results[1:]:
+        assert all(a is b for a, b in zip(results[0], row))
+    lexicals = [lex for b in range(200) for lex in batch_lexicals(b)]
+    assert [c.lexical for c in results[0]] == lexicals
+    assert all(interned(c.canonical) is c for c in results[0])
 
 
 def _reread_graph(stem):

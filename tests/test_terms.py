@@ -136,8 +136,16 @@ def test_quad_attributes_cannot_be_set():
 
 
 def test_quad_graph_rejects_plain_tuples():
+    plain = (iri("c"), iri("s"), iri("p"), iri("o"))
+    q = Quad(*plain)
+    other = Quad(iri("c"), iri("s"), iri("p"), iri("o2"))
     with pytest.raises(TermError):
-        QuadGraph([(iri("c"), iri("s"), iri("p"), iri("o"))])
+        QuadGraph([plain])
+    with pytest.raises(TermError, match="o2"):
+        QuadGraph([q, tuple(other), q])
+    # a plain tuple equal to an earlier quad is a duplicate of it
+    g = QuadGraph([q, plain])
+    assert g.log == [q] and type(g.log[0]) is Quad
 
 
 _escapable = st.text(st.one_of(
@@ -196,6 +204,87 @@ def test_skolem_label_collision_raises(monkeypatch):
     assert skolem_constant(rule_id, 0, [iri("a")]) is first
     with pytest.raises(SkolemCollisionError):
         skolem_constant(rule_id, 0, [iri("b")])
+
+
+@pytest.mark.parametrize("data, digest", [
+    (b"", 0xcbf29ce484222325),
+    (b"a", 0xaf63dc4c8601ec8c),
+    (b"foobar", 0x85944171f73967e8),
+])
+def test_fnv1a_64_gives_the_published_vectors(data, digest):
+    assert terms.fnv1a_64(data) == digest
+
+
+def test_skolem_labels_are_pinned():
+    """Chase files name labelled nulls by these bytes."""
+    null = skolem_constant("pet", 0, [iri("http://bench.example.org/e00401")])
+    assert null.canonical == "_:sk_pet_0_178436cc7f4e1326"
+    assert null.kind == terms.SKOLEM
+    label = skolem_constant("r", 2, [iri("a"), literal("\u00e9", lang="fr"),
+                                     blank("b")]).lexical
+    digest = terms.fnv1a_64('<a>\x1f"\u00e9"@fr\x1f_:b'.encode("utf-8"))
+    assert label == "sk_r_2_%016x" % digest
+
+
+def test_skolem_arguments_must_be_constants():
+    with pytest.raises(TermError):
+        skolem_constant("r", 0, [iri("a"), Variable("x")])
+
+
+def test_an_intern_table_hit_builds_no_constant(monkeypatch):
+    """Each factory looks the canonical up first and builds a
+    ``Constant`` only on a miss."""
+    stem = "urn:hit:" + uuid.uuid4().hex
+    built = []
+    init = terms.Constant.__init__
+
+    def counted_init(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    monkeypatch.setattr(terms.Constant, "__init__", counted_init)
+    makers = [lambda: iri(stem), lambda: iri(stem + " x"),
+              lambda: blank("b" + stem[8:]),
+              lambda: blank("sk_" + stem[8:]),
+              lambda: literal(stem), lambda: literal(stem, lang="en"),
+              lambda: literal(stem, datatype=stem),
+              lambda: skolem_constant("hit", 0, [iri(stem)])]
+    for make in makers:
+        first = make()
+        assert len(built) == 1
+        assert built[0] == (first.kind, first.lexical, first.datatype,
+                            first.lang, first.canonical)
+        built.clear()
+        assert make() is first
+        assert interned(first.canonical) is first
+        assert built == []
+    assert copy.deepcopy(first) is first
+    assert pickle.loads(pickle.dumps(first)) is first
+    assert built == []
+
+
+def _fields(c):
+    return (c.kind, c.lexical, c.datatype, c.lang, c.canonical)
+
+
+def test_mint_iris_takes_only_iris_spelled_without_an_escape():
+    stem = "urn:mint:" + uuid.uuid4().hex
+    plain = ["<%s/a>" % stem, "<%s/\u00e9\x7f#q?r=1>" % stem,
+             "<%s/\U0001f600>" % stem]
+    # every character _escape_iri rewrites
+    others = ["<%s/%s>" % (stem, ch)
+              for ch in '<>"{}|^`\\' + "".join(map(chr, range(0x21)))]
+    others += ["<%s/\\u0041>" % stem, "<>", "<%s" % stem, "%s>" % stem,
+               "_:%s" % stem[9:], '"%s"' % stem, "<%s/a>x" % stem,
+               "x<%s/a>" % stem, "<%s/a>\n" % stem]
+    minted = terms.mint_iris(plain + others)
+    assert list(minted) == plain
+    for text, c in minted.items():
+        assert c is iri(text[1:-1]) and interned(text) is c
+        assert _fields(c) == (terms.IRI, text[1:-1], None, None, text)
+    # a text the table holds gives the interned constant
+    assert terms.mint_iris(plain) == minted
+    assert terms.mint_iris([]) == {}
 
 
 def test_interned_finds_exactly_the_canonical_text():
@@ -314,6 +403,9 @@ def test_graph_keeps_first_occurrences_in_order_through_copies():
                   for i in (1, 2, 3))
     g = QuadGraph([q2, q1, q2, q3, q1])
     assert g.log == [q2, q1, q3] and len(g) == 3
+    assert g.positions == {q2: 0, q1: 1, q3: 2}
+    assert QuadGraph(iter([q2, q1, q2, q3, q1])).positions == g.positions
+    assert QuadGraph(iter([q2, q1, q3])).positions == g.positions
     g.candidates(c, p=iri("p"))
     for twin in (copy.copy(g), copy.deepcopy(g),
                  pickle.loads(pickle.dumps(g))):
