@@ -24,6 +24,10 @@ context onto the same join.
 The schedule and the output are those of re-running every rule over the
 whole graph and re-closing it from scratch.  ``derive`` returns only the
 quads it adds, and every iteration's record counts them per context.
+A rule that copies or projects one context into another (one body atom,
+no skolem function in its head) is evaluated set at a time, in one pass
+over the tail of its source bucket, and each round's quads go into the
+graph with one bulk ``QuadGraph.extend``.
 
 Constraints (empty-head rules) are checked after every iteration's
 closure; the first violation stops the run with an inconsistent status.
@@ -163,8 +167,7 @@ def run_chase(system: QuadSystem,
             if not new:
                 log.append(IterationRecord(index, kind, 0, before, {}))
                 break
-        for q in new:
-            qg.add(q)
+        qg.extend(new)
         close(qg, cfg.semantics, local, before)
         per_context: dict[Constant, int] = {}
         for q in qg.log[before:]:

@@ -13,8 +13,13 @@ each atom its context and a slot per position (a constant's slot is
 bound before the join starts), and each head position a slot or a skolem
 function over argument slots.  One backtracking join (``_join``) extends
 the binding list in place, most constrained atom first, and undoes its
-bindings on backtrack.  A rule compiles on first use and keeps its plan,
-so a chase compiles each rule once.
+bindings on backtrack.  A rule whose body is one atom and whose head has
+no skolem function (a copy or projection of one context into another)
+needs no join and no binding list: it compiles to a select-project over
+rows (``_select_project``), and ``_select`` keeps the quads of the atom's
+bucket that match its constants and repeated variables and builds each
+head from the quad's terms in one pass.  A rule compiles on first use
+and keeps its plan, so a chase compiles each rule once.
 
 Semi-naive evaluation takes a mark into a ``QuadGraph``: the quads added
 since the graph held ``mark`` quads are the tail of each index bucket,
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from itertools import filterfalse, repeat
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .terms import (
@@ -242,7 +249,7 @@ class JoinPlan:
     minted, keyed by argument tuple.
     """
 
-    __slots__ = ("variables", "atoms", "initial", "head")
+    __slots__ = ("variables", "atoms", "initial", "head", "select")
 
     def __init__(self, patterns: Iterable[QuadPattern],
                  head: Optional[SkolemAtom] = None) -> None:
@@ -266,7 +273,7 @@ class JoinPlan:
 
         self.atoms = tuple((pat.ctx, slot(pat.s), slot(pat.p), slot(pat.o))
                            for pat in patterns)
-        self.head = None
+        self.head = self.select = None
         if head is not None:
             terms = tuple(slot(t) for t in head.terms())
             functions = tuple((slots[t], t.rule_id, t.fn_index,
@@ -274,7 +281,36 @@ class JoinPlan:
                               for t in dict.fromkeys(head.terms())
                               if isinstance(t, SkolemTerm))
             self.head = (head.ctx,) + terms + (functions,)
+            if len(self.atoms) == 1 and not functions:
+                self.select = _select_project(self.atoms[0], self.head,
+                                              initial)
         self.initial = tuple(initial)
+
+
+def _select_project(atom: tuple, head: tuple, initial: list) -> tuple:
+    """Compile a one-atom body and a head without skolem function to work
+    on rows, a row being a quad of the atom's bucket followed by
+    ``suffix`` (the head context, then ``initial``, so slot ``k``'s
+    constant is at index ``5 + k``).  Returns ``suffix``; two row getters
+    that must agree for the quad to match the atom's constants and
+    repeated variables, or None if every quad of the bucket does; and the
+    row getter of the head."""
+    _, *slots = atom
+    first: dict[int, int] = {}
+    checks = []
+    for j, slot in enumerate(slots, 1):
+        if initial[slot] is not None:
+            checks.append((j, 5 + slot))
+        elif slot in first:
+            checks.append((j, first[slot]))
+        else:
+            first[slot] = j
+    tested = None
+    if checks:
+        positions, sources = zip(*checks)
+        tested = itemgetter(*positions), itemgetter(*sources)
+    return ((head[0], *initial), tested,
+            itemgetter(4, *(first.get(k, 5 + k) for k in head[1:4])))
 
 
 # What a join over no atoms yields: the binding as it stands, once.
@@ -394,6 +430,26 @@ def _groundings(plan: JoinPlan, qg: QuadGraph, mark: int,
             return
 
 
+def _select(plan: JoinPlan, qg: QuadGraph, mark: int) -> Iterator[Quad]:
+    """The heads of a ``select`` plan's groundings into ``qg`` that use a
+    quad added since ``qg`` held ``mark`` quads, in one pass over the
+    tail of the atom's bucket."""
+    (ctx, s, p, o), = plan.atoms
+    suffix, tested, head = plan.select
+    initial = plan.initial
+    quads = qg.bucket(ctx, initial[s], initial[p], initial[o])
+    if mark:
+        quads = quads[bisect_left(quads, mark,
+                                  key=qg.positions.__getitem__):]
+    rows = map(add, quads, repeat(suffix))
+    if tested is not None:
+        left, right = tested
+        rows = [row for row in rows if left(row) == right(row)]
+    # the head context is a pattern context, so an IRI, and every term a
+    # quad's or a constant: the checks of ``Quad.__new__`` would all pass
+    return map(tuple.__new__, repeat(Quad), map(head, rows))
+
+
 def instantiate_head(head: tuple, binding: list) -> Quad:
     """Ground a compiled head (``JoinPlan.head``) under a binding list,
     evaluating its skolem applications into their slots first.  An
@@ -420,12 +476,19 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
     were last applied), only groundings that use at least one quad added
     since ``qg`` held ``mark`` quads count: semi-naive evaluation, which
     misses nothing when every other grounding's head is already in
-    ``qg``.
+    ``qg``.  A rule with a ``select`` plan reads the tail of its atom's
+    bucket from ``mark`` in one pass (``_select``); every other rule
+    grounds its body one binding at a time (``_groundings``) and
+    instantiates its head per grounding (``instantiate_head``).
     """
     out: set[Quad] = set()
     known = qg.positions
     for rule in rules:
         plan = rule.plan
+        if plan.select is not None:
+            out.update(filterfalse(known.__contains__,
+                                   _select(plan, qg, mark)))
+            continue
         binding = list(plan.initial)
         for _ in _groundings(plan, qg, mark, binding):
             head = instantiate_head(plan.head, binding)

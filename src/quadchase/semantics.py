@@ -153,13 +153,11 @@ def close(graph: QuadGraph, sem: LocalSemantics, rules: list[SkolemRule],
                 closed = _rho_df(quads, resource)
                 if closed is not None:
                     open_contexts.discard(ctx)
-                    for q in closed:
-                        graph.add(q)
+                    graph.extend(closed)
     rules = [r for r in rules if r.head.ctx in open_contexts]
     while mark < len(graph):
         start = len(graph)
-        for q in derive(rules, graph, mark):
-            graph.add(q)
+        graph.extend(derive(rules, graph, mark))
         mark = start
 
 

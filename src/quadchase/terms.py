@@ -452,21 +452,22 @@ class QuadGraph:
     ``log`` lists the quads in the order they came in, and ``positions``
     maps each quad to its index there; ``quads`` is the set view of
     ``positions``.  ``QuadGraph(quads)`` drops duplicates, keeping first
-    occurrences, and ``add`` appends: ``log[mark:]`` is what was added
-    since the graph held ``mark`` quads.  Equality goes by the set of
-    quads; like a ``set``, a graph grows and so does not hash.
+    occurrences; ``add`` appends a quad and ``extend`` (the bulk add)
+    the new quads of many in one pass, so ``log[mark:]`` is what was
+    added since the graph held ``mark`` quads.  Equality goes by the set
+    of quads; like a ``set``, a graph grows and so does not hash.
 
     The first lookup that reads a bucket builds one bucket per context
     from the log (``_ensure_indexes``); the s, p or o map of a context
     is built from its bucket by the first lookup that binds that slot
-    there.  ``add`` extends the buckets and maps built so far, so each
-    bucket lists its quads in log order: the quads of a bucket added
-    since ``mark`` are its tail from the first one at position ``mark``
-    or later.  A fully bound lookup reads no bucket.  A graph that does
-    not grow is safe to share across threads: each index is assigned
-    only once it is complete (the context maps before the buckets that
-    mark them built), and two threads that build the same index build
-    equal ones.
+    there.  ``add`` and ``extend`` extend the buckets and maps built so
+    far, so each bucket lists its quads in log order: the quads of a
+    bucket added since ``mark`` are its tail from the first one at
+    position ``mark`` or later.  A fully bound lookup reads no bucket.
+    A graph that does not grow is safe to share across threads: each
+    index is assigned only once it is complete (the context maps before
+    the buckets that mark them built), and two threads that build the
+    same index build equal ones.
     """
 
     __slots__ = ("log", "positions", "_by_ctx", "_maps")
@@ -542,6 +543,31 @@ class QuadGraph:
             if index is not None:
                 index.setdefault(q[j], []).append(q)
         return True
+
+    def extend(self, quads: Iterable[Quad]) -> None:
+        """Append each quad of ``quads`` that is not present yet, in
+        order, as ``add`` would one at a time."""
+        positions, log, by_ctx = self.positions, self.log, self._by_ctx
+        for q in quads:
+            if q in positions:
+                continue
+            positions[q] = len(log)
+            log.append(q)
+            if by_ctx is None:
+                continue
+            bucket = by_ctx.get(q[0])
+            if bucket is None:
+                self._maps[q[0]] = [None, None, None]
+                by_ctx[q[0]] = [q]
+                continue
+            bucket.append(q)
+            s_map, p_map, o_map = self._maps[q[0]]
+            if s_map is not None:
+                s_map.setdefault(q[1], []).append(q)
+            if p_map is not None:
+                p_map.setdefault(q[2], []).append(q)
+            if o_map is not None:
+                o_map.setdefault(q[3], []).append(q)
 
     def contexts(self) -> set[Constant]:
         return {q[0] for q in self.log}

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from quadchase import engine
 from quadchase.engine import QuadSystem
 from quadchase.syntax import parse_nquads, parse_rules
 
@@ -22,6 +23,28 @@ def examples(n: int) -> int:
     """``n`` examples under the default Hypothesis profile, and as many
     times more as the loaded profile has over the default."""
     return n * settings().max_examples // DEFAULT_EXAMPLES
+
+
+def count_head_instances(monkeypatch) -> list[int]:
+    """A one-item list that counts, from now on, the rule heads the
+    engine builds on both of its paths: one per body grounding
+    (``instantiate_head``) and one per matching quad of a one-atom rule
+    evaluated in one pass (``_select``)."""
+    heads = [0]
+    instantiate, select = engine.instantiate_head, engine._select
+
+    def counted_instantiate(*args):
+        heads[0] += 1
+        return instantiate(*args)
+
+    def counted_select(*args):
+        built = list(select(*args))
+        heads[0] += len(built)
+        return built
+
+    monkeypatch.setattr(engine, "instantiate_head", counted_instantiate)
+    monkeypatch.setattr(engine, "_select", counted_select)
+    return heads
 
 
 def load_system(nq_name: str, rules_name: str) -> QuadSystem:

@@ -16,7 +16,7 @@ from quadchase.chase import (
     saturation_report,
 )
 from quadchase.contextgraph import build_dependency_graph, compute_levels
-from quadchase import chase as chase_module, engine
+from quadchase import chase as chase_module
 from quadchase.engine import BridgeRule, QuadSystem
 from quadchase.reductions.cfg import CFG, CFG_CLASS, CFG_CONTEXT, CFG_SEED, \
     encode_cfg_pair, symbol_iri
@@ -26,6 +26,7 @@ from quadchase.syntax import parse_rules, serialize_nquads
 from quadchase.terms import Quad, QuadGraph, iri, skolem_constant
 from quadchase.vocab import RDF_TYPE, RDFS_SUBCLASSOF
 
+from conftest import count_head_instances
 from oracles import (
     naive_chase,
     random_acyclic_system,
@@ -374,24 +375,10 @@ def _horn_chain(k):
     return clauses
 
 
-def _count_head_instances(monkeypatch) -> list:
-    """Patch ``engine.instantiate_head`` to count its calls in the one
-    cell of the returned list."""
-    calls = [0]
-    instantiate = engine.instantiate_head
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return instantiate(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "instantiate_head", counted)
-    return calls
-
-
 def test_horn_chain_head_instances_grow_linearly(monkeypatch):
     """Doubling a Horn chain at most about doubles the head instances:
     each iteration joins only through the quad the last one added."""
-    calls = _count_head_instances(monkeypatch)
+    calls = count_head_instances(monkeypatch)
     counts = []
     for k in (32, 64):
         calls[0] = 0
@@ -408,7 +395,7 @@ def test_local_closure_head_instances_grow_linearly(monkeypatch):
     iteration closes only through the quads it added, so doubling k at
     most about doubles the head instances; re-closing the context from
     scratch every iteration would make them grow about 4x."""
-    calls = _count_head_instances(monkeypatch)
+    calls = count_head_instances(monkeypatch)
     classes = [iri("C%d" % i) for i in range(4)]
     counts = []
     for k in (32, 64):

@@ -26,6 +26,7 @@ from quadchase.terms import (
 )
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
+from conftest import examples
 from oracles import (grown_quadgraph, naive_match, naive_multihead_chase,
                      random_acyclic_system, substitute, symbol_size)
 
@@ -139,7 +140,7 @@ def test_derive_example1_first_step(example1_system):
                        Quad(C3, iri("b"), RDF_TYPE, RDF_PROPERTY)}
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_derive_monotone(seed):
     rng = random.Random(seed)
@@ -180,7 +181,7 @@ def test_sizes():
         == 4 + 12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_skolemized_size_quadratic_bound(seed):
     rng = random.Random(seed)
@@ -190,7 +191,7 @@ def test_skolemized_size_quadratic_bound(seed):
         assert total <= symbol_size(r) ** 2 + 4
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_normalization_soundness_vs_multihead_oracle(seed):
     """Chasing the normalized single-head rules must build the same set
@@ -224,7 +225,7 @@ _OBJECT_ATOM = QuadPattern(iri("ctx0"), Variable("v0"), Variable("v1"),
                            iri("n2"))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 2 ** 32), st.none(), st.just(False))
 @example(5, _GROUND_ATOM, False)
 @example(9, _OBJECT_ATOM, False)
@@ -309,7 +310,7 @@ def _canonicals(row):
     return [c.canonical for c in row]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(quads=st.lists(st.builds(Quad, st.sampled_from(_MATCH_CONTEXTS),
                                 _match_terms, _match_terms, _match_terms),
                       min_size=6, max_size=16),
@@ -358,6 +359,36 @@ _GROUND_HEAD_QUADS = [Quad(iri("ctx0"), iri("n0"), iri("n0"), iri("n0")),
                       substitute(_GROUND_HEAD, {}),
                       Quad(iri("ctx0"), iri("n1"), iri("n1"), iri("n1"))]
 _GROUND_HEAD_SHAPE = ([QuadPattern(iri("ctx0"), X1, X1, X1)], [_GROUND_HEAD])
+# One-atom rules without a skolem function, which ``derive`` evaluates in
+# one pass over the atom's bucket.  The graph is half of the ctx0 quads
+# over n0, n1 and the skolem blank (IRI predicates), so that a quad a
+# constant or a repeated variable should rule out gives a head that no
+# matching quad gives, and one ctx1 quad.
+_M0, _M1, _M2 = _MATCH_VARS
+_N0, _N1 = _MATCH_VOCAB
+_ONE_ATOM_TERMS = (_N0, _N1, _MATCH_SKOLEM)
+_ONE_ATOM_QUADS = [Quad(iri("ctx0"), _ONE_ATOM_TERMS[i], _ONE_ATOM_TERMS[j],
+                        _ONE_ATOM_TERMS[k])
+                   for i in range(3) for j in range(2) for k in range(3)
+                   if (i + j + k) % 2 == 0]
+_ONE_ATOM_QUADS.append(Quad(iri("ctx1"), _N1, _N0, _N1))
+
+
+def _one_atom(body, head):
+    return [([QuadPattern(iri("ctx0"), *body)],
+             [QuadPattern(iri("ctx1"), *head)])]
+
+
+_ONE_ATOM_SHAPES = {
+    "repeated variable": _one_atom((_M0, _M1, _M0), (_M0, _M1, _M0)),
+    "body constant": _one_atom((_M0, _N1, _M1), (_M1, _M0, _M0)),
+    # the smaller of the two constants' buckets holds quads of the other
+    # constant's position that do not match it
+    "two body constants": _one_atom((_N0, _M0, _N1), (_M0, _M0, _M0)),
+    "head constant": _one_atom((_M0, _M1, _M2), (_M2, _N0, _M0)),
+    "projection dropping a slot": _one_atom((_M0, _M1, _M2), (_M0, _M0, _M2)),
+    "ground body": _one_atom((_N1, _N0, _N1), (_N0, _N0, _N1)),
+}
 
 
 def _naive_head(head, mu):
@@ -370,18 +401,29 @@ def _naive_head(head, mu):
     return Quad(head.ctx, *map(ground, head.terms()))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(quads=st.lists(st.builds(Quad, st.sampled_from(_MATCH_CONTEXTS),
                                 _match_terms, _match_terms, _match_terms),
                       max_size=12),
        shapes=st.lists(_rule_shapes, min_size=1, max_size=3))
 @example(quads=_GROUND_HEAD_QUADS, shapes=[_GROUND_HEAD_SHAPE])
 @example(quads=_GROUND_HEAD_QUADS[::-1], shapes=[_GROUND_HEAD_SHAPE])
+@example(quads=_ONE_ATOM_QUADS,
+         shapes=_ONE_ATOM_SHAPES["repeated variable"])
+@example(quads=_ONE_ATOM_QUADS, shapes=_ONE_ATOM_SHAPES["body constant"])
+@example(quads=_ONE_ATOM_QUADS,
+         shapes=_ONE_ATOM_SHAPES["two body constants"])
+@example(quads=_ONE_ATOM_QUADS, shapes=_ONE_ATOM_SHAPES["head constant"])
+@example(quads=_ONE_ATOM_QUADS,
+         shapes=_ONE_ATOM_SHAPES["projection dropping a slot"])
+@example(quads=_ONE_ATOM_QUADS, shapes=_ONE_ATOM_SHAPES["ground body"])
 def test_derive_agrees_with_naive_match_at_every_mark(quads, shapes):
     """At every mark from 0 to the graph's size, ``derive`` returns the
     heads of the naive groundings that use a quad at a log position at or
     past the mark (every grounding at mark 0), minus the graph's quads,
-    for random rules that include ground-head and generating ones."""
+    for random rules that include ground-head and generating ones, and
+    for one-atom rules that repeat a variable, bind constants, have a
+    constant in the head, drop a slot or have a ground body."""
     quads = list(dict.fromkeys(quads))
     position = {q: i for i, q in enumerate(quads)}
     rules = [sk for i, (body, head) in enumerate(shapes)
@@ -396,6 +438,31 @@ def test_derive_agrees_with_naive_match_at_every_mark(quads, shapes):
         for mark in range(len(quads) + 1):
             expected = {head for head, last in heads if last >= mark}
             assert derive(rules, graph, mark) == expected - set(quads)
+
+
+def test_a_one_atom_ground_head_is_built_in_one_pass(monkeypatch):
+    """``c1(?x,?y,?z) -> c2(<a>,<b>,<c>)`` over 20,000 quads has one body
+    atom, so ``derive`` reads c1's bucket in one pass and instantiates no
+    head per grounding: it returns that one quad at mark 0 and at a
+    middle mark, and nothing once the graph holds it."""
+    from quadchase import engine
+
+    def per_grounding(*args):
+        raise AssertionError("a head instantiated per grounding")
+
+    monkeypatch.setattr(engine, "instantiate_head", per_grounding)
+    a, b, c = iri("a"), iri("b"), iri("c")
+    (rule,) = skolemize(BridgeRule(
+        "ground", (QuadPattern(C1, X1, X2, Variable("x3")),),
+        (QuadPattern(C2, a, b, c),)))
+    graph = QuadGraph(Quad(C1, iri("s%d" % i), iri("p%d" % (i % 7)),
+                           iri("o%d" % (i % 100))) for i in range(20000))
+    head = Quad(C2, a, b, c)
+    for mark in (0, 10000):
+        assert derive([rule], graph, mark) == {head}
+    graph.add(head)
+    for mark in (0, 10000):
+        assert derive([rule], graph, mark) == set()
 
 
 def test_each_frontier_binding_mints_its_null_once(monkeypatch):

@@ -24,6 +24,7 @@ from quadchase.terms import (
     skolem_constant,
 )
 
+from conftest import examples
 from oracles import (
     grown_quadgraph,
     random_constant,
@@ -550,6 +551,56 @@ def test_lazy_index_maps_agree_with_a_filter_over_the_log(ops):
                          for t, bound in zip(probe[1:], mask))
             for index in (grown, graph):
                 _check_lookup(index, log, "bucket", probe[0], keys)
+
+
+_EXTEND_CTX = [iri("ctx%d" % i) for i in range(3)]
+_EXTEND_TERMS = [iri("t0"), iri("t1")]
+_extend_quads = st.lists(st.builds(Quad, st.sampled_from(_EXTEND_CTX),
+                                   *[st.sampled_from(_EXTEND_TERMS)] * 3),
+                         max_size=12)
+# which s, p and o maps (0, 1, 2) of every context to build; None builds
+# no index at all
+_EXTEND_BUILT = [None, (), (0,), (1, 2), (0, 1, 2)]
+_EXTEND_BASE = [Quad(_EXTEND_CTX[0], *_EXTEND_TERMS[:1] * 3),
+                Quad(_EXTEND_CTX[1], *_EXTEND_TERMS[1:] * 3)]
+# a duplicate, a quad already present and a context new to the graph
+_EXTEND_MORE = [Quad(_EXTEND_CTX[0], *_EXTEND_TERMS[1:] * 3),
+                _EXTEND_BASE[1],
+                Quad(_EXTEND_CTX[2], *_EXTEND_TERMS[:1] * 3),
+                Quad(_EXTEND_CTX[0], *_EXTEND_TERMS[1:] * 3),
+                Quad(_EXTEND_CTX[0], _EXTEND_TERMS[0], *_EXTEND_TERMS[1:] * 2)]
+
+
+def _graph_with_indexes(quads, built):
+    graph = QuadGraph(quads)
+    if built is not None:
+        graph.candidate_count(_EXTEND_CTX[0])
+        for ctx in graph.contexts():
+            for j in built:
+                keys = [None, None, None]
+                keys[j] = _EXTEND_TERMS[0]
+                graph.candidates(ctx, *keys)
+    return graph
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(base=_extend_quads, more=_extend_quads,
+       built=st.sampled_from(_EXTEND_BUILT))
+@example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=None)
+@example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=(0, 1, 2))
+def test_extend_agrees_with_repeated_add(base, more, built):
+    """``extend`` leaves a graph as ``add`` does one quad at a time: the
+    same log, positions, buckets and built s, p and o maps, with no index
+    built, only the buckets, or some or all maps of every context."""
+    one_by_one = _graph_with_indexes(base, built)
+    bulk = _graph_with_indexes(base, built)
+    for q in more:
+        one_by_one.add(q)
+    bulk.extend(more)
+    assert bulk.log == one_by_one.log
+    assert bulk.positions == one_by_one.positions
+    assert bulk._by_ctx == one_by_one._by_ctx
+    assert bulk._maps == one_by_one._maps
 
 
 def test_concurrent_lookups_on_a_shared_graph_agree():
