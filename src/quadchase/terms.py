@@ -525,38 +525,26 @@ class QuadGraph:
 
     def add(self, q: Quad) -> bool:
         """Append the quad ``q``; False when it was already present."""
-        if q in self.positions:
-            return False
-        self.positions[q] = len(self.log)
-        self.log.append(q)
-        if self._by_ctx is None:
-            return True
-        ctx = q[0]
-        bucket = self._by_ctx.get(ctx)
-        if bucket is None:
-            # a lookup builds no map for a context without quads
-            self._maps[ctx] = [None, None, None]
-            self._by_ctx[ctx] = [q]
-            return True
-        bucket.append(q)
-        for j, index in enumerate(self._maps[ctx], 1):
-            if index is not None:
-                index.setdefault(q[j], []).append(q)
-        return True
+        n = len(self.log)
+        self.extend((q,))
+        return len(self.log) != n
 
     def extend(self, quads: Iterable[Quad]) -> None:
         """Append each quad of ``quads`` that is not present yet, in
-        order, as ``add`` would one at a time."""
-        positions, log, by_ctx = self.positions, self.log, self._by_ctx
+        order, and extend the buckets and maps built so far."""
+        positions, log = self.positions, self.log
         for q in quads:
             if q in positions:
                 continue
             positions[q] = len(log)
             log.append(q)
+            # read for each quad: reading ``quads`` may build the indexes
+            by_ctx = self._by_ctx
             if by_ctx is None:
                 continue
             bucket = by_ctx.get(q[0])
             if bucket is None:
+                # a lookup builds no map for a context without quads
                 self._maps[q[0]] = [None, None, None]
                 by_ctx[q[0]] = [q]
                 continue

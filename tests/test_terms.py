@@ -571,8 +571,7 @@ _EXTEND_MORE = [Quad(_EXTEND_CTX[0], *_EXTEND_TERMS[1:] * 3),
                 Quad(_EXTEND_CTX[0], _EXTEND_TERMS[0], *_EXTEND_TERMS[1:] * 2)]
 
 
-def _graph_with_indexes(quads, built):
-    graph = QuadGraph(quads)
+def _build_indexes(graph, built):
     if built is not None:
         graph.candidate_count(_EXTEND_CTX[0])
         for ctx in graph.contexts():
@@ -580,27 +579,48 @@ def _graph_with_indexes(quads, built):
                 keys = [None, None, None]
                 keys[j] = _EXTEND_TERMS[0]
                 graph.candidates(ctx, *keys)
-    return graph
 
 
 @settings(max_examples=examples(200), deadline=None)
 @given(base=_extend_quads, more=_extend_quads,
-       built=st.sampled_from(_EXTEND_BUILT))
-@example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=None)
-@example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=(0, 1, 2))
-def test_extend_agrees_with_repeated_add(base, more, built):
+       built=st.sampled_from(_EXTEND_BUILT),
+       build_at=st.none() | st.integers(0, 12))
+@example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=None, build_at=None)
+@example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=(0, 1, 2),
+         build_at=None)
+@example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=(0, 1, 2), build_at=2)
+def test_extend_agrees_with_repeated_add(base, more, built, build_at):
     """``extend`` leaves a graph as ``add`` does one quad at a time: the
     same log, positions, buckets and built s, p and o maps, with no index
-    built, only the buckets, or some or all maps of every context."""
-    one_by_one = _graph_with_indexes(base, built)
-    bulk = _graph_with_indexes(base, built)
-    for q in more:
+    built, only the buckets, or some or all maps of every context, built
+    before ``extend`` or, when ``build_at`` is set, by the iterable it
+    reads just before that quad.  Each bucket is the filter of the log by
+    its context, and each built map the grouping of its bucket."""
+    def fed(graph):
+        for i, q in enumerate(more):
+            if i == build_at:
+                _build_indexes(graph, built)
+            yield q
+
+    one_by_one, bulk = QuadGraph(base), QuadGraph(base)
+    if build_at is None:
+        _build_indexes(one_by_one, built)
+        _build_indexes(bulk, built)
+    for q in fed(one_by_one):
         one_by_one.add(q)
-    bulk.extend(more)
+    bulk.extend(fed(bulk))
     assert bulk.log == one_by_one.log
     assert bulk.positions == one_by_one.positions
     assert bulk._by_ctx == one_by_one._by_ctx
     assert bulk._maps == one_by_one._maps
+    for ctx, bucket in (bulk._by_ctx or {}).items():
+        assert bucket == [q for q in bulk.log if q[0] is ctx]
+        for j, index in enumerate(bulk._maps[ctx], 1):
+            if index is not None:
+                grouped: dict = {}
+                for q in bucket:
+                    grouped.setdefault(q[j], []).append(q)
+                assert index == grouped
 
 
 def test_concurrent_lookups_on_a_shared_graph_agree():
