@@ -20,6 +20,7 @@ are flagged.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -451,6 +452,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The command owns its process and leaves no cyclic garbage, so the
+    # cyclic collector would only walk every quad and constant it holds.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "encode":
             want = 2 if args.kind == "cfg" else 1
@@ -465,6 +470,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a skolem label collision, or a bug
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -345,11 +345,14 @@ def _join(qg: QuadGraph, atoms: tuple, binding: list,
     ctx, s, p, o = atoms[best]
     rest = atoms[:best] + atoms[best + 1:]
     keys = binding[s], binding[p], binding[o]
-    free = tuple((j, slot) for j, slot, key in zip((1, 2, 3), (s, p, o), keys)
-                 if key is None)
+    free = [(j, slot) for j, slot, key in zip((1, 2, 3), (s, p, o), keys)
+            if key is None]
     for quad in qg.candidates(ctx, *keys):
         if _bind(quad, free, binding, no_skolem):
-            yield from _join(qg, rest, binding, no_skolem) if rest else _ONCE
+            if rest:
+                yield from _join(qg, rest, binding, no_skolem)
+            else:
+                yield
         for _, slot in free:
             binding[slot] = None
 

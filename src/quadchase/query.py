@@ -38,8 +38,10 @@ class AnswerSet(FrozenRecord):
     complete: bool
 
     def sorted_tuples(self) -> list[tuple[Constant, ...]]:
+        # a space-joined row sorts as the tuple of its canonicals: no
+        # canonical is a prefix of another followed by U+0020 or below
         return sorted(self.tuples,
-                      key=lambda row: tuple(c.canonical for c in row))
+                      key=lambda row: " ".join([c.canonical for c in row]))
 
 
 def _flag_status(result: ChaseResult) -> None:

@@ -31,6 +31,8 @@ each round joining only through the quads the previous round added.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .engine import SkolemAtom, SkolemRule, derive
@@ -39,6 +41,8 @@ from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
 from . import vocab
 
 TriplePattern = tuple[Term, Term, Term]
+
+_TRIPLE = itemgetter(slice(1, None))
 
 
 class LocalRule(FrozenRecord):
@@ -257,8 +261,9 @@ def _replicas(graph: QuadGraph, rules: list[SkolemRule],
 def _same_triples(graph: QuadGraph, ctx: Constant, other: Constant) -> bool:
     """Whether two contexts of the same size hold the same triples (a
     context holds no triple twice, so one inclusion is enough)."""
-    return all((other, s, p, o) in graph
-               for _, s, p, o in graph.candidates(ctx))
+    moved = map(add, repeat((other,)),
+                map(_TRIPLE, graph.bucket(ctx, None, None, None)))
+    return all(map(graph.positions.__contains__, moved))
 
 
 def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:

@@ -52,10 +52,13 @@ Quad files stream, so neither side holds the whole file.
 newline past that size (characters, for text), and numbers lines
 across chunks, so a byte that is not UTF-8 is reported at its line and
 column.  ``write_nquads`` writes a graph to a binary file one context at
-a time, in canonical order, sorting that context's quads by canonical
-triple and formatting, encoding and writing ``_BLOCK_LINES`` (1,024)
-lines at a time.  Beyond the graph it holds one context's sort keys and
-one block; ``serialize_nquads`` is the same writer into memory.
+a time, in canonical order: it formats each quad of that context as its
+line once, sorts the lines, and encodes and writes ``_BLOCK_LINES``
+(1,024) lines at a time.  Beyond the graph it holds one formatted line
+per quad of the context it writes, and one block: at 225,000 quads (a
+30 MB file in five contexts) its peak is 18.4 MB, and the peak resident
+set of the ``chase`` command 103 MB.  ``serialize_nquads`` is the same
+writer into memory.
 
 Parsers are not pure: every constant they read is interned into the
 process-wide table in ``terms``.  They are safe to call concurrently
@@ -436,19 +439,25 @@ def write_nquads(qg: QuadGraph, fh: BinaryIO) -> None:
     sorted by canonical (context, s, p, o), in UTF-8.
 
     Contexts go in canonical order (distinct contexts have distinct
-    canonicals), each with its quads sorted, and lines are formatted,
-    encoded and written ``_BLOCK_LINES`` at a time.  Beyond the graph,
-    this holds one context's sort keys and one block of text, never the
-    whole file.
+    canonicals).  The lines of one context all end in its canonical, so
+    sorting them sorts the quads by canonical (s, p, o): no canonical is
+    a proper prefix of another whose next character is U+0020 or below
+    (an IRI ends at its only ``>``, a literal's closing quote is followed
+    only by ``@`` or ``^^``, and labels and tags hold no such character).
+    Lines are encoded and written ``_BLOCK_LINES`` at a time.  Beyond the
+    graph, this holds one formatted line per quad of the context it is
+    writing (about 190 bytes a quad at the bridge-join benchmark's
+    shape) and one block of text, never the whole file.
     """
     by_ctx = qg.by_context()
     for ctx in sorted(by_ctx, key=attrgetter("canonical")):
-        keys = sorted(map(Quad.sort_key, by_ctx[ctx]))
-        for i in range(0, len(keys), _BLOCK_LINES):
-            fh.write("".join([
-                "%s %s %s %s .\n" % (s, p, o, c)
-                for c, s, p, o in keys[i:i + _BLOCK_LINES]
-            ]).encode("utf-8"))
+        c = ctx.canonical
+        lines = ["%s %s %s %s .\n" % (s.canonical, p.canonical,
+                                       o.canonical, c)
+                 for _, s, p, o in by_ctx[ctx]]
+        lines.sort()
+        for i in range(0, len(lines), _BLOCK_LINES):
+            fh.write("".join(lines[i:i + _BLOCK_LINES]).encode("utf-8"))
 
 
 def serialize_nquads(qg: QuadGraph) -> bytes:

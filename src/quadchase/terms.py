@@ -142,6 +142,9 @@ _IRI_ESCAPED = re.compile("[%s]" % _IRI_SPECIAL)
 # An IRI spelled as its canonical serialization with no escape: the text
 # between the brackets is the IRI, and ``_escape_iri`` leaves it alone.
 _PLAIN_IRI = re.compile("<[^%s]+>" % _IRI_SPECIAL)
+# A blank node label, language tag or rule id holding one of these would
+# end its term early when written.
+_UNWRITABLE = re.compile(r"[\x00-\x20]").search
 _LITERAL_SHORT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
                   "\t": "\\t"}
 
@@ -337,8 +340,9 @@ def iri(value: str) -> Constant:
 def blank(label: str) -> Constant:
     """A blank node; labels with the reserved ``sk_`` prefix come back as
     skolem blanks so skolem-ness survives a serialize/parse round trip."""
-    if not label:
-        raise TermError("empty blank node label")
+    if not label or _UNWRITABLE(label):
+        raise TermError("blank node label %r is empty or holds a space or "
+                        "control character" % label)
     kind = SKOLEM if label.startswith(SKOLEM_LABEL_PREFIX) else BLANK
     return _constant(kind, label, None, None, "_:" + label)
 
@@ -347,6 +351,9 @@ def literal(lexical: str, datatype: Optional[str] = None,
             lang: Optional[str] = None) -> Constant:
     if datatype is not None and lang is not None:
         raise TermError("literal cannot carry both datatype and language tag")
+    if lang is not None and (not lang or _UNWRITABLE(lang)):
+        raise TermError("language tag %r is empty or holds a space or "
+                        "control character" % lang)
     return _constant(LITERAL, lexical, datatype, lang,
                      _canonical(LITERAL, lexical, datatype, lang))
 
@@ -362,6 +369,9 @@ def skolem_constant(rule_id: str, fn_index: int,
     label is computed on every call; the constant is built only the first
     time, when the intern table lacks it.
     """
+    if _UNWRITABLE(rule_id):
+        raise TermError("skolem rule id %r holds a space or control "
+                        "character" % rule_id)
     arg_tuple = tuple(args)
     if not all(map(isinstance, arg_tuple, repeat(Constant))):
         raise TermError("skolem arguments must be ground constants")
@@ -602,14 +612,27 @@ class QuadGraph:
         if not pool:
             return ()
         maps = self._maps[ctx]
-        for j, term in enumerate((s, p, o)):
-            if term is not None:
-                index = maps[j]
-                if index is None:
-                    index = self._slot_map(ctx, j)
-                bucket = index.get(term, ())
-                if len(bucket) < len(pool):
-                    pool = bucket
+        if s is not None:
+            index = maps[0]
+            if index is None:
+                index = self._slot_map(ctx, 0)
+            bucket = index.get(s, ())
+            if len(bucket) < len(pool):
+                pool = bucket
+        if p is not None:
+            index = maps[1]
+            if index is None:
+                index = self._slot_map(ctx, 1)
+            bucket = index.get(p, ())
+            if len(bucket) < len(pool):
+                pool = bucket
+        if o is not None:
+            index = maps[2]
+            if index is None:
+                index = self._slot_map(ctx, 2)
+            bucket = index.get(o, ())
+            if len(bucket) < len(pool):
+                pool = bucket
         return pool
 
     def _slot_map(self, ctx: Constant, j: int) -> dict[Constant, list[Quad]]:

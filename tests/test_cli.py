@@ -1,9 +1,10 @@
+import gc
 import hashlib
 import json
 
 import pytest
 
-from quadchase import syntax
+from quadchase import cli, syntax
 from quadchase.cli import main
 from quadchase.syntax import (
     parse_nquads,
@@ -468,3 +469,67 @@ def test_env_var_semantics(capsys, fixtures_dir, tmp_path, monkeypatch):
                      fx(fixtures_dir, "example1.qrules"),
                      "-o", str(out_nq), "--max-iterations", "5")
     assert code == 3  # rdfs-core picked up from the environment: diverges
+
+
+# ``main`` runs its command with the cyclic collector off and gives the
+# caller back the collector's state, whatever the command's outcome.
+
+def _failing_command(args):
+    raise RuntimeError("a bug")
+
+
+@pytest.mark.parametrize("argv, command, exit_code", [
+    (["explain-semantics"], None, 0),
+    (["chase", "nope.nq", "nope.qrules", "-o", "out.nq"], None, 2),
+    (["explain-semantics"], _failing_command, 5),
+], ids=["success", "usage-error", "internal-error"])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_the_command_runs_without_the_collector_and_restores_it(
+        capsys, monkeypatch, argv, command, exit_code, collecting):
+    during = []
+
+    def recording(wrapped):
+        def recorded(args):
+            during.append(gc.isenabled())
+            return wrapped(args)
+        return recorded
+
+    for name in ("cmd_explain_semantics", "cmd_chase"):
+        monkeypatch.setattr(cli, name,
+                            recording(command or getattr(cli, name)))
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(capsys, *argv)[0] == exit_code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert during == [False]
+
+
+def _cyclic_garbage(*calls):
+    """How many objects ``gc.collect`` frees after ``calls`` run with the
+    collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_a_chase_and_query_leave_no_cyclic_garbage_but_their_parsers(
+        capsys, fixtures_dir, tmp_path):
+    """An argument parser holds reference cycles; the chase and query
+    themselves leave no cyclic garbage."""
+    chase = ["chase", fx(fixtures_dir, "example1.nq"),
+             fx(fixtures_dir, "example1.qrules"),
+             "-o", str(tmp_path / "out.nq"), "--force-unrestricted"]
+    query = ["query", str(tmp_path / "out.nq"),
+             fx(fixtures_dir, "example1.ccq")]
+    parsers = _cyclic_garbage(lambda: cli.build_parser().parse_args(chase),
+                              lambda: cli.build_parser().parse_args(query))
+    assert _cyclic_garbage(lambda: main(chase), lambda: main(query)) \
+        == parsers
+    assert capsys.readouterr().out == "true\n"

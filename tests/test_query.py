@@ -33,6 +33,7 @@ from quadchase.terms import (
     iri,
     skolem_constant,
 )
+from conftest import examples
 from oracles import (
     exhaustive_answers,
     exhaustive_entails,
@@ -209,7 +210,7 @@ def test_answer_tuples_are_self_checking():
         assert entails_boolean(result, grounded)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_boolean_matches_exhaustive_oracle(seed):
     rng = random.Random(seed)
@@ -220,3 +221,33 @@ def test_boolean_matches_exhaustive_oracle(seed):
         query = random_boolean_query(rng, result.quads)
         assert entails_boolean(result, query) \
             == exhaustive_entails(result.quads, query.atoms)
+
+
+def _chase_with_nulls(rng):
+    """The chase of a random context-acyclic system that holds at least
+    one skolem blank."""
+    while True:
+        result = run_chase(random_acyclic_system(rng, max_quads=10))
+        if any(c.is_skolem() for c in result.quads.constants()):
+            return result
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]))
+def test_answers_match_exhaustive_oracle_over_labelled_nulls(seed, width):
+    """Free variables never bind a skolem blank, quantified ones may; and
+    the answer order is that of the rows' tuples of canonicals."""
+    rng = random.Random(seed)
+    result = _chase_with_nulls(rng)
+    assert result.complete
+    for _ in range(4):
+        atoms = random_boolean_query(rng, result.quads).atoms
+        variables = sorted({v for a in atoms for v in a.variables()},
+                           key=lambda v: v.name)
+        if len(variables) < width:
+            continue
+        query = QueryDocument(tuple(rng.sample(variables, width)), atoms)
+        got = answers(result, query)
+        assert got.tuples == exhaustive_answers(result.quads, query)
+        assert got.sorted_tuples() == sorted(
+            got.tuples, key=lambda row: tuple(c.canonical for c in row))

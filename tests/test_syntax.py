@@ -869,9 +869,29 @@ _written_quad = st.builds(Quad, _written_context, _written_constant,
                           _written_constant, _written_constant)
 
 
+def _around(*terms):
+    """Quads of one context holding each of ``terms`` in each of s, p and
+    o, next to an IRI that sorts before every term and one that sorts
+    after: the writer sorts whole lines, which order as the tuples of
+    canonicals only while no term is a prefix of another followed by
+    U+0020 or below."""
+    g, low, high = iri("g"), iri("!"), iri("~")
+    return [Quad(g, *slots) for t in terms
+            for slots in ((t, low, high), (t, high, low), (low, t, high),
+                          (high, t, low), (low, high, t), (high, low, t))]
+
+
 @settings(max_examples=examples(150), deadline=None)
 @given(st.lists(_written_quad, max_size=40), st.sampled_from([1, 2, 3, 1024]),
        st.booleans())
+@example(_around(blank("b"), blank("b1"), blank("b.")), 2, False)
+@example(_around(literal("a"), literal("a", lang="en"),
+                 literal("a", lang="en-gb"),
+                 literal("a", datatype="http://example.org/t")), 3, True)
+@example(_around(literal("a"), literal("a b")), 1024, False)
+@example(_around(iri("a"), iri("a/b"), iri("ab")), 1024, True)
+@example(_around(*(skolem_constant("wr", 0, [iri(a)]) for a in "ab")),
+         1024, False)
 def test_block_writer_matches_the_one_shot_serialization(quads, block,
                                                          indexed):
     g = QuadGraph(quads)
@@ -907,8 +927,8 @@ def test_writing_builds_no_index():
 
 
 def test_writing_holds_one_context_and_one_block():
-    """The writer holds one context's sort keys (about 80 bytes a quad)
-    and one block of text, so twenty contexts of 1,000 quads each,
+    """The writer holds one context's formatted lines and one block of
+    text, so twenty contexts of 1,000 quads each,
     indexed as a chase leaves its graph, are written with a peak under a
     quarter of the file.  The one-shot serializer peaks at about three
     and a half times the file."""

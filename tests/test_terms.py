@@ -232,6 +232,32 @@ def test_skolem_arguments_must_be_constants():
         skolem_constant("r", 0, [iri("a"), Variable("x")])
 
 
+# A blank node label, a language tag or a skolem rule id with a space or
+# a control character in it would end its term early in a written file,
+# so the reader could not read the file back; the factories refuse it.
+
+@pytest.mark.parametrize("label", ["", "a b", "a\x01", "tab\t", " "])
+def test_blank_refuses_a_label_the_reader_cannot_read_back(label):
+    with pytest.raises(TermError):
+        blank(label)
+    assert blank("a.b.").canonical == "_:a.b."
+
+
+@pytest.mark.parametrize("tag", ["", "en x", "en\n", "\x00"])
+def test_literal_refuses_a_tag_the_reader_cannot_read_back(tag):
+    with pytest.raises(TermError):
+        literal("x", lang=tag)
+    assert literal("x", lang="en-gb.").canonical == '"x"@en-gb.'
+
+
+@pytest.mark.parametrize("rule_id", ["my rule", "r\x1f", "\n"])
+def test_skolem_constant_refuses_a_rule_id_the_reader_cannot_read_back(
+        rule_id):
+    with pytest.raises(TermError):
+        skolem_constant(rule_id, 0, [iri("a")])
+    assert rule_id not in {ident[0] for ident in terms._SKOLEM_ARGS.values()}
+
+
 def test_an_intern_table_hit_builds_no_constant(monkeypatch):
     """Each factory looks the canonical up first and builds a
     ``Constant`` only on a miss."""
