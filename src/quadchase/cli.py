@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from typing import Optional
 
 from . import __version__
@@ -446,6 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message: Warning, *_: object) -> None:
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -454,8 +459,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     # The command owns its process and leaves no cyclic garbage, so the
     # cyclic collector would only walk every quad and constant it holds.
-    collecting = gc.isenabled()
+    # A warning (a partial or inconsistent chase) is one line of stderr,
+    # not Python's format, which names and echoes a line of this module.
+    collecting, show = gc.isenabled(), warnings.showwarning
     gc.disable()
+    warnings.showwarning = _show_warning
     try:
         if args.command == "encode":
             want = 2 if args.kind == "cfg" else 1
@@ -471,6 +479,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     finally:
+        warnings.showwarning = show
         if collecting:
             gc.enable()
 

@@ -47,6 +47,7 @@ from .terms import (
     QuadPattern,
     Term,
     Variable,
+    is_skolem_rule_id,
     skolem_constant,
 )
 
@@ -60,7 +61,9 @@ class BridgeRule(FrozenRecord):
 
     Variables partition into frontier (body and head), existential
     (head only), and body-only; patterns must not contain blank nodes.
-    An empty head makes the rule a constraint.
+    An empty head makes the rule a constraint.  A rule with an
+    existential variable names its labelled nulls after its id, so that
+    id may hold only the characters ``[A-Za-z0-9_.-]``.
     """
 
     rule_id: str
@@ -78,6 +81,11 @@ class BridgeRule(FrozenRecord):
                     raise RuleError(
                         "rule %s: blank node %s in pattern"
                         % (self.rule_id, t.canonical))
+        if not is_skolem_rule_id(self.rule_id) \
+                and self.existential_variables():
+            raise RuleError("rule id %r of a rule with an existential "
+                            "variable holds a character outside "
+                            "[A-Za-z0-9_.-]" % self.rule_id)
 
     @property
     def is_constraint(self) -> bool:

@@ -24,27 +24,43 @@ Query files (``.ccq``)::
     ask { c1(?x, <beat>, <Italy>) }
     select ?x where { c1(?x, <beat>, <Italy>), c2(?x, <beat>, <Italy>) }
 
-A quad file is read a chunk at a time, with one ``findall`` of one
-compiled regex that gives every line a row.  A line in the usual shape
-(four terms separated by blanks, then ``.`` and an optional comment),
-blank, or holding only a comment is a usual row; any other line is odd.
-The usual rows are read in bulk: one pass looks their term texts up in
-the intern table (``terms.interned``); of the distinct texts the table
-does not hold, ``terms.mint_iris`` builds in bulk each IRI written as
-its own canonical serialization (no escape, and no character the
-canonical escapes), ``_scan_term`` decodes each other one once (a blank
-node, a literal, an IRI spelled with an escape), and the quads are
-built with no Python work per line.  Only the odd lines go to the
-character scanner ``_scan_nquads_line``, in line order, between the
-runs of usual rows around them; so does a usual line with a term that
-does not decode or, under strict mode, a generalized triple.  The
-scanner alone reports a ``ParseError``'s line and column.  Only
-``_scan_term`` decodes a term (a minted IRI has nothing to decode), and
-the regex delimits each term exactly as the scanner does, so a line
-reads the same, and fails with the same ``ParseError``, on either path.
-The rule and query tokenizer reads its IRIs, literals and blank nodes
-with ``_scan_term`` too, so a term is spelled, and rejected, alike in
-every file.
+A quad file is read a chunk at a time, by the first of three readers
+that takes the whole chunk:
+
+1. The split reader (``_read_split``) takes a chunk whose every line
+   is four terms and ``.`` joined by single spaces, the shape
+   ``write_nquads`` writes (a chase file whose literals hold no space).
+   Counting proves the shape: each newline follows `` .``, each line
+   holds four spaces, and one ``split(" ")`` of the chunk, its
+   newlines made spaces, gives five texts a line with ``.`` every
+   fifth.
+2. The row reader runs one ``findall`` of one compiled regex that gives
+   every line a row.  A line in the usual shape (four terms separated
+   by blanks, then ``.`` and an optional comment), blank, or holding
+   only a comment is a usual row; any other line is odd.
+3. The character scanner ``_scan_nquads_line`` reads the odd lines, in
+   line order, between the runs of usual rows around them; so does a
+   usual line with a term that does not decode or, under strict mode, a
+   generalized triple.
+
+The split and row readers read their term texts in bulk with one
+routine (``_read_usual``): one pass looks them up in the intern table
+(``terms.interned``); of the distinct texts the table does not hold,
+``terms.mint_iris`` builds in bulk each IRI written as its own canonical
+serialization (no escape, and no character the canonical escapes),
+``_scan_term`` decodes each other one once (a blank node, a literal, an
+IRI spelled with an escape), and the quads are built with no Python
+work per line.  The split reader leaves the whole chunk to the row
+reader, and the row reader a row to the scanner, when a text is not
+one whole term (a hit always is, see ``terms.interned``; a decoded miss
+must use up its text), a context is not an IRI, or strict mode rejects
+a statement.  So a line reads the same, and fails with the same
+``ParseError``, on every path, and the scanner alone reports an error's
+line and column.  Only ``_scan_term`` decodes a term (a minted IRI has
+nothing to decode), and the regex delimits each term exactly as the
+scanner does.  The rule and query tokenizer reads its IRIs, literals
+and blank nodes with ``_scan_term`` too, so a term is spelled, and
+rejected, alike in every file.
 
 Quad files stream, so neither side holds the whole file.
 ``parse_nquads`` takes bytes, text, or a binary or text file and reads
@@ -79,6 +95,7 @@ from .terms import (
     BLANK,
     IRI,
     LITERAL,
+    NAME_PATTERN,
     Constant,
     FrozenRecord,
     Quad,
@@ -248,7 +265,7 @@ def _pieces(data: Union[bytes, str, IO]) -> Iterator[Union[bytes, str]]:
 def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
     """The IRI, blank node or literal spelled at ``s[i]``, and the index
     after it."""
-    ch = s[i]
+    ch = s[i:i + 1]
     if ch == "<":
         # An IRI whose source text is an interned canonical is that
         # constant (see ``terms.interned``), so only a miss is decoded.
@@ -297,9 +314,8 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
 # fewer rows than lines exactly when a row opens an IRI or a literal
 # that its own line does not close, and the scanner rejects that line.
 _IRI_TOKEN = r"<[^>]+>"
-_NAME_TOKEN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"
 _TERM_TOKEN = (r'(%s|_:%s|"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^%s|@%s)?)'
-               % (_IRI_TOKEN, _NAME_TOKEN, _IRI_TOKEN, _NAME_TOKEN))
+               % (_IRI_TOKEN, NAME_PATTERN, _IRI_TOKEN, NAME_PATTERN))
 _LINE = re.compile(
     r"^(?:[ \t\r]*%s[ \t\r]+%s[ \t\r]+%s[ \t\r]+(%s)[ \t\r]*\.[ \t\r]*(?:#.*)?"
     r"|[ \t\r]*(?:#.*)?|(.*))$"
@@ -355,54 +371,83 @@ def _scan_nquads_line(raw: str, lineno: int, strict: bool) -> list[Quad]:
     return quads
 
 
-def _read_usual(rows: list[tuple[str, ...]], strict: bool
+def _read_usual(texts: list[str], strict: bool
                 ) -> Optional[Iterator[Quad]]:
-    """The quads of the statement rows among ``rows``, read in bulk;
-    None when a term does not decode or ``strict`` rejects a
-    statement."""
-    texts = list(chain.from_iterable(filter(itemgetter(0), rows)))
-    del texts[4::5]
+    """The quads of the statements whose term texts ``texts`` lists, four
+    a statement in (s, p, o, context) order, read in bulk; None when a
+    text is not one whole term, a context is not an IRI, or ``strict``
+    rejects a statement."""
     terms = list(map(interned, texts))
     if None in terms:
         # mint the new IRIs spelled without an escape in bulk, and decode
-        # each other distinct text the table lacks once; a term text is
-        # delimited as the scanner delimits it, so alone it decodes to
-        # the constant it is in its line
+        # each other distinct text the table lacks once; a hit is a whole
+        # term (see ``terms.interned``), and a miss must decode to one
         missing = set(compress(texts, map(is_, terms, repeat(None))))
         decoded = mint_iris(missing)
         try:
             for token in missing.difference(decoded):
-                decoded[token] = _scan_term(token, 0, 0)[0]
+                decoded[token], end = _scan_term(token, 0, 0)
+                if end != len(token):
+                    return None
         except ParseError:
             return None
         terms = list(map(decoded.get, texts, terms))
-    s, p = terms[0::4], terms[1::4]
-    if strict and (LITERAL in map(attrgetter("kind"), s)
-                   or not {IRI}.issuperset(map(attrgetter("kind"), p))):
+    s, p, g = terms[0::4], terms[1::4], terms[3::4]
+    if not {IRI}.issuperset(map(attrgetter("kind"), set(g))) or strict and (
+            LITERAL in map(attrgetter("kind"), s)
+            or not {IRI}.issuperset(map(attrgetter("kind"), p))):
         return None
     # interned constants with an IRI context: what Quad() checks holds
-    return map(_new_tuple, repeat(Quad), zip(terms[3::4], s, p, terms[2::4]))
+    return map(_new_tuple, repeat(Quad), zip(g, s, p, terms[2::4]))
+
+
+def _read_split(text: str, strict: bool) -> Optional[Iterator[Quad]]:
+    """The quads of ``text`` read in bulk when each of its lines is four
+    terms and ``.`` joined by single spaces, the shape ``write_nquads``
+    writes; else None."""
+    lines = text.count("\n")
+    # four spaces a line: the split gives five texts a line, and a chunk
+    # with a literal that holds a space is declined before it is split
+    if text.count(" ") != 4 * lines or text.count(" .\n") != lines \
+            or not text.endswith("\n"):
+        return None
+    texts = text.replace("\n", " ").split(" ")
+    if texts[4::5].count(".") != lines:
+        return None
+    del texts[-1], texts[4::5]
+    return _read_usual(texts, strict)
+
+
+def _row_texts(rows: list[tuple[str, ...]]) -> list[str]:
+    """The term texts of the statement rows among ``rows``, four a row."""
+    texts = list(chain.from_iterable(filter(itemgetter(0), rows)))
+    del texts[4::5]
+    return texts
 
 
 def _read_chunk(text: str, first: int, lines: int, strict: bool,
                 quads: list[Quad]) -> None:
     """Append the quads of ``text``, whose ``lines`` lines start at line
-    ``first``, to ``quads``: the usual rows in bulk, and each odd line
-    in its place with the scanner."""
+    ``first``, to ``quads``: all of them split in bulk, or else the usual
+    rows in bulk and each odd line in its place with the scanner."""
+    bulk = _read_split(text, strict)
+    if bulk is not None:
+        quads.extend(bulk)
+        return
     rows = _rows(text)
     if len(rows) != lines:
         # the first row that runs past its line becomes that odd line,
         # which the scanner rejects, so no later row is read
         k = next(k for k, row in enumerate(rows) if "\n" in "".join(row))
         rows[k:] = [("", "", "", "", text.split("\n", k + 1)[k])]
-    bulk = _read_usual(rows, strict)
+    bulk = _read_usual(_row_texts(rows), strict)
     if bulk is None:
         # so does each row with a term that does not decode, or that
         # strict mode rejects
-        rows = [row if _read_usual([row], strict) is not None
+        rows = [row if _read_usual(_row_texts([row]), strict) is not None
                 else ("", "", "", "", text.split("\n", j + 1)[j])
                 for j, row in enumerate(rows)]
-        bulk = _read_usual(rows, strict)
+        bulk = _read_usual(_row_texts(rows), strict)
     start = 0
     for odd in compress(count(), map(itemgetter(4), rows)):
         # the quads of the statements before the odd line, then its own

@@ -142,9 +142,16 @@ _IRI_ESCAPED = re.compile("[%s]" % _IRI_SPECIAL)
 # An IRI spelled as its canonical serialization with no escape: the text
 # between the brackets is the IRI, and ``_escape_iri`` leaves it alone.
 _PLAIN_IRI = re.compile("<[^%s]+>" % _IRI_SPECIAL)
-# A blank node label, language tag or rule id holding one of these would
-# end its term early when written.
+# A blank node label or language tag holding one of these would end its
+# term early when written.
 _UNWRITABLE = re.compile(r"[\x00-\x20]").search
+# A blank node label or language tag that the N-Quads scanner reads back
+# whole: a run of name characters that does not end in '.', which the
+# scanner hands to the punctuation.
+NAME_PATTERN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"
+_WHOLE_NAME = re.compile(NAME_PATTERN).fullmatch
+# A rule id that a skolem label can carry and stay such a name.
+is_skolem_rule_id = re.compile(r"[A-Za-z0-9_.-]*").fullmatch
 _LITERAL_SHORT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
                   "\t": "\\t"}
 
@@ -262,6 +269,11 @@ Term = Union[Constant, Variable]
 
 # Interning: canonical serialization -> the unique Constant instance.
 _INTERN: dict[str, Constant] = {}
+# The same for the constants whose canonical the N-Quads scanner does not
+# read back as one whole term: a blank node label or language tag that is
+# not a whole name (``_:a.``, ``_:a/b``, ``"x"@en.``).  ``interned`` does
+# not look here, so no source text finds them.
+_ASIDE: dict[str, Constant] = {}
 
 # Variable name -> the unique Variable instance.
 _VARIABLES: dict[str, Variable] = {}
@@ -272,20 +284,24 @@ _SKOLEM_ARGS: dict[str, tuple] = {}
 
 
 def _constant(kind: str, lexical: str, datatype: Optional[str],
-              lang: Optional[str], canonical: str) -> Constant:
-    """The interned constant serialized as ``canonical``, built from these
-    fields only when the table lacks it."""
+              lang: Optional[str], canonical: str,
+              table: dict[str, Constant] = _INTERN) -> Constant:
+    """The constant serialized as ``canonical`` interned in ``table``,
+    built from these fields only when the table lacks it."""
     # A get first, so a hit builds nothing; on a miss one setdefault, not
     # a store, since a thread switch between the get and the store could
     # mint two unequal constants for one canonical.
-    return _INTERN.get(canonical) or _INTERN.setdefault(
+    return table.get(canonical) or table.setdefault(
         canonical, Constant(kind, lexical, datatype, lang, canonical))
 
 
 def _interned_constant(kind: str, lexical: str, datatype: Optional[str],
                        lang: Optional[str]) -> Constant:
-    return _constant(kind, lexical, datatype, lang,
-                     _canonical(kind, lexical, datatype, lang))
+    if kind == IRI:
+        return iri(lexical)
+    if kind == LITERAL:
+        return literal(lexical, datatype, lang)
+    return blank(lexical)
 
 
 # ``interned(text)`` is the interned constant whose canonical
@@ -301,6 +317,15 @@ def _interned_constant(kind: str, lexical: str, datatype: Optional[str],
 # yet, or a non-canonical spelling such as ``\u003E``) says nothing.  The
 # caller hands its misses to ``mint_iris``, which builds the IRIs spelled
 # without an escape in bulk, and decodes only the rest one by one.
+#
+# The table holds only constants whose canonical the N-Quads scanner reads
+# back as one whole term, stopping right after it: an IRI or literal
+# canonical always, a blank node label or language tag only when it is a
+# whole name (``NAME_PATTERN``).  So a hit is a whole term wherever the
+# text was cut, and a reader may split a line at its spaces and look each
+# piece up.  ``blank`` and ``literal`` still accept the other labels and
+# tags, but intern those constants in ``_ASIDE``; ``skolem_constant``
+# takes only rule ids that keep its labels whole names.
 interned = _INTERN.get
 
 # The member descriptors of the slots of ``Constant``, in slot order.
@@ -344,7 +369,8 @@ def blank(label: str) -> Constant:
         raise TermError("blank node label %r is empty or holds a space or "
                         "control character" % label)
     kind = SKOLEM if label.startswith(SKOLEM_LABEL_PREFIX) else BLANK
-    return _constant(kind, label, None, None, "_:" + label)
+    return _constant(kind, label, None, None, "_:" + label,
+                     _INTERN if _WHOLE_NAME(label) else _ASIDE)
 
 
 def literal(lexical: str, datatype: Optional[str] = None,
@@ -355,7 +381,8 @@ def literal(lexical: str, datatype: Optional[str] = None,
         raise TermError("language tag %r is empty or holds a space or "
                         "control character" % lang)
     return _constant(LITERAL, lexical, datatype, lang,
-                     _canonical(LITERAL, lexical, datatype, lang))
+                     _canonical(LITERAL, lexical, datatype, lang),
+                     _INTERN if lang is None or _WHOLE_NAME(lang) else _ASIDE)
 
 
 def skolem_constant(rule_id: str, fn_index: int,
@@ -367,11 +394,13 @@ def skolem_constant(rule_id: str, fn_index: int,
     label is ``sk_<rule>_<index>_<hex64>`` with hex64 an FNV-1a 64 hash of
     the UTF-8 bytes of the argument canonicals joined by ``\x1f``.  The
     label is computed on every call; the constant is built only the first
-    time, when the intern table lacks it.
+    time, when the intern table lacks it.  A rule id outside
+    ``[A-Za-z0-9_.-]`` is refused, so the label is a name the N-Quads
+    reader reads back whole.
     """
-    if _UNWRITABLE(rule_id):
-        raise TermError("skolem rule id %r holds a space or control "
-                        "character" % rule_id)
+    if not is_skolem_rule_id(rule_id):
+        raise TermError("skolem rule id %r holds a character outside "
+                        "[A-Za-z0-9_.-]" % rule_id)
     arg_tuple = tuple(args)
     if not all(map(isinstance, arg_tuple, repeat(Constant))):
         raise TermError("skolem arguments must be ground constants")

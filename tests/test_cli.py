@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -22,6 +23,10 @@ def run(capsys, *argv):
 
 def fx(fixtures_dir, name):
     return str(fixtures_dir / name)
+
+
+_PARTIAL_WARNING = ("warning: chase is partial (budget exhausted): positive "
+                    "answers are sound, absence is inconclusive\n")
 
 
 def test_validate_good_inputs(capsys, fixtures_dir):
@@ -250,10 +255,10 @@ def test_query_stats_manifest(capsys, fixtures_dir, tmp_path, query,
     chase_stats = tmp_path / "chase.json"
     chase_stats.write_text(json.dumps({"status": "budget-exhausted"}))
     stats = tmp_path / "query.json"
-    with pytest.warns(UserWarning, match="partial"):
-        code, _, _ = run(capsys, "query", fx(fixtures_dir, "beat.nq"),
-                         str(query_path), "--chase-stats", str(chase_stats),
-                         "--stats", str(stats))
+    code, _, err = run(capsys, "query", fx(fixtures_dir, "beat.nq"),
+                       str(query_path), "--chase-stats", str(chase_stats),
+                       "--stats", str(stats))
+    assert err == _PARTIAL_WARNING
     assert code == exit_code
     doc = json.loads(stats.read_text())
     assert set(doc) == {"tool", "version", "inputs", "chase_status",
@@ -275,12 +280,30 @@ def test_query_boolean_false_exit(capsys, fixtures_dir, tmp_path):
 def test_query_partial_chase_flag(capsys, fixtures_dir, tmp_path):
     manifest = tmp_path / "stats.json"
     manifest.write_text(json.dumps({"status": "budget-exhausted"}))
-    with pytest.warns(UserWarning, match="partial"):
-        code, out, _ = run(capsys, "query", fx(fixtures_dir, "beat.nq"),
-                           fx(fixtures_dir, "beat.ccq"), "--format", "json",
-                           "--chase-stats", str(manifest))
-    assert code == 0
+    code, out, err = run(capsys, "query", fx(fixtures_dir, "beat.nq"),
+                         fx(fixtures_dir, "beat.ccq"), "--format", "json",
+                         "--chase-stats", str(manifest))
+    assert code == 0 and err == _PARTIAL_WARNING
     assert json.loads(out)["complete"] is False
+
+
+def test_a_partial_chase_warning_is_one_line_of_stderr(capsys, fixtures_dir,
+                                                       tmp_path):
+    """The query of a chase cut by its budget warns on one line, and the
+    caller's warning handling is back when ``main`` returns."""
+    out_nq, stats = str(tmp_path / "out.nq"), str(tmp_path / "chase.json")
+    code, _, _ = run(capsys, "chase", fx(fixtures_dir, "example1.nq"),
+                     fx(fixtures_dir, "example1.qrules"), "-o", out_nq,
+                     "--stats", stats, "--local-semantics", "rdfs-core",
+                     "--max-quads", "40")
+    assert code == 3
+    shown = warnings.showwarning
+    code, out, err = run(capsys, "query", out_nq,
+                         fx(fixtures_dir, "example1.ccq"), "--format", "json",
+                         "--chase-stats", stats)
+    assert (code, err) == (0, _PARTIAL_WARNING)
+    assert json.loads(out)["complete"] is False
+    assert warnings.showwarning is shown
 
 
 @pytest.mark.parametrize("text, reason", [

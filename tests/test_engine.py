@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from quadchase.terms import (
     iri,
     skolem_constant,
 )
+from quadchase.syntax import parse_nquads, serialize_nquads
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
 from conftest import examples
@@ -47,6 +49,30 @@ def test_bridge_rule_invariants():
     with pytest.raises(RuleError):
         BridgeRule("r", (QuadPattern(C1, blank("b"), X1, X1),),
                    (QuadPattern(C2, X1, X1, X1),))
+
+
+@pytest.mark.parametrize("rule_id", ["r/1", "my rule", "r:1", "r\x1f"])
+def test_a_rule_with_an_existential_refuses_an_id_its_nulls_cannot_carry(
+        rule_id):
+    """Its labelled nulls carry the rule id, and the N-Quads reader must
+    read each label back as one blank node, so the rule is refused when
+    it is built, not at its first null; a rule without an existential
+    keeps any id."""
+    body = (QuadPattern(C1, X1, iri("p"), iri("o")),)
+    with pytest.raises(RuleError, match=re.escape("rule id %r" % rule_id)):
+        BridgeRule(rule_id, body, (QuadPattern(C2, X1, iri("q"), Y1),))
+    copy = BridgeRule(rule_id, body, (QuadPattern(C2, X1, iri("q"), X1),))
+    assert copy.rule_id == rule_id
+
+
+def test_every_null_of_an_accepted_rule_reads_back():
+    rule = BridgeRule("r-1.x_2", (QuadPattern(C1, X1, iri("p"), iri("o")),),
+                      (QuadPattern(C2, X1, iri("q"), Y1),))
+    system = QuadSystem(QuadGraph([Quad(C1, iri("a"), iri("p"), iri("o"))]),
+                        (rule,))
+    chase = run_chase(system, ChaseConfig()).quads
+    assert len(chase) == 2
+    assert parse_nquads(serialize_nquads(chase)) == chase
 
 
 def test_skolemize_splits_heads_and_shares_functions():

@@ -2,6 +2,7 @@ import collections
 import functools
 import io
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -531,14 +532,15 @@ def test_bulk_parses_race_the_factory_to_one_constant_per_canonical():
     assert all(interned(c.canonical) is c for c in results[0])
 
 
-def _reread_graph(stem):
+def _reread_graph(stem, gap=" "):
     """A graph of 600 quads with IRIs, blank and skolem nodes and
-    literals, whose serialization fills over ten 4 KiB chunks."""
+    literals, each literal holding ``gap``, whose serialization fills
+    over ten 4 KiB chunks."""
     objects = [iri("%s/o%d" % (stem, i)) for i in range(20)]
     objects += [blank(_fresh("b")) for _ in range(10)]
     objects += [skolem_constant("bulk", 0, [iri(stem), iri(str(i))])
                 for i in range(10)]
-    objects += [literal('%s "%d"\n' % (stem, i)) for i in range(10)]
+    objects += [literal('%s%s"%d"\n' % (stem, gap, i)) for i in range(10)]
     objects += [literal("x%d" % i, lang="en-GB") for i in range(10)]
     return QuadGraph(Quad(iri("%s/g%d" % (stem, i % 3)),
                           iri("%s/s%d" % (stem, i // 5)),
@@ -550,7 +552,8 @@ def _reread_graph(stem):
 def test_a_reread_chase_stays_on_the_bulk_path(monkeypatch):
     """Re-reading a serialized graph of over ten chunks, as bytes, text,
     a binary or a text file, with or without blank and comment lines,
-    runs the row regex once per chunk and never the character scanner;
+    runs the row regex once per chunk and never the character scanner
+    (its literals hold a space, so the split reader takes no chunk);
     one odd line sends only itself to the scanner."""
     stem = _fresh("urn:bulk:")
     g = _reread_graph(stem)
@@ -579,6 +582,32 @@ def test_a_reread_chase_stays_on_the_bulk_path(monkeypatch):
     assert len(parse_nquads(odd)) == 600
     assert calls == {"_rows": len(list(syntax._pieces(odd))),
                      "_scan_nquads_line": 1, "_scan_term": 4}
+
+
+def test_a_written_chase_is_split_without_the_rows(monkeypatch):
+    """Re-reading a serialized graph of over ten chunks whose literals
+    hold no space, as bytes, text, a binary or a text file, splits every
+    chunk: neither the row regex nor the character scanner runs, and no
+    term is decoded.  One comment line sends only its own chunk to the
+    row regex."""
+    stem = _fresh("urn:split:")
+    g = _reread_graph(stem, gap="")
+    data = serialize_nquads(g)
+    text = data.decode("utf-8")
+    monkeypatch.setattr(syntax, "_CHUNK_BYTES", 4096)
+    calls = _count_calls(monkeypatch, "_rows", "_scan_nquads_line",
+                         "_scan_term")
+    assert len(list(syntax._pieces(data))) > 10
+    for source in (data, text, io.BytesIO(data), io.StringIO(text)):
+        calls.clear()
+        assert parse_nquads(source) == g
+        assert calls == {}
+
+    lines = text.split("\n")
+    lines.insert(300, "# a comment line")
+    calls.clear()
+    assert parse_nquads("\n".join(lines)) == g
+    assert calls == {"_rows": 1}
 
 
 def test_an_odd_line_in_every_chunk_is_read_around(monkeypatch):
@@ -695,9 +724,13 @@ _gap = st.text(st.sampled_from(" \t\r"), min_size=1, max_size=3)
 
 
 @st.composite
-def _statement_text(draw, usual=False):
+def _statement_text(draw, usual=False, written=None):
     """A statement, in the usual shape (blanks between the terms) half
-    of the time, or always when ``usual``."""
+    of the time, or always when ``usual``; its four terms and ``.``
+    joined by single spaces, as ``write_nquads`` writes them, half of
+    the time, or always when ``written``."""
+    if written is None:
+        written = draw(st.booleans())
     if usual or draw(st.booleans()):
         # mostly IRIs as subject and predicate, so that most of these
         # statements hold under strict mode too
@@ -711,6 +744,8 @@ def _statement_text(draw, usual=False):
         terms.append(draw(st.one_of(
             _iri_text.map(lambda t: iri(t).canonical), _term_text())))
         gaps = [draw(st.one_of(_blanks, _gap)) for _ in range(6)]
+    if written:
+        return " ".join(terms) + " ."
     text = "".join(gap + term for gap, term in zip(gaps, terms))
     text += gaps[4] + "." + gaps[5]
     if draw(st.booleans()):
@@ -741,10 +776,14 @@ def _line_text(draw, usual=False):
 
 
 def _lines(max_size):
-    """The lines of a document: all of them in the usual shape, blank or
-    comments (which ``parse_nquads`` reads in bulk) half of the time."""
-    return st.booleans().flatmap(
-        lambda usual: st.lists(_line_text(usual), max_size=max_size))
+    """The lines of a document: all of them statements as the writer
+    spaces them (which ``parse_nquads`` splits in bulk), all in the
+    usual shape, blank or comments (which it reads by rows in bulk), or
+    any lines, a third of the time each."""
+    return st.sampled_from(["written", "usual", "any"]).flatmap(
+        lambda kind: st.lists(
+            _statement_text(written=True) if kind == "written"
+            else _line_text(kind == "usual"), max_size=max_size))
 
 
 # Chunk sizes that cut a document of a few lines into several chunks,
@@ -752,8 +791,14 @@ def _lines(max_size):
 _SIZES = (48, 160, syntax._CHUNK_BYTES)
 
 
+# interned, so that the examples below find them made
+_ODD_NAMES = (blank("a."), blank("a/b"), literal("x", lang="en."))
+
+
 @settings(max_examples=examples(200), deadline=None)
-@given(_lines(12).map("\n".join), st.booleans(), st.booleans())
+@given(st.builds(lambda lines, end: "\n".join(lines) + end, _lines(12),
+                 st.sampled_from(["", "\n"])),
+       st.booleans(), st.booleans())
 @example("<s> <p> <o> <g> .", False, True)
 @example("<s>\t<p>\r<o>  <g>. # note", False, True)
 @example("<s><p><o><g>.", False, True)
@@ -797,13 +842,40 @@ _SIZES = (48, 160, syntax._CHUNK_BYTES)
          True, False)
 @example("<a> <b> <c> <d> .\n# note\n\n<a><b><c><f> .\n<a> <b> <c> <e> .",
          False, True)
+# chunks in the writer's shape, split in bulk, and chunks that look like
+# it that the split reader must leave to the rows and the scanner: a
+# 6-term line next to a 4-term one, nine terms and '.' on one line, a
+# literal holding " . " or IRIs, an interned name that is not a whole
+# term, a term with a tail, a blank context, a double space, CRLF, no
+# final newline, and a lone '.'
+@example('_:b <p> "x"@en <g> .\n<s> <p> "1"^^<dt> <g> .\n', False, False)
+@example('_:b <p> "x"@en <g> .\n<s> <p> "1"^^<dt> <g> .\n', True, True)
+@example('"lit" <p> <o> <g> .\n<s> <p> <o> <g> .\n', True, True)
+@example("<s> _:b <o> <g> .\n<s> <p> <o> <g> .\n", True, False)
+@example("<a> <b> <c> <d> <e> .\n<s> <p> <g> .\n", False, True)
+@example("<a> <b> <c> <d> <e> <s> <p> <o> <g> .\n", False, True)
+@example('<s> <p> <o> "a . b" <g> .\n<x> .\n', False, True)
+@example('<s> <p> "<a> <b> <c> <d> ." <g> .\n<a> <b> <c> <d> .\n',
+         False, True)
+@example("<s> <p> _:a. <g> .\n<a> <b> <c> <d> .\n", False, True)
+@example("<s> <p> _:a/b <g> .\n<a> <b> <c> <d> .\n", False, True)
+@example('<s> <p> "x"@en. <g> .\n<a> <b> <c> <d> .\n', False, True)
+@example("<s> <p> <a>b <g> .\n<a> <b> <c> <d> .\n", False, True)
+@example("<s> <p> <o> _:g .\n<a> <b> <c> <d> .\n", False, True)
+@example("<s>  <p> <o> .\n<a> <b> <c> <d> .\n", False, True)
+@example("<s> <p> <o> <g> .\r\n<s> <p> <o2> <g> .\r\n", False, True)
+@example("<s> <p> <o> <g> .\n<s> <p> <o2> <g> .", False, True)
+@example("<s> <p> <o> <g> .\n. <p> <o> <g> .\n", False, True)
+@example("<s> <p> <o> . .\n", False, True)
 def test_statement_regex_reads_like_the_scanner(doc, strict, scanner_first):
     """The same quads in the same order or the same error (class, line,
     column, message), for the whole document read in chunks of each size
-    and for each line on its own.  With ``scanner_first`` the scanner
-    interns the document's terms before ``parse_nquads`` reads it, so
-    most chunks are read in bulk; without it the first read, in the
-    smallest chunks, meets terms new to the intern table."""
+    and for each line on its own: whether ``parse_nquads`` splits a
+    chunk, reads it by rows or leaves lines to the scanner.  With
+    ``scanner_first`` the scanner interns the document's terms before
+    ``parse_nquads`` reads it, so most chunks are read in bulk; without
+    it the first read, in the smallest chunks, meets terms new to the
+    intern table."""
     readers = [functools.partial(_chunked, size) for size in _SIZES]
     readers.insert(0 if scanner_first else len(readers), _scanned)
     for text in [doc] + doc.split("\n"):
@@ -814,14 +886,59 @@ def test_statement_regex_reads_like_the_scanner(doc, strict, scanner_first):
 def test_interned_names_ending_in_a_dot_are_left_to_the_scanner():
     """The scanner hands a name's trailing dots to the punctuation, so a
     canonical that ends in one is never a whole term, even when it is
-    interned."""
+    made: the table ``interned`` reads does not hold it, and a line
+    spaced as the writer spaces it is not split either."""
     label, tag = _fresh("a") + ".", "en."
     blank(label)
     literal("x", lang=tag)
     for doc in ("<s> <p> _:%s <g> ." % label, '<s> <p> "x"@%s <g> .' % tag):
-        with pytest.raises(ParseError) as err:
-            parse_nquads(doc)
-        assert err.value.message == "line missing graph label (context)"
+        for text in (doc, doc + "\n"):
+            with pytest.raises(ParseError) as err:
+                parse_nquads(text)
+            assert err.value.message == "line missing graph label (context)"
+
+
+_name = st.one_of(
+    st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True),
+    st.text(st.characters(min_codepoint=0x21, blacklist_categories=("Cs",)),
+            min_size=1, max_size=6))
+_rule_id = st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True)
+_factory_constant = st.one_of(
+    _iri_text.map(iri),
+    _name.map(blank),
+    st.builds(literal, st.text(max_size=8)),
+    st.builds(lambda lex, dt: literal(lex, datatype=dt),
+              st.text(max_size=8), _iri_text),
+    st.builds(lambda lex, tag: literal(lex, lang=tag),
+              st.text(max_size=8), _name),
+    st.builds(lambda rule, n, args: skolem_constant(
+        rule, n, [iri(a) for a in args]),
+        _rule_id, st.integers(0, 3), st.lists(_label, max_size=2)),
+)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(_factory_constant)
+@example(blank("a."))
+@example(blank("a/b"))
+@example(blank("sk_a.b"))
+@example(blank("sk_a/b"))
+@example(literal("x", lang="en."))
+@example(literal("x", lang="en/gb"))
+@example(literal("a b", lang="en-GB"))
+@example(skolem_constant("r-1.x", 0, [iri("a")]))
+def test_the_intern_table_holds_exactly_the_whole_terms(c):
+    """``interned`` finds a constant by its canonical exactly when the
+    scanner reads that canonical, then a space, back as the constant
+    and stops at the space: so a reader may split a line at its spaces
+    and look each piece up.  A copy is the constant either way."""
+    assert pickle.loads(pickle.dumps(c)) is c
+    try:
+        term, end = syntax._scan_term(c.canonical + " ", 0, 1)
+        whole = term is c and end == len(c.canonical)
+    except ParseError:
+        whole = False
+    assert (interned(c.canonical) is c) is whole
 
 
 # ---------------------------------------------------------------------------

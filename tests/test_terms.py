@@ -235,6 +235,8 @@ def test_skolem_arguments_must_be_constants():
 # A blank node label, a language tag or a skolem rule id with a space or
 # a control character in it would end its term early in a written file,
 # so the reader could not read the file back; the factories refuse it.
+# A skolem rule id outside [A-Za-z0-9_.-] is refused too: the reader
+# reads a blank node label only as far as such a name goes.
 
 @pytest.mark.parametrize("label", ["", "a b", "a\x01", "tab\t", " "])
 def test_blank_refuses_a_label_the_reader_cannot_read_back(label):
@@ -250,7 +252,7 @@ def test_literal_refuses_a_tag_the_reader_cannot_read_back(tag):
     assert literal("x", lang="en-gb.").canonical == '"x"@en-gb.'
 
 
-@pytest.mark.parametrize("rule_id", ["my rule", "r\x1f", "\n"])
+@pytest.mark.parametrize("rule_id", ["my rule", "r\x1f", "\n", "r/1", "r:1"])
 def test_skolem_constant_refuses_a_rule_id_the_reader_cannot_read_back(
         rule_id):
     with pytest.raises(TermError):

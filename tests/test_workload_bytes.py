@@ -7,15 +7,18 @@ and ``serialize_nquads``, and the SHA-256 of the chase file must stay
 the one pinned here: a faster closure or join must not change a byte.
 A larger rdfs-closure instance, with a deeper class chain than the
 benchmark's, is checked against the generator's closed-form chase.
+Every chunk of each workload's data file and chase file is split in
+bulk: neither the row regex nor the character scanner reads a line.
 """
 
+import collections
 import hashlib
 import pathlib
 
 import pytest
 
 from quadchase import (ChaseConfig, QuadSystem, get_semantics, parse_nquads,
-                       parse_rules, run_chase, serialize_nquads)
+                       parse_rules, run_chase, serialize_nquads, syntax)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +60,21 @@ def test_workload_chase_bytes(workloads, name):
 def test_rdfs_closure_at_300_entities_and_50_classes(workloads):
     inputs = workloads.gen_rdfs_closure(11, 300, 50)
     assert workloads.check_chase(inputs, chase_file(inputs)) == []
+
+
+@pytest.mark.parametrize("name", sorted(CHASE_SHA256))
+def test_every_workload_chunk_is_split(workloads, monkeypatch, name):
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.inputs(workload.default_seed)
+    chase = chase_file(inputs)
+    monkeypatch.setattr(syntax, "_CHUNK_BYTES", 4096)
+    calls = collections.Counter()
+    for fn in ("_rows", "_scan_nquads_line"):
+        def counted(*args, _fn=getattr(syntax, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(syntax, fn, counted)
+    for data in (inputs.data, chase):
+        assert len(list(syntax._pieces(data))) > 4
+        assert len(parse_nquads(data)) == data.count(b"\n")
+    assert calls == {}
