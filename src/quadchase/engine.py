@@ -19,7 +19,11 @@ needs no join and no binding list: it compiles to a select-project over
 rows (``_select_project``), and ``_select`` keeps the quads of the atom's
 bucket that match its constants and repeated variables and builds each
 head from the quad's terms in one pass.  A rule compiles on first use
-and keeps its plan, so a chase compiles each rule once.
+and keeps its plan, so a chase compiles each rule once.  A head with a
+skolem function keeps, per function, the nulls it has minted, keyed by
+argument tuple; ``derive`` mints the argument tuples a call's groundings
+bring that are not there yet in bulk, with one ``skolem_constants`` call
+per function, before it instantiates the heads.
 
 Semi-naive evaluation takes a mark into a ``QuadGraph``: the quads added
 since the graph held ``mark`` quads are the tail of each index bucket,
@@ -48,7 +52,7 @@ from .terms import (
     Term,
     Variable,
     is_skolem_rule_id,
-    skolem_constant,
+    skolem_constants,
 )
 
 
@@ -187,10 +191,21 @@ class SkolemRule(FrozenRecord):
 
 
 class QuadSystem(FrozenRecord):
-    """A quad-graph together with its bridge rules."""
+    """A quad-graph together with its bridge rules.
+
+    Rule ids are distinct: a rule's labelled nulls are named after its
+    id, so two rules with one id would share their nulls.
+    """
 
     quads: QuadGraph
     rules: tuple[BridgeRule, ...]
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for r in self.rules:
+            if r.rule_id in seen:
+                raise RuleError("duplicate rule id %r" % r.rule_id)
+            seen.add(r.rule_id)
 
     def contexts(self) -> set[Constant]:
         out = self.quads.contexts()
@@ -463,19 +478,26 @@ def _select(plan: JoinPlan, qg: QuadGraph, mark: int) -> Iterator[Quad]:
 
 def instantiate_head(head: tuple, binding: list) -> Quad:
     """Ground a compiled head (``JoinPlan.head``) under a binding list,
-    evaluating its skolem applications into their slots first.  An
-    application mints its null once per argument tuple, so groundings
-    that differ only in body-only variables share the call."""
+    putting the null each skolem application has minted for its argument
+    tuple into its slot first (``derive`` mints them beforehand)."""
     ctx, s, p, o, functions = head
-    for slot, rule_id, fn_index, args, minted in functions:
-        key = tuple([binding[a] for a in args])
-        null = minted.get(key)
-        if null is None:
-            null = minted[key] = skolem_constant(rule_id, fn_index, key)
-        binding[slot] = null
+    for slot, _, _, args, minted in functions:
+        binding[slot] = minted[tuple([binding[a] for a in args])]
     # the context is a pattern context, so an IRI, and every slot holds
     # a constant: the checks of ``Quad.__new__`` would all pass
     return tuple.__new__(Quad, (ctx, binding[s], binding[p], binding[o]))
+
+
+def _mint(functions: tuple, groundings: list[list]) -> None:
+    """Mint, for each skolem application of ``functions``, the nulls of
+    the argument tuples of ``groundings`` it has not minted yet: the new
+    tuples in first-seen order, in one ``skolem_constants`` call."""
+    for _, rule_id, fn_index, args, minted in functions:
+        keys = dict.fromkeys([tuple([g[a] for a in args])
+                              for g in groundings])
+        new = list(filterfalse(minted.__contains__, keys))
+        if new:
+            minted.update(zip(new, skolem_constants(rule_id, fn_index, new)))
 
 
 def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
@@ -490,7 +512,12 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
     ``qg``.  A rule with a ``select`` plan reads the tail of its atom's
     bucket from ``mark`` in one pass (``_select``); every other rule
     grounds its body one binding at a time (``_groundings``) and
-    instantiates its head per grounding (``instantiate_head``).
+    instantiates its head per grounding (``instantiate_head``).  A head
+    with skolem functions first has its groundings copied, and each
+    function mints the nulls of their new argument tuples in bulk
+    (``_mint``), so a null is minted once per rule head and frontier
+    binding, by one ``skolem_constants`` call per function and ``derive``
+    call.
     """
     out: set[Quad] = set()
     known = qg.positions
@@ -501,6 +528,14 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
                                    _select(plan, qg, mark)))
             continue
         binding = list(plan.initial)
+        functions = plan.head[4]
+        if functions:
+            groundings = [binding.copy()
+                          for _ in _groundings(plan, qg, mark, binding)]
+            _mint(functions, groundings)
+            out.update(filterfalse(known.__contains__, map(
+                instantiate_head, repeat(plan.head), groundings)))
+            continue
         for _ in _groundings(plan, qg, mark, binding):
             head = instantiate_head(plan.head, binding)
             if head not in known:

@@ -5,8 +5,9 @@ set and result, query input) with matching indexes.
 Every constant has a canonical serialization (N-Quads term syntax with
 lowercase hex escapes) and two constants are equal exactly when their
 canonical serializations are byte-equal.  Construction goes through the
-factory functions ``iri``, ``blank``, ``literal`` and ``skolem_constant``,
-which intern instances so equal terms are the identical object; constants
+factory functions ``iri``, ``blank``, ``literal`` and ``skolem_constant``
+(and the bulk factories ``mint_iris`` and ``skolem_constants``), which
+intern instances so equal terms are the identical object; constants
 therefore compare and hash by identity.  A factory looks the canonical
 up first and builds a constant only when the table lacks it;
 ``mint_iris`` builds a batch of new IRIs that need no escaping at once.
@@ -16,6 +17,9 @@ the same object.
 Skolem blank nodes are labelled nulls whose identity is a deterministic
 function of (rule id, function index, argument vector); their labels use
 the reserved ``sk_`` prefix and are recognised on re-parse.
+``skolem_constants`` mints the nulls of many argument vectors of one
+skolem function in one call, hashing their labels together
+(``fnv1a_64_many``); ``skolem_constant`` is its one-vector call.
 
 The module also holds ``FrozenRecord``, the one base class of every
 value record in the package (patterns, rules, parse results, chase
@@ -27,8 +31,9 @@ it does not hash.
 from __future__ import annotations
 
 import re
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import attrgetter, itemgetter
+from struct import unpack
 from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
 
 IRI = "iri"
@@ -41,6 +46,8 @@ SKOLEM_LABEL_PREFIX = "sk_"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# One 128-bit lane of ``fnv1a_64_many`` holding 1, little-endian.
+_LANE_ONE = b"\x01" + bytes(15)
 
 
 class TermError(ValueError):
@@ -132,6 +139,44 @@ def fnv1a_64(data: bytes) -> int:
         h ^= b
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def fnv1a_64_many(datas: Sequence[bytes]) -> list[int]:
+    """``fnv1a_64`` of each byte string of ``datas``, in order.
+
+    The strings of one length are hashed together: their longest common
+    prefix once, by ``fnv1a_64``, then each later byte position for all
+    of them at once, on one integer that holds each string's state in a
+    128-bit lane (little-endian).  A state is below 2**64 and the prime
+    below 2**41, so one xor, multiply and mask steps every lane and no
+    product carries into the next lane.
+    """
+    out = [0] * len(datas)
+    groups: dict[int, list[int]] = {}
+    for i, data in enumerate(datas):
+        groups.setdefault(len(data), []).append(i)
+    for size, members in groups.items():
+        group = [datas[i] for i in members]
+        # the longest common prefix of the group is that of its least
+        # and greatest strings: it ends where they first differ
+        diff = (int.from_bytes(min(group), "big")
+                ^ int.from_bytes(max(group), "big"))
+        start = size - (diff.bit_length() + 7) // 8
+        lanes = len(members)
+        ones = int.from_bytes(_LANE_ONE * lanes, "little")
+        state = fnv1a_64(group[0][:start]) * ones
+        mask = _MASK64 * ones
+        joined = b"".join(group)
+        column = bytearray(16 * lanes)
+        for j in range(start, size):
+            column[::16] = joined[j::size]
+            state = ((state ^ int.from_bytes(column, "little"))
+                     * _FNV_PRIME) & mask
+        words = unpack("<%dQ" % (2 * lanes),
+                       state.to_bytes(16 * lanes, "little"))
+        for i, h in zip(members, words[::2]):
+            out[i] = h
+    return out
 
 
 # The characters each escaper rewrites.  Most text holds none of them,
@@ -388,31 +433,45 @@ def literal(lexical: str, datatype: Optional[str] = None,
 def skolem_constant(rule_id: str, fn_index: int,
                     args: Iterable[Constant]) -> Constant:
     """The labelled null produced by skolem function ``fn_index`` of rule
-    ``rule_id`` applied to the ground argument vector ``args``.
+    ``rule_id`` applied to the ground argument vector ``args``: the
+    one-key call of ``skolem_constants``."""
+    return skolem_constants(rule_id, fn_index, (tuple(args),))[0]
+
+
+def skolem_constants(rule_id: str, fn_index: int,
+                     keys: Iterable[Sequence[Constant]]) -> list[Constant]:
+    """The labelled null of each ground argument vector of ``keys``, in
+    order, for skolem function ``fn_index`` of rule ``rule_id``.
 
     Deterministic: identical inputs yield the byte-identical label.  The
     label is ``sk_<rule>_<index>_<hex64>`` with hex64 an FNV-1a 64 hash of
     the UTF-8 bytes of the argument canonicals joined by ``\x1f``.  The
-    label is computed on every call; the constant is built only the first
-    time, when the intern table lacks it.  A rule id outside
-    ``[A-Za-z0-9_.-]`` is refused, so the label is a name the N-Quads
-    reader reads back whole.
+    rule id and the argument kinds are checked once per call and the
+    labels hashed in bulk (``fnv1a_64_many``); a constant is built only
+    when the intern table lacks it.  A rule id outside ``[A-Za-z0-9_.-]``
+    is refused, so the label is a name the N-Quads reader reads back
+    whole.  Two argument vectors whose labels collide, in one call or
+    across calls, raise ``SkolemCollisionError``.
     """
     if not is_skolem_rule_id(rule_id):
         raise TermError("skolem rule id %r holds a character outside "
                         "[A-Za-z0-9_.-]" % rule_id)
-    arg_tuple = tuple(args)
-    if not all(map(isinstance, arg_tuple, repeat(Constant))):
+    keys = list(keys)
+    if not all(map(isinstance, chain.from_iterable(keys), repeat(Constant))):
         raise TermError("skolem arguments must be ground constants")
-    arg_canon = tuple(map(_CANONICAL, arg_tuple))
-    digest = fnv1a_64("\x1f".join(arg_canon).encode())
-    label = "%s%s_%d_%016x" % (SKOLEM_LABEL_PREFIX, rule_id, fn_index, digest)
-    ident = (rule_id, fn_index, arg_canon)
-    seen = _SKOLEM_ARGS.setdefault(label, ident)
-    if seen != ident:
+    canons = [tuple(map(_CANONICAL, key)) for key in keys]
+    digests = fnv1a_64_many(["\x1f".join(c).encode() for c in canons])
+    stem = "%s%s_%d_" % (SKOLEM_LABEL_PREFIX, rule_id, fn_index)
+    labels = ["%s%016x" % (stem, d) for d in digests]
+    idents = [(rule_id, fn_index, c) for c in canons]
+    seen = list(map(_SKOLEM_ARGS.setdefault, labels, idents))
+    if seen != idents:
+        label, first, ident = next(row for row in zip(labels, seen, idents)
+                                   if row[1] != row[2])
         raise SkolemCollisionError(
-            "skolem label collision on %s: %r vs %r" % (label, seen, ident))
-    return _constant(SKOLEM, label, None, None, "_:" + label)
+            "skolem label collision on %s: %r vs %r" % (label, first, ident))
+    return list(map(_constant, repeat(SKOLEM), labels, repeat(None),
+                    repeat(None), ["_:" + label for label in labels]))
 
 
 class Quad(tuple):

@@ -26,7 +26,7 @@ from quadchase.syntax import parse_rules, serialize_nquads
 from quadchase.terms import Quad, QuadGraph, iri, skolem_constant
 from quadchase.vocab import RDF_TYPE, RDFS_SUBCLASSOF
 
-from conftest import count_head_instances
+from conftest import count_head_instances, examples
 from oracles import (
     naive_chase,
     random_acyclic_system,
@@ -243,7 +243,7 @@ def test_entailment_closure_check(fig3_system):
     assert entailment_closure_check(empty, QuadSystem(QuadGraph(), ()))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_schedule_conformance_and_monotone_growth(seed):
     rng = random.Random(seed)
@@ -298,7 +298,7 @@ def _assert_same_as_naive(system, cfg):
     assert set(fast.violations) == set(slow.violations)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 2 ** 32), st.booleans(), st.booleans(),
        st.booleans())
 def test_semi_naive_chase_matches_naive_oracle(seed, firing, rdfs,
@@ -325,7 +325,7 @@ def test_semi_naive_chase_matches_naive_oracle(seed, firing, rdfs,
     _assert_same_as_naive(system, cfg)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.integers(0, 2 ** 32), st.booleans())
 def test_semi_naive_rdfs_chase_matches_naive_oracle(seed, resource):
     """Firing systems whose data also holds rdfs-core schema quads, so
@@ -339,7 +339,7 @@ def test_semi_naive_rdfs_chase_matches_naive_oracle(seed, resource):
         semantics=rdfs_core(resource), max_iterations=30, max_quads=300))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(0, 2 ** 32), st.booleans())
 def test_copy_system_chase_matches_naive_oracle(seed, resource):
     """Systems that copy rdfs-core contexts forward (wholly, one

@@ -24,8 +24,10 @@ from quadchase.terms import (
     blank,
     iri,
     skolem_constant,
+    skolem_constants,
 )
-from quadchase.syntax import parse_nquads, serialize_nquads
+from quadchase.query import entails_boolean
+from quadchase.syntax import parse_nquads, parse_query, serialize_nquads
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
 from conftest import examples
@@ -73,6 +75,27 @@ def test_every_null_of_an_accepted_rule_reads_back():
     chase = run_chase(system, ChaseConfig()).quads
     assert len(chase) == 2
     assert parse_nquads(serialize_nquads(chase)) == chase
+
+
+def test_a_system_refuses_two_rules_with_one_id():
+    """Two rules named ``r`` would name their nulls alike: over
+    ``<a> <p> <o>`` in c1 and in c3 the chase wrote one null into both
+    c2 and c4, so ``ask { c2(<a>,<q>,?z), c4(<a>,<q>,?z) }`` held though
+    the system does not entail it.  Building the system refuses the
+    second rule; with distinct ids the two nulls differ."""
+    p, o, q, a = iri("p"), iri("o"), iri("q"), iri("a")
+    c1, c2, c3, c4 = C1, C2, C3, iri("c4")
+    data = QuadGraph([Quad(c1, a, p, o), Quad(c3, a, p, o)])
+    first = BridgeRule("r", (QuadPattern(c1, X1, p, o),),
+                       (QuadPattern(c2, X1, q, Y1),))
+    body, head = (QuadPattern(c3, X1, p, o),), (QuadPattern(c4, X1, q, Y1),)
+    with pytest.raises(RuleError, match="duplicate rule id 'r'"):
+        QuadSystem(data, (first, BridgeRule("r", body, head)))
+    system = QuadSystem(data, (first, BridgeRule("r2", body, head)))
+    query = parse_query(b"ask { <c2>(<a>, <q>, ?z), <c4>(<a>, <q>, ?z) }")
+    result = run_chase(system)
+    assert result.complete and len(result.quads) == 4
+    assert not entails_boolean(result, query)
 
 
 def test_skolemize_splits_heads_and_shares_functions():
@@ -493,8 +516,9 @@ def test_a_one_atom_ground_head_is_built_in_one_pass(monkeypatch):
 
 def test_each_frontier_binding_mints_its_null_once(monkeypatch):
     """A rule with a body-only variable grounds once per body match but
-    calls ``skolem_constant`` once per distinct frontier binding, and the
-    nulls are the labels the function gives for those arguments."""
+    mints each distinct frontier binding's null once, in one
+    ``skolem_constants`` call, and the nulls are the labels the function
+    gives for those arguments."""
     from quadchase import engine
 
     knows, pet = iri("knows"), iri("hasPet")
@@ -504,13 +528,13 @@ def test_each_frontier_binding_mints_its_null_once(monkeypatch):
                       (QuadPattern(C2, X1, pet, Y1),))
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return skolem_constant(*args)
+    def counted(rule_id, fn_index, keys):
+        calls.append((rule_id, fn_index, list(keys)))
+        return skolem_constants(rule_id, fn_index, calls[-1][2])
 
-    monkeypatch.setattr(engine, "skolem_constant", counted)
+    monkeypatch.setattr(engine, "skolem_constants", counted)
     (sk,) = skolemize(rule)
     derived = derive([sk], QuadGraph(data))
-    assert len(calls) == 3
+    assert calls == [("pet", 0, [(a,) for a in people[:3]])]
     assert derived == {Quad(C2, a, pet, skolem_constant("pet", 0, [a]))
                        for a in people[:3]}

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import operator
 import pickle
 import random
 import sys
@@ -214,6 +215,91 @@ def test_skolem_label_collision_raises(monkeypatch):
 ])
 def test_fnv1a_64_gives_the_published_vectors(data, digest):
     assert terms.fnv1a_64(data) == digest
+    # alone, twice (one common prefix: the whole string), and beside a
+    # string of its length that differs in every byte (no common prefix)
+    assert terms.fnv1a_64_many([data]) == [digest]
+    other = bytes(b ^ 1 for b in data)
+    assert terms.fnv1a_64_many([data, other, data])[::2] == [digest, digest]
+
+
+# Byte strings that often share a length and a prefix, so the lanes of
+# one length are hashed together, and that hold 0xff bytes (the largest
+# lane values) and non-ASCII UTF-8.
+_HASHED = st.builds(
+    bytes.__add__,
+    st.sampled_from([b"", b"<http://bench.example.org/e",
+                     "\u00e9\x1f\U0001f600".encode(), b"\xff" * 9]),
+    st.binary(max_size=4) | st.text(max_size=3).map(str.encode)
+    | st.sampled_from([b"\xff", b"\xff" * 3]))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(st.lists(_HASHED, max_size=12))
+@example([])
+@example([b""])
+@example([b"", b"", b"a"])
+@example([b"\xff" * 40, b"\xff" * 40, b"\xfe" + b"\xff" * 39])
+def test_fnv1a_64_many_equals_the_scalar_hash(datas):
+    assert terms.fnv1a_64_many(datas) == list(map(terms.fnv1a_64, datas))
+
+
+# Skolem arguments: IRIs, literals with and without a tag or datatype,
+# blank nodes, and nulls minted over these in turn.
+_SKOLEM_ARG = st.recursive(
+    st.builds(iri, st.text("a\u00e9/", min_size=1, max_size=3))
+    | st.builds(literal, st.text('x\u00e9"\n', max_size=3))
+    | st.builds(lambda text: literal(text, lang="fr"), st.text("xy"))
+    | st.builds(lambda text: literal(text, datatype="urn:t"),
+                st.text("12", max_size=2))
+    | st.builds(blank, st.text("bc", min_size=1, max_size=3)),
+    lambda args: st.builds(lambda key: skolem_constant("inner", 0, key),
+                           st.lists(args, min_size=1, max_size=2)),
+    max_leaves=4)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.integers(0, 3),
+       st.lists(st.lists(_SKOLEM_ARG, max_size=3).map(tuple), max_size=8),
+       st.integers(0, 8))
+def test_skolem_constants_are_the_per_key_constants(fn_index, keys, split):
+    """One bulk call gives the very constants that one call per key
+    gives, whether the per-key call comes first (the first ``split``
+    keys) or after, and each label is the scalar hash of its key."""
+    rule_id = "bulk" + uuid.uuid4().hex
+    before = [skolem_constant(rule_id, fn_index, key)
+              for key in keys[:split]]
+    bulk = terms.skolem_constants(rule_id, fn_index, keys)
+    after = [skolem_constant(rule_id, fn_index, key) for key in keys]
+    assert len(bulk) == len(keys)
+    assert all(map(operator.is_, bulk, before))
+    assert all(map(operator.is_, bulk, after))
+    for key, null in zip(keys, bulk):
+        text = "\x1f".join(c.canonical for c in key)
+        assert null.lexical == "sk_%s_%d_%016x" % (
+            rule_id, fn_index, terms.fnv1a_64(text.encode()))
+
+
+def test_a_bulk_label_collision_names_the_label_and_both_vectors(
+        monkeypatch):
+    """With every bulk hash 0, two argument vectors collide both inside
+    one call and against a null minted by an earlier one, and the error
+    names the label and both vectors."""
+    monkeypatch.setattr(terms, "fnv1a_64_many",
+                        lambda datas: [0] * len(datas))
+    rule_id = "bulkcollide" + uuid.uuid4().hex
+    label = "sk_%s_0_%016x" % (rule_id, 0)
+    a, b, c = iri("a"), blank("b"), literal("c", lang="en")
+    with pytest.raises(SkolemCollisionError) as inside:
+        terms.skolem_constants(rule_id, 0, [(a,), (a,), (b, c)])
+    first = skolem_constant(rule_id, 0, [a])
+    assert terms.skolem_constants(rule_id, 0, [(a,), (a,)]) == [first] * 2
+    with pytest.raises(SkolemCollisionError) as earlier:
+        terms.skolem_constants(rule_id, 0, [(a,), (c,)])
+    for err, other in ((inside, ("_:b", '"c"@en')), (earlier, ('"c"@en',))):
+        message = str(err.value)
+        assert label in message
+        assert repr((rule_id, 0, ("<a>",))) in message
+        assert repr((rule_id, 0, other)) in message
 
 
 def test_skolem_labels_are_pinned():
