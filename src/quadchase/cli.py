@@ -69,11 +69,6 @@ _STATUS_EXIT = {COMPLETE: EXIT_OK, BUDGET_EXHAUSTED: EXIT_BUDGET,
                 INCONSISTENT: EXIT_INCONSISTENT}
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _parse_file(parse, path: str, fh=None, **options):
     """``parse`` applied to the binary file ``fh``, by default ``path``
     opened: a quad file streams from it and any other is read whole.  A
@@ -332,14 +327,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
                              parse_cfg, parse_dtm, parse_horn)
 
     if args.kind == "cfg":
-        g1 = parse_cfg(_read(args.inputs[0]).decode("utf-8"))
-        g2 = parse_cfg(_read(args.inputs[1]).decode("utf-8"))
-        system, query = encode_cfg_pair(g1, g2)
+        system, query = encode_cfg_pair(
+            *(_parse_file(parse_cfg, path) for path in args.inputs))
     elif args.kind == "horn":
-        clauses = parse_horn(_read(args.inputs[0]).decode("utf-8"))
-        system, query = encode_horn(clauses)
+        system, query = encode_horn(_parse_file(parse_horn, args.inputs[0]))
     else:
-        machine = parse_dtm(_read(args.inputs[0]).decode("utf-8"))
+        machine = _parse_file(parse_dtm, args.inputs[0])
         if args.input_word is None:
             raise ParseError("encode dtm needs --input")
         system, query = encode_dtm(machine, args.input_word, n=args.n)

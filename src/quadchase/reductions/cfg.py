@@ -18,10 +18,10 @@ bound.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from ..engine import BridgeRule, QuadSystem
-from ..syntax import ParseError, QueryDocument
+from ..syntax import ParseError, QueryDocument, _decode
 from ..terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
                      Variable, iri)
 from ..vocab import RDF_TYPE
@@ -59,13 +59,13 @@ class CFG(FrozenRecord):
                     raise ValueError("unknown symbol %r in production" % sym)
 
 
-def parse_cfg(text: str) -> CFG:
+def parse_cfg(data: Union[bytes, str]) -> CFG:
     """Line-oriented grammar file: ``V -> sym sym ...`` per line, ``#``
     comments, empty right side for epsilon.  Symbols appearing on some
     left side are the variables, the rest are terminals; the first
     production's left side is the start symbol."""
     productions: list[tuple[str, tuple[str, ...]]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_decode(data).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -25,16 +25,19 @@ whether the initial configuration is accepting.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from ..engine import BridgeRule, QuadSystem
-from ..syntax import ParseError, QueryDocument
+from ..syntax import ParseError, QueryDocument, _decode
 from ..terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
                      Variable, iri)
 from ..vocab import RDF_TYPE
 
 LEFT = -1
 RIGHT = +1
+
+# The largest counter depth ``encode_dtm`` encodes.
+MAX_N = 2
 
 STATE_NS = "state:"
 SYMBOL_NS = "sym:"
@@ -105,7 +108,7 @@ class DTM(FrozenRecord):
                 raise ValueError("direction must be +1 or -1")
 
 
-def parse_dtm(text: str) -> DTM:
+def parse_dtm(data: Union[bytes, str]) -> DTM:
     """Machine file: ``states:``, ``alphabet:``, ``blank:``, ``start:``,
     ``accept:`` headers plus ``delta: q s -> q' s' R|L`` lines."""
     states: list[str] = []
@@ -114,7 +117,7 @@ def parse_dtm(text: str) -> DTM:
     start: Optional[str] = None
     accept: Optional[str] = None
     delta: dict[tuple[str, str], tuple[str, str, int]] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_decode(data).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -155,8 +158,11 @@ def parse_dtm(text: str) -> DTM:
             raise ParseError("unknown keyword %r" % key, lineno, 1)
     if blank is None or start is None or accept is None:
         raise ParseError("machine file needs blank:, start: and accept:")
-    return DTM(frozenset(states), frozenset(alphabet), blank, delta,
-               start, accept)
+    try:
+        return DTM(frozenset(states), frozenset(alphabet), blank, delta,
+                   start, accept)
+    except ValueError as exc:
+        raise ParseError(str(exc))
 
 
 def _counter_rules(rules: list[BridgeRule], chain: str, cls: Constant,
@@ -211,12 +217,12 @@ def _counter_rules(rules: list[BridgeRule], chain: str, cls: Constant,
             (QuadPattern(cn, x5, succ_n, x6),)))
 
 
-def encode_dtm(m: DTM, w: str, n: Optional[int] = None,
-               max_n: int = 2) -> tuple[QuadSystem, QueryDocument]:
+def encode_dtm(m: DTM, w: str, n: Optional[int] = None
+               ) -> tuple[QuadSystem, QueryDocument]:
     """Encode machine ``m`` on input ``w`` with tape/run bound 2^(2^n).
 
     ``n`` defaults to len(w) and must equal it; encodings beyond
-    ``max_n`` are refused (the chase would materialize 2^(2^n) objects).
+    ``MAX_N`` are refused (the chase would materialize 2^(2^n) objects).
     """
     symbols = list(w)
     if n is None:
@@ -226,8 +232,8 @@ def encode_dtm(m: DTM, w: str, n: Optional[int] = None,
     if n != len(symbols):
         raise ValueError("input length %d must equal n=%d"
                          % (len(symbols), n))
-    if n > max_n:
-        raise ValueError("n=%d exceeds the desk-scale cap %d" % (n, max_n))
+    if n > MAX_N:
+        raise ValueError("n=%d exceeds the desk-scale cap %d" % (n, MAX_N))
     for s in symbols:
         if s not in m.alphabet:
             raise ValueError("input symbol %r not in the alphabet" % s)

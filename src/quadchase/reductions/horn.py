@@ -10,10 +10,10 @@ exactly when the clause set is unsatisfiable.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from ..engine import BridgeRule, QuadSystem
-from ..syntax import ParseError, QueryDocument
+from ..syntax import ParseError, QueryDocument, _decode
 from ..terms import (FrozenRecord, Quad, QuadGraph, QuadPattern, Variable,
                      iri)
 from ..vocab import RDF_TYPE
@@ -57,11 +57,11 @@ def pad_to_pure(clauses: Iterable[tuple[Sequence[str], str]]
     return out
 
 
-def parse_horn(text: str) -> list[HornClause]:
+def parse_horn(data: Union[bytes, str]) -> list[HornClause]:
     """Line-oriented clause file: ``P1 P2 -> P3``; shorter bodies are
     padded with ``t``; ``#`` comments."""
     raw_clauses: list[tuple[list[str], str]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_decode(data).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

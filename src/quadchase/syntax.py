@@ -39,9 +39,10 @@ that takes the whole chunk:
    by blanks, then ``.`` and an optional comment), blank, or holding
    only a comment is a usual row; any other line is odd.
 3. The character scanner ``_scan_nquads_line`` reads the odd lines, in
-   line order, between the runs of usual rows around them; so does a
-   usual line with a term that does not decode or, under strict mode, a
-   generalized triple.
+   line order, between the runs of usual rows around them.  A chunk the
+   row reader declines (a row that runs past its line, a term that does
+   not decode or, under strict mode, a generalized triple) goes to the
+   scanner whole, every line in order.
 
 The split and row readers read their term texts in bulk with one
 routine (``_read_usual``): one pass looks them up in the intern table
@@ -51,8 +52,8 @@ serialization (no escape, and no character the canonical escapes),
 ``_scan_term`` decodes each other one once (a blank node, a literal, an
 IRI spelled with an escape), and the quads are built with no Python
 work per line.  The split reader leaves the whole chunk to the row
-reader, and the row reader a row to the scanner, when a text is not
-one whole term (a hit always is, see ``terms.interned``; a decoded miss
+reader, and the row reader to the scanner, when a text is not one
+whole term (a hit always is, see ``terms.interned``; a decoded miss
 must use up its text), a context is not an IRI, or strict mode rejects
 a statement.  So a line reads the same, and fails with the same
 ``ParseError``, on every path, and the scanner alone reports an error's
@@ -312,7 +313,8 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
 # row starts a line.  A statement row that runs past a newline (inside
 # an IRI or a literal) leaves the next line without one, so a chunk has
 # fewer rows than lines exactly when a row opens an IRI or a literal
-# that its own line does not close, and the scanner rejects that line.
+# that its own line does not close; the chunk then goes to the scanner,
+# which rejects that line.
 _IRI_TOKEN = r"<[^>]+>"
 _TERM_TOKEN = (r'(%s|_:%s|"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^%s|@%s)?)'
                % (_IRI_TOKEN, NAME_PATTERN, _IRI_TOKEN, NAME_PATTERN))
@@ -429,25 +431,22 @@ def _read_chunk(text: str, first: int, lines: int, strict: bool,
                 quads: list[Quad]) -> None:
     """Append the quads of ``text``, whose ``lines`` lines start at line
     ``first``, to ``quads``: all of them split in bulk, or else the usual
-    rows in bulk and each odd line in its place with the scanner."""
+    rows in bulk and each odd line in its place with the scanner, or else
+    every line with the scanner."""
     bulk = _read_split(text, strict)
     if bulk is not None:
         quads.extend(bulk)
         return
     rows = _rows(text)
-    if len(rows) != lines:
-        # the first row that runs past its line becomes that odd line,
-        # which the scanner rejects, so no later row is read
-        k = next(k for k, row in enumerate(rows) if "\n" in "".join(row))
-        rows[k:] = [("", "", "", "", text.split("\n", k + 1)[k])]
-    bulk = _read_usual(_row_texts(rows), strict)
+    bulk = (_read_usual(_row_texts(rows), strict) if len(rows) == lines
+            else None)
     if bulk is None:
-        # so does each row with a term that does not decode, or that
-        # strict mode rejects
-        rows = [row if _read_usual(_row_texts([row]), strict) is not None
-                else ("", "", "", "", text.split("\n", j + 1)[j])
-                for j, row in enumerate(rows)]
-        bulk = _read_usual(_row_texts(rows), strict)
+        # a row runs past its line, a term does not decode, or strict
+        # mode rejects a statement: the scanner reads the chunk whole and
+        # raises the first error in line order
+        for lineno, line in enumerate(text.split("\n"), first):
+            quads.extend(_scan_nquads_line(line, lineno, strict))
+        return
     start = 0
     for odd in compress(count(), map(itemgetter(4), rows)):
         # the quads of the statements before the odd line, then its own

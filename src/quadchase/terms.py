@@ -149,13 +149,17 @@ def fnv1a_64_many(datas: Sequence[bytes]) -> list[int]:
     of them at once, on one integer that holds each string's state in a
     128-bit lane (little-endian).  A state is below 2**64 and the prime
     below 2**41, so one xor, multiply and mask steps every lane and no
-    product carries into the next lane.
+    product carries into the next lane.  A string alone at its length
+    is hashed by ``fnv1a_64``, with none of that set-up.
     """
     out = [0] * len(datas)
     groups: dict[int, list[int]] = {}
     for i, data in enumerate(datas):
         groups.setdefault(len(data), []).append(i)
     for size, members in groups.items():
+        if len(members) == 1:
+            out[members[0]] = fnv1a_64(datas[members[0]])
+            continue
         group = [datas[i] for i in members]
         # the longest common prefix of the group is that of its least
         # and greatest strings: it ends where they first differ
@@ -259,20 +263,6 @@ class Constant:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Constant({self.canonical})"
-
-
-def _canonical(kind: str, lexical: str, datatype: Optional[str],
-               lang: Optional[str]) -> str:
-    if kind == IRI:
-        return "<%s>" % _escape_iri(lexical)
-    if kind in (BLANK, SKOLEM):
-        return "_:" + lexical
-    lit = '"%s"' % _escape_literal(lexical)
-    if lang is not None:
-        return lit + "@" + lang
-    if datatype is not None:
-        return lit + "^^<%s>" % _escape_iri(datatype)
-    return lit
 
 
 class Variable:
@@ -425,8 +415,12 @@ def literal(lexical: str, datatype: Optional[str] = None,
     if lang is not None and (not lang or _UNWRITABLE(lang)):
         raise TermError("language tag %r is empty or holds a space or "
                         "control character" % lang)
-    return _constant(LITERAL, lexical, datatype, lang,
-                     _canonical(LITERAL, lexical, datatype, lang),
+    canonical = '"%s"' % _escape_literal(lexical)
+    if lang is not None:
+        canonical += "@" + lang
+    elif datatype is not None:
+        canonical += "^^<%s>" % _escape_iri(datatype)
+    return _constant(LITERAL, lexical, datatype, lang, canonical,
                      _INTERN if lang is None or _WHOLE_NAME(lang) else _ASIDE)
 
 

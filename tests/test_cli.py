@@ -448,6 +448,42 @@ def test_encode_cfg_and_dtm(capsys, tmp_path):
     assert code == 0 and out.strip() == "true"
 
 
+_MACHINE = ("states: q0 qA\nalphabet: a _\nblank: _\nstart: q0\n"
+            "accept: qA\n")
+
+
+@pytest.mark.parametrize("kind, data, message", [
+    ("cfg", b"S2 -> t1\nno arrow\n", "line 2, col 1: expected 'V -> ...'"),
+    ("horn", b"t -> P\nP Q\n", "line 2, col 1: expected 'P1 P2 -> P3'"),
+    ("dtm", _MACHINE.encode() + b"delta q0 a\n",
+     "line 6, col 1: expected 'keyword: ...'"),
+    ("dtm", _MACHINE.encode() + b"delta: q9 a -> qA a R\n",
+     "undeclared state in transition ('q9','a')"),
+    ("cfg", b"\xff -> t1\n", "line 1, col 1: input is not valid UTF-8: "
+     "invalid start byte (byte 0xff)"),
+    ("horn", b"t -> P\xff\n", "line 1, col 7: input is not valid UTF-8: "
+     "invalid start byte (byte 0xff)"),
+    ("dtm", b"\xff", "line 1, col 1: input is not valid UTF-8: "
+     "invalid start byte (byte 0xff)"),
+])
+def test_encode_names_the_file_it_refuses(capsys, tmp_path, kind, data,
+                                          message):
+    """``encode`` reads its files as the other commands do: a parse
+    error, or a byte that is not UTF-8, names the file before its
+    location."""
+    good = tmp_path / "g1.cfg"
+    good.write_text("S1 -> t1\n")
+    bad = tmp_path / ("bad." + kind)
+    bad.write_bytes(data)
+    inputs = {"cfg": [str(good), str(bad)], "horn": [str(bad)],
+              "dtm": [str(bad), "--input", "a"]}[kind]
+    code, out, err = run(capsys, "encode", kind, *inputs,
+                         "-o", str(tmp_path / "enc"))
+    assert code == 2 and out == ""
+    assert err == "error: %s: %s\n" % (bad, message)
+    assert not (tmp_path / "enc").exists()
+
+
 def test_encode_wrong_arity(capsys, tmp_path):
     g1 = tmp_path / "g1.cfg"
     g1.write_text("S1 -> t1\n")

@@ -842,6 +842,15 @@ _ODD_NAMES = (blank("a."), blank("a/b"), literal("x", lang="en."))
          True, False)
 @example("<a> <b> <c> <d> .\n# note\n\n<a><b><c><f> .\n<a> <b> <c> <e> .",
          False, True)
+# one chunk declined by the rows, read whole by the scanner: a valid odd
+# line, then a term that does not decode, then a row that runs past its
+# line; and a valid odd line, then a line strict mode rejects
+@example("<a><b><c><d> .\n<s> <p> <urn:bad:\\u00zz> <g> .\n"
+         '<s> <p> "a\nb" <g> .\n<a> <b> <c> <e> .', False, False)
+@example("<a><b><c><d> .\n<s> <p> <urn:bad:\\u00zz> <g> .\n"
+         '<s> <p> "a\nb" <g> .\n<a> <b> <c> <e> .', False, True)
+@example('<a><b><c><d> .\n<a> <b> <c> <d> .\n"lit" <p> <o> <g> .\n'
+         "<a> <b> <c> <e> .", True, True)
 # chunks in the writer's shape, split in bulk, and chunks that look like
 # it that the split reader must leave to the rows and the scanner: a
 # 6-term line next to a 4-term one, nine terms and '.' on one line, a
