@@ -327,8 +327,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
                              parse_cfg, parse_dtm, parse_horn)
 
     if args.kind == "cfg":
-        system, query = encode_cfg_pair(
-            *(_parse_file(parse_cfg, path) for path in args.inputs))
+        grammars = [_parse_file(parse_cfg, path) for path in args.inputs]
+        try:
+            system, query = encode_cfg_pair(*grammars)
+        except ValueError as exc:  # the grammars' alphabets overlap
+            raise ValueError("%s and %s: %s" % (*args.inputs, exc)) from exc
     elif args.kind == "horn":
         system, query = encode_horn(_parse_file(parse_horn, args.inputs[0]))
     else:
@@ -464,6 +467,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print("encode %s takes %d input file(s)"
                       % (args.kind, want), file=sys.stderr)
                 return EXIT_USAGE
+            for option, value in (("--input", args.input_word),
+                                  ("--n", args.n)):
+                if args.kind != "dtm" and value is not None:
+                    print("encode %s does not take %s (only dtm does)"
+                          % (args.kind, option), file=sys.stderr)
+                    return EXIT_USAGE
         return args.func(args)
     except (ValueError, OSError) as exc:  # parse errors and refusals too
         print("error: %s" % exc, file=sys.stderr)

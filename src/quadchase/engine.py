@@ -8,22 +8,27 @@ mentions a skolem function is *generating*, the rest are *non-generating*.
 Empty-head rules are constraints: a body match signals inconsistency.
 
 Every rule body, constraint body and query is compiled once into a
-``JoinPlan``: each variable numbered into a slot of one binding list,
+``JoinPlan``: each variable numbered into a slot of one binding row,
 each atom its context and a slot per position (a constant's slot is
 bound before the join starts), and each head position a slot or a skolem
-function over argument slots.  One backtracking join (``_join``) extends
-the binding list in place, most constrained atom first, and undoes its
-bindings on backtrack.  A rule whose body is one atom and whose head has
-no skolem function (a copy or projection of one context into another)
-needs no join and no binding list: it compiles to a select-project over
-rows (``_select_project``), and ``_select`` keeps the quads of the atom's
-bucket that match its constants and repeated variables and builds each
-head from the quad's terms in one pass.  A rule compiles on first use
-and keeps its plan, so a chase compiles each rule once.  A head with a
-skolem function keeps, per function, the nulls it has minted, keyed by
-argument tuple; ``derive`` mints the argument tuples a call's groundings
-bring that are not there yet in bulk, with one ``skolem_constants`` call
-per function, before it instantiates the heads.
+function over argument slots.  One evaluator (``evaluate``) grounds every
+query, constraint and rule body but a select-project's (below), a
+relation at a time: a seed atom's matching quads give the first rows,
+then each later atom, in an order compiled once per seed
+(``JoinPlan.order``), extends all rows at once through one index map of
+a bound position, and the last step hands each grounding to its
+consumer instead of storing it.  A rule
+whose body is one atom and whose head has no skolem function (a copy or
+projection of one context into another) needs no join and no binding
+row: it compiles to a select-project over rows (``_select_project``),
+and ``_select`` keeps the quads of the atom's bucket that match its
+constants and repeated variables and builds each head from the quad's
+terms in one pass.  A rule compiles on first use and keeps its plan, so
+a chase compiles each rule once.  A head with a skolem function keeps,
+per function, the nulls it has minted, keyed by argument tuple;
+``derive`` mints the argument tuples a call's groundings bring that are
+not there yet in bulk, with one ``skolem_constants`` call per function,
+before it instantiates the heads.
 
 Semi-naive evaluation takes a mark into a ``QuadGraph``: the quads added
 since the graph held ``mark`` quads are the tail of each index bucket,
@@ -272,7 +277,8 @@ class JoinPlan:
     minted, keyed by argument tuple.
     """
 
-    __slots__ = ("variables", "atoms", "initial", "head", "select")
+    __slots__ = ("variables", "atoms", "initial", "head", "select",
+                 "_orders")
 
     def __init__(self, patterns: Iterable[QuadPattern],
                  head: Optional[SkolemAtom] = None) -> None:
@@ -308,6 +314,54 @@ class JoinPlan:
                 self.select = _select_project(self.atoms[0], self.head,
                                               initial)
         self.initial = tuple(initial)
+        self._orders: dict[int, tuple] = {}
+
+    def order(self, seed: int) -> tuple:
+        """The join steps from atom ``seed``, compiled on first use.
+
+        The seed comes first.  Next is the atom with the most positions
+        bound by variables of the atoms before it, then the most constant
+        positions, then the least index, so an atom that shares no
+        variable waits while a connected one is left.  A step is an
+        atom's context; its bound positions, free positions and repeated
+        free positions, as pairs of a quad index and a slot (of the first
+        occurrence, for a repeat); and whether the atom comes before the
+        seed in the body.
+        """
+        steps = self._orders.get(seed)
+        if steps is None:
+            steps = self._orders[seed] = _compile_order(
+                self.atoms, self.initial, seed)
+        return steps
+
+
+def _compile_order(atoms: tuple, initial: tuple, seed: int) -> tuple:
+    bound = {k for k, value in enumerate(initial) if value is not None}
+    constants = frozenset(bound)
+    left = [i for i in range(len(atoms)) if i != seed]
+    steps = []
+    i = seed
+    while True:
+        ctx, *slots = atoms[i]
+        known = [(j, k) for j, k in enumerate(slots, 1) if k in bound]
+        free: list[tuple[int, int]] = []
+        repeats = []
+        first: dict[int, int] = {}
+        for j, k in enumerate(slots, 1):
+            if k in first:
+                repeats.append((j, first[k]))
+            elif k not in bound:
+                first[k] = j
+                free.append((j, k))
+        steps.append((ctx, tuple(known), tuple(free), tuple(repeats),
+                      i < seed))
+        bound.update(first)
+        if not left:
+            return tuple(steps)
+        i = max(left, key=lambda a: (
+            sum(k in bound and k not in constants for k in atoms[a][1:]),
+            sum(k in constants for k in atoms[a][1:]), -a))
+        left.remove(i)
 
 
 def _select_project(atom: tuple, head: tuple, initial: list) -> tuple:
@@ -336,65 +390,117 @@ def _select_project(atom: tuple, head: tuple, initial: list) -> tuple:
             itemgetter(4, *(first.get(k, 5 + k) for k in head[1:4])))
 
 
-# What a join over no atoms yields: the binding as it stands, once.
-_ONCE = (None,)
-_NO_SLOTS: frozenset[int] = frozenset()
+def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
+             no_skolem: frozenset[int] = frozenset()) -> Iterator[list]:
+    """The groundings of ``plan``'s atoms into ``qg`` as binding rows,
+    lists in slot order (``plan.initial`` with every variable bound); at
+    a nonzero ``mark``, only those that map some atom to a quad added
+    since ``qg`` held ``mark`` quads, each once.  Slots in ``no_skolem``
+    never bind skolem blanks.
 
-
-def _join(qg: QuadGraph, atoms: tuple, binding: list,
-          no_skolem: frozenset[int]) -> Iterator[None]:
-    """Extend ``binding`` in place to each grounding of ``atoms`` into
-    ``qg`` in turn, yielding once per grounding and undoing its bindings
-    on backtrack.
-
-    Picks the most constrained atom first (smallest index bucket under
-    the current binding).  ``candidates`` already matches the bound
-    positions, so only the unbound ones bind, and a slot repeated among
-    them is checked.  Slots in ``no_skolem`` never bind skolem blanks.
+    The join runs one atom at a time over whole relations: a seed atom's
+    matching quads give the first rows, and each later atom extends all
+    rows at once (``_extend``), in the order ``JoinPlan.order`` compiled
+    for that seed.  At mark 0 the seed is the atom with the smallest
+    bucket under its constants.  At a nonzero mark each atom seeds in
+    turn with its bucket's tail from ``mark``, earlier atoms reading only
+    quads below ``mark`` and later ones every quad, so a grounding that
+    also maps an earlier atom past ``mark`` is left to that atom; once an
+    atom's tail is its whole bucket, later atoms yield nothing new.
     """
+    atoms, initial = plan.atoms, plan.initial
     if not atoms:
-        yield
+        yield list(initial)
         return
-    best = 0
-    if len(atoms) > 1:
-        best_count = None
-        for i, (ctx, s, p, o) in enumerate(atoms):
-            count = qg.candidate_count(ctx, binding[s], binding[p],
-                                       binding[o])
-            if best_count is None or count < best_count:
-                if not count:
-                    return
-                best, best_count = i, count
-    ctx, s, p, o = atoms[best]
-    rest = atoms[:best] + atoms[best + 1:]
-    keys = binding[s], binding[p], binding[o]
-    free = [(j, slot) for j, slot, key in zip((1, 2, 3), (s, p, o), keys)
-            if key is None]
-    for quad in qg.candidates(ctx, *keys):
-        if _bind(quad, free, binding, no_skolem):
-            if rest:
-                yield from _join(qg, rest, binding, no_skolem)
-            else:
-                yield
-        for _, slot in free:
-            binding[slot] = None
+    buckets = [qg.bucket(ctx, initial[s], initial[p], initial[o])
+               for ctx, s, p, o in atoms]
+    if not all(buckets):
+        return  # no grounding at all
+    if not mark:
+        sizes = list(map(len, buckets))
+        seed = sizes.index(min(sizes))
+        ctx, s, p, o = atoms[seed]
+        yield from _join_from(plan, seed, qg.candidates(
+            ctx, initial[s], initial[p], initial[o]), qg, 0, no_skolem)
+        return
+    log_index = qg.positions.__getitem__
+    for seed, bucket in enumerate(buckets):
+        start = bisect_left(bucket, mark, key=log_index)
+        if start < len(bucket):
+            yield from _join_from(plan, seed, bucket[start:], qg, mark,
+                                  no_skolem)
+        if not start:
+            return
 
 
-def _bind(quad: Quad, positions: tuple, binding: list,
-          no_skolem: frozenset[int]) -> bool:
-    """Bind each unbound slot of ``positions`` (pairs of a quad index and
-    a slot) to ``quad``'s term there; False when a bound slot's value
-    differs or a ``no_skolem`` slot would bind a skolem blank."""
-    for j, slot in positions:
-        value = quad[j]
-        seen = binding[slot]
-        if seen is None:
-            if slot in no_skolem and value.kind == SKOLEM:
-                return False
-            binding[slot] = value
-        elif seen is not value:
-            return False
-    return True
+def _join_from(plan: JoinPlan, seed: int, quads: Sequence[Quad],
+               qg: QuadGraph, mark: int, no_skolem: frozenset[int]
+               ) -> Iterable[list]:
+    """The groundings whose ``seed`` atom maps into ``quads``: every
+    step but the last stores its rows, the last yields them."""
+    first, *steps = plan.order(seed)
+    rows = _extend([list(plan.initial)], first, qg, mark, no_skolem, quads)
+    for step in steps:
+        rows = list(rows)
+        if not rows:
+            break
+        rows = _extend(rows, step, qg, mark, no_skolem)
+    return rows
+
+
+def _extend(rows: list, step: tuple, qg: QuadGraph, mark: int,
+            no_skolem: frozenset[int],
+            quads: Optional[Sequence[Quad]] = None) -> Iterator[list]:
+    """Each row of ``rows`` extended by each quad its ``step`` atom maps
+    to: one of ``quads``, when given, else one found through the graph's
+    index on a bound position.  A quad must agree with the row on every
+    bound position and repeat a repeated free variable; a ``no_skolem``
+    slot binds no skolem blank, and an atom before the seed reads no
+    quad at ``mark`` or later.  The free slots are bound in a copy of the
+    row."""
+    ctx, bound, free, repeats, early = step
+    limit = mark if early and mark else None
+    positions = qg.positions
+    if quads is None and len(bound) == 3:
+        # every position bound: one lookup per row
+        (_, s), (_, p), (_, o) = bound
+        find = positions.get
+        for row in rows:
+            i = find((ctx, row[s], row[p], row[o]))
+            if i is not None and (limit is None or i < limit):
+                yield row
+        return
+    probe = None
+    if quads is None and not bound:
+        quads = qg.bucket(ctx, None, None, None)  # a cross product
+    elif quads is None:
+        # the map of the bound position with the most keys
+        index = {}
+        for j, slot in bound:
+            candidate = qg.slot_map(ctx, j)
+            if probe is None or len(candidate) > len(index):
+                index, probe, at = candidate, slot, j
+        bound = [(j, slot) for j, slot in bound if j != at]
+        lookup = index.get
+    if bound:
+        tested = itemgetter(*[j for j, _ in bound])
+        wanted = itemgetter(*[slot for _, slot in bound])
+    guarded = [j for j, slot in free if slot in no_skolem]
+    for row in rows:
+        found = quads if probe is None else lookup(row[probe], ())
+        if bound:
+            found = [q for q in found if tested(q) == wanted(row)]
+        for j, k in repeats:
+            found = [q for q in found if q[j] is q[k]]
+        for j in guarded:
+            found = [q for q in found if q[j].kind != SKOLEM]
+        if limit is not None:
+            found = [q for q in found if positions[q] < limit]
+        for q in found:
+            new = row.copy()
+            for j, slot in free:
+                new[slot] = q[j]
+            yield new
 
 
 def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
@@ -403,57 +509,19 @@ def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
     """The values of the ``free`` variables, in order, in each grounding
     of every pattern into ``qg``: one tuple per grounding.
 
-    The patterns are compiled into a ``JoinPlan`` and joined by ``_join``.
-    Free variables, which must occur in the patterns, never bind skolem
-    blank nodes.  The result is independent of atom order.
+    The patterns are compiled into a ``JoinPlan`` and joined by
+    ``evaluate``.  Free variables, which must occur in the patterns,
+    never bind skolem blank nodes.  The result is independent of atom
+    order.
     """
     plan = JoinPlan(patterns)
     slots = [plan.variables.index(v) for v in free]
-    binding = list(plan.initial)
-    for _ in _join(qg, plan.atoms, binding, frozenset(slots)):
-        yield tuple([binding[i] for i in slots])
-
-
-def _groundings(plan: JoinPlan, qg: QuadGraph, mark: int,
-                binding: list) -> Iterator[None]:
-    """Body groundings into ``qg``, each left in ``binding`` while it is
-    yielded; with a nonzero ``mark``, only those that map some atom to a
-    quad added since ``qg`` held ``mark`` quads, each once.
-
-    Atom ``i`` is unified with each quad of its smallest bucket
-    added since ``mark`` (the bucket's tail) in turn, and the rest of the
-    body is joined over ``qg``.  A grounding that also maps an earlier
-    atom past ``mark`` was already yielded for that atom; so once an
-    atom's tail is its whole bucket, later atoms yield nothing new.
-    """
-    atoms = plan.atoms
-    if not mark:
-        yield from _join(qg, atoms, binding, _NO_SLOTS)
-        return
-    buckets = [qg.bucket(ctx, binding[s], binding[p], binding[o])
-               for ctx, s, p, o in atoms]
-    if not all(buckets):
-        return  # no grounding at all
-    log_index = qg.positions
-    for i, (ctx, s, p, o) in enumerate(atoms):
-        earlier, rest = atoms[:i], atoms[:i] + atoms[i + 1:]
-        positions = ((1, s), (2, p), (3, o))
-        free = tuple(slot for _, slot in positions if binding[slot] is None)
-        start = bisect_left(buckets[i], mark, key=log_index.__getitem__)
-        for quad in buckets[i][start:]:
-            if _bind(quad, positions, binding, _NO_SLOTS):
-                for _ in _join(qg, rest, binding, _NO_SLOTS) if rest \
-                        else _ONCE:
-                    for c, s2, p2, o2 in earlier:
-                        if log_index[c, binding[s2], binding[p2],
-                                     binding[o2]] >= mark:
-                            break
-                    else:
-                        yield
-            for slot in free:
-                binding[slot] = None
-        if not start:
-            return
+    rows = evaluate(plan, qg, 0, frozenset(slots))
+    if len(slots) == 1:
+        return zip(map(itemgetter(*slots), rows))
+    if slots:
+        return map(itemgetter(*slots), rows)
+    return (() for _ in rows)
 
 
 def _select(plan: JoinPlan, qg: QuadGraph, mark: int) -> Iterator[Quad]:
@@ -511,13 +579,12 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
     misses nothing when every other grounding's head is already in
     ``qg``.  A rule with a ``select`` plan reads the tail of its atom's
     bucket from ``mark`` in one pass (``_select``); every other rule
-    grounds its body one binding at a time (``_groundings``) and
-    instantiates its head per grounding (``instantiate_head``).  A head
-    with skolem functions first has its groundings copied, and each
-    function mints the nulls of their new argument tuples in bulk
-    (``_mint``), so a null is minted once per rule head and frontier
-    binding, by one ``skolem_constants`` call per function and ``derive``
-    call.
+    grounds its body through ``evaluate`` and instantiates its head per
+    grounding (``instantiate_head``).  A head with skolem functions first
+    has its groundings collected, and each function mints the nulls of
+    their new argument tuples in bulk (``_mint``), so a null is minted
+    once per rule head and frontier binding, by one ``skolem_constants``
+    call per function and ``derive`` call.
     """
     out: set[Quad] = set()
     known = qg.positions
@@ -527,19 +594,13 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
             out.update(filterfalse(known.__contains__,
                                    _select(plan, qg, mark)))
             continue
-        binding = list(plan.initial)
+        rows = evaluate(plan, qg, mark)
         functions = plan.head[4]
         if functions:
-            groundings = [binding.copy()
-                          for _ in _groundings(plan, qg, mark, binding)]
-            _mint(functions, groundings)
-            out.update(filterfalse(known.__contains__, map(
-                instantiate_head, repeat(plan.head), groundings)))
-            continue
-        for _ in _groundings(plan, qg, mark, binding):
-            head = instantiate_head(plan.head, binding)
-            if head not in known:
-                out.add(head)
+            rows = list(rows)
+            _mint(functions, rows)
+        out.update(filterfalse(known.__contains__, map(
+            instantiate_head, repeat(plan.head), rows)))
     return out
 
 
@@ -564,8 +625,7 @@ def check_constraints(constraints: Sequence[BridgeRule], qg: QuadGraph,
         if not rule.is_constraint:
             raise RuleError("rule %s is not a constraint" % rule.rule_id)
         plan = rule.plan
-        binding = list(plan.initial)
-        for _ in _groundings(plan, qg, mark, binding):
+        for row in evaluate(plan, qg, mark):
             found.append(Violation(rule.rule_id, tuple(sorted(
-                zip(plan.variables, binding), key=lambda kv: kv[0].name))))
+                zip(plan.variables, row), key=lambda kv: kv[0].name))))
     return found

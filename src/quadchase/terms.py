@@ -717,6 +717,18 @@ class QuadGraph:
                 pool = bucket
         return pool
 
+    def slot_map(self, ctx: Constant, j: int) -> dict[Constant, list[Quad]]:
+        """The map of quad position ``j`` (1 s, 2 p, 3 o) of context
+        ``ctx``: each term there to the quads of ``ctx`` holding it, in
+        log order, built on first use like the maps ``bucket`` reads, and
+        not to be modified."""
+        if self._by_ctx is None:
+            self._ensure_indexes()
+        maps = self._maps.get(ctx)
+        if maps is None:
+            return {}
+        return maps[j - 1] or self._slot_map(ctx, j - 1)
+
     def _slot_map(self, ctx: Constant, j: int) -> dict[Constant, list[Quad]]:
         """Build the map of slot ``j`` (0 s, 1 p, 2 o) of context ``ctx``
         from its bucket, and publish it once it is complete."""

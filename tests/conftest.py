@@ -47,6 +47,22 @@ def count_head_instances(monkeypatch) -> list[int]:
     return heads
 
 
+def count_join_rows(monkeypatch) -> list[int]:
+    """A one-item list that counts, from now on, the binding rows the
+    join evaluator builds: those of each seed relation and of each step
+    after it (``engine._extend``), the last step's included."""
+    rows = [0]
+    extend = engine._extend
+
+    def counted_extend(*args):
+        for row in extend(*args):
+            rows[0] += 1
+            yield row
+
+    monkeypatch.setattr(engine, "_extend", counted_extend)
+    return rows
+
+
 def load_system(nq_name: str, rules_name: str) -> QuadSystem:
     quads = parse_nquads((FIXTURES / nq_name).read_bytes())
     doc = parse_rules((FIXTURES / rules_name).read_bytes())

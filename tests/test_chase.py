@@ -20,21 +20,25 @@ from quadchase import chase as chase_module
 from quadchase.engine import BridgeRule, QuadSystem
 from quadchase.reductions.cfg import CFG, CFG_CLASS, CFG_CONTEXT, CFG_SEED, \
     encode_cfg_pair, symbol_iri
-from quadchase.reductions.horn import CTX_TRUE, HornClause, encode_horn
+from quadchase.reductions.horn import (CTX_TRUE, TRUTH_CLASS, HornClause,
+                                       encode_horn)
+from quadchase import semantics
 from quadchase.semantics import SIMPLE, lclosure_quadgraph, rdfs_core
 from quadchase.syntax import parse_rules, serialize_nquads
 from quadchase.terms import Quad, QuadGraph, iri, skolem_constant
-from quadchase.vocab import RDF_TYPE, RDFS_SUBCLASSOF
+from quadchase.vocab import RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF
 
-from conftest import count_head_instances, examples
+from conftest import count_head_instances, count_join_rows, examples
 from oracles import (
     naive_chase,
+    naive_local_closure,
     random_acyclic_system,
     random_copy_system,
     random_firing_system,
     random_rdfs_quadgraph,
     random_rule,
     symbol_size,
+    triples_of,
 )
 
 
@@ -411,6 +415,76 @@ def test_local_closure_head_instances_grow_linearly(monkeypatch):
         assert Quad(CTX_TRUE, iri("e0"), RDF_TYPE, classes[-1]) \
             in result.quads
         counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_horn_chain_join_rows_grow_linearly(monkeypatch):
+    """The Horn rule's body has three atoms and each iteration adds one
+    quad.  Joined from that quad through the clause atom, the rows the
+    evaluator builds grow linearly with the chain; joining the two truth
+    atoms first, a cross product, would make them grow quadratically."""
+    rows = count_join_rows(monkeypatch)
+    counts = []
+    for k in (32, 64):
+        rows[0] = 0
+        system, _ = encode_horn(_horn_chain(k))
+        result = run_chase(system)
+        assert result.complete and len(result.iteration_log) == k + 1
+        counts.append(rows[0])
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+@pytest.mark.parametrize("breaks_c1", [False, True])
+def test_compiled_local_rules_close_like_the_naive_closure(monkeypatch,
+                                                          breaks_c1):
+    """Under rdfs-core, the truth context of a Horn chain holds quads
+    before each iteration's mark, so each iteration closes it through
+    the compiled rules on the join evaluator, not by the direct pass;
+    with a ``subPropertyOf`` triple onto ``rdf:type`` (breaking C1) its
+    first closure takes them too.  Each new truth quad joins the class
+    chain above ``T``.  The context ends as the naive closure of its
+    asserted and fired triples, and doubling the chain at most about
+    doubles the head instances."""
+    heads = count_head_instances(monkeypatch)
+    direct = []
+    rho_df = semantics._rho_df
+
+    def recorded(quads, resource):
+        closed = rho_df(quads, resource)
+        if closed is not None:
+            direct.append(quads[0][0])
+        return closed
+
+    monkeypatch.setattr(semantics, "_rho_df", recorded)
+    classes = [TRUTH_CLASS] + [iri("C%d" % i) for i in range(4)]
+    sem = rdfs_core(True)
+    counts = []
+    for k in (32, 64):
+        heads[0] = 0
+        direct.clear()
+        clauses = _horn_chain(k)
+        system, _ = encode_horn(clauses)
+        local = [Quad(CTX_TRUE, a, RDFS_SUBCLASSOF, b)
+                 for a, b in zip(classes, classes[1:])]
+        local += [Quad(CTX_TRUE, iri("e%d" % j), RDF_TYPE, classes[1])
+                  for j in range(k)]
+        if breaks_c1:
+            local += [Quad(CTX_TRUE, iri("isA"), RDFS_SUBPROPERTYOF,
+                           RDF_TYPE),
+                      Quad(CTX_TRUE, iri("e0"), iri("isA"), classes[2])]
+        system = QuadSystem(QuadGraph([*system.quads, *local]), system.rules)
+        result = run_chase(system, ChaseConfig(semantics=sem))
+        assert result.complete and len(result.iteration_log) == k + 1
+        assert direct.count(CTX_TRUE) == (0 if breaks_c1 else 1)
+        assert Quad(CTX_TRUE, iri("f"), RDF_TYPE, classes[-1]) \
+            in result.quads
+        counts.append(heads[0])
+        if k == 32:
+            fired = {(iri(c.head), RDF_TYPE, TRUTH_CLASS)
+                     for c in clauses[:k]}
+            asserted = triples_of(system.quads, CTX_TRUE)
+            assert triples_of(result.quads, CTX_TRUE) \
+                == naive_local_closure(asserted | fired, sem)
     assert counts[1] <= 2.2 * counts[0], counts
 
 

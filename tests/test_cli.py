@@ -492,6 +492,38 @@ def test_encode_wrong_arity(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["cfg", "horn"])
+@pytest.mark.parametrize("option", [["--input", "ab"], ["--n", "3"]])
+def test_encode_refuses_the_dtm_options_for_other_kinds(capsys, tmp_path,
+                                                       kind, option):
+    """Only ``encode dtm`` reads ``--input`` and ``--n``; another kind
+    refuses them by name, before it reads a file."""
+    inputs = {"cfg": ["g1.cfg", "g2.cfg"], "horn": ["phi.horn"]}[kind]
+    code, out, err = run(capsys, "encode", kind, *inputs, *option,
+                         "-o", str(tmp_path / "enc"))
+    assert code == 2 and out == ""
+    assert err == "encode %s does not take %s (only dtm does)\n" \
+        % (kind, option[0])
+    assert not (tmp_path / "enc").exists()
+
+
+@pytest.mark.parametrize("second, message", [
+    ("S -> b\n", "grammar variable alphabets overlap: ['S']"),
+    ("T -> S\n", "variables and terminals overlap: ['S']"),
+])
+def test_encode_cfg_names_both_grammars_when_they_overlap(
+        capsys, tmp_path, second, message):
+    g1 = tmp_path / "g1.cfg"
+    g1.write_text("S -> a\n")
+    g2 = tmp_path / "g2.cfg"
+    g2.write_text(second)
+    code, out, err = run(capsys, "encode", "cfg", str(g1), str(g2),
+                         "-o", str(tmp_path / "enc"))
+    assert code == 2 and out == ""
+    assert err == "error: %s and %s: %s\n" % (g1, g2, message)
+    assert not (tmp_path / "enc").exists()
+
+
 def test_explain_semantics(capsys):
     code, out, _ = run(capsys, "explain-semantics")
     assert code == 0

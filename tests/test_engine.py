@@ -10,6 +10,7 @@ from quadchase.engine import (
     QuadSystem,
     RuleError,
     SkolemTerm,
+    Violation,
     check_constraints,
     derive,
     match_patterns,
@@ -30,7 +31,7 @@ from quadchase.query import entails_boolean
 from quadchase.syntax import parse_nquads, parse_query, serialize_nquads
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
-from conftest import examples
+from conftest import count_join_rows, examples
 from oracles import (grown_quadgraph, naive_match, naive_multihead_chase,
                      random_acyclic_system, substitute, symbol_size)
 
@@ -333,6 +334,37 @@ def test_a_bucket_with_old_quads_does_not_end_the_delta_join():
         == {Quad(C1, iri("a"), iri("q"), iri("d"))}
 
 
+def test_a_grounding_through_the_quad_at_the_mark_is_reported_once():
+    """The quad at position ``mark`` is in the tail of every bucket that
+    holds it, so an atom before the seed, probed through its index, must
+    not map to it: the grounding was already found from that atom."""
+    p = iri("p")
+    graph = QuadGraph([Quad(C1, iri("d"), p, iri("e")),
+                       Quad(C1, iri("a"), p, iri("b")),
+                       Quad(C1, iri("b"), p, iri("c"))])
+    constraint = BridgeRule("k", (QuadPattern(C1, X1, p, X2),
+                                  QuadPattern(C1, X2, p, Y1)), ())
+    assert check_constraints([constraint], graph, 1) == [
+        Violation("k", ((X1, iri("a")), (X2, iri("b")), (Y1, iri("c"))))]
+
+
+def test_a_tail_that_is_its_whole_bucket_ends_the_delta_join(monkeypatch):
+    """Once an atom's bucket holds no quad before the mark, no later atom
+    seeds a join: its groundings would map that atom below the mark.  So
+    the ten new quads of the second atom's bucket build no row."""
+    rows = count_join_rows(monkeypatch)
+    p = iri("p")
+    old = Quad(C2, iri("b"), p, iri("c"))
+    new = [Quad(C1, iri("a"), p, iri("b"))]
+    new += [Quad(C2, iri("d%d" % i), p, iri("e%d" % i)) for i in range(10)]
+    rules = skolemize(BridgeRule(
+        "r", (QuadPattern(C1, X1, p, X2), QuadPattern(C2, X2, p, Y1)),
+        (QuadPattern(C1, X1, iri("q"), Y1),)))
+    assert derive(rules, QuadGraph([old, *new]), 1) \
+        == {Quad(C1, iri("a"), iri("q"), iri("c"))}
+    assert rows[0] == 2  # the seed quad's row and its one extension
+
+
 _MATCH_CONTEXTS = [iri("ctx0"), iri("ctx1")]
 _MATCH_VOCAB = [iri("n0"), iri("n1")]
 _MATCH_SKOLEM = skolem_constant("m", 0, [iri("n0")])
@@ -440,6 +472,45 @@ _ONE_ATOM_SHAPES = {
 }
 
 
+# Multi-atom rules for the join evaluator, over both contexts' quads on
+# n0, n1 and the skolem blank, the contexts interleaved in the log so
+# that each mark splits both.
+_E = Variable("e")
+_MULTI_QUADS = [Quad(ctx, a, b, c) for a in _ONE_ATOM_TERMS[:2]
+                for b in _ONE_ATOM_TERMS[:2] for c in _ONE_ATOM_TERMS
+                for ctx in _MATCH_CONTEXTS
+                if (a is _N0) + (b is _N0) + (c is _N0) + (ctx is C1) != 2]
+_MULTI_ATOM_SHAPES = {
+    # a variable shared across atoms at different positions, a constant
+    # in the first atom and a null minted per frontier binding
+    "join through a repeated variable, generating head": [(
+        [QuadPattern(iri("ctx0"), _M0, _N0, _M1),
+         QuadPattern(iri("ctx1"), _M1, _M2, _M0)],
+        [QuadPattern(iri("ctx1"), _M0, _N1, _E)])],
+    "three atoms, ground head": [(
+        [QuadPattern(iri("ctx0"), _M0, _M1, _M2),
+         QuadPattern(iri("ctx1"), _M2, _N1, _M0),
+         QuadPattern(iri("ctx0"), _M1, _M1, _M0)],
+        [QuadPattern(iri("ctx1"), _N0, _N0, _N1)])],
+    "chain with a constant in every atom": [(
+        [QuadPattern(iri("ctx0"), _M0, _N1, _M1),
+         QuadPattern(iri("ctx0"), _M1, _N1, _M2),
+         QuadPattern(iri("ctx1"), _M2, _N0, _N1)],
+        [QuadPattern(iri("ctx1"), _M0, _N1, _M2)])],
+    # the second atom shares no variable with the first: a cross product
+    "disconnected atoms": [(
+        [QuadPattern(iri("ctx0"), _M0, _N0, _M1),
+         QuadPattern(iri("ctx1"), _M2, _M2, _N1)],
+        [QuadPattern(iri("ctx0"), _M0, _M2, _M1),
+         QuadPattern(iri("ctx1"), _M1, _M2, _E)])],
+    # the second atom's three positions are bound by the first one
+    "an atom bound at every position": [(
+        [QuadPattern(iri("ctx0"), _M0, _M1, _M2),
+         QuadPattern(iri("ctx1"), _M0, _M1, _M2)],
+        [QuadPattern(iri("ctx1"), _M2, _M1, _M0)])],
+}
+
+
 def _naive_head(head, mu):
     """The quad a skolemized head atom names under the grounding ``mu``."""
     def ground(t):
@@ -466,13 +537,25 @@ def _naive_head(head, mu):
 @example(quads=_ONE_ATOM_QUADS,
          shapes=_ONE_ATOM_SHAPES["projection dropping a slot"])
 @example(quads=_ONE_ATOM_QUADS, shapes=_ONE_ATOM_SHAPES["ground body"])
+@example(quads=_MULTI_QUADS, shapes=_MULTI_ATOM_SHAPES[
+    "join through a repeated variable, generating head"])
+@example(quads=_MULTI_QUADS,
+         shapes=_MULTI_ATOM_SHAPES["three atoms, ground head"])
+@example(quads=_MULTI_QUADS,
+         shapes=_MULTI_ATOM_SHAPES["chain with a constant in every atom"])
+@example(quads=_MULTI_QUADS, shapes=_MULTI_ATOM_SHAPES["disconnected atoms"])
+@example(quads=_MULTI_QUADS,
+         shapes=_MULTI_ATOM_SHAPES["an atom bound at every position"])
 def test_derive_agrees_with_naive_match_at_every_mark(quads, shapes):
     """At every mark from 0 to the graph's size, ``derive`` returns the
     heads of the naive groundings that use a quad at a log position at or
     past the mark (every grounding at mark 0), minus the graph's quads,
-    for random rules that include ground-head and generating ones, and
-    for one-atom rules that repeat a variable, bind constants, have a
-    constant in the head, drop a slot or have a ground body."""
+    for random rules that include ground-head and generating ones; for
+    one-atom rules that repeat a variable, bind constants, have a
+    constant in the head, drop a slot or have a ground body; and for
+    multi-atom rules that join through a variable repeated across atoms,
+    bind constants, have a ground or a generating head, share no
+    variable between two atoms or bind an atom at every position."""
     quads = list(dict.fromkeys(quads))
     position = {q: i for i, q in enumerate(quads)}
     rules = [sk for i, (body, head) in enumerate(shapes)

@@ -21,9 +21,11 @@ from quadchase.query import (
     entails_quad,
     entails_quadgraph,
 )
+from quadchase.engine import QuadSystem
 from quadchase.reductions.cfg import CFG, encode_cfg_pair
 from quadchase.reductions.horn import encode_horn, pad_to_pure
-from quadchase.syntax import QueryDocument, parse_nquads, parse_query
+from quadchase.syntax import (QueryDocument, parse_nquads, parse_query,
+                              parse_rules)
 from quadchase.terms import (
     Quad,
     QuadGraph,
@@ -221,6 +223,36 @@ def test_boolean_matches_exhaustive_oracle(seed):
         query = random_boolean_query(rng, result.quads)
         assert entails_boolean(result, query) \
             == exhaustive_entails(result.quads, query.atoms)
+
+
+_PETS = (b"<a> <knows> <b> <c1> .\n<a> <knows> <c> <c1> .\n"
+         b"<b> <knows> <c> <c1> .\n<c> <knows> <a> <c1> .\n")
+_PET_RULES = (b"pet: <c1>(?x, <knows>, ?y) -> <out>(?x, <hasPet>, ?z) .\n"
+              b"feeds: <out>(?x, <hasPet>, ?z), <c1>(?x, <knows>, ?y) "
+              b"-> <fed>(?y, <feeds>, ?z) .\n")
+
+
+@pytest.mark.parametrize("query", [
+    # two atoms joined through a null, bound by a quantified variable
+    "select ?x ?y where { <out>(?x, <hasPet>, ?z), <fed>(?y, <feeds>, ?z) }",
+    # a free variable that only a null binds: no answer
+    "select ?z where { <out>(?x, <hasPet>, ?z) }",
+    "select ?x ?z where { <c1>(?x, <knows>, ?y), <fed>(?y, <feeds>, ?z) }",
+    # three atoms, the null shared by the last two
+    "select ?x where { <c1>(?x, <knows>, ?y), <out>(?y, <hasPet>, ?z), "
+    "<fed>(?x, <feeds>, ?z) }",
+    "select ?y where { <fed>(?x, <feeds>, ?z), <fed>(?y, <feeds>, ?z) }",
+])
+def test_joins_through_labelled_nulls_match_the_exhaustive_oracle(query):
+    """Each person's pet is a labelled null, fed by those the owner
+    knows.  Queries that join atoms through a null give the exhaustive
+    oracle's answers: quantified variables bind nulls, free ones never."""
+    result = run_chase(QuadSystem(parse_nquads(_PETS),
+                                  parse_rules(_PET_RULES).rules))
+    assert result.complete
+    assert any(c.is_skolem() for c in result.quads.constants())
+    q = parse_query(query.encode())
+    assert answers(result, q).tuples == exhaustive_answers(result.quads, q)
 
 
 def _chase_with_nulls(rng):
