@@ -12,12 +12,14 @@ Every rule body, constraint body and query is compiled once into a
 each atom its context and a slot per position (a constant's slot is
 bound before the join starts), and each head position a slot or a skolem
 function over argument slots.  One evaluator (``evaluate``) grounds every
-query, constraint and rule body but a select-project's (below), a
-relation at a time: a seed atom's matching quads give the first rows,
+query, constraint and rule body but a select-project's (below), one
+atom at a time: a seed atom's matching quads give the first rows,
 then each later atom, in an order compiled once per seed
-(``JoinPlan.order``), extends all rows at once through one index map of
-a bound position, and the last step hands each grounding to its
-consumer instead of storing it.  A rule
+(``JoinPlan.order``), extends the rows through one index map of a bound
+position, chosen once per step.  No step stores its rows: each streams
+them to the next, and the last hands each grounding to its consumer, so
+memory is bounded by one row per step and a caller that takes only the
+first grounding (a boolean query) stops there.  A rule
 whose body is one atom and whose head has no skolem function (a copy or
 projection of one context into another) needs no join and no binding
 row: it compiles to a select-project over rows (``_select_project``),
@@ -326,7 +328,8 @@ class JoinPlan:
         atom's context; its bound positions, free positions and repeated
         free positions, as pairs of a quad index and a slot (of the first
         occurrence, for a repeat); and whether the atom comes before the
-        seed in the body.
+        seed in the body.  The seed's step has no bound position: the
+        quads it reads match its constants already.
         """
         steps = self._orders.get(seed)
         if steps is None:
@@ -343,7 +346,9 @@ def _compile_order(atoms: tuple, initial: tuple, seed: int) -> tuple:
     i = seed
     while True:
         ctx, *slots = atoms[i]
-        known = [(j, k) for j, k in enumerate(slots, 1) if k in bound]
+        # the seed's quads already match its constants
+        known = [(j, k) for j, k in enumerate(slots, 1)
+                 if k in bound and steps]
         free: list[tuple[int, int]] = []
         repeats = []
         first: dict[int, int] = {}
@@ -398,12 +403,14 @@ def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
     since ``qg`` held ``mark`` quads, each once.  Slots in ``no_skolem``
     never bind skolem blanks.
 
-    The join runs one atom at a time over whole relations: a seed atom's
-    matching quads give the first rows, and each later atom extends all
-    rows at once (``_extend``), in the order ``JoinPlan.order`` compiled
-    for that seed.  At mark 0 the seed is the atom with the smallest
+    The join runs one atom at a time: a seed atom's matching quads give
+    the first rows, and each later atom extends them (``_extend``), in
+    the order ``JoinPlan.order`` compiled for that seed.  The steps
+    stream: no relation is stored, so the first grounding costs one path
+    through the steps.  At mark 0 the seed is the atom with the smallest
     bucket under its constants.  At a nonzero mark each atom seeds in
-    turn with its bucket's tail from ``mark``, earlier atoms reading only
+    turn with the quads of its bucket's tail from ``mark`` that match
+    its constants, earlier atoms reading only
     quads below ``mark`` and later ones every quad, so a grounding that
     also maps an earlier atom past ``mark`` is left to that atom; once an
     atom's tail is its whole bucket, later atoms yield nothing new.
@@ -427,8 +434,11 @@ def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
     for seed, bucket in enumerate(buckets):
         start = bisect_left(bucket, mark, key=log_index)
         if start < len(bucket):
-            yield from _join_from(plan, seed, bucket[start:], qg, mark,
-                                  no_skolem)
+            s, p, o = [initial[k] for k in atoms[seed][1:]]
+            tail = [q for q in bucket[start:]
+                    if (s is None or q[1] is s) and (p is None or q[2] is p)
+                    and (o is None or q[3] is o)]
+            yield from _join_from(plan, seed, tail, qg, mark, no_skolem)
         if not start:
             return
 
@@ -436,19 +446,16 @@ def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
 def _join_from(plan: JoinPlan, seed: int, quads: Sequence[Quad],
                qg: QuadGraph, mark: int, no_skolem: frozenset[int]
                ) -> Iterable[list]:
-    """The groundings whose ``seed`` atom maps into ``quads``: every
-    step but the last stores its rows, the last yields them."""
+    """The groundings whose ``seed`` atom maps into ``quads``, each
+    step reading the rows the one before it yields."""
     first, *steps = plan.order(seed)
     rows = _extend([list(plan.initial)], first, qg, mark, no_skolem, quads)
     for step in steps:
-        rows = list(rows)
-        if not rows:
-            break
         rows = _extend(rows, step, qg, mark, no_skolem)
     return rows
 
 
-def _extend(rows: list, step: tuple, qg: QuadGraph, mark: int,
+def _extend(rows: Iterable[list], step: tuple, qg: QuadGraph, mark: int,
             no_skolem: frozenset[int],
             quads: Optional[Sequence[Quad]] = None) -> Iterator[list]:
     """Each row of ``rows`` extended by each quad its ``step`` atom maps

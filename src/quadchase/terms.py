@@ -694,27 +694,11 @@ class QuadGraph:
         if not pool:
             return ()
         maps = self._maps[ctx]
-        if s is not None:
-            index = maps[0]
-            if index is None:
-                index = self._slot_map(ctx, 0)
-            bucket = index.get(s, ())
-            if len(bucket) < len(pool):
-                pool = bucket
-        if p is not None:
-            index = maps[1]
-            if index is None:
-                index = self._slot_map(ctx, 1)
-            bucket = index.get(p, ())
-            if len(bucket) < len(pool):
-                pool = bucket
-        if o is not None:
-            index = maps[2]
-            if index is None:
-                index = self._slot_map(ctx, 2)
-            bucket = index.get(o, ())
-            if len(bucket) < len(pool):
-                pool = bucket
+        for j, term in enumerate((s, p, o)):
+            if term is not None:
+                bucket = (maps[j] or self._slot_map(ctx, j)).get(term, ())
+                if len(bucket) < len(pool):
+                    pool = bucket
         return pool
 
     def slot_map(self, ctx: Constant, j: int) -> dict[Constant, list[Quad]]:

@@ -35,7 +35,7 @@ from quadchase.terms import (
     iri,
     skolem_constant,
 )
-from conftest import examples
+from conftest import count_join_rows, examples
 from oracles import (
     exhaustive_answers,
     exhaustive_entails,
@@ -283,3 +283,24 @@ def test_answers_match_exhaustive_oracle_over_labelled_nulls(seed, width):
         assert got.tuples == exhaustive_answers(result.quads, query)
         assert got.sorted_tuples() == sorted(
             got.tuples, key=lambda row: tuple(c.canonical for c in row))
+
+
+def test_boolean_queries_stop_at_the_first_grounding(monkeypatch):
+    """A boolean query builds the rows of one path to its first
+    grounding, not the relation of each atom: here three rows however
+    long the chains are, while the select query over the same atoms
+    builds every chain's."""
+    rows = count_join_rows(monkeypatch)
+    n = 50
+    quads = [Quad(iri("c%d" % k), iri("n%d_%d" % (k, i)), iri("p"),
+                  iri("n%d_%d" % (k + 1, i)))
+             for k in range(3) for i in range(n)]
+    text = ("ask { <c0>(?a, <p>, ?b), <c1>(?b, <p>, ?c), "
+            "<c2>(?c, <p>, ?d) }")
+    assert entails_boolean(completed(quads), parse_query(text.encode()))
+    assert rows[0] == 3
+    rows[0] = 0
+    select = text.replace("ask {", "select ?a where {")
+    assert len(answers(completed(quads),
+                       parse_query(select.encode())).tuples) == n
+    assert rows[0] == 3 * n

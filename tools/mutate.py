@@ -1,6 +1,6 @@
 """Mutation check: do the tests catch a broken join evaluator?
 
-    python3 tools/mutate.py [--only NAME ...] [--record PATH]
+    python3 tools/mutate.py
 
 Each mutant below is a file of the checkout, an exact old text that
 occurs there once, the new text that replaces it, and the test files
@@ -16,17 +16,16 @@ any test runs: the code it guarded has moved, and the mutant must be
 rewritten, not dropped.  A mutant known to change no behaviour carries
 its reason in ``equivalent`` and is expected to survive.
 
-The record (by default ``tools/mutants.json``) is rewritten on each full
-run.  The exit code is 0 when every mutant is killed or is a recorded
-equivalent one that survived, 1 otherwise, and 2 when the unmutated copy
-fails or an old text is missing.  Standard library only; it runs the
-tests with ``python -m pytest``.  Manual and ungated: one mutant costs
-one run of its test files (a few seconds to a minute).
+Each run checks every mutant and rewrites the record,
+``tools/mutants.json``.  The exit code is 0 when every mutant is killed
+or is a recorded equivalent one that survived, 1 otherwise, and 2 when
+the unmutated copy fails or an old text is missing.  Standard library
+only; it runs the tests with ``python -m pytest``.  Manual and ungated:
+one mutant costs one run of its test files (a few seconds to a minute).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -75,6 +74,12 @@ MUTANTS = (
            "            found = [q for q in found "
            "if tested(q) == wanted(row)]\n",
            "", ("tests/test_engine.py",)),
+    Mutant("constant check on a seed tail dropped", ENGINE,
+           "            tail = [q for q in bucket[start:]\n"
+           "                    if (s is None or q[1] is s) and "
+           "(p is None or q[2] is p)\n"
+           "                    and (o is None or q[3] is o)]\n",
+           "            tail = bucket[start:]\n", ("tests/test_engine.py",)),
     Mutant("early stop once a tail is the whole bucket removed", ENGINE,
            "        if not start:\n            return\n",
            "", ("tests/test_engine.py",)),
@@ -87,6 +92,10 @@ MUTANTS = (
            "            sum(k in bound and k not in constants for k in "
            "atoms[a][1:]), -a))",
            ("tests/test_chase.py",)),
+    Mutant("each step stores its rows before the next reads them", ENGINE,
+           "        rows = _extend(rows, step, qg, mark, no_skolem)\n",
+           "        rows = _extend(list(rows), step, qg, mark, no_skolem)\n",
+           ("tests/test_query.py",)),
 )
 
 
@@ -129,24 +138,13 @@ def _run_tests(tree: Path, tests: tuple[str, ...]) -> Optional[str]:
     return lines[-1] if lines else "exit code %d" % done.returncode
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        help="run only these mutants; writes no record")
-    parser.add_argument("--record", type=Path, default=RECORD)
-    args = parser.parse_args(argv)
-    mutants = MUTANTS
-    if args.only:
-        mutants = tuple(m for m in MUTANTS if m.name in args.only)
-        unknown = set(args.only) - {m.name for m in mutants}
-        if unknown:
-            parser.error("unknown mutants: %s" % ", ".join(sorted(unknown)))
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="quadchase-mutate-") as scratch:
         scratch = Path(scratch)
         try:
-            for mutant in mutants:  # every edit applies before tests run
+            for mutant in MUTANTS:  # every edit applies before tests run
                 _mutated(ROOT, mutant)
-            files = tuple(sorted({t for m in mutants for t in m.tests}))
+            files = tuple(sorted({t for m in MUTANTS for t in m.tests}))
             _copy(scratch / "clean")
             failure = _run_tests(scratch / "clean", files)
             if failure is not None:
@@ -155,7 +153,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print("mutate: %s" % exc, file=sys.stderr)
             return 2
         results = []
-        for i, mutant in enumerate(mutants):
+        for i, mutant in enumerate(MUTANTS):
             tree = scratch / ("mutant%d" % i)
             _copy(tree)
             (tree / mutant.path).write_text(_mutated(tree, mutant),
@@ -175,12 +173,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                                  " (%s)" % failure if killed else ""))
     ok = all((r["result"] == "killed") == (r["equivalent"] is None)
              for r in results)
-    if not args.only:
-        args.record.write_text(json.dumps({
-            "python": platform.python_version(),
-            "baseline": "passed",
-            "mutants": results,
-            "ok": ok}, indent=1) + "\n", encoding="utf-8")
+    RECORD.write_text(json.dumps({
+        "python": platform.python_version(),
+        "baseline": "passed",
+        "mutants": results,
+        "ok": ok}, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1
 
 
