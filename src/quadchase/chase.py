@@ -24,10 +24,11 @@ context onto the same join.
 The schedule and the output are those of re-running every rule over the
 whole graph and re-closing it from scratch.  ``derive`` returns only the
 quads it adds, and every iteration's record counts them per context.
-A rule that copies or projects one context into another (one body atom,
-no skolem function in its head) is evaluated set at a time, in one pass
-over the tail of its source bucket, and each round's quads go into the
-graph with one bulk ``QuadGraph.extend``.
+Every rule body is grounded by the engine's one join; a rule that
+copies or projects one context into another (one body atom, no skolem
+function in its head) gets each head from it as the quad the grounding
+gives, with no head built per grounding, and each round's quads go into
+the graph with one bulk ``QuadGraph.extend``.
 
 Constraints (empty-head rules) are checked after every iteration's
 closure; the first violation stops the run with an inconsistent status.

@@ -8,26 +8,25 @@ mentions a skolem function is *generating*, the rest are *non-generating*.
 Empty-head rules are constraints: a body match signals inconsistency.
 
 Every rule body, constraint body and query is compiled once into a
-``JoinPlan``: each variable numbered into a slot of one binding row,
-each atom its context and a slot per position (a constant's slot is
-bound before the join starts), and each head position a slot or a skolem
-function over argument slots.  One evaluator (``evaluate``) grounds every
-query, constraint and rule body but a select-project's (below), one
-atom at a time: a seed atom's matching quads give the first rows,
-then each later atom, in an order compiled once per seed
-(``JoinPlan.order``), extends the rows through one index map of a bound
-position, chosen once per step.  No step stores its rows: each streams
-them to the next, and the last hands each grounding to its consumer, so
-memory is bounded by one row per step and a caller that takes only the
-first grounding (a boolean query) stops there.  A rule
-whose body is one atom and whose head has no skolem function (a copy or
-projection of one context into another) needs no join and no binding
-row: it compiles to a select-project over rows (``_select_project``),
-and ``_select`` keeps the quads of the atom's bucket that match its
-constants and repeated variables and builds each head from the quad's
-terms in one pass.  A rule compiles on first use and keeps its plan, so
-a chase compiles each rule once.  A head with a skolem function keeps,
-per function, the nulls it has minted, keyed by argument tuple;
+``JoinPlan``: each variable numbered into a slot, each atom its context
+and a slot per position (a constant's slot holds it before the join
+starts), and each head position a slot or a skolem function over
+argument slots.  One evaluator (``evaluate``) grounds every query,
+constraint and rule body, one atom at a time: a seed atom's matching
+quads give the first rows, then each later atom, in an order compiled
+once per seed (``JoinPlan.order``), extends the rows through one index
+map of a bound position, chosen once per step.  A row is the plan's
+constants followed by each quad a step matched, so a step binds its
+variables by appending its quad, and a getter compiled with the order
+reads the plan's output off each grounding's row: a query's free
+variables, the head quad of a one-atom rule whose head has no skolem
+function (a copy or projection of one context into another), and every
+slot otherwise.  No step stores its rows: each streams them to the next,
+and the last hands each grounding to its consumer, so memory is bounded
+by one row per step and a caller that takes only the first grounding (a
+boolean query) stops there.  A rule compiles on first use and keeps its
+plan, so a chase compiles each rule once.  A head with a skolem function
+keeps, per function, the nulls it has minted, keyed by argument tuple;
 ``derive`` mints the argument tuples a call's groundings bring that are
 not there yet in bulk, with one ``skolem_constants`` call per function,
 before it instantiates the heads.
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -268,22 +267,27 @@ class JoinPlan:
     """A conjunction of quad patterns, and optionally a rule head,
     compiled for the join.
 
-    Every variable gets a slot in one binding list, and so does every
-    distinct constant (bound before the join starts) and every skolem
-    application of the head (bound when the head is instantiated).
-    Variable slots come first, in ``variables`` order.  A body atom is
-    its context and the slots of its three positions, so a position's
-    key is one list read and ``None`` means unbound.  The head is its
-    context, the slots of its three positions and, per skolem
-    application, its slot, function, argument slots and the nulls it has
-    minted, keyed by argument tuple.
+    Every variable gets a slot, and so does every distinct constant and
+    every skolem application of the head.  Variable slots come first, in
+    ``variables`` order; ``initial`` holds each constant at its slot and
+    None elsewhere.  A body atom is its context and the slots of its
+    three positions.  The head is its context, the slots of its three
+    positions and, per skolem application, its slot, function, argument
+    slots and the nulls it has minted, keyed by argument tuple.
+
+    ``output`` lists the slots each grounding gives, in order: the free
+    variables' of a query, and the head context's and positions' for a
+    one-atom body whose head has no skolem function, so each grounding
+    is its head quad.  It is None for every other plan, whose groundings
+    give every slot in slot order.
     """
 
-    __slots__ = ("variables", "atoms", "initial", "head", "select",
+    __slots__ = ("variables", "atoms", "initial", "head", "output",
                  "_orders")
 
     def __init__(self, patterns: Iterable[QuadPattern],
-                 head: Optional[SkolemAtom] = None) -> None:
+                 head: Optional[SkolemAtom] = None,
+                 free: Optional[Sequence[Variable]] = None) -> None:
         slots: dict[object, int] = {}
         initial: list[Optional[Constant]] = []
         patterns = tuple(patterns)
@@ -304,7 +308,9 @@ class JoinPlan:
 
         self.atoms = tuple((pat.ctx, slot(pat.s), slot(pat.p), slot(pat.o))
                            for pat in patterns)
-        self.head = self.select = None
+        self.head = self.output = None
+        if free is not None:
+            self.output = tuple(map(self.variables.index, free))
         if head is not None:
             terms = tuple(slot(t) for t in head.terms())
             functions = tuple((slots[t], t.rule_id, t.fn_index,
@@ -313,162 +319,167 @@ class JoinPlan:
                               if isinstance(t, SkolemTerm))
             self.head = (head.ctx,) + terms + (functions,)
             if len(self.atoms) == 1 and not functions:
-                self.select = _select_project(self.atoms[0], self.head,
-                                              initial)
+                self.output = (slot(head.ctx),) + terms
         self.initial = tuple(initial)
         self._orders: dict[int, tuple] = {}
 
     def order(self, seed: int) -> tuple:
-        """The join steps from atom ``seed``, compiled on first use.
+        """The join steps from atom ``seed`` and the getter of the
+        output, compiled on first use.
 
-        The seed comes first.  Next is the atom with the most positions
-        bound by variables of the atoms before it, then the most constant
+        A binding row is ``initial`` followed by each quad a step
+        matched, so a constant's value is at its slot and a variable's
+        in the quad of the step that first bound it.  The seed comes
+        first.  Next is the atom with the most positions bound by
+        variables of the atoms before it, then the most constant
         positions, then the least index, so an atom that shares no
         variable waits while a connected one is left.  A step is an
-        atom's context; its bound positions, free positions and repeated
-        free positions, as pairs of a quad index and a slot (of the first
-        occurrence, for a repeat); and whether the atom comes before the
-        seed in the body.  The seed's step has no bound position: the
-        quads it reads match its constants already.
+        atom's context; its bound positions, as pairs of a quad index and
+        the row index of their value; its free positions, as pairs of a
+        quad index and a slot; its repeated free positions, as pairs of
+        quad indexes; and whether the atom comes before the seed in the
+        body.  The seed's step has no bound position: the quads it reads
+        match its constants already.  A step whose positions are all
+        bound appends no quad to the row.
         """
-        steps = self._orders.get(seed)
-        if steps is None:
-            steps = self._orders[seed] = _compile_order(
-                self.atoms, self.initial, seed)
-        return steps
+        compiled = self._orders.get(seed)
+        if compiled is None:
+            compiled = self._orders[seed] = _compile_order(self, seed)
+        return compiled
 
 
-def _compile_order(atoms: tuple, initial: tuple, seed: int) -> tuple:
-    bound = {k for k, value in enumerate(initial) if value is not None}
-    constants = frozenset(bound)
-    left = [i for i in range(len(atoms)) if i != seed]
+def _compile_order(plan: JoinPlan, seed: int) -> tuple:
+    atoms, initial = plan.atoms, plan.initial
+    constants = {k for k, value in enumerate(initial) if value is not None}
+    where = dict(zip(constants, constants))  # each bound slot's row index
+    width = len(initial)
+    left = list(range(len(atoms)))
     steps = []
-    i = seed
-    while True:
+    while left:
+        i = seed if not steps else max(left, key=lambda a: (
+            sum(k in where and k not in constants for k in atoms[a][1:]),
+            sum(k in constants for k in atoms[a][1:]), -a))
+        left.remove(i)
         ctx, *slots = atoms[i]
         # the seed's quads already match its constants
-        known = [(j, k) for j, k in enumerate(slots, 1)
-                 if k in bound and steps]
-        free: list[tuple[int, int]] = []
+        known = [(j, where[k]) for j, k in enumerate(slots, 1)
+                 if k in where and steps]
         repeats = []
         first: dict[int, int] = {}
         for j, k in enumerate(slots, 1):
             if k in first:
                 repeats.append((j, first[k]))
-            elif k not in bound:
+            elif k not in where:
                 first[k] = j
-                free.append((j, k))
-        steps.append((ctx, tuple(known), tuple(free), tuple(repeats),
-                      i < seed))
-        bound.update(first)
-        if not left:
-            return tuple(steps)
-        i = max(left, key=lambda a: (
-            sum(k in bound and k not in constants for k in atoms[a][1:]),
-            sum(k in constants for k in atoms[a][1:]), -a))
-        left.remove(i)
-
-
-def _select_project(atom: tuple, head: tuple, initial: list) -> tuple:
-    """Compile a one-atom body and a head without skolem function to work
-    on rows, a row being a quad of the atom's bucket followed by
-    ``suffix`` (the head context, then ``initial``, so slot ``k``'s
-    constant is at index ``5 + k``).  Returns ``suffix``; two row getters
-    that must agree for the quad to match the atom's constants and
-    repeated variables, or None if every quad of the bucket does; and the
-    row getter of the head."""
-    _, *slots = atom
-    first: dict[int, int] = {}
-    checks = []
-    for j, slot in enumerate(slots, 1):
-        if initial[slot] is not None:
-            checks.append((j, 5 + slot))
-        elif slot in first:
-            checks.append((j, first[slot]))
-        else:
-            first[slot] = j
-    tested = None
-    if checks:
-        positions, sources = zip(*checks)
-        tested = itemgetter(*positions), itemgetter(*sources)
-    return ((head[0], *initial), tested,
-            itemgetter(4, *(first.get(k, 5 + k) for k in head[1:4])))
+        free = tuple((j, k) for k, j in first.items())
+        steps.append((ctx, tuple(known), free, tuple(repeats), i < seed))
+        if len(known) < 3:  # a fully bound step appends no quad
+            where.update((k, width + j) for k, j in first.items())
+            width += 4
+    output = range(len(initial)) if plan.output is None else plan.output
+    at = [where.get(k, k) for k in output]
+    # a one-item slice gives a 1-tuple and an empty one the empty tuple
+    project = (itemgetter(*at) if len(at) > 1
+               else itemgetter(slice(at[0], at[0] + 1)) if at
+               else itemgetter(slice(0)))
+    return tuple(steps), project
 
 
 def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
-             no_skolem: frozenset[int] = frozenset()) -> Iterator[list]:
-    """The groundings of ``plan``'s atoms into ``qg`` as binding rows,
-    lists in slot order (``plan.initial`` with every variable bound); at
-    a nonzero ``mark``, only those that map some atom to a quad added
-    since ``qg`` held ``mark`` quads, each once.  Slots in ``no_skolem``
-    never bind skolem blanks.
+             no_skolem: frozenset[int] = frozenset()) -> Iterator[tuple]:
+    """The groundings of ``plan``'s atoms into ``qg``, each as the tuple
+    of ``plan.output``'s values (of every slot, in slot order, when it is
+    None); at a nonzero ``mark``, only those that map some atom to a
+    quad added since ``qg`` held ``mark`` quads, each once.  Slots in
+    ``no_skolem`` never bind skolem blanks.
 
     The join runs one atom at a time: a seed atom's matching quads give
-    the first rows, and each later atom extends them (``_extend``), in
-    the order ``JoinPlan.order`` compiled for that seed.  The steps
+    the first rows (``_seed``), and each later atom extends them
+    (``_extend``), in the order ``JoinPlan.order`` compiled for that
+    seed, whose getter then reads each grounding off its row.  The steps
     stream: no relation is stored, so the first grounding costs one path
     through the steps.  At mark 0 the seed is the atom with the smallest
     bucket under its constants.  At a nonzero mark each atom seeds in
     turn with the quads of its bucket's tail from ``mark`` that match
-    its constants, earlier atoms reading only
-    quads below ``mark`` and later ones every quad, so a grounding that
-    also maps an earlier atom past ``mark`` is left to that atom; once an
-    atom's tail is its whole bucket, later atoms yield nothing new.
+    its constants, earlier atoms reading only quads below ``mark`` and
+    later ones every quad, so a grounding that also maps an earlier atom
+    past ``mark`` is left to that atom; once an atom's tail is its whole
+    bucket, later atoms yield nothing new.
     """
     atoms, initial = plan.atoms, plan.initial
     if not atoms:
-        yield list(initial)
-        return
+        return iter([plan.order(0)[1](initial)])
     buckets = [qg.bucket(ctx, initial[s], initial[p], initial[o])
                for ctx, s, p, o in atoms]
     if not all(buckets):
-        return  # no grounding at all
+        return iter(())  # no grounding at all
     if not mark:
         sizes = list(map(len, buckets))
         seed = sizes.index(min(sizes))
-        ctx, s, p, o = atoms[seed]
-        yield from _join_from(plan, seed, qg.candidates(
-            ctx, initial[s], initial[p], initial[o]), qg, 0, no_skolem)
-        return
+        ctx, *slots = atoms[seed]
+        s, p, o = [initial[k] for k in slots]
+        quads = buckets[seed]
+        if s is not None or p is not None or o is not None:
+            quads = qg.candidates(ctx, s, p, o)
+        return _join_from(plan, seed, quads, qg, 0, no_skolem)
+    relations = []
     log_index = qg.positions.__getitem__
     for seed, bucket in enumerate(buckets):
         start = bisect_left(bucket, mark, key=log_index)
         if start < len(bucket):
+            tail = bucket[start:]
             s, p, o = [initial[k] for k in atoms[seed][1:]]
-            tail = [q for q in bucket[start:]
-                    if (s is None or q[1] is s) and (p is None or q[2] is p)
-                    and (o is None or q[3] is o)]
-            yield from _join_from(plan, seed, tail, qg, mark, no_skolem)
+            if s is not None or p is not None or o is not None:
+                tail = [q for q in tail
+                        if (s is None or q[1] is s)
+                        and (p is None or q[2] is p)
+                        and (o is None or q[3] is o)]
+            relations.append(_join_from(plan, seed, tail, qg, mark,
+                                        no_skolem))
         if not start:
-            return
+            break
+    # chained in C: a generator here would resume once per grounding
+    return chain.from_iterable(relations)
 
 
 def _join_from(plan: JoinPlan, seed: int, quads: Sequence[Quad],
                qg: QuadGraph, mark: int, no_skolem: frozenset[int]
-               ) -> Iterable[list]:
+               ) -> Iterator[tuple]:
     """The groundings whose ``seed`` atom maps into ``quads``, each
     step reading the rows the one before it yields."""
-    first, *steps = plan.order(seed)
-    rows = _extend([list(plan.initial)], first, qg, mark, no_skolem, quads)
+    (first, *steps), project = plan.order(seed)
+    rows = _seed(plan.initial, first, quads, no_skolem)
     for step in steps:
         rows = _extend(rows, step, qg, mark, no_skolem)
-    return rows
+    return map(project, rows)
 
 
-def _extend(rows: Iterable[list], step: tuple, qg: QuadGraph, mark: int,
-            no_skolem: frozenset[int],
-            quads: Optional[Sequence[Quad]] = None) -> Iterator[list]:
-    """Each row of ``rows`` extended by each quad its ``step`` atom maps
-    to: one of ``quads``, when given, else one found through the graph's
-    index on a bound position.  A quad must agree with the row on every
-    bound position and repeat a repeated free variable; a ``no_skolem``
-    slot binds no skolem blank, and an atom before the seed reads no
-    quad at ``mark`` or later.  The free slots are bound in a copy of the
-    row."""
+def _seed(initial: tuple, step: tuple, quads: Sequence[Quad],
+          no_skolem: frozenset[int]) -> Iterator[tuple]:
+    """The rows of the seed ``step``: ``initial`` followed by each quad
+    of ``quads`` that repeats its repeated free variables and binds no
+    skolem blank to a ``no_skolem`` slot."""
+    _, _, free, repeats, _ = step
+    for j, k in repeats:
+        quads = [q for q in quads if q[j] is q[k]]
+    for j, slot in free:
+        if slot in no_skolem:
+            quads = [q for q in quads if q[j].kind != SKOLEM]
+    return map(add, repeat(initial), quads)
+
+
+def _extend(rows: Iterable[tuple], step: tuple, qg: QuadGraph, mark: int,
+            no_skolem: frozenset[int]) -> Iterator[tuple]:
+    """Each row of ``rows`` followed by each quad its ``step`` atom maps
+    to, found through the graph's index on a bound position.  A quad
+    must agree with the row on every bound position and repeat a
+    repeated free variable; a ``no_skolem`` slot binds no skolem blank,
+    and an atom before the seed reads no quad at ``mark`` or later.  A
+    row whose atom is fully bound is yielded as it is."""
     ctx, bound, free, repeats, early = step
     limit = mark if early and mark else None
     positions = qg.positions
-    if quads is None and len(bound) == 3:
+    if len(bound) == 3:
         # every position bound: one lookup per row
         (_, s), (_, p), (_, o) = bound
         find = positions.get
@@ -478,20 +489,20 @@ def _extend(rows: Iterable[list], step: tuple, qg: QuadGraph, mark: int,
                 yield row
         return
     probe = None
-    if quads is None and not bound:
+    if not bound:
         quads = qg.bucket(ctx, None, None, None)  # a cross product
-    elif quads is None:
+    else:
         # the map of the bound position with the most keys
         index = {}
-        for j, slot in bound:
+        for j, at in bound:
             candidate = qg.slot_map(ctx, j)
             if probe is None or len(candidate) > len(index):
-                index, probe, at = candidate, slot, j
-        bound = [(j, slot) for j, slot in bound if j != at]
+                index, probe, probed = candidate, at, j
+        bound = [(j, at) for j, at in bound if j != probed]
         lookup = index.get
     if bound:
         tested = itemgetter(*[j for j, _ in bound])
-        wanted = itemgetter(*[slot for _, slot in bound])
+        wanted = itemgetter(*[at for _, at in bound])
     guarded = [j for j, slot in free if slot in no_skolem]
     for row in rows:
         found = quads if probe is None else lookup(row[probe], ())
@@ -503,11 +514,7 @@ def _extend(rows: Iterable[list], step: tuple, qg: QuadGraph, mark: int,
             found = [q for q in found if q[j].kind != SKOLEM]
         if limit is not None:
             found = [q for q in found if positions[q] < limit]
-        for q in found:
-            new = row.copy()
-            for j, slot in free:
-                new[slot] = q[j]
-            yield new
+        yield from map(add, repeat(row), found)
 
 
 def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
@@ -516,54 +523,31 @@ def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
     """The values of the ``free`` variables, in order, in each grounding
     of every pattern into ``qg``: one tuple per grounding.
 
-    The patterns are compiled into a ``JoinPlan`` and joined by
-    ``evaluate``.  Free variables, which must occur in the patterns,
-    never bind skolem blank nodes.  The result is independent of atom
-    order.
+    The patterns are compiled into a ``JoinPlan`` whose output is the
+    free variables, and joined by ``evaluate``.  Free variables, which
+    must occur in the patterns, never bind skolem blank nodes.  The
+    result is independent of atom order.
     """
-    plan = JoinPlan(patterns)
-    slots = [plan.variables.index(v) for v in free]
-    rows = evaluate(plan, qg, 0, frozenset(slots))
-    if len(slots) == 1:
-        return zip(map(itemgetter(*slots), rows))
-    if slots:
-        return map(itemgetter(*slots), rows)
-    return (() for _ in rows)
+    plan = JoinPlan(patterns, free=free)
+    return evaluate(plan, qg, 0, frozenset(plan.output))
 
 
-def _select(plan: JoinPlan, qg: QuadGraph, mark: int) -> Iterator[Quad]:
-    """The heads of a ``select`` plan's groundings into ``qg`` that use a
-    quad added since ``qg`` held ``mark`` quads, in one pass over the
-    tail of the atom's bucket."""
-    (ctx, s, p, o), = plan.atoms
-    suffix, tested, head = plan.select
-    initial = plan.initial
-    quads = qg.bucket(ctx, initial[s], initial[p], initial[o])
-    if mark:
-        quads = quads[bisect_left(quads, mark,
-                                  key=qg.positions.__getitem__):]
-    rows = map(add, quads, repeat(suffix))
-    if tested is not None:
-        left, right = tested
-        rows = [row for row in rows if left(row) == right(row)]
-    # the head context is a pattern context, so an IRI, and every term a
-    # quad's or a constant: the checks of ``Quad.__new__`` would all pass
-    return map(tuple.__new__, repeat(Quad), map(head, rows))
-
-
-def instantiate_head(head: tuple, binding: list) -> Quad:
-    """Ground a compiled head (``JoinPlan.head``) under a binding list,
-    putting the null each skolem application has minted for its argument
-    tuple into its slot first (``derive`` mints them beforehand)."""
+def instantiate_head(head: tuple, binding: tuple) -> Quad:
+    """Ground a compiled head (``JoinPlan.head``) under a binding of
+    every slot, putting the null each skolem application has minted for
+    its argument tuple into its slot of a copy first (``derive`` mints
+    them beforehand)."""
     ctx, s, p, o, functions = head
-    for slot, _, _, args, minted in functions:
-        binding[slot] = minted[tuple([binding[a] for a in args])]
+    if functions:
+        binding = list(binding)
+        for slot, _, _, args, minted in functions:
+            binding[slot] = minted[tuple([binding[a] for a in args])]
     # the context is a pattern context, so an IRI, and every slot holds
     # a constant: the checks of ``Quad.__new__`` would all pass
     return tuple.__new__(Quad, (ctx, binding[s], binding[p], binding[o]))
 
 
-def _mint(functions: tuple, groundings: list[list]) -> None:
+def _mint(functions: tuple, groundings: list[tuple]) -> None:
     """Mint, for each skolem application of ``functions``, the nulls of
     the argument tuples of ``groundings`` it has not minted yet: the new
     tuples in first-seen order, in one ``skolem_constants`` call."""
@@ -584,9 +568,9 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
     were last applied), only groundings that use at least one quad added
     since ``qg`` held ``mark`` quads count: semi-naive evaluation, which
     misses nothing when every other grounding's head is already in
-    ``qg``.  A rule with a ``select`` plan reads the tail of its atom's
-    bucket from ``mark`` in one pass (``_select``); every other rule
-    grounds its body through ``evaluate`` and instantiates its head per
+    ``qg``.  Every rule grounds its body through ``evaluate``.  A rule
+    whose plan outputs its head (one body atom, no skolem function) gets
+    each head as a grounding; every other rule instantiates its head per
     grounding (``instantiate_head``).  A head with skolem functions first
     has its groundings collected, and each function mints the nulls of
     their new argument tuples in bulk (``_mint``), so a null is minted
@@ -597,17 +581,19 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
     known = qg.positions
     for rule in rules:
         plan = rule.plan
-        if plan.select is not None:
-            out.update(filterfalse(known.__contains__,
-                                   _select(plan, qg, mark)))
-            continue
         rows = evaluate(plan, qg, mark)
-        functions = plan.head[4]
-        if functions:
-            rows = list(rows)
-            _mint(functions, rows)
-        out.update(filterfalse(known.__contains__, map(
-            instantiate_head, repeat(plan.head), rows)))
+        if plan.output is not None:
+            # the head context is a pattern context, so an IRI, and every
+            # term a quad's or a constant: the checks of ``Quad.__new__``
+            # would all pass
+            heads = map(tuple.__new__, repeat(Quad), rows)
+        else:
+            functions = plan.head[4]
+            if functions:
+                rows = list(rows)
+                _mint(functions, rows)
+            heads = map(instantiate_head, repeat(plan.head), rows)
+        out.update(filterfalse(known.__contains__, heads))
     return out
 
 

@@ -28,38 +28,43 @@ def examples(n: int) -> int:
 def count_head_instances(monkeypatch) -> list[int]:
     """A one-item list that counts, from now on, the rule heads the
     engine builds on both of its paths: one per body grounding
-    (``instantiate_head``) and one per matching quad of a one-atom rule
-    evaluated in one pass (``_select``)."""
+    (``instantiate_head``) and one per grounding of a plan whose output
+    is its head (a one-atom rule without skolem function), which
+    ``evaluate`` gives as the head quad and ``derive`` builds in bulk."""
     heads = [0]
-    instantiate, select = engine.instantiate_head, engine._select
+    instantiate, evaluate = engine.instantiate_head, engine.evaluate
 
     def counted_instantiate(*args):
         heads[0] += 1
         return instantiate(*args)
 
-    def counted_select(*args):
-        built = list(select(*args))
-        heads[0] += len(built)
-        return built
+    def counted_evaluate(plan, *args):
+        for row in evaluate(plan, *args):
+            if plan.head is not None and plan.output is not None:
+                heads[0] += 1
+            yield row
 
     monkeypatch.setattr(engine, "instantiate_head", counted_instantiate)
-    monkeypatch.setattr(engine, "_select", counted_select)
+    monkeypatch.setattr(engine, "evaluate", counted_evaluate)
     return heads
 
 
 def count_join_rows(monkeypatch) -> list[int]:
     """A one-item list that counts, from now on, the binding rows the
-    join evaluator builds: those of each seed relation and of each step
-    after it (``engine._extend``), the last step's included."""
+    join evaluator builds: those of each seed relation (``engine._seed``)
+    and of each step after it (``engine._extend``), the last step's
+    included."""
     rows = [0]
-    extend = engine._extend
 
-    def counted_extend(*args):
-        for row in extend(*args):
-            rows[0] += 1
-            yield row
+    def counted(build):
+        def counted_build(*args):
+            for row in build(*args):
+                rows[0] += 1
+                yield row
+        return counted_build
 
-    monkeypatch.setattr(engine, "_extend", counted_extend)
+    monkeypatch.setattr(engine, "_seed", counted(engine._seed))
+    monkeypatch.setattr(engine, "_extend", counted(engine._extend))
     return rows
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -440,8 +441,8 @@ _GROUND_HEAD_QUADS = [Quad(iri("ctx0"), iri("n0"), iri("n0"), iri("n0")),
                       substitute(_GROUND_HEAD, {}),
                       Quad(iri("ctx0"), iri("n1"), iri("n1"), iri("n1"))]
 _GROUND_HEAD_SHAPE = ([QuadPattern(iri("ctx0"), X1, X1, X1)], [_GROUND_HEAD])
-# One-atom rules without a skolem function, which ``derive`` evaluates in
-# one pass over the atom's bucket.  The graph is half of the ctx0 quads
+# One-atom rules without a skolem function, whose groundings ``evaluate``
+# gives as their head quads.  The graph is half of the ctx0 quads
 # over n0, n1 and the skolem blank (IRI predicates), so that a quad a
 # constant or a repeated variable should rule out gives a head that no
 # matching quad gives, and one ctx1 quad.
@@ -570,6 +571,55 @@ def test_derive_agrees_with_naive_match_at_every_mark(quads, shapes):
         for mark in range(len(quads) + 1):
             expected = {head for head, last in heads if last >= mark}
             assert derive(rules, graph, mark) == expected - set(quads)
+
+
+# Constraint bodies: mostly variables over n0 and n1, and graphs that
+# hold a labelled null, so that most bodies ground, many through a null.
+_constraint_terms = st.one_of(st.sampled_from(_MATCH_VARS),
+                              st.sampled_from(_MATCH_VARS),
+                              st.sampled_from(_MATCH_VOCAB))
+_constraint_patterns = st.builds(
+    QuadPattern, st.sampled_from(_MATCH_CONTEXTS), *[_constraint_terms] * 3)
+_constraint_quad_terms = st.sampled_from(_ONE_ATOM_TERMS)
+# the second atom is bound at every position by the first, and the third
+# binds a new variable after it
+_BOUND_THEN_FREE = [QuadPattern(iri("ctx0"), _M0, _M1, _M2),
+                    QuadPattern(iri("ctx1"), _M0, _M1, _M2),
+                    QuadPattern(iri("ctx0"), _M2, _N1, _E)]
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(quads=st.lists(st.builds(Quad, st.sampled_from(_MATCH_CONTEXTS),
+                                *[_constraint_quad_terms] * 3),
+                      min_size=8, max_size=24),
+       bodies=st.lists(st.lists(_constraint_patterns, min_size=2,
+                                max_size=3), min_size=1, max_size=3))
+@example(quads=_XX_QUADS, bodies=[_XX + _XXX, _JOIN])
+@example(quads=_MULTI_QUADS, bodies=[_BOUND_THEN_FREE])
+@example(quads=_MULTI_QUADS, bodies=[_MULTI_ATOM_SHAPES[
+    "chain with a constant in every atom"][0][0]])
+def test_constraint_bindings_are_the_naive_groundings_through_the_delta(
+        quads, bodies):
+    """At every mark from 0 to the graph's size, ``check_constraints``
+    reports one violation per naive grounding of a constraint body that
+    uses a quad at or past the mark, whose binding is that grounding's,
+    for 2- and 3-atom bodies with repeated variables and constants over
+    quads that hold a labelled null."""
+    quads = list(dict.fromkeys(quads))
+    position = {q: i for i, q in enumerate(quads)}
+    constraints = [BridgeRule("k%d" % i, tuple(body), ())
+                   for i, body in enumerate(bodies)]
+    # each grounding's violation and the last log position of its quads
+    groundings = [(Violation(rule.rule_id, tuple(sorted(
+                       mu.items(), key=lambda kv: kv[0].name))),
+                   max(position[substitute(pat, mu)] for pat in rule.body))
+                  for rule in constraints
+                  for mu in naive_match(set(quads), rule.body)]
+    for graph in (QuadGraph(quads), grown_quadgraph(quads)):
+        for mark in range(len(quads) + 1):
+            expected = [v for v, last in groundings if last >= mark]
+            found = check_constraints(constraints, graph, mark)
+            assert Counter(found) == Counter(expected)
 
 
 def test_a_one_atom_ground_head_is_built_in_one_pass(monkeypatch):

@@ -11,15 +11,16 @@ kill.  Then, for each mutant, it applies the edit to a fresh copy, runs
 the mutant's test files (stopping at the first failure) and records the
 mutant as killed, with the first failing test id, or as survived.
 
-An old text that does not occur exactly once stops the script before
-any test runs: the code it guarded has moved, and the mutant must be
-rewritten, not dropped.  A mutant known to change no behaviour carries
-its reason in ``equivalent`` and is expected to survive.
+An old text that does not occur exactly once, or an edit that leaves
+the file without valid syntax, stops the script before any test runs:
+the code it guarded has moved, and the mutant must be rewritten, not
+dropped.  A mutant known to change no behaviour carries its reason in
+``equivalent`` and is expected to survive.
 
 Each run checks every mutant and rewrites the record,
 ``tools/mutants.json``.  The exit code is 0 when every mutant is killed
 or is a recorded equivalent one that survived, 1 otherwise, and 2 when
-the unmutated copy fails or an old text is missing.  Standard library
+the unmutated copy fails or a mutant does not apply.  Standard library
 only; it runs the tests with ``python -m pytest``.  Manual and ungated:
 one mutant costs one run of its test files (a few seconds to a minute).
 """
@@ -75,21 +76,38 @@ MUTANTS = (
            "if tested(q) == wanted(row)]\n",
            "", ("tests/test_engine.py",)),
     Mutant("constant check on a seed tail dropped", ENGINE,
-           "            tail = [q for q in bucket[start:]\n"
-           "                    if (s is None or q[1] is s) and "
-           "(p is None or q[2] is p)\n"
-           "                    and (o is None or q[3] is o)]\n",
-           "            tail = bucket[start:]\n", ("tests/test_engine.py",)),
+           "                tail = [q for q in tail\n"
+           "                        if (s is None or q[1] is s)\n"
+           "                        and (p is None or q[2] is p)\n"
+           "                        and (o is None or q[3] is o)]\n",
+           "                pass\n", ("tests/test_engine.py",)),
+    Mutant("condition that a seed tail has a constant inverted", ENGINE,
+           "            if s is not None or p is not None or o is not None:\n"
+           "                tail = [",
+           "            if not (s is not None or p is not None "
+           "or o is not None):\n"
+           "                tail = [", ("tests/test_engine.py",)),
+    Mutant("repeated-variable check on the seed dropped", ENGINE,
+           "    for j, k in repeats:\n"
+           "        quads = [q for q in quads if q[j] is q[k]]\n",
+           "", ("tests/test_engine.py",)),
+    Mutant("no_skolem check on the seed dropped", ENGINE,
+           "        if slot in no_skolem:\n"
+           "            quads = [q for q in quads if q[j].kind != SKOLEM]\n",
+           "        pass\n", ("tests/test_engine.py", "tests/test_query.py")),
+    Mutant("row offset advanced after a fully bound step", ENGINE,
+           "        if len(known) < 3:  # a fully bound step appends no "
+           "quad\n", "        if True:\n", ("tests/test_engine.py",)),
     Mutant("early stop once a tail is the whole bucket removed", ENGINE,
-           "        if not start:\n            return\n",
+           "        if not start:\n            break\n",
            "", ("tests/test_engine.py",)),
     Mutant("join order by constant positions first (a cross product)",
            ENGINE,
-           "            sum(k in bound and k not in constants for k in "
+           "            sum(k in where and k not in constants for k in "
            "atoms[a][1:]),\n"
            "            sum(k in constants for k in atoms[a][1:]), -a))",
            "            sum(k in constants for k in atoms[a][1:]),\n"
-           "            sum(k in bound and k not in constants for k in "
+           "            sum(k in where and k not in constants for k in "
            "atoms[a][1:]), -a))",
            ("tests/test_chase.py",)),
     Mutant("each step stores its rows before the next reads them", ENGINE,
@@ -117,7 +135,13 @@ def _mutated(tree: Path, mutant: Mutant) -> str:
     if found != 1:
         raise MutationError("mutant %r: its old text occurs %d times in %s"
                             % (mutant.name, found, mutant.path))
-    return text.replace(mutant.old, mutant.new)
+    text = text.replace(mutant.old, mutant.new)
+    try:  # a mutant the tests reject for its syntax is no kill
+        compile(text, mutant.path, "exec")
+    except SyntaxError as exc:
+        raise MutationError("mutant %r does not compile: %s"
+                            % (mutant.name, exc))
+    return text
 
 
 def _run_tests(tree: Path, tests: tuple[str, ...]) -> Optional[str]:
