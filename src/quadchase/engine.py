@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, repeat, starmap
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -271,9 +271,10 @@ class JoinPlan:
     every skolem application of the head.  Variable slots come first, in
     ``variables`` order; ``initial`` holds each constant at its slot and
     None elsewhere.  A body atom is its context and the slots of its
-    three positions.  The head is its context, the slots of its three
-    positions and, per skolem application, its slot, function, argument
-    slots and the nulls it has minted, keyed by argument tuple.
+    three positions, and its key (``keys``) what ``QuadGraph.bucket``
+    takes.  The head is its context, the slots of its three positions
+    and, per skolem application, its slot, function, argument slots and
+    the nulls it has minted, keyed by argument tuple.
 
     ``output`` lists the slots each grounding gives, in order: the free
     variables' of a query, and the head context's and positions' for a
@@ -282,7 +283,7 @@ class JoinPlan:
     give every slot in slot order.
     """
 
-    __slots__ = ("variables", "atoms", "initial", "head", "output",
+    __slots__ = ("variables", "atoms", "keys", "initial", "head", "output",
                  "_orders")
 
     def __init__(self, patterns: Iterable[QuadPattern],
@@ -321,6 +322,8 @@ class JoinPlan:
             if len(self.atoms) == 1 and not functions:
                 self.output = (slot(head.ctx),) + terms
         self.initial = tuple(initial)
+        self.keys = tuple((ctx, initial[s], initial[p], initial[o])
+                          for ctx, s, p, o in self.atoms)
         self._orders: dict[int, tuple] = {}
 
     def order(self, seed: int) -> tuple:
@@ -406,18 +409,15 @@ def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
     past ``mark`` is left to that atom; once an atom's tail is its whole
     bucket, later atoms yield nothing new.
     """
-    atoms, initial = plan.atoms, plan.initial
-    if not atoms:
-        return iter([plan.order(0)[1](initial)])
-    buckets = [qg.bucket(ctx, initial[s], initial[p], initial[o])
-               for ctx, s, p, o in atoms]
+    if not plan.atoms:
+        return iter([plan.order(0)[1](plan.initial)])
+    buckets = list(starmap(qg.bucket, plan.keys))
     if not all(buckets):
         return iter(())  # no grounding at all
     if not mark:
         sizes = list(map(len, buckets))
         seed = sizes.index(min(sizes))
-        ctx, *slots = atoms[seed]
-        s, p, o = [initial[k] for k in slots]
+        ctx, s, p, o = plan.keys[seed]
         quads = buckets[seed]
         if s is not None or p is not None or o is not None:
             quads = qg.candidates(ctx, s, p, o)
@@ -428,7 +428,7 @@ def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
         start = bisect_left(bucket, mark, key=log_index)
         if start < len(bucket):
             tail = bucket[start:]
-            s, p, o = [initial[k] for k in atoms[seed][1:]]
+            _, s, p, o = plan.keys[seed]
             if s is not None or p is not None or o is not None:
                 tail = [q for q in tail
                         if (s is None or q[1] is s)

@@ -23,7 +23,7 @@ reads, so the schema is the asserted one with its two hierarchies closed
 by reachability, and the instance triples need one pass each of
 subproperty instantiation, domain and range typing, and pushing every
 type through its class's closed superclass set.  Every other context
-takes the generic path: each rule is compiled once per context into an
+takes the generic path: each rule is compiled on first use into an
 ordinary engine rule whose body and head lie in that context, and run on
 the engine's semi-naive join, the same one that applies bridge rules,
 each round joining only through the quads the previous round added.
@@ -118,47 +118,47 @@ def get_semantics(name: str, resource_rule: bool = True) -> LocalSemantics:
                      % (name, ", ".join(SEMANTICS_NAMES)))
 
 
-def local_rules(sem: LocalSemantics,
-                contexts: Iterable[Constant]) -> list[SkolemRule]:
-    """The semantics' rules compiled for the engine: for each context,
-    one rule per local rule with its body and head in that context."""
-    return [SkolemRule(rule.name, 0,
-                       tuple(QuadPattern(ctx, *pat) for pat in rule.body),
-                       SkolemAtom(ctx, *rule.head))
-            for ctx in contexts for rule in sem.rules]
+def local_rules(sem: LocalSemantics, contexts: Iterable[Constant]) -> dict:
+    """The contexts ``close`` closes under ``sem`` (none when it has no
+    rule), each mapped to None until ``close`` compiles its rules."""
+    return dict.fromkeys(contexts) if sem.rules else {}
 
 
-def close(graph: QuadGraph, sem: LocalSemantics, rules: list[SkolemRule],
+def close(graph: QuadGraph, sem: LocalSemantics, local: dict,
           mark: int) -> None:
     """Close ``graph`` in place under ``sem``, given that the head of every
     grounding into its first ``mark`` quads is already in it.
 
-    ``rules`` are ``local_rules(sem, ...)`` output, the same rules
-    compiled for each of some contexts; only those contexts are closed.
-    A context with no quad past ``mark`` is then closed, and so is one
-    holding exactly the triples of such a context: both are skipped.
-    Under rdfs-core a context with no quad before ``mark`` is closed from
-    scratch by ``_rho_df`` when its triples meet C1-C3, which keep every
-    rule's schema side to asserted triples and the closed hierarchies,
-    so one pass in rule order completes it.  The rest go semi-naively
-    through their compiled rules: each round adds its new quads to
-    ``graph`` and the next one joins only through them.  Each rule's
+    ``local`` is ``local_rules(sem, ...)`` output, kept for a run; only
+    its contexts are closed.  A context with no quad past ``mark`` is
+    then closed, and so is one holding exactly the triples of such a
+    context: both are skipped.  Under rdfs-core a context with no quad
+    before ``mark`` is closed from scratch by ``_rho_df`` when its
+    triples meet C1-C3, which keep every rule's schema side to asserted
+    triples and the closed hierarchies, so one pass in rule order
+    completes it.  The rest go semi-naively through their rules,
+    compiled into ``local`` on first use: each round adds its new quads
+    to ``graph`` and the next one joins only through them.  Each rule's
     body and head lie in one context, so the contexts closed apart from
     the rules never feed them."""
-    if not rules:
+    if not local:
         return
-    touched = {q[0] for q in graph.log[mark:]}
-    open_contexts = touched - _replicas(graph, rules, touched)
+    touched = {q[0] for q in graph.log[mark:]}.intersection(local)
+    open_contexts = touched - _replicas(graph, local, touched)
     resource = _RHO_DF.get(sem.rules)
     if resource is not None:
-        for ctx in open_contexts & {r.head.ctx for r in rules}:
+        for ctx in list(open_contexts):
             quads = graph.bucket(ctx, None, None, None)
             if graph.positions[quads[0]] >= mark:
                 closed = _rho_df(quads, resource)
                 if closed is not None:
                     open_contexts.discard(ctx)
                     graph.extend(closed)
-    rules = [r for r in rules if r.head.ctx in open_contexts]
+    for ctx in open_contexts:
+        local[ctx] = local[ctx] or [SkolemRule(r.name, 0, tuple(
+            QuadPattern(ctx, *t) for t in r.body), SkolemAtom(ctx, *r.head))
+            for r in sem.rules]
+    rules = [r for ctx in open_contexts for r in local[ctx]]
     while mark < len(graph):
         start = len(graph)
         graph.extend(derive(rules, graph, mark))
@@ -244,12 +244,12 @@ def _reach(pairs: Iterable[tuple[Constant, Constant]]
     return reach
 
 
-def _replicas(graph: QuadGraph, rules: list[SkolemRule],
+def _replicas(graph: QuadGraph, local: dict,
               touched: set[Constant]) -> set[Constant]:
     """The ``touched`` contexts whose triples are those of an untouched
-    context that ``rules`` were compiled for."""
+    context of ``local``."""
     closed: dict[int, list[Constant]] = {}
-    for ctx in {r.head.ctx for r in rules} - touched:
+    for ctx in local.keys() - touched:
         size = graph.candidate_count(ctx)
         if size:
             closed.setdefault(size, []).append(ctx)
@@ -266,11 +266,12 @@ def _same_triples(graph: QuadGraph, ctx: Constant, other: Constant) -> bool:
     return all(map(graph.positions.__contains__, moved))
 
 
-def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
+def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics,
+                       local: Optional[dict] = None) -> QuadGraph:
     """Per-context closure of a quad-graph, as a new graph whose log
     starts with ``qg``'s quads; contexts never mix, and ``qg`` is not
-    changed."""
+    changed.  ``local`` is ``close``'s, by default for ``qg``'s contexts."""
     closed = QuadGraph(qg)
-    if sem.rules:
-        close(closed, sem, local_rules(sem, qg.contexts()), 0)
+    close(closed, sem, local_rules(sem, qg.contexts()) if local is None
+          else local, 0)
     return closed

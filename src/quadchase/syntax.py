@@ -30,10 +30,11 @@ that takes the whole chunk:
 1. The split reader (``_read_split``) takes a chunk whose every line
    is four terms and ``.`` joined by single spaces, the shape
    ``write_nquads`` writes (a chase file whose literals hold no space).
-   Counting proves the shape: each newline follows `` .``, each line
-   holds four spaces, and one ``split(" ")`` of the chunk, its
-   newlines made spaces, gives five texts a line with ``.`` every
-   fifth.
+   Counting proves the shape in six passes: the newline count that
+   numbers the lines, the `` .`` count, a search for ``"`` (a chunk
+   with one counts its spaces too, so a literal holding a space
+   declines it unsplit), newlines made spaces, one ``split(" ")`` into
+   five texts a line, and the count of ``.`` every fifth text.
 2. The row reader runs one ``findall`` of one compiled regex that gives
    every line a row.  A line in the usual shape (four terms separated
    by blanks, then ``.`` and an optional comment), blank, or holding
@@ -403,18 +404,16 @@ def _read_usual(texts: list[str], strict: bool
     return map(_new_tuple, repeat(Quad), zip(g, s, p, terms[2::4]))
 
 
-def _read_split(text: str, strict: bool) -> Optional[Iterator[Quad]]:
-    """The quads of ``text`` read in bulk when each of its lines is four
-    terms and ``.`` joined by single spaces, the shape ``write_nquads``
-    writes; else None."""
-    lines = text.count("\n")
-    # four spaces a line: the split gives five texts a line, and a chunk
-    # with a literal that holds a space is declined before it is split
-    if text.count(" ") != 4 * lines or text.count(" .\n") != lines \
-            or not text.endswith("\n"):
+def _read_split(text: str, lines: int, strict: bool
+                ) -> Optional[Iterator[Quad]]:
+    """The quads of ``text``, which holds ``lines`` newlines, read in bulk
+    when each of its lines is four terms and ``.`` joined by single
+    spaces, the shape ``write_nquads`` writes; else None."""
+    if text.count(" .\n") != lines or not text.endswith("\n") \
+            or '"' in text and text.count(" ") != 4 * lines:
         return None
     texts = text.replace("\n", " ").split(" ")
-    if texts[4::5].count(".") != lines:
+    if len(texts) != 5 * lines + 1 or texts[4::5].count(".") != lines:
         return None
     del texts[-1], texts[4::5]
     return _read_usual(texts, strict)
@@ -433,7 +432,7 @@ def _read_chunk(text: str, first: int, lines: int, strict: bool,
     ``first``, to ``quads``: all of them split in bulk, or else the usual
     rows in bulk and each odd line in its place with the scanner, or else
     every line with the scanner."""
-    bulk = _read_split(text, strict)
+    bulk = _read_split(text, lines - 1, strict)
     if bulk is not None:
         quads.extend(bulk)
         return

@@ -488,6 +488,69 @@ def test_compiled_local_rules_close_like_the_naive_closure(monkeypatch,
     assert counts[1] <= 2.2 * counts[0], counts
 
 
+def _count_local_rules(monkeypatch):
+    """The head context of every compiled local rule built from now on,
+    in order."""
+    built = []
+    compile_rule = semantics.SkolemRule
+
+    def counted(*args):
+        rule = compile_rule(*args)
+        built.append(rule.head.ctx)
+        return rule
+
+    monkeypatch.setattr(semantics, "SkolemRule", counted)
+    return built
+
+
+def test_replicas_of_directly_closed_contexts_compile_no_local_rule(
+        monkeypatch):
+    """The shape of the rdfs-closure benchmark: ctx0 and ``out`` close by
+    the direct pass and ctx1-ctx3 are copies of ctx0, so a chase under
+    rdfs-core builds no compiled local rule, and still closes every
+    context."""
+    built = _count_local_rules(monkeypatch)
+    contexts = [iri("ctx%d" % i) for i in range(4)]
+    classes = [iri("C%d" % i) for i in range(6)]
+    data = [Quad(contexts[0], a, RDFS_SUBCLASSOF, b)
+            for a, b in zip(classes, classes[1:])]
+    data += [Quad(contexts[0], iri("e%d" % i), RDF_TYPE, classes[i % 5])
+             for i in range(10)]
+    data += [Quad(contexts[0], iri("e%d" % i), iri("knows"),
+                  iri("e%d" % (i + 1))) for i in range(9)]
+    rules = parse_rules(
+        "c01: <ctx0>(?s, ?p, ?o) -> <ctx1>(?s, ?p, ?o) .\n"
+        "c12: <ctx1>(?s, ?p, ?o) -> <ctx2>(?s, ?p, ?o) .\n"
+        "c23: <ctx2>(?s, ?p, ?o) -> <ctx3>(?s, ?p, ?o) .\n"
+        "pet: <ctx3>(?x, <knows>, ?y) -> <out>(?x, <hasPet>, ?z) .\n").rules
+    system = QuadSystem(QuadGraph(data), rules)
+    sem = rdfs_core(True)
+    result = run_chase(system, ChaseConfig(semantics=sem))
+    assert result.complete
+    assert built == []
+    reference = naive_chase(system, ChaseConfig(semantics=sem))
+    assert result.quads == reference.quads
+
+
+def test_local_rules_are_compiled_once_per_context_and_run(monkeypatch):
+    """The Horn chain whose truth context breaks C1 closes that context
+    through its compiled rules in every iteration, but compiles them
+    once in the whole run, iteration 0's closure included; no other
+    context is compiled."""
+    built = _count_local_rules(monkeypatch)
+    sem = rdfs_core(True)
+    k = 16
+    system, _ = encode_horn(_horn_chain(k))
+    local = [Quad(CTX_TRUE, TRUTH_CLASS, RDFS_SUBCLASSOF, iri("C0")),
+             Quad(CTX_TRUE, iri("isA"), RDFS_SUBPROPERTYOF, RDF_TYPE),
+             Quad(CTX_TRUE, iri("e0"), iri("isA"), iri("C0"))]
+    system = QuadSystem(QuadGraph([*system.quads, *local]), system.rules)
+    result = run_chase(system, ChaseConfig(semantics=sem))
+    assert result.complete and len(result.iteration_log) == k + 1
+    assert Quad(CTX_TRUE, iri("f"), RDF_TYPE, iri("C0")) in result.quads
+    assert built == [CTX_TRUE] * len(sem.rules)
+
+
 def test_constraints_check_each_added_quad_once(monkeypatch):
     """A copy chain with an existential rule and a constraint: each
     constraint check joins through the quads added since the last one,

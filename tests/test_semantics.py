@@ -173,12 +173,27 @@ def test_polynomial_output_bound(seed):
 
 
 def test_local_rules_are_compiled_per_context():
-    rules = local_rules(RDFS_FULL, [iri("c1"), iri("c2")])
-    assert len(rules) == 2 * len(RDFS_FULL.rules)
+    """``close`` compiles a context's rules the first time it closes the
+    context through them, one engine rule per local rule with its body
+    and head in that context, and reuses them at the next call; a
+    context it does not close that way stays uncompiled."""
+    c1, c2 = iri("c1"), iri("c2")
+    local = local_rules(RDFS_FULL, [c1, c2])
+    assert local == {c1: None, c2: None}
+    # a subPropertyOf triple onto rdf:type breaks C1: no direct pass
+    graph = QuadGraph([Quad(c1, iri("isA"), RDFS_SUBPROPERTYOF, RDF_TYPE)])
+    close(graph, RDFS_FULL, local, 0)
+    rules = local[c1]
+    assert len(rules) == len(RDFS_FULL.rules) and local[c2] is None
     for rule in rules:
         assert not rule.is_generating
-        assert {atom.ctx for atom in rule.body} == {rule.head.ctx}
-    assert local_rules(SIMPLE, [iri("c1")]) == []
+        assert {atom.ctx for atom in rule.body} == {rule.head.ctx} == {c1}
+    mark = len(graph)
+    graph.add(Quad(c1, iri("x"), iri("isA"), iri("A")))
+    close(graph, RDFS_FULL, local, mark)
+    assert local[c1] is rules and local[c2] is None
+    assert Quad(c1, iri("x"), RDF_TYPE, iri("A")) in graph
+    assert local_rules(SIMPLE, [c1]) == {}
 
 
 @settings(max_examples=examples(200), deadline=None)
@@ -198,13 +213,13 @@ def test_incremental_close_matches_naive_closure(seed, resource, schema):
     base = graph(rng, max_quads=15, n_contexts=2)
     extra = graph(rng, max_quads=15)
     union = QuadGraph([*base, *extra])
-    rules = local_rules(sem, union.contexts())
+    local = local_rules(sem, union.contexts())
     closed = QuadGraph(base)
-    close(closed, sem, rules, 0)
+    close(closed, sem, local, 0)
     mark = len(closed)
     for q in extra:
         closed.add(q)
-    close(closed, sem, rules, mark)
+    close(closed, sem, local, mark)
     assert closed.contexts() == union.contexts()
     for ctx in union.contexts():
         assert triples_of(closed, ctx) == naive_local_closure(
@@ -216,20 +231,20 @@ def test_same_size_context_with_other_triples_is_still_closed():
     other triples, is no replica: its closure still runs."""
     c0, c1 = iri("c0"), iri("c1")
     A, B, C = iri("A"), iri("B"), iri("C")
-    rules = local_rules(RDFS, [c0, c1])
+    local = local_rules(RDFS, [c0, c1])
     graph = QuadGraph([Quad(c0, A, RDFS_SUBCLASSOF, B),
                        Quad(c0, iri("x"), RDF_TYPE, A)])
-    close(graph, RDFS, rules, 0)
+    close(graph, RDFS, local, 0)
     assert graph.candidate_count(c0) == 3
     mark = len(graph)
     for s, o in ((A, B), (B, C), (iri("y"), iri("z"))):
         graph.add(Quad(c1, s, RDFS_SUBCLASSOF, o))
-    close(graph, RDFS, rules, mark)
+    close(graph, RDFS, local, mark)
     assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
 
 
 def test_context_without_compiled_rules_is_never_a_source():
-    """An untouched context that no rule was compiled for need not be
+    """An untouched context that ``close`` was not given need not be
     closed, so a context holding its triples is closed all the same."""
     c0, c1 = iri("c0"), iri("c1")
     A, B, C = iri("A"), iri("B"), iri("C")
@@ -264,9 +279,9 @@ def test_closing_a_copy_chain_after_iteration_zero_derives_nothing(
     heads = count_head_instances(monkeypatch)
     per_close = []
 
-    def counted_close(graph, sem, rules, mark):
+    def counted_close(graph, sem, local, mark):
         before = heads[0]
-        close(graph, sem, rules, mark)
+        close(graph, sem, local, mark)
         per_close.append(heads[0] - before)
 
     monkeypatch.setattr(chase, "close", counted_close)

@@ -876,6 +876,11 @@ _ODD_NAMES = (blank("a."), blank("a/b"), literal("x", lang="en."))
 @example("<s> <p> <o> <g> .\n<s> <p> <o2> <g> .", False, True)
 @example("<s> <p> <o> <g> .\n. <p> <o> <g> .\n", False, True)
 @example("<s> <p> <o> . .\n", False, True)
+# a literal that holds a space where the chunk still has four spaces a
+# line, and literals without one in the writer's shape, split in bulk
+@example('<s> <p> "a b" <g> .\n<s> <p> <g> .\n', False, True)
+@example('<s> <p> "ab" <g> .\n<s> <p> "c"@en <g> .\n<s> <p> <o> <g> .\n',
+         False, True)
 def test_statement_regex_reads_like_the_scanner(doc, strict, scanner_first):
     """The same quads in the same order or the same error (class, line,
     column, message), for the whole document read in chunks of each size

@@ -1,4 +1,4 @@
-"""Mutation check: do the tests catch a broken join evaluator?
+"""Mutation check: do the tests catch a broken fast path?
 
     python3 tools/mutate.py
 
@@ -23,6 +23,9 @@ or is a recorded equivalent one that survived, 1 otherwise, and 2 when
 the unmutated copy fails or a mutant does not apply.  Standard library
 only; it runs the tests with ``python -m pytest``.  Manual and ungated:
 one mutant costs one run of its test files (a few seconds to a minute).
+The tier-1 ``tests/test_mutants.py`` runs no mutant, but fails when one
+no longer applies or the record does not name exactly ``MUTANTS``, so
+rerun the script whenever the list changes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from typing import NamedTuple, Optional
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tools" / "mutants.json"
 ENGINE = "src/quadchase/engine.py"
+SYNTAX = "src/quadchase/syntax.py"
+SEMANTICS = "src/quadchase/semantics.py"
+TERMS = "src/quadchase/terms.py"
 
 
 class Mutant(NamedTuple):
@@ -114,6 +120,28 @@ MUTANTS = (
            "        rows = _extend(rows, step, qg, mark, no_skolem)\n",
            "        rows = _extend(list(rows), step, qg, mark, no_skolem)\n",
            ("tests/test_query.py",)),
+    Mutant("split reader given the line count, not the newline count",
+           SYNTAX, "_read_split(text, lines - 1, strict)",
+           "_read_split(text, lines, strict)", ("tests/test_syntax.py",)),
+    Mutant("split reader's length check dropped", SYNTAX,
+           "len(texts) != 5 * lines + 1 or ", "", ("tests/test_syntax.py",)),
+    Mutant("split reader's space count on a chunk with a quote dropped",
+           SYNTAX, """'"' in text and text.count(" ") != 4 * lines""",
+           "False", ("tests/test_syntax.py",),
+           equivalent="a chunk whose literal holds a space then fails the "
+           "length check after the split instead of the space count "
+           "before it: the same chunks are declined, only later"),
+    Mutant("a context's compiled local rules never built", SEMANTICS,
+           "        local[ctx] = local[ctx] or [SkolemRule(",
+           "        local[ctx] = local[ctx] or [] and [SkolemRule(",
+           ("tests/test_semantics.py", "tests/test_chase.py")),
+    Mutant("extend skips the built s/p/o maps", TERMS,
+           "            bucket.append(q)\n"
+           "            s_map, p_map, o_map = self._maps[q[0]]\n",
+           "            bucket.append(q)\n"
+           "            continue\n"
+           "            s_map, p_map, o_map = self._maps[q[0]]\n",
+           ("tests/test_terms.py",)),
 )
 
 
