@@ -136,7 +136,7 @@ def run_chase(system: QuadSystem,
 
     non_gen, gen, constraints = skolemize_all(system.rules)
     local = local_rules(cfg.semantics, graph.nodes)
-    qg = lclosure_quadgraph(system.quads, cfg.semantics, local)
+    qg = lclosure_quadgraph(system.quads, cfg.semantics)
     log: list[IterationRecord] = []
     gen_count = 0
 

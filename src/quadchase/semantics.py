@@ -129,8 +129,8 @@ def close(graph: QuadGraph, sem: LocalSemantics, local: dict,
     """Close ``graph`` in place under ``sem``, given that the head of every
     grounding into its first ``mark`` quads is already in it.
 
-    ``local`` is ``local_rules(sem, ...)`` output, kept for a run; only
-    its contexts are closed.  A context with no quad past ``mark`` is
+    ``local`` is ``local_rules(sem, ...)`` output, kept across calls;
+    only its contexts are closed.  A context with no quad past ``mark`` is
     then closed, and so is one holding exactly the triples of such a
     context: both are skipped.  Under rdfs-core a context with no quad
     before ``mark`` is closed from scratch by ``_rho_df`` when its
@@ -266,12 +266,10 @@ def _same_triples(graph: QuadGraph, ctx: Constant, other: Constant) -> bool:
     return all(map(graph.positions.__contains__, moved))
 
 
-def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics,
-                       local: Optional[dict] = None) -> QuadGraph:
+def lclosure_quadgraph(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
     """Per-context closure of a quad-graph, as a new graph whose log
     starts with ``qg``'s quads; contexts never mix, and ``qg`` is not
-    changed.  ``local`` is ``close``'s, by default for ``qg``'s contexts."""
+    changed."""
     closed = QuadGraph(qg)
-    close(closed, sem, local_rules(sem, qg.contexts()) if local is None
-          else local, 0)
+    close(closed, sem, local_rules(sem, qg.contexts()), 0)
     return closed

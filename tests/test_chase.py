@@ -532,11 +532,11 @@ def test_replicas_of_directly_closed_contexts_compile_no_local_rule(
     assert result.quads == reference.quads
 
 
-def test_local_rules_are_compiled_once_per_context_and_run(monkeypatch):
+def test_local_rules_are_compiled_once_per_closure_path(monkeypatch):
     """The Horn chain whose truth context breaks C1 closes that context
     through its compiled rules in every iteration, but compiles them
-    once in the whole run, iteration 0's closure included; no other
-    context is compiled."""
+    once for iteration 0's closure and once for the iterations after
+    it, not once per iteration; no other context is compiled."""
     built = _count_local_rules(monkeypatch)
     sem = rdfs_core(True)
     k = 16
@@ -548,7 +548,7 @@ def test_local_rules_are_compiled_once_per_context_and_run(monkeypatch):
     result = run_chase(system, ChaseConfig(semantics=sem))
     assert result.complete and len(result.iteration_log) == k + 1
     assert Quad(CTX_TRUE, iri("f"), RDF_TYPE, iri("C0")) in result.quads
-    assert built == [CTX_TRUE] * len(sem.rules)
+    assert built == [CTX_TRUE] * (2 * len(sem.rules))
 
 
 def test_constraints_check_each_added_quad_once(monkeypatch):
