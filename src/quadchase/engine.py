@@ -20,16 +20,19 @@ constants followed by each quad a step matched, so a step binds its
 variables by appending its quad, and a getter compiled with the order
 reads the plan's output off each grounding's row: a query's free
 variables, the head quad of a one-atom rule whose head has no skolem
-function (a copy or projection of one context into another), and every
-slot otherwise.  No step stores its rows: each streams them to the next,
-and the last hands each grounding to its consumer, so memory is bounded
-by one row per step and a caller that takes only the first grounding (a
-boolean query) stops there.  A rule compiles on first use and keeps its
-plan, so a chase compiles each rule once.  A head with a skolem function
-keeps, per function, the nulls it has minted, keyed by argument tuple;
-``derive`` mints the argument tuples a call's groundings bring that are
-not there yet in bulk, with one ``skolem_constants`` call per function,
-before it instantiates the heads.
+function (a copy or projection of one context into another), the slots
+a head with a skolem function reads, and every slot otherwise.  No step
+stores its rows: each streams them to the next, and the last hands each
+grounding to its consumer, so memory is bounded by one row per step and
+a caller that takes only the first grounding (a boolean query) stops
+there.  A rule compiles on first use and keeps its plan, so a chase
+compiles each rule once.  A head with a skolem function keeps, per
+function, a getter of its argument tuple and the nulls it has minted,
+keyed by that tuple.  ``derive`` takes the distinct rows of a call's
+groundings in first-seen order, one per frontier binding, mints the
+argument tuples they bring that are not there yet in bulk, with one
+``skolem_constants`` call per function, and then instantiates one head
+per row.
 
 Semi-naive evaluation takes a mark into a ``QuadGraph``: the quads added
 since the graph held ``mark`` quads are the tail of each index bucket,
@@ -272,15 +275,20 @@ class JoinPlan:
     ``variables`` order; ``initial`` holds each constant at its slot and
     None elsewhere.  A body atom is its context and the slots of its
     three positions, and its key (``keys``) what ``QuadGraph.bucket``
-    takes.  The head is its context, the slots of its three positions
-    and, per skolem application, its slot, function, argument slots and
-    the nulls it has minted, keyed by argument tuple.
+    takes.  The head is its context, the indexes of its three positions
+    in a grounding and, per skolem application, its rule id and function
+    index, a getter of its argument tuple from a grounding (a 1-tuple
+    for one argument, the empty tuple for none) and the nulls it has
+    minted, keyed by that tuple.
 
     ``output`` lists the slots each grounding gives, in order: the free
-    variables' of a query, and the head context's and positions' for a
+    variables' of a query; the head context's and positions' for a
     one-atom body whose head has no skolem function, so each grounding
-    is its head quad.  It is None for every other plan, whose groundings
-    give every slot in slot order.
+    is its head quad; and for a head with a skolem function, the slots
+    it reads, each once: its positions that are not a function, then
+    each function's arguments.  Such a head reads its nulls after those
+    slots, in function order.  ``output`` is None for every other plan,
+    whose groundings give every slot in slot order.
     """
 
     __slots__ = ("variables", "atoms", "keys", "initial", "head", "output",
@@ -314,13 +322,27 @@ class JoinPlan:
             self.output = tuple(map(self.variables.index, free))
         if head is not None:
             terms = tuple(slot(t) for t in head.terms())
-            functions = tuple((slots[t], t.rule_id, t.fn_index,
-                               tuple(slot(a) for a in t.args), {})
-                              for t in dict.fromkeys(head.terms())
-                              if isinstance(t, SkolemTerm))
-            self.head = (head.ctx,) + terms + (functions,)
-            if len(self.atoms) == 1 and not functions:
-                self.output = (slot(head.ctx),) + terms
+            skolems = [t for t in dict.fromkeys(head.terms())
+                       if isinstance(t, SkolemTerm)]
+            if not skolems:
+                self.head = (head.ctx,) + terms + ((),)
+                if len(self.atoms) == 1:
+                    self.output = (slot(head.ctx),) + terms
+            else:
+                # the slots the head reads; each null goes after them
+                self.output = tuple(dict.fromkeys(chain(
+                    [k for t, k in zip(head.terms(), terms)
+                     if not isinstance(t, SkolemTerm)],
+                    *[map(slot, t.args) for t in skolems])))
+                at = {k: i for i, k in enumerate(self.output)}
+                at.update((slots[t], len(self.output) + i)
+                          for i, t in enumerate(skolems))
+                functions = tuple(
+                    (t.rule_id, t.fn_index,
+                     _tuple_getter([at[slots[a]] for a in t.args]), {})
+                    for t in skolems)
+                self.head = ((head.ctx,) + tuple(map(at.__getitem__, terms))
+                             + (functions,))
         self.initial = tuple(initial)
         self.keys = tuple((ctx, initial[s], initial[p], initial[o])
                           for ctx, s, p, o in self.atoms)
@@ -380,12 +402,15 @@ def _compile_order(plan: JoinPlan, seed: int) -> tuple:
             where.update((k, width + j) for k, j in first.items())
             width += 4
     output = range(len(initial)) if plan.output is None else plan.output
-    at = [where.get(k, k) for k in output]
+    return tuple(steps), _tuple_getter([where.get(k, k) for k in output])
+
+
+def _tuple_getter(at: Sequence[int]) -> itemgetter:
+    """A getter of the tuple of the items at ``at``, however many."""
     # a one-item slice gives a 1-tuple and an empty one the empty tuple
-    project = (itemgetter(*at) if len(at) > 1
-               else itemgetter(slice(at[0], at[0] + 1)) if at
-               else itemgetter(slice(0)))
-    return tuple(steps), project
+    return (itemgetter(*at) if len(at) > 1
+            else itemgetter(slice(at[0], at[0] + 1)) if at
+            else itemgetter(slice(0)))
 
 
 def evaluate(plan: JoinPlan, qg: QuadGraph, mark: int = 0,
@@ -532,29 +557,27 @@ def match_patterns(qg: QuadGraph, patterns: Iterable[QuadPattern],
     return evaluate(plan, qg, 0, frozenset(plan.output))
 
 
-def instantiate_head(head: tuple, binding: tuple) -> Quad:
-    """Ground a compiled head (``JoinPlan.head``) under a binding of
-    every slot, putting the null each skolem application has minted for
-    its argument tuple into its slot of a copy first (``derive`` mints
-    them beforehand)."""
+def instantiate_head(head: tuple, row: tuple) -> Quad:
+    """Ground a compiled head (``JoinPlan.head``) under a row of the
+    slots it reads, to which the null each skolem application has minted
+    for its argument tuple is appended first (``derive`` mints them
+    beforehand)."""
     ctx, s, p, o, functions = head
-    if functions:
-        binding = list(binding)
-        for slot, _, _, args, minted in functions:
-            binding[slot] = minted[tuple([binding[a] for a in args])]
+    for _, _, key, minted in functions:
+        row += (minted[key(row)],)
     # the context is a pattern context, so an IRI, and every slot holds
     # a constant: the checks of ``Quad.__new__`` would all pass
-    return tuple.__new__(Quad, (ctx, binding[s], binding[p], binding[o]))
+    return tuple.__new__(Quad, (ctx, row[s], row[p], row[o]))
 
 
-def _mint(functions: tuple, groundings: list[tuple]) -> None:
+def _mint(functions: tuple, rows: list[tuple]) -> None:
     """Mint, for each skolem application of ``functions``, the nulls of
-    the argument tuples of ``groundings`` it has not minted yet: the new
-    tuples in first-seen order, in one ``skolem_constants`` call."""
-    for _, rule_id, fn_index, args, minted in functions:
-        keys = dict.fromkeys([tuple([g[a] for a in args])
-                              for g in groundings])
-        new = list(filterfalse(minted.__contains__, keys))
+    the argument tuples of the distinct ``rows`` it has not minted yet:
+    the new tuples in row order, in one ``skolem_constants`` call."""
+    for rule_id, fn_index, key, minted in functions:
+        # distinct rows give distinct tuples: a function's arguments are
+        # the rule's frontier, which holds every variable the row holds
+        new = list(filterfalse(minted.__contains__, map(key, rows)))
         if new:
             minted.update(zip(new, skolem_constants(rule_id, fn_index, new)))
 
@@ -569,30 +592,35 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
     since ``qg`` held ``mark`` quads count: semi-naive evaluation, which
     misses nothing when every other grounding's head is already in
     ``qg``.  Every rule grounds its body through ``evaluate``.  A rule
-    whose plan outputs its head (one body atom, no skolem function) gets
-    each head as a grounding; every other rule instantiates its head per
-    grounding (``instantiate_head``).  A head with skolem functions first
-    has its groundings collected, and each function mints the nulls of
-    their new argument tuples in bulk (``_mint``), so a null is minted
-    once per rule head and frontier binding, by one ``skolem_constants``
-    call per function and ``derive`` call.
+    whose head has no skolem function gets each head as a grounding when
+    its body is one atom, and instantiates its head per grounding
+    (``instantiate_head``) otherwise.  A head with skolem functions
+    gets, per grounding, the slots it reads; the distinct ones are
+    collected in first-seen order, each function mints the nulls of
+    their new argument tuples in bulk (``_mint``), and the head is
+    instantiated once per distinct row.  So a null, and its head, is
+    built once per rule head and frontier binding, by one
+    ``skolem_constants`` call per function and ``derive`` call.
     """
     out: set[Quad] = set()
     known = qg.positions
     for rule in rules:
         plan = rule.plan
         rows = evaluate(plan, qg, mark)
-        if plan.output is not None:
-            # the head context is a pattern context, so an IRI, and every
-            # term a quad's or a constant: the checks of ``Quad.__new__``
-            # would all pass
-            heads = map(tuple.__new__, repeat(Quad), rows)
-        else:
-            functions = plan.head[4]
-            if functions:
-                rows = list(rows)
-                _mint(functions, rows)
+        functions = plan.head[4]
+        if functions:
+            # one head per frontier binding, not per grounding
+            rows = list(dict.fromkeys(rows))
+            _mint(functions, rows)
+        if functions or plan.output is None:
             heads = map(instantiate_head, repeat(plan.head), rows)
+        else:
+            # a one-atom copy rule: each row is its head quad, whose
+            # context is a pattern context, so an IRI, and every term a
+            # quad's or a constant: the checks of ``Quad.__new__`` would
+            # all pass
+            heads = map(tuple.__new__, repeat(Quad), rows)
+        out.update(filterfalse(known.__contains__, heads))
         out.update(filterfalse(known.__contains__, heads))
     return out
 

@@ -35,10 +35,11 @@ that takes the whole chunk:
    with one counts its spaces too, so a literal holding a space
    declines it unsplit), newlines made spaces, one ``split(" ")`` into
    five texts a line, and the count of ``.`` every fifth text.
-2. The row reader runs one ``findall`` of one compiled regex that gives
-   every line a row.  A line in the usual shape (four terms separated
-   by blanks, then ``.`` and an optional comment), blank, or holding
-   only a comment is a usual row; any other line is odd.
+2. The row reader runs one ``findall`` of one regex, compiled on its
+   first use, that gives every line a row.  A line in the usual shape
+   (four terms separated by blanks, then ``.`` and an optional
+   comment), blank, or holding only a comment is a usual row; any
+   other line is odd.
 3. The character scanner ``_scan_nquads_line`` reads the odd lines, in
    line order, between the runs of usual rows around them.  A chunk the
    row reader declines (a row that runs past its line, a term that does
@@ -87,7 +88,7 @@ from __future__ import annotations
 
 import io
 import re
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, is_, itemgetter
 from typing import IO, BinaryIO, Iterable, Iterator, Optional, Union
@@ -319,11 +320,21 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
 _IRI_TOKEN = r"<[^>]+>"
 _TERM_TOKEN = (r'(%s|_:%s|"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^%s|@%s)?)'
                % (_IRI_TOKEN, NAME_PATTERN, _IRI_TOKEN, NAME_PATTERN))
-_LINE = re.compile(
+_LINE = (
     r"^(?:[ \t\r]*%s[ \t\r]+%s[ \t\r]+%s[ \t\r]+(%s)[ \t\r]*\.[ \t\r]*(?:#.*)?"
     r"|[ \t\r]*(?:#.*)?|(.*))$"
-    % (_TERM_TOKEN, _TERM_TOKEN, _TERM_TOKEN, _IRI_TOKEN), re.MULTILINE)
-_rows = _LINE.findall
+    % (_TERM_TOKEN, _TERM_TOKEN, _TERM_TOKEN, _IRI_TOKEN))
+
+
+@cache
+def _line_regex() -> re.Pattern:
+    # compiled on first use: a file whose chunks all split never reads it
+    return re.compile(_LINE, re.MULTILINE)
+
+
+def _rows(text: str) -> list[tuple[str, ...]]:
+    return _line_regex().findall(text)
+
 
 _new_tuple = tuple.__new__
 
@@ -381,7 +392,7 @@ def _read_usual(texts: list[str], strict: bool
     text is not one whole term, a context is not an IRI, or ``strict``
     rejects a statement."""
     terms = list(map(interned, texts))
-    if None in terms:
+    if not all(terms):  # a constant is always true
         # mint the new IRIs spelled without an escape in bulk, and decode
         # each other distinct text the table lacks once; a hit is a whole
         # term (see ``terms.interned``), and a miss must decode to one

@@ -32,7 +32,7 @@ from quadchase.query import entails_boolean
 from quadchase.syntax import parse_nquads, parse_query, serialize_nquads
 from quadchase.vocab import RDF_TYPE, RDF_PROPERTY
 
-from conftest import count_join_rows, examples
+from conftest import count_head_instances, count_join_rows, examples
 from oracles import (grown_quadgraph, naive_match, naive_multihead_chase,
                      random_acyclic_system, substitute, symbol_size)
 
@@ -510,6 +510,33 @@ _MULTI_ATOM_SHAPES = {
          QuadPattern(iri("ctx1"), _M0, _M1, _M2)],
         [QuadPattern(iri("ctx1"), _M2, _M1, _M0)])],
 }
+# Generating heads, whose plans give each grounding the slots the head
+# reads and build a head per distinct row: every shape of the getter of
+# a function's argument tuple (none, one and several slots), two
+# functions in one head, and head constants and frontier variables that
+# the row holds once.
+_F = Variable("f")
+_GENERATING_SHAPES = {
+    # no frontier variable: one null, and one head, for every grounding
+    "zero-argument function": [(
+        [QuadPattern(iri("ctx0"), _M0, _N0, _M1),
+         QuadPattern(iri("ctx1"), _M1, _M2, _M0)],
+        [QuadPattern(iri("ctx1"), _N0, _N1, _E)])],
+    "two skolem functions": [(
+        [QuadPattern(iri("ctx0"), _M0, _N0, _M1),
+         QuadPattern(iri("ctx1"), _M1, _M2, _M0)],
+        [QuadPattern(iri("ctx1"), _E, _M1, _F)])],
+    # a constant the body shares and one it does not, and a frontier
+    # variable at two head positions and in the function's arguments
+    "head constant, frontier variable repeated in the head": [
+        ([QuadPattern(iri("ctx0"), _M0, _N1, _M1)],
+         [QuadPattern(iri("ctx1"), _M1, _N1, _E)]),
+        ([QuadPattern(iri("ctx0"), _M0, _M1, _M2),
+          QuadPattern(iri("ctx1"), _M2, _M1, _N0)],
+         [QuadPattern(iri("ctx1"), _M0, _M0, _E)]),
+        ([QuadPattern(iri("ctx0"), _M0, _M1, _M2)],
+         [QuadPattern(iri("ctx0"), _E, _N0, _M2)])],
+}
 
 
 def _naive_head(head, mu):
@@ -547,16 +574,23 @@ def _naive_head(head, mu):
 @example(quads=_MULTI_QUADS, shapes=_MULTI_ATOM_SHAPES["disconnected atoms"])
 @example(quads=_MULTI_QUADS,
          shapes=_MULTI_ATOM_SHAPES["an atom bound at every position"])
+@example(quads=_MULTI_QUADS,
+         shapes=_GENERATING_SHAPES["zero-argument function"])
+@example(quads=_MULTI_QUADS, shapes=_GENERATING_SHAPES["two skolem functions"])
+@example(quads=_MULTI_QUADS, shapes=_GENERATING_SHAPES[
+    "head constant, frontier variable repeated in the head"])
 def test_derive_agrees_with_naive_match_at_every_mark(quads, shapes):
     """At every mark from 0 to the graph's size, ``derive`` returns the
     heads of the naive groundings that use a quad at a log position at or
     past the mark (every grounding at mark 0), minus the graph's quads,
     for random rules that include ground-head and generating ones; for
     one-atom rules that repeat a variable, bind constants, have a
-    constant in the head, drop a slot or have a ground body; and for
+    constant in the head, drop a slot or have a ground body; for
     multi-atom rules that join through a variable repeated across atoms,
     bind constants, have a ground or a generating head, share no
-    variable between two atoms or bind an atom at every position."""
+    variable between two atoms or bind an atom at every position; and
+    for generating heads with a function of no argument, two functions,
+    head constants and a frontier variable repeated in the head."""
     quads = list(dict.fromkeys(quads))
     position = {q: i for i, q in enumerate(quads)}
     rules = [sk for i, (body, head) in enumerate(shapes)
@@ -648,10 +682,10 @@ def test_a_one_atom_ground_head_is_built_in_one_pass(monkeypatch):
 
 
 def test_each_frontier_binding_mints_its_null_once(monkeypatch):
-    """A rule with a body-only variable grounds once per body match but
-    mints each distinct frontier binding's null once, in one
-    ``skolem_constants`` call, and the nulls are the labels the function
-    gives for those arguments."""
+    """A rule with a body-only variable grounds once per body match (18
+    times) but mints each distinct frontier binding's null once, in one
+    ``skolem_constants`` call, and builds its head once (3 times); the
+    nulls are the labels the function gives for those arguments."""
     from quadchase import engine
 
     knows, pet = iri("knows"), iri("hasPet")
@@ -666,8 +700,11 @@ def test_each_frontier_binding_mints_its_null_once(monkeypatch):
         return skolem_constants(rule_id, fn_index, calls[-1][2])
 
     monkeypatch.setattr(engine, "skolem_constants", counted)
+    heads = count_head_instances(monkeypatch)
     (sk,) = skolemize(rule)
+    assert len(list(engine.evaluate(sk.plan, QuadGraph(data)))) == 18
     derived = derive([sk], QuadGraph(data))
     assert calls == [("pet", 0, [(a,) for a in people[:3]])]
+    assert heads == [3]
     assert derived == {Quad(C2, a, pet, skolem_constant("pet", 0, [a]))
                        for a in people[:3]}

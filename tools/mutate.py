@@ -120,6 +120,15 @@ MUTANTS = (
            "        rows = _extend(rows, step, qg, mark, no_skolem)\n",
            "        rows = _extend(list(rows), step, qg, mark, no_skolem)\n",
            ("tests/test_query.py",)),
+    Mutant("generating head's rows deduplicated without their last slot",
+           ENGINE, "            rows = list(dict.fromkeys(rows))\n",
+           "            rows = list({row[:-1]: row for row in rows}.values())\n",
+           ("tests/test_engine.py",)),
+    Mutant("one-argument skolem key getter gives the bare constant", ENGINE,
+           "_tuple_getter([at[slots[a]] for a in t.args])",
+           "(itemgetter(at[slots[t.args[0]]]) if len(t.args) == 1 else "
+           "_tuple_getter([at[slots[a]] for a in t.args]))",
+           ("tests/test_engine.py",)),
     Mutant("split reader given the line count, not the newline count",
            SYNTAX, "_read_split(text, lines - 1, strict)",
            "_read_split(text, lines, strict)", ("tests/test_syntax.py",)),
