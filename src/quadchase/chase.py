@@ -145,10 +145,9 @@ def run_chase(system: QuadSystem,
         return ChaseResult(qg, INCONSISTENT, tuple(log), 0, violations,
                            levels)
 
-    # Graph sizes when each rule group and the constraints last saw the
-    # graph: the next evaluation only joins through what came after.
+    # Graph sizes when each rule group last saw the graph: the next
+    # evaluation only joins through what came after.
     non_gen_mark = gen_mark = 0
-    checked_mark = len(qg)
     status = COMPLETE
     index = 0
     while True:
@@ -175,8 +174,8 @@ def run_chase(system: QuadSystem,
             per_context[q[0]] = per_context.get(q[0], 0) + 1
         log.append(IterationRecord(index, kind, len(qg) - before, len(qg),
                                    per_context))
-        violations = check_constraints(constraints, qg, checked_mark)
-        checked_mark = len(qg)
+        # the constraints last saw the graph at ``before``
+        violations = check_constraints(constraints, qg, before)
         if violations:
             status = INCONSISTENT
             break

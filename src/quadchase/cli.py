@@ -50,6 +50,7 @@ from .query import answers, entails_boolean
 from .semantics import SEMANTICS_NAMES, get_semantics
 from .syntax import (
     ParseError,
+    _term_text,
     parse_nquads,
     parse_query,
     parse_rules,
@@ -358,11 +359,9 @@ def cmd_explain_semantics(args: argparse.Namespace) -> int:
         sem = get_semantics(name, resource_rule=args.rdfs_resource_rule)
         print("%s (%d rules)" % (sem.name, len(sem.rules)))
         for rule in sem.rules:
-            def show(t):
-                return "?" + t.name if hasattr(t, "name") else t.canonical
-            body = ", ".join("(%s, %s, %s)" % tuple(show(x) for x in pat)
+            body = ", ".join("(%s, %s, %s)" % tuple(map(_term_text, pat))
                              for pat in rule.body)
-            head = "(%s, %s, %s)" % tuple(show(x) for x in rule.head)
+            head = "(%s, %s, %s)" % tuple(map(_term_text, rule.head))
             print("  %-28s %s -> %s" % (rule.name + ":", body, head))
     return EXIT_OK
 

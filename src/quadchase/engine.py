@@ -621,7 +621,6 @@ def derive(rules: Sequence[SkolemRule], qg: QuadGraph,
             # all pass
             heads = map(tuple.__new__, repeat(Quad), rows)
         out.update(filterfalse(known.__contains__, heads))
-        out.update(filterfalse(known.__contains__, heads))
     return out
 
 

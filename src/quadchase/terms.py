@@ -191,12 +191,9 @@ _IRI_ESCAPED = re.compile("[%s]" % _IRI_SPECIAL)
 # An IRI spelled as its canonical serialization with no escape: the text
 # between the brackets is the IRI, and ``_escape_iri`` leaves it alone.
 _PLAIN_IRI = re.compile("<[^%s]+>" % _IRI_SPECIAL)
-# A blank node label or language tag holding one of these would end its
-# term early when written.
-_UNWRITABLE = re.compile(r"[\x00-\x20]").search
 # A blank node label or language tag that the N-Quads scanner reads back
 # whole: a run of name characters that does not end in '.', which the
-# scanner hands to the punctuation.
+# scanner hands to the punctuation.  The factories take no other.
 NAME_PATTERN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"
 _WHOLE_NAME = re.compile(NAME_PATTERN).fullmatch
 # A rule id that a skolem label can carry and stay such a name.
@@ -304,11 +301,6 @@ Term = Union[Constant, Variable]
 
 # Interning: canonical serialization -> the unique Constant instance.
 _INTERN: dict[str, Constant] = {}
-# The same for the constants whose canonical the N-Quads scanner does not
-# read back as one whole term: a blank node label or language tag that is
-# not a whole name (``_:a.``, ``_:a/b``, ``"x"@en.``).  ``interned`` does
-# not look here, so no source text finds them.
-_ASIDE: dict[str, Constant] = {}
 
 # Variable name -> the unique Variable instance.
 _VARIABLES: dict[str, Variable] = {}
@@ -319,14 +311,13 @@ _SKOLEM_ARGS: dict[str, tuple] = {}
 
 
 def _constant(kind: str, lexical: str, datatype: Optional[str],
-              lang: Optional[str], canonical: str,
-              table: dict[str, Constant] = _INTERN) -> Constant:
-    """The constant serialized as ``canonical`` interned in ``table``,
-    built from these fields only when the table lacks it."""
+              lang: Optional[str], canonical: str) -> Constant:
+    """The interned constant serialized as ``canonical``, built from these
+    fields only when the table lacks it."""
     # A get first, so a hit builds nothing; on a miss one setdefault, not
     # a store, since a thread switch between the get and the store could
     # mint two unequal constants for one canonical.
-    return table.get(canonical) or table.setdefault(
+    return _INTERN.get(canonical) or _INTERN.setdefault(
         canonical, Constant(kind, lexical, datatype, lang, canonical))
 
 
@@ -353,14 +344,11 @@ def _interned_constant(kind: str, lexical: str, datatype: Optional[str],
 # caller hands its misses to ``mint_iris``, which builds the IRIs spelled
 # without an escape in bulk, and decodes only the rest one by one.
 #
-# The table holds only constants whose canonical the N-Quads scanner reads
-# back as one whole term, stopping right after it: an IRI or literal
-# canonical always, a blank node label or language tag only when it is a
-# whole name (``NAME_PATTERN``).  So a hit is a whole term wherever the
-# text was cut, and a reader may split a line at its spaces and look each
-# piece up.  ``blank`` and ``literal`` still accept the other labels and
-# tags, but intern those constants in ``_ASIDE``; ``skolem_constant``
-# takes only rule ids that keep its labels whole names.
+# The N-Quads scanner reads every canonical in the table back as one whole
+# term, stopping right after it, since the factories take a blank node
+# label or language tag only when it is a whole name (``NAME_PATTERN``).
+# So a hit is a whole term wherever the text was cut, and a reader may
+# split a line at its spaces and look each piece up.
 interned = _INTERN.get
 
 # The member descriptors of the slots of ``Constant``, in slot order.
@@ -400,28 +388,28 @@ def iri(value: str) -> Constant:
 def blank(label: str) -> Constant:
     """A blank node; labels with the reserved ``sk_`` prefix come back as
     skolem blanks so skolem-ness survives a serialize/parse round trip."""
-    if not label or _UNWRITABLE(label):
-        raise TermError("blank node label %r is empty or holds a space or "
-                        "control character" % label)
+    if not _WHOLE_NAME(label):
+        raise TermError("blank node label %r is not a name the N-Quads "
+                        "reader reads back" % label)
     kind = SKOLEM if label.startswith(SKOLEM_LABEL_PREFIX) else BLANK
-    return _constant(kind, label, None, None, "_:" + label,
-                     _INTERN if _WHOLE_NAME(label) else _ASIDE)
+    return _constant(kind, label, None, None, "_:" + label)
 
 
 def literal(lexical: str, datatype: Optional[str] = None,
             lang: Optional[str] = None) -> Constant:
     if datatype is not None and lang is not None:
         raise TermError("literal cannot carry both datatype and language tag")
-    if lang is not None and (not lang or _UNWRITABLE(lang)):
-        raise TermError("language tag %r is empty or holds a space or "
-                        "control character" % lang)
+    if datatype == "":
+        raise TermError("empty datatype IRI")
+    if lang is not None and not _WHOLE_NAME(lang):
+        raise TermError("language tag %r is not a name the N-Quads reader "
+                        "reads back" % lang)
     canonical = '"%s"' % _escape_literal(lexical)
     if lang is not None:
         canonical += "@" + lang
     elif datatype is not None:
         canonical += "^^<%s>" % _escape_iri(datatype)
-    return _constant(LITERAL, lexical, datatype, lang, canonical,
-                     _INTERN if lang is None or _WHOLE_NAME(lang) else _ASIDE)
+    return _constant(LITERAL, lexical, datatype, lang, canonical)
 
 
 def skolem_constant(rule_id: str, fn_index: int,

@@ -27,8 +27,11 @@ from quadchase.syntax import (
     write_nquads,
 )
 from quadchase.terms import (
+    IRI,
+    NAME_PATTERN,
     Quad,
     QuadGraph,
+    TermError,
     blank,
     interned,
     iri,
@@ -677,7 +680,8 @@ def _outcome(read, doc, **options):
         return (type(exc), exc.line, exc.col, exc.message)
 
 
-_blank_label = st.from_regex(r"(sk_)?[A-Za-z0-9_.-]{1,5}[.]?", fullmatch=True)
+_blank_label = st.from_regex(r"(sk_)?[A-Za-z0-9_.-]{0,4}[A-Za-z0-9_-]",
+                             fullmatch=True)
 _doc_constant = st.one_of(
     _constant,
     _blank_label.map(blank),
@@ -791,10 +795,6 @@ def _lines(max_size):
 _SIZES = (48, 160, syntax._CHUNK_BYTES)
 
 
-# interned, so that the examples below find them made
-_ODD_NAMES = (blank("a."), blank("a/b"), literal("x", lang="en."))
-
-
 @settings(max_examples=examples(200), deadline=None)
 @given(st.builds(lambda lines, end: "\n".join(lines) + end, _lines(12),
                  st.sampled_from(["", "\n"])),
@@ -899,12 +899,14 @@ def test_statement_regex_reads_like_the_scanner(doc, strict, scanner_first):
 
 def test_interned_names_ending_in_a_dot_are_left_to_the_scanner():
     """The scanner hands a name's trailing dots to the punctuation, so a
-    canonical that ends in one is never a whole term, even when it is
-    made: the table ``interned`` reads does not hold it, and a line
-    spaced as the writer spaces it is not split either."""
+    canonical that ends in one is never a whole term: the factories
+    refuse the name, and a line spaced as the writer spaces it is not
+    split either."""
     label, tag = _fresh("a") + ".", "en."
-    blank(label)
-    literal("x", lang=tag)
+    with pytest.raises(TermError):
+        blank(label)
+    with pytest.raises(TermError):
+        literal("x", lang=tag)
     for doc in ("<s> <p> _:%s <g> ." % label, '<s> <p> "x"@%s <g> .' % tag):
         for text in (doc, doc + "\n"):
             with pytest.raises(ParseError) as err:
@@ -912,10 +914,7 @@ def test_interned_names_ending_in_a_dot_are_left_to_the_scanner():
             assert err.value.message == "line missing graph label (context)"
 
 
-_name = st.one_of(
-    st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True),
-    st.text(st.characters(min_codepoint=0x21, blacklist_categories=("Cs",)),
-            min_size=1, max_size=6))
+_name = st.from_regex(NAME_PATTERN, fullmatch=True)
 _rule_id = st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True)
 _factory_constant = st.one_of(
     _iri_text.map(iri),
@@ -933,26 +932,69 @@ _factory_constant = st.one_of(
 
 @settings(max_examples=examples(300), deadline=None)
 @given(_factory_constant)
-@example(blank("a."))
-@example(blank("a/b"))
 @example(blank("sk_a.b"))
-@example(blank("sk_a/b"))
-@example(literal("x", lang="en."))
-@example(literal("x", lang="en/gb"))
 @example(literal("a b", lang="en-GB"))
 @example(skolem_constant("r-1.x", 0, [iri("a")]))
 def test_the_intern_table_holds_exactly_the_whole_terms(c):
-    """``interned`` finds a constant by its canonical exactly when the
-    scanner reads that canonical, then a space, back as the constant
-    and stops at the space: so a reader may split a line at its spaces
-    and look each piece up.  A copy is the constant either way."""
+    """``interned`` finds every constant by its canonical, and the
+    scanner reads that canonical, then a space, back as the constant and
+    stops at the space: so a reader may split a line at its spaces and
+    look each piece up.  A copy is the constant."""
     assert pickle.loads(pickle.dumps(c)) is c
+    assert interned(c.canonical) is c
+    assert syntax._scan_term(c.canonical + " ", 0, 1) == (
+        c, len(c.canonical))
+
+
+# Any text a caller may hand a term factory: names, names with a
+# character the reader stops at, and arbitrary text.
+_any_text = st.one_of(
+    st.from_regex(NAME_PATTERN, fullmatch=True),
+    st.text(st.sampled_from("aZ0_-.:/@\u00e9 \t\x00"), max_size=6),
+    st.text(max_size=6))
+
+
+def _skolem_of(rule_id, fn_index, makers):
+    return skolem_constant(rule_id, fn_index, [make() for make in makers])
+
+
+# A factory call on such text, not made yet: the factory may refuse it.
+_factory_call = st.deferred(lambda: st.one_of(
+    st.builds(functools.partial, st.sampled_from([iri, blank, literal]),
+              _any_text),
+    st.builds(lambda lex, dt: functools.partial(literal, lex, datatype=dt),
+              _any_text, _any_text),
+    st.builds(lambda lex, tag: functools.partial(literal, lex, lang=tag),
+              _any_text, _any_text),
+    st.builds(functools.partial, st.just(_skolem_of), _any_text,
+              st.integers(0, 3), st.lists(_factory_call, max_size=2)),
+))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(_factory_call)
+@example(functools.partial(blank, "a."))
+@example(functools.partial(blank, "a/b"))
+@example(functools.partial(blank, "\u00e9"))
+@example(functools.partial(literal, "x", lang="en."))
+@example(functools.partial(literal, " ", datatype=""))
+@example(functools.partial(_skolem_of, "r.", 0,
+                           [functools.partial(blank, "a.b")]))
+def test_every_constant_a_factory_makes_reads_back(make):
+    """A factory refuses the text, or the constant it makes is interned
+    under its canonical and a graph holding it in each place reads back
+    as written."""
     try:
-        term, end = syntax._scan_term(c.canonical + " ", 0, 1)
-        whole = term is c and end == len(c.canonical)
-    except ParseError:
-        whole = False
-    assert (interned(c.canonical) is c) is whole
+        c = make()
+    except TermError:
+        return
+    g, p = iri("g"), iri("p")
+    quads = [Quad(g, c, p, p), Quad(g, p, c, p), Quad(g, p, p, c)]
+    if c.kind == IRI:
+        quads.append(Quad(c, p, p, p))
+    graph = QuadGraph(quads)
+    assert parse_nquads(serialize_nquads(graph)) == graph
+    assert interned(c.canonical) is c
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1057,7 @@ def _around(*terms):
 @settings(max_examples=examples(150), deadline=None)
 @given(st.lists(_written_quad, max_size=40), st.sampled_from([1, 2, 3, 1024]),
        st.booleans())
-@example(_around(blank("b"), blank("b1"), blank("b.")), 2, False)
+@example(_around(blank("b"), blank("b1"), blank("b.c")), 2, False)
 @example(_around(literal("a"), literal("a", lang="en"),
                  literal("a", lang="en-gb"),
                  literal("a", datatype="http://example.org/t")), 3, True)

@@ -318,24 +318,32 @@ def test_skolem_arguments_must_be_constants():
         skolem_constant("r", 0, [iri("a"), Variable("x")])
 
 
-# A blank node label, a language tag or a skolem rule id with a space or
-# a control character in it would end its term early in a written file,
-# so the reader could not read the file back; the factories refuse it.
-# A skolem rule id outside [A-Za-z0-9_.-] is refused too: the reader
-# reads a blank node label only as far as such a name goes.
+# The reader reads a blank node label or a language tag only as far as a
+# run of name characters goes, and hands a trailing '.' to the
+# punctuation, so the factories refuse any label or tag that is not such
+# a name: a written file holding it would not read back.  A skolem rule
+# id outside [A-Za-z0-9_.-] is refused for the same reason.
 
-@pytest.mark.parametrize("label", ["", "a b", "a\x01", "tab\t", " "])
+@pytest.mark.parametrize("label", ["", "a b", "a\x01", "tab\t", " ", "a.",
+                                   "a.b.", "a/b", "\u00e9"])
 def test_blank_refuses_a_label_the_reader_cannot_read_back(label):
-    with pytest.raises(TermError):
+    with pytest.raises(TermError) as refused:
         blank(label)
-    assert blank("a.b.").canonical == "_:a.b."
+    assert repr(label) in str(refused.value)
 
 
-@pytest.mark.parametrize("tag", ["", "en x", "en\n", "\x00"])
+@pytest.mark.parametrize("tag", ["", "en x", "en\n", "\x00", "en.", "en/gb",
+                                 "en-gb."])
 def test_literal_refuses_a_tag_the_reader_cannot_read_back(tag):
-    with pytest.raises(TermError):
+    with pytest.raises(TermError) as refused:
         literal("x", lang=tag)
-    assert literal("x", lang="en-gb.").canonical == '"x"@en-gb.'
+    assert repr(tag) in str(refused.value)
+
+
+def test_literal_refuses_an_empty_datatype():
+    """The reader reads no empty IRI, as a datatype or anywhere else."""
+    with pytest.raises(TermError):
+        literal("x", datatype="")
 
 
 @pytest.mark.parametrize("rule_id", ["my rule", "r\x1f", "\n", "r/1", "r:1"])

@@ -151,6 +151,9 @@ MUTANTS = (
            "            continue\n"
            "            s_map, p_map, o_map = self._maps[q[0]]\n",
            ("tests/test_terms.py",)),
+    Mutant("blank lets a label that is not a name through", TERMS,
+           "    if not _WHOLE_NAME(label):\n",
+           "    if not label:\n", ("tests/test_syntax.py",)),
 )
 
 
