@@ -20,8 +20,8 @@ import warnings
 from .chase import BUDGET_EXHAUSTED, COMPLETE, INCONSISTENT, ChaseResult
 from .engine import match_patterns
 from .syntax import QueryDocument
-from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
-                    Term, Variable)
+from .terms import (BLANK, SKOLEM, Constant, FrozenRecord, Quad, QuadGraph,
+                    QuadPattern, Term, Variable)
 
 
 class PartialChaseWarning(UserWarning):
@@ -89,7 +89,7 @@ def answers(result: ChaseResult, query: QueryDocument) -> AnswerSet:
 def _quad_to_atom(quad: Quad, blank_vars: dict[Constant, Variable]
                   ) -> QuadPattern:
     def conv(t: Constant) -> Term:
-        if t.kind in ("blank", "skolem-blank"):
+        if t.kind in (BLANK, SKOLEM):
             var = blank_vars.get(t)
             if var is None:
                 var = Variable("blank_%d" % len(blank_vars))
@@ -114,5 +114,5 @@ def entails_quadgraph(result: ChaseResult, qg: QuadGraph) -> bool:
     if not len(qg):
         return True
     blanks: dict[Constant, Variable] = {}
-    atoms = tuple(_quad_to_atom(q, blanks) for q in qg.sorted_quads())
+    atoms = tuple(_quad_to_atom(q, blanks) for q in qg)
     return entails_boolean(result, QueryDocument((), atoms))

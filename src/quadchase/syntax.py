@@ -61,9 +61,12 @@ a statement.  So a line reads the same, and fails with the same
 ``ParseError``, on every path, and the scanner alone reports an error's
 line and column.  Only ``_scan_term`` decodes a term (a minted IRI has
 nothing to decode), and the regex delimits each term exactly as the
-scanner does.  The rule and query tokenizer reads its IRIs, literals
-and blank nodes with ``_scan_term`` too, so a term is spelled, and
-rejected, alike in every file.
+scanner does: the scanner takes a name's extent from
+``terms.NAME_PATTERN`` and a literal's from ``_LITERAL_TOKEN``, the
+patterns the row regex is built from.  The rule and query tokenizer
+reads its terms with ``_scan_term`` and its variables and words with
+the same name pattern, so a term is spelled, and rejected, alike in
+every file.
 
 Quad files stream, so neither side holds the whole file.
 ``parse_nquads`` takes bytes, text, or a binary or text file and reads
@@ -190,31 +193,27 @@ def _scan_iriref(s: str, i: int, line: int) -> tuple[str, int]:
     return value, j + 1
 
 
+# A quoted literal, up to its first '"' that no backslash escapes.
+_LITERAL_TOKEN = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_literal_match = re.compile(_LITERAL_TOKEN).match
+_name_match = re.compile(NAME_PATTERN).match
+
+
 def _scan_string(s: str, i: int, line: int) -> tuple[str, int]:
     # s[i] == '"'
-    j = i + 1
-    while j < len(s):
-        if s[j] == "\\":
-            j += 2
-            continue
-        if s[j] == '"':
-            return _unescape(s[i + 1:j], line, i + 2), j + 1
-        j += 1
-    raise ParseError("unterminated string literal", line, i + 1)
+    m = _literal_match(s, i)
+    if m is None:
+        raise ParseError("unterminated string literal", line, i + 1)
+    return _unescape(m[0][1:-1], line, i + 2), m.end()
 
 
 _NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_NAME_CHARS = _NAME_START | set("0123456789-.")
 
 
 def _scan_name(s: str, i: int) -> tuple[str, int]:
-    j = i
-    while j < len(s) and s[j] in _NAME_CHARS:
-        j += 1
-    # trailing dots belong to statement punctuation, not the name
-    while j > i and s[j - 1] == ".":
-        j -= 1
-    return s[i:j], j
+    # a name cannot end in '.': trailing dots belong to the punctuation
+    m = _name_match(s, i)
+    return (m[0], m.end()) if m else ("", i)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +303,12 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
 # sets the first four groups: four terms (IRI, blank node or literal;
 # the context an IRI) separated by blanks, then '.', then an optional
 # comment.  Each term is delimited exactly as ``_scan_term`` delimits
-# it: an IRI ends at the first '>', a literal at the first unescaped
-# '"', and a name (blank label, language tag) at the end of its run of
-# name characters.  A name that ends in '.' is left to the scanner,
-# which hands that dot to the punctuation, and so is an empty IRI, which
-# it rejects.  A line of blanks and an optional comment sets no group;
-# any other line is the fifth group, whole.
+# it: an IRI ends at the first '>', and a literal and a name (blank
+# label, language tag) are the scanner's own patterns.  The name
+# pattern cannot end in '.', so a name followed by '.' is left to the
+# scanner, which hands that dot to the punctuation, and so is an empty
+# IRI, which it rejects.  A line of blanks and an optional comment sets
+# no group; any other line is the fifth group, whole.
 #
 # ``_rows`` gives the rows of a chunk, each a 5-tuple of texts.  Each
 # row starts a line.  A statement row that runs past a newline (inside
@@ -318,8 +317,9 @@ def _scan_term(s: str, i: int, line: int) -> tuple[Constant, int]:
 # that its own line does not close; the chunk then goes to the scanner,
 # which rejects that line.
 _IRI_TOKEN = r"<[^>]+>"
-_TERM_TOKEN = (r'(%s|_:%s|"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^%s|@%s)?)'
-               % (_IRI_TOKEN, NAME_PATTERN, _IRI_TOKEN, NAME_PATTERN))
+_TERM_TOKEN = (r"(%s|_:%s|%s(?:\^\^%s|@%s)?)"
+               % (_IRI_TOKEN, NAME_PATTERN, _LITERAL_TOKEN, _IRI_TOKEN,
+                  NAME_PATTERN))
 _LINE = (
     r"^(?:[ \t\r]*%s[ \t\r]+%s[ \t\r]+%s[ \t\r]+(%s)[ \t\r]*\.[ \t\r]*(?:#.*)?"
     r"|[ \t\r]*(?:#.*)?|(.*))$"
@@ -361,15 +361,15 @@ def _scan_nquads_line(raw: str, lineno: int, strict: bool) -> list[Quad]:
                     "expected 4 terms before '.', got %d" % len(terms),
                     lineno, i + 1)
             s, p, o, g = terms
-            if g.kind != "iri":
+            if g.kind != IRI:
                 raise ParseError(
                     "context (graph label) must be an IRI, got %s"
                     % g.canonical, lineno, i + 1)
             if strict:
-                if s.kind == "literal":
+                if s.kind == LITERAL:
                     raise StrictModeError(
                         "strict mode: literal subject", lineno, 1)
-                if p.kind != "iri":
+                if p.kind != IRI:
                     raise StrictModeError(
                         "strict mode: predicate must be an IRI", lineno, 1)
             quads.append(Quad(g, s, p, o))
@@ -672,7 +672,7 @@ def _term_from_token(tok: _Token, prefixes: dict[str, str],
 def _parse_atom(ts: _TokenStream, prefixes: dict[str, str]) -> QuadPattern:
     ctx_tok = ts.next()
     ctx = _term_from_token(ctx_tok, prefixes, allow_var=False)
-    if not isinstance(ctx, Constant) or ctx.kind != "iri":
+    if not isinstance(ctx, Constant) or ctx.kind != IRI:
         raise ParseError("context must be an IRI", ctx_tok.line, ctx_tok.col)
     ts.expect_punct("(")
     terms = []

@@ -267,7 +267,8 @@ class Variable:
 
     Variables are interned by name, like constants by canonical, so
     ``Variable("x")`` is always the same object and variables compare
-    and hash by identity.
+    and hash by identity.  The name must be a whole name
+    (``NAME_PATTERN``), so ``?name`` reads back as this variable.
     """
 
     __slots__ = ("name",)
@@ -276,8 +277,9 @@ class Variable:
     def __new__(cls, name: str) -> "Variable":
         var = _VARIABLES.get(name)
         if var is None:
-            if not name:
-                raise TermError("variable names must be nonempty")
+            if not _WHOLE_NAME(name):
+                raise TermError("variable name %r is not a name the rule "
+                                "and query reader reads back" % name)
             var = object.__new__(cls)
             object.__setattr__(var, "name", name)
             var = _VARIABLES.setdefault(name, var)
@@ -532,18 +534,18 @@ class QuadGraph:
     ``log`` lists the quads in the order they came in, and ``positions``
     maps each quad to its index there; ``quads`` is the set view of
     ``positions``.  ``QuadGraph(quads)`` drops duplicates, keeping first
-    occurrences; ``add`` appends a quad and ``extend`` (the bulk add)
-    the new quads of many in one pass, so ``log[mark:]`` is what was
-    added since the graph held ``mark`` quads.  Equality goes by the set
-    of quads; like a ``set``, a graph grows and so does not hash.
+    occurrences; ``extend`` appends the new quads of many in one pass,
+    so ``log[mark:]`` is what was added since the graph held ``mark``
+    quads.  Equality goes by the set of quads; like a ``set``, a graph
+    grows and so does not hash.
 
     The first lookup that reads a bucket builds one bucket per context
     from the log (``_ensure_indexes``); the s, p or o map of a context
     is built from its bucket by the first lookup that binds that slot
-    there.  ``add`` and ``extend`` extend the buckets and maps built so
-    far, so each bucket lists its quads in log order: the quads of a
-    bucket added since ``mark`` are its tail from the first one at
-    position ``mark`` or later.  A fully bound lookup reads no bucket.
+    there.  ``extend`` extends the buckets and maps built so far, so
+    each bucket lists its quads in log order: the quads of a bucket
+    added since ``mark`` are its tail from the first one at position
+    ``mark`` or later.  A fully bound lookup reads no bucket.
     A graph that does not grow is safe to share across threads: each
     index is assigned only once it is complete (the context maps before
     the buckets that mark them built), and two threads that build the
@@ -603,12 +605,6 @@ class QuadGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "QuadGraph(%d quads)" % len(self.log)
 
-    def add(self, q: Quad) -> bool:
-        """Append the quad ``q``; False when it was already present."""
-        n = len(self.log)
-        self.extend((q,))
-        return len(self.log) != n
-
     def extend(self, quads: Iterable[Quad]) -> None:
         """Append each quad of ``quads`` that is not present yet, in
         order, and extend the buckets and maps built so far."""
@@ -639,9 +635,6 @@ class QuadGraph:
 
     def contexts(self) -> set[Constant]:
         return {q[0] for q in self.log}
-
-    def sorted_quads(self) -> list[Quad]:
-        return sorted(self.log, key=Quad.sort_key)
 
     def constants(self) -> set[Constant]:
         out: set[Constant] = set()

@@ -306,12 +306,11 @@ def brute_force_levels(graph) -> dict:
 
 def grown_quadgraph(quads: Iterable[Quad]) -> QuadGraph:
     """A graph of ``quads`` whose index is built while it is empty, so
-    that ``add`` fills every bucket, as the chase fills its graph (a
+    that ``extend`` fills every bucket, as the chase fills its graph (a
     graph built in one call buckets its log on the first lookup)."""
     graph = QuadGraph()
     graph.candidate_count(iri("urn:x-test:unused"))
-    for q in quads:
-        graph.add(q)
+    graph.extend(quads)
     return graph
 
 

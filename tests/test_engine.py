@@ -676,7 +676,7 @@ def test_a_one_atom_ground_head_is_built_in_one_pass(monkeypatch):
     head = Quad(C2, a, b, c)
     for mark in (0, 10000):
         assert derive([rule], graph, mark) == {head}
-    graph.add(head)
+    graph.extend((head,))
     for mark in (0, 10000):
         assert derive([rule], graph, mark) == set()
 

@@ -189,7 +189,7 @@ def test_local_rules_are_compiled_per_context():
         assert not rule.is_generating
         assert {atom.ctx for atom in rule.body} == {rule.head.ctx} == {c1}
     mark = len(graph)
-    graph.add(Quad(c1, iri("x"), iri("isA"), iri("A")))
+    graph.extend((Quad(c1, iri("x"), iri("isA"), iri("A")),))
     close(graph, RDFS_FULL, local, mark)
     assert local[c1] is rules and local[c2] is None
     assert Quad(c1, iri("x"), RDF_TYPE, iri("A")) in graph
@@ -217,8 +217,7 @@ def test_incremental_close_matches_naive_closure(seed, resource, schema):
     closed = QuadGraph(base)
     close(closed, sem, local, 0)
     mark = len(closed)
-    for q in extra:
-        closed.add(q)
+    closed.extend(extra)
     close(closed, sem, local, mark)
     assert closed.contexts() == union.contexts()
     for ctx in union.contexts():
@@ -237,8 +236,8 @@ def test_same_size_context_with_other_triples_is_still_closed():
     close(graph, RDFS, local, 0)
     assert graph.candidate_count(c0) == 3
     mark = len(graph)
-    for s, o in ((A, B), (B, C), (iri("y"), iri("z"))):
-        graph.add(Quad(c1, s, RDFS_SUBCLASSOF, o))
+    graph.extend(Quad(c1, s, RDFS_SUBCLASSOF, o)
+                 for s, o in ((A, B), (B, C), (iri("y"), iri("z"))))
     close(graph, RDFS, local, mark)
     assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
 
@@ -251,8 +250,7 @@ def test_context_without_compiled_rules_is_never_a_source():
     chain = [(A, RDFS_SUBCLASSOF, B), (B, RDFS_SUBCLASSOF, C)]
     graph = QuadGraph(Quad(c0, *t) for t in chain)
     mark = len(graph)
-    for t in chain:
-        graph.add(Quad(c1, *t))
+    graph.extend(Quad(c1, *t) for t in chain)
     close(graph, RDFS, local_rules(RDFS, [c1]), mark)
     assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
     assert Quad(c0, A, RDFS_SUBCLASSOF, C) not in graph

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadchase import syntax
 from quadchase.syntax import (
     ParseError,
+    QueryDocument,
     StrictModeError,
     parse_nquads,
     parse_query,
@@ -31,7 +32,9 @@ from quadchase.terms import (
     NAME_PATTERN,
     Quad,
     QuadGraph,
+    QuadPattern,
     TermError,
+    Variable,
     blank,
     interned,
     iri,
@@ -1369,3 +1372,43 @@ def test_query_prefixes_and_serialization():
     assert parse_query(serialize_query(q)) == q
     boolean = parse_query(b"ask { c(?x,<p>,?y) }")
     assert parse_query(serialize_query(boolean)) == boolean
+
+
+# A query slot: an IRI or literal constant, or a text that names a
+# variable (``Variable`` may refuse it).
+_query_slot = st.one_of(
+    _iri_text.map(iri),
+    st.builds(literal, st.text(max_size=8)),
+    st.builds(lambda lex, dt: literal(lex, datatype=dt),
+              st.text(max_size=8), _iri_text),
+    st.builds(lambda lex, tag: literal(lex, lang=tag),
+              st.text(max_size=8), _name),
+    _any_text)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.lists(st.tuples(_iri_text, _query_slot, _query_slot, _query_slot),
+                min_size=1, max_size=3),
+       st.lists(st.booleans(), max_size=9))
+@example([("c", "a b", iri("p"), "y")], [True])
+@example([("c", "x", literal("?y, "), "\u00e9")], [True, True])
+@example([("c", "x.", iri("p"), "x")], [False, True])
+def test_every_query_reads_back(atoms, selected):
+    """``Variable`` refuses a name, naming it, or the query, each
+    selected variable free and the rest quantified, reads back from its
+    serialization as the same query."""
+    variables = {}
+    for name in {t for atom in atoms for t in atom[1:] if isinstance(t, str)}:
+        try:
+            variables[name] = Variable(name)
+        except TermError as exc:
+            assert repr(name) in str(exc)
+            return
+    patterns = tuple(QuadPattern(iri(ctx), *(variables.get(t, t)
+                                             for t in slots))
+                     for ctx, *slots in atoms)
+    names = dict.fromkeys(t for p in patterns for t in (p.s, p.p, p.o)
+                          if isinstance(t, Variable))
+    free = tuple(v for v, keep in zip(names, selected) if keep)
+    query = QueryDocument(free, patterns)
+    assert parse_query(serialize_query(query)) == query

@@ -3,6 +3,7 @@ import itertools
 import operator
 import pickle
 import random
+import re
 import sys
 import threading
 import uuid
@@ -91,6 +92,10 @@ def test_canonical_escapes_are_lowercase_hex():
 def test_variable_must_be_named():
     with pytest.raises(TermError):
         Variable("")
+    for name in ("a b", "x.", "\u00e9", "?x"):
+        with pytest.raises(TermError, match=re.escape(repr(name))):
+            Variable(name)
+    assert Variable("x-1.y_2").name == "x-1.y_2"
 
 
 def test_quad_context_must_be_iri():
@@ -509,8 +514,7 @@ def test_graph_equality_follows_add_and_a_graph_does_not_hash():
     q1, q2 = (Quad(c, iri("s%d" % i), iri("p"), iri("o")) for i in (1, 2))
     g = QuadGraph([q1])
     assert g == QuadGraph([q1])
-    assert g.add(q2)
-    assert not g.add(q2)
+    g.extend((q2, q2))
     assert g == QuadGraph([q2, q1]) and g != QuadGraph([q1])
     with pytest.raises(TypeError):
         hash(g)
@@ -650,7 +654,7 @@ def test_lazy_index_maps_agree_with_a_filter_over_the_log(ops):
     graph = None
     for kind, probe, mask in ops:
         if kind == "add":
-            assert grown.add(probe) == (probe not in log)
+            grown.extend((probe,))
             if probe not in log:
                 log.append(probe)
                 graph = None
@@ -712,7 +716,7 @@ def _build_indexes(graph, built):
          build_at=None)
 @example(base=_EXTEND_BASE, more=_EXTEND_MORE, built=(0, 1, 2), build_at=2)
 def test_extend_agrees_with_repeated_add(base, more, built, build_at):
-    """``extend`` leaves a graph as ``add`` does one quad at a time: the
+    """``extend`` leaves a graph as it does given one quad at a time: the
     same log, positions, buckets and built s, p and o maps, with no index
     built, only the buckets, or some or all maps of every context, built
     before ``extend`` or, when ``build_at`` is set, by the iterable it
@@ -729,7 +733,7 @@ def test_extend_agrees_with_repeated_add(base, more, built, build_at):
         _build_indexes(one_by_one, built)
         _build_indexes(bulk, built)
     for q in fed(one_by_one):
-        one_by_one.add(q)
+        one_by_one.extend((q,))
     bulk.extend(fed(bulk))
     assert bulk.log == one_by_one.log
     assert bulk.positions == one_by_one.positions

@@ -154,6 +154,33 @@ MUTANTS = (
     Mutant("blank lets a label that is not a name through", TERMS,
            "    if not _WHOLE_NAME(label):\n",
            "    if not label:\n", ("tests/test_syntax.py",)),
+    Mutant("a name may end in a dot", TERMS,
+           'NAME_PATTERN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"',
+           'NAME_PATTERN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_.-]"',
+           ("tests/test_syntax.py",)),
+    Mutant("a literal ends at its first quote, escaped or not", SYNTAX,
+           r"""_LITERAL_TOKEN = r'"[^"\\]*(?:\\.[^"\\]*)*"'""",
+           """_LITERAL_TOKEN = r'"[^"]*"'""", ("tests/test_syntax.py",)),
+    Mutant("direct rdfs-core pass without the C1 check", SEMANTICS,
+           "any(s in _SCHEMA or o in _SCHEMA for s, o in sp_edges) \\\n"
+           "            or ", "",
+           ("tests/test_semantics.py", "tests/test_chase.py")),
+    Mutant("a replica needs only one of its triples in the source",
+           SEMANTICS,
+           "    return all(map(graph.positions.__contains__, moved))",
+           "    return any(map(graph.positions.__contains__, moved))",
+           ("tests/test_semantics.py", "tests/test_chase.py")),
+    Mutant("mint_iris takes an IRI spelled with an escape", TERMS,
+           "    plain = list(filter(_PLAIN_IRI.fullmatch, texts))",
+           '    plain = [t for t in texts if t[:1] == "<" and t[-1:] == ">"]',
+           ("tests/test_terms.py", "tests/test_syntax.py")),
+    Mutant("fnv1a_64_many's common prefix one byte too long", TERMS,
+           "        start = size - (diff.bit_length() + 7) // 8\n",
+           "        start = size - (diff.bit_length() + 7) // 8 + 1\n",
+           ("tests/test_terms.py",)),
+    Mutant("skolem_constants' collision check dropped", TERMS,
+           "    if seen != idents:\n", "    if False:\n",
+           ("tests/test_terms.py",)),
 )
 
 
