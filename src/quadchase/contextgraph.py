@@ -12,24 +12,33 @@ TGCs on the TGC-richest path leading into it (counting the context
 itself when it is a TGC).  The chase needs at most max-level + 1
 generating iterations, the last of which produces nothing.
 
-The verdict and the levels both come from the strongly connected
-components of the graph.  A graph computes them once, on first use,
-and keeps them with its successor map, so the verdict, the levels and
-the witness cycle of one graph share a single analysis.
+Both are statements about reachability, and both come from one map:
+each TGC with the contexts it reaches, walked from the TGCs only
+(``semantics.reach``, the walk that also closes the rdfs-core
+hierarchies).  A TGC lies on a cycle exactly when it reaches itself.
+On an acyclic graph a TGC that reaches another is reached by fewer
+TGCs than that one, so visiting the TGCs in increasing count of the
+TGCs that reach them visits each after every TGC upstream of it.
+A graph computes the map once, on first use, and keeps it with its
+successor map, so the verdict, the levels and the witness cycle of one
+graph share a single walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .engine import QuadSystem
+from .semantics import reach
 from .terms import Constant, FrozenRecord
 
 
 class ContextDependencyGraph(FrozenRecord):
-    """The dependency graph of a quad-system.  Its successor map and its
-    strongly connected components are computed on first use and kept."""
+    """The dependency graph of a quad-system.  Its successor map and what
+    its TGCs reach are computed on first use and kept."""
 
     nodes: frozenset[Constant]
     tgc: frozenset[Constant]
@@ -46,57 +55,10 @@ class ContextDependencyGraph(FrozenRecord):
         return succ
 
     @cached_property
-    def components(self) -> tuple[list[list[Constant]], dict[Constant, int]]:
-        """The strongly connected components, in reverse topological order
-        (successors first), and each node's index among them.  Tarjan's
-        algorithm, iterative, deterministic node order."""
-        succ = self.successors
-        index: dict[Constant, int] = {}
-        low: dict[Constant, int] = {}
-        on_stack: set[Constant] = set()
-        stack: list[Constant] = []
-        sccs: list[list[Constant]] = []
-        counter = [0]
-
-        for root in _sorted_nodes(self):
-            if root in index:
-                continue
-            work = [(root, iter(succ[root]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter[0]
-                        counter[0] += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        top = stack.pop()
-                        on_stack.discard(top)
-                        comp.append(top)
-                        if top == node:
-                            break
-                    sccs.append(comp)
-        comp_of = {n: i for i, comp in enumerate(sccs) for n in comp}
-        return sccs, comp_of
+    def tgc_reach(self) -> dict[Constant, set[Constant]]:
+        """Each TGC mapped to the contexts it reaches through one or more
+        edges (itself only when it lies on a cycle)."""
+        return reach(self.successors, self.tgc)
 
 
 class AcyclicityVerdict(FrozenRecord):
@@ -186,9 +148,8 @@ def is_context_acyclic(graph: ContextDependencyGraph) -> AcyclicityVerdict:
     Returns one witness cycle through a TGC otherwise, rotated to start
     at its canonically smallest node.
     """
-    comps, comp_of = graph.components
     offenders = [t for t in sorted(graph.tgc, key=lambda c: c.canonical)
-                 if len(comps[comp_of[t]]) > 1 or (t, t) in graph.edges]
+                 if t in graph.tgc_reach[t]]
     if not offenders:
         return AcyclicityVerdict(True)
     best: Optional[tuple[Constant, ...]] = None
@@ -203,28 +164,21 @@ def compute_levels(graph: ContextDependencyGraph) -> LevelMap:
     """Level assignment for a context-acyclic graph.
 
     level(c) = (1 if c is a TGC else 0) + max level of any TGC with a
-    path (>= 1 edge) into c.  Computed by dynamic programming over the
-    condensation: nodes of one component share TGC ancestors, and an
-    acyclic graph has no TGC inside a nontrivial component.
+    path (>= 1 edge) into c.  Each TGC, visited in increasing count of
+    the TGCs that reach it, has its level when its turn comes, and
+    passes it on to every context it reaches (see the module docstring).
     """
     verdict = is_context_acyclic(graph)
     if not verdict.acyclic:
         raise NotContextAcyclicError(verdict)
-    comps, comp_of = graph.components
-    preds: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for (a, b) in graph.edges:
-        ca, cb = comp_of[a], comp_of[b]
-        if ca != cb:
-            preds[cb].add(ca)
-    # Tarjan emits components in reverse topological order (successors
-    # first); the DP wants predecessors first, so walk it backwards.
-    order = reversed(range(len(comps)))
-    value: dict[int, int] = {}
-    for i in order:
-        is_tgc = len(comps[i]) == 1 and comps[i][0] in graph.tgc
-        best_in = max((value[p] for p in preds[i]), default=0)
-        value[i] = (1 if is_tgc else 0) + best_in
-    levels = {n: value[comp_of[n]] for n in graph.nodes}
+    reach = graph.tgc_reach
+    upstream = Counter(chain.from_iterable(reach.values()))
+    levels = dict.fromkeys(graph.nodes, 0)
+    for t in sorted(graph.tgc, key=upstream.__getitem__):
+        levels[t] += 1
+        for n in reach[t]:
+            if levels[n] < levels[t]:
+                levels[n] = levels[t]
     return LevelMap(levels, max(levels.values(), default=0))
 
 

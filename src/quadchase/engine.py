@@ -60,7 +60,7 @@ from .terms import (
     QuadPattern,
     Term,
     Variable,
-    is_skolem_rule_id,
+    is_rule_id,
     skolem_constants,
 )
 
@@ -74,9 +74,11 @@ class BridgeRule(FrozenRecord):
 
     Variables partition into frontier (body and head), existential
     (head only), and body-only; patterns must not contain blank nodes.
-    An empty head makes the rule a constraint.  A rule with an
-    existential variable names its labelled nulls after its id, so that
-    id may hold only the characters ``[A-Za-z0-9_.-]``.
+    An empty head makes the rule a constraint.  The id is a name that
+    the rule reader reads back (``terms.is_rule_id``: a letter or ``_``,
+    then ``[A-Za-z0-9_.-]``, not ending in ``.``), so every rule writes
+    a rule file that parses back to it, and a rule with an existential
+    variable can name its labelled nulls after it.
     """
 
     rule_id: str
@@ -84,8 +86,10 @@ class BridgeRule(FrozenRecord):
     head: tuple[QuadPattern, ...]
 
     def __post_init__(self) -> None:
-        if not self.rule_id:
-            raise RuleError("rules need a nonempty id")
+        if not is_rule_id(self.rule_id):
+            raise RuleError("rule id %r is not a name: a letter or '_', "
+                            "then [A-Za-z0-9_.-], not ending in '.'"
+                            % self.rule_id)
         if not self.body:
             raise RuleError("rule %s: empty body" % self.rule_id)
         for pat in self.body + self.head:
@@ -94,11 +98,6 @@ class BridgeRule(FrozenRecord):
                     raise RuleError(
                         "rule %s: blank node %s in pattern"
                         % (self.rule_id, t.canonical))
-        if not is_skolem_rule_id(self.rule_id) \
-                and self.existential_variables():
-            raise RuleError("rule id %r of a rule with an existential "
-                            "variable holds a character outside "
-                            "[A-Za-z0-9_.-]" % self.rule_id)
 
     @property
     def is_constraint(self) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .engine import SkolemAtom, SkolemRule, derive
 from .terms import (Constant, FrozenRecord, Quad, QuadGraph, QuadPattern,
@@ -195,7 +195,7 @@ def _rho_df(quads: Sequence[Quad], resource: bool) -> Optional[list[Quad]]:
             or any(p in _SCHEMA for p, _ in typing) \
             or resource and any(vocab.RDFS_RESOURCE in e for e in sc_edges):
         return None
-    sc, sp = _reach(sc_edges), _reach(sp_edges)
+    sc, sp = map(_reach_pairs, (sc_edges, sp_edges))
     for p, supers in sp.items():
         pairs = by_p.get(p)
         if pairs:
@@ -224,15 +224,13 @@ def _rho_df(quads: Sequence[Quad], resource: bool) -> Optional[list[Quad]]:
     return out
 
 
-def _reach(pairs: Iterable[tuple[Constant, Constant]]
-           ) -> dict[Constant, set[Constant]]:
-    """Each subject of ``pairs`` mapped to the terms it reaches through
-    one or more of them (itself only on a cycle)."""
-    succ: dict[Constant, list[Constant]] = {}
-    for a, b in pairs:
-        succ.setdefault(a, []).append(b)
-    reach: dict[Constant, set[Constant]] = {}
-    for a in succ:
+def reach(succ: Mapping[Constant, Iterable[Constant]],
+          sources: Iterable[Constant]) -> dict[Constant, set[Constant]]:
+    """Each of ``sources`` mapped to the nodes it reaches through one or
+    more edges of the successor map ``succ`` (itself only on a cycle).
+    The dependency graph walks its TGCs with it too."""
+    out: dict[Constant, set[Constant]] = {}
+    for a in sources:
         seen: set[Constant] = set()
         todo = [a]
         while todo:
@@ -240,8 +238,17 @@ def _reach(pairs: Iterable[tuple[Constant, Constant]]
                 if b not in seen:
                     seen.add(b)
                     todo.append(b)
-        reach[a] = seen
-    return reach
+        out[a] = seen
+    return out
+
+
+def _reach_pairs(pairs: Iterable[tuple[Constant, Constant]]
+                 ) -> dict[Constant, set[Constant]]:
+    """``reach`` from each subject of ``pairs``, the pairs as edges."""
+    succ: dict[Constant, list[Constant]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    return reach(succ, succ)
 
 
 def _replicas(graph: QuadGraph, local: dict,

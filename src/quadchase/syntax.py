@@ -557,7 +557,9 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token("PUNCT", ch, lineno, col))
                 i += 1
                 continue
-            if ch in '<"' or raw[i:i + 2] == "_:":
+            # "_:" opens a blank node only before a label; "_: " is the
+            # rule id "_" and its colon
+            if ch in '<"' or raw[i:i + 2] == "_:" and _name_match(raw, i + 2):
                 term, i = _scan_term(raw, i, lineno)
                 tokens.append(_Token("TERM", term, lineno, col))
                 continue

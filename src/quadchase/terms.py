@@ -198,6 +198,9 @@ NAME_PATTERN = r"[A-Za-z0-9_.-]*[A-Za-z0-9_-]"
 _WHOLE_NAME = re.compile(NAME_PATTERN).fullmatch
 # A rule id that a skolem label can carry and stay such a name.
 is_skolem_rule_id = re.compile(r"[A-Za-z0-9_.-]*").fullmatch
+# A rule id that the rule reader reads back as one name: such a name
+# that starts with a letter or '_', as the tokenizer's names do.
+is_rule_id = re.compile("(?=[A-Za-z_])" + NAME_PATTERN).fullmatch
 _LITERAL_SHORT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
                   "\t": "\\t"}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from quadchase.chase import (
     BUDGET_EXHAUSTED,
@@ -278,19 +278,27 @@ def naive_quad_closure(qg: QuadGraph, sem: LocalSemantics) -> QuadGraph:
     return QuadGraph(out)
 
 
+def naive_distances(graph) -> dict:
+    """Each pair (a, b) of nodes joined by a path of one or more edges,
+    mapped to the fewest edges on such a path: the naive closure of the
+    edges, relaxed pair by pair until no pair changes."""
+    dist = {edge: 1 for edge in graph.edges}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), m in list(dist.items()):
+            for (c, d), n in list(dist.items()):
+                if b == c and dist.get((a, d), m + n + 1) > m + n:
+                    dist[(a, d)] = m + n
+                    changed = True
+    return dist
+
+
 def brute_force_levels(graph) -> dict:
     """Levels straight from the definition: reachability plus iterating
     level(c) = tgc(c) + max over TGCs reaching c."""
     nodes = sorted(graph.nodes, key=lambda c: c.canonical)
-    reach = set(graph.edges)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(reach):
-            for (c, d) in list(reach):
-                if b == c and (a, d) not in reach:
-                    reach.add((a, d))
-                    changed = True
+    reach = naive_distances(graph)
     levels = {c: (1 if c in graph.tgc else 0) for c in nodes}
     for _ in range(len(nodes) + 1):
         new = {}
@@ -302,6 +310,35 @@ def brute_force_levels(graph) -> dict:
             break
         levels = new
     return levels
+
+
+def verdict_problems(graph, verdict) -> list[str]:
+    """What is wrong with ``verdict`` for ``graph``, from the naive
+    closure: a TGC lies on a cycle when the closure holds (t, t), and a
+    witness must be a cycle of edges through a TGC that starts at its
+    canonically smallest node and is no longer than the shortest cycle
+    through any TGC."""
+    dist = naive_distances(graph)
+    shortest = min((dist[(t, t)] for t in graph.tgc if (t, t) in dist),
+                   default=None)
+    if verdict.acyclic != (shortest is None):
+        return ["verdict %s, shortest TGC cycle %s"
+                % (verdict.acyclic, shortest)]
+    w = verdict.witness
+    if shortest is None:
+        return [] if w is None else ["witness %s on an acyclic graph" % (w,)]
+    problems = []
+    if w[0] != w[-1] or not set(zip(w, w[1:])) <= graph.edges:
+        problems.append("witness %s is no cycle of edges" % (w,))
+    if not set(w) & graph.tgc:
+        problems.append("witness %s holds no TGC" % (w,))
+    if w[0].canonical != min(c.canonical for c in w):
+        problems.append("witness %s does not start at its least node"
+                        % (w,))
+    if len(w) - 1 > shortest:
+        problems.append("witness %s is longer than %d edges"
+                        % (w, shortest))
+    return problems
 
 
 def grown_quadgraph(quads: Iterable[Quad]) -> QuadGraph:
@@ -383,7 +420,12 @@ def _random_pattern_term(rng: random.Random,
 
 
 def random_rule(rng: random.Random, rule_id: str,
-                contexts: list[Constant]) -> BridgeRule:
+                contexts: list[Constant],
+                head_contexts: Optional[list[Constant]] = None
+                ) -> BridgeRule:
+    """A rule over ``contexts``, its heads over ``head_contexts`` when
+    given; about half its head slots are variables, and two of the five
+    head variables are existential."""
     body_vars = [Variable("v%d" % i) for i in range(3)]
     head_vars = body_vars + [Variable("w%d" % i) for i in range(2)]
     body = tuple(
@@ -393,7 +435,7 @@ def random_rule(rng: random.Random, rule_id: str,
                     _random_pattern_term(rng, body_vars))
         for _ in range(rng.randrange(1, 3)))
     head = tuple(
-        QuadPattern(rng.choice(contexts),
+        QuadPattern(rng.choice(head_contexts or contexts),
                     _random_pattern_term(rng, head_vars),
                     _random_pattern_term(rng, head_vars),
                     _random_pattern_term(rng, head_vars))

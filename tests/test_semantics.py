@@ -242,6 +242,22 @@ def test_same_size_context_with_other_triples_is_still_closed():
     assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
 
 
+def test_context_holding_part_of_a_larger_closed_one_is_still_closed():
+    """A touched context whose triples a larger untouched closed context
+    all holds is no replica: its closure, which lacks the larger one's
+    other triples, still runs."""
+    c0, c1 = iri("c0"), iri("c1")
+    A, B, C = iri("A"), iri("B"), iri("C")
+    chain = [(A, RDFS_SUBCLASSOF, B), (B, RDFS_SUBCLASSOF, C)]
+    local = local_rules(RDFS, [c0, c1])
+    graph = QuadGraph(Quad(c0, *t) for t in chain)
+    close(graph, RDFS, local, 0)
+    mark = len(graph)
+    graph.extend(Quad(c1, *t) for t in chain)
+    close(graph, RDFS, local, mark)
+    assert Quad(c1, A, RDFS_SUBCLASSOF, C) in graph
+
+
 def test_context_without_compiled_rules_is_never_a_source():
     """An untouched context that ``close`` was not given need not be
     closed, so a context holding its triples is closed all the same."""

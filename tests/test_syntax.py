@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadchase import syntax
+from quadchase.engine import BridgeRule, RuleError
 from quadchase.syntax import (
     ParseError,
     QueryDocument,
@@ -1314,6 +1315,51 @@ def test_serialize_rules_round_trip():
     text = serialize_rules(doc.rules)
     again = parse_rules(text)
     assert again.rules == doc.rules
+
+
+# A rule id: a name, a name that starts as the tokenizer's names do, or
+# text over name characters and characters the tokenizer stops at.
+_rule_id_text = st.one_of(
+    _name, st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,4}", fullmatch=True),
+    st.text(st.sampled_from("aZ0_-.:/@ \u00e9"), max_size=5))
+# A rule slot: a variable (one the body lacks is existential), or an IRI
+# or literal constant, so literals may stand in any position.
+_rule_slot = st.one_of(
+    st.sampled_from(["x", "y", "_", "w.1"]).map(Variable),
+    _iri_text.map(iri),
+    st.builds(literal, st.text(max_size=8)),
+    st.builds(lambda lex, dt: literal(lex, datatype=dt),
+              st.text(max_size=8), _iri_text),
+    st.builds(lambda lex, tag: literal(lex, lang=tag),
+              st.text(max_size=8), _name))
+_rule_atom = st.tuples(_iri_text, _rule_slot, _rule_slot, _rule_slot)
+_X, _P, _W = Variable("x"), iri("p"), Variable("w")
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.lists(st.tuples(_rule_id_text,
+                          st.lists(_rule_atom, min_size=1, max_size=2),
+                          st.lists(_rule_atom, max_size=2)),
+                max_size=3, unique_by=lambda spec: spec[0]))
+@example([("_", [("c", _X, _P, _X)], [("d", _X, _P, _W)])])
+@example([("r.1", [("c", _X, _P, _X)], []), ("_x", [("c", _X, _P, _X)],
+                                             [("d", _X, _P, _X)])])
+@example([(rule_id, [("c", _X, _P, _X)], [("d", _X, _P, _X)])
+          for rule_id in ("1x", "r/1", "a b", "-r", "r.")])
+def test_every_rule_set_reads_back(specs):
+    """``BridgeRule`` refuses an id, naming it, or the rules, with
+    constraints, existentials, several heads and literals anywhere, read
+    back from their serialization as the same rules."""
+    rules = []
+    for rule_id, body, head in specs:
+        body, head = ([QuadPattern(iri(c), *slots) for c, *slots in atoms]
+                      for atoms in (body, head))
+        try:
+            rules.append(BridgeRule(rule_id, tuple(body), tuple(head)))
+        except RuleError as exc:
+            assert repr(rule_id) in str(exc)
+            return
+    assert parse_rules(serialize_rules(rules)).rules == tuple(rules)
 
 
 # ---------------------------------------------------------------------------

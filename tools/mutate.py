@@ -48,6 +48,7 @@ ENGINE = "src/quadchase/engine.py"
 SYNTAX = "src/quadchase/syntax.py"
 SEMANTICS = "src/quadchase/semantics.py"
 TERMS = "src/quadchase/terms.py"
+CONTEXTGRAPH = "src/quadchase/contextgraph.py"
 
 
 class Mutant(NamedTuple):
@@ -181,6 +182,19 @@ MUTANTS = (
     Mutant("skolem_constants' collision check dropped", TERMS,
            "    if seen != idents:\n", "    if False:\n",
            ("tests/test_terms.py",)),
+    Mutant("a TGC's level without its own +1", CONTEXTGRAPH,
+           "        levels[t] += 1\n", "", ("tests/test_contextgraph.py",)),
+    Mutant("TGCs visited in decreasing count of the TGCs that reach them",
+           CONTEXTGRAPH, "key=upstream.__getitem__):",
+           "key=upstream.__getitem__, reverse=True):",
+           ("tests/test_contextgraph.py",)),
+    Mutant("a replica's source taken from every size", SEMANTICS,
+           "in closed.get(graph.candidate_count(ctx), ()))}",
+           "in (c for cs in closed.values() for c in cs))}",
+           ("tests/test_semantics.py", "tests/test_chase.py")),
+    Mutant("the row reader drops the context, not the odd-line column",
+           SYNTAX, "    del texts[4::5]\n", "    del texts[3::5]\n",
+           ("tests/test_syntax.py",)),
 )
 
 
